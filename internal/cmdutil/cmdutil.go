@@ -84,7 +84,7 @@ func RegisterCampaignFlags(fs *flag.FlagSet, snapWindowHelp string) *CampaignFla
 	fs.BoolVar(&f.Hedge, "hedge", true, "hedge retried queries to an alternate nameserver when one is available")
 	fs.StringVar(&f.Metrics, "metrics", "", "emit an observability dump after the campaign: text or json")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write the -metrics dump to this file instead of stdout")
-	fs.StringVar(&f.PprofPrefix, "pprof", "", "write <prefix>.cpu.pprof and <prefix>.heap.pprof profiles around the campaign body")
+	fs.StringVar(&f.PprofPrefix, "pprof", "", "write <prefix>.cpu.pprof, .heap.pprof, .mutex.pprof and .block.pprof profiles around the campaign body")
 	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "directory for durable campaign state (checkpoints + write-ahead log); empty disables durability")
 	fs.IntVar(&f.CheckpointEvery, "checkpoint-every", 7, "world days between full checkpoints (the write-ahead log covers the rounds in between)")
 	fs.BoolVar(&f.Resume, "resume", false, "resume the campaign recorded in -checkpoint-dir instead of starting over (same seed and configuration required)")
@@ -312,9 +312,11 @@ var createProfileFile = func(path string) (io.WriteCloser, error) {
 	return os.Create(path)
 }
 
-// StartProfiles begins a CPU profile at <prefix>.cpu.pprof and returns a
-// stop function that ends it and writes a heap profile to
-// <prefix>.heap.pprof. An empty prefix disables profiling (the stop
+// StartProfiles begins a CPU profile at <prefix>.cpu.pprof and turns on
+// the runtime's mutex and block profiling. It returns a stop function
+// that ends the CPU profile and writes <prefix>.heap.pprof,
+// <prefix>.mutex.pprof and <prefix>.block.pprof, then turns mutex and
+// block profiling back off. An empty prefix disables profiling (the stop
 // function is still non-nil and safe to call).
 func StartProfiles(prefix string) (stop func() error, err error) {
 	if prefix == "" {
@@ -328,27 +330,47 @@ func StartProfiles(prefix string) (stop func() error, err error) {
 		cpu.Close()
 		return nil, fmt.Errorf("pprof: %w", err)
 	}
+	// Every contended unlock, and blocking sampled about once per
+	// microsecond spent blocked: enough to rank the locks and waits of a
+	// campaign without slowing the uncontended paths.
+	prevMutex := runtime.SetMutexProfileFraction(1)
+	runtime.SetBlockProfileRate(int(time.Microsecond))
 	return func() error {
 		pprof.StopCPUProfile()
 		if err := cpu.Close(); err != nil {
 			return fmt.Errorf("pprof: %w", err)
 		}
-		heap, err := createProfileFile(prefix + ".heap.pprof")
-		if err != nil {
-			return fmt.Errorf("pprof: %w", err)
-		}
 		runtime.GC() // fresh allocation picture before the heap snapshot
-		if err := pprof.WriteHeapProfile(heap); err != nil {
-			heap.Close()
-			return fmt.Errorf("pprof: %w", err)
+		err := writeProfile(prefix+".heap.pprof", pprof.WriteHeapProfile)
+		runtime.SetMutexProfileFraction(prevMutex)
+		runtime.SetBlockProfileRate(0)
+		for _, name := range []string{"mutex", "block"} {
+			if err != nil {
+				break
+			}
+			err = writeProfile(prefix+"."+name+".pprof", func(w io.Writer) error {
+				return pprof.Lookup(name).WriteTo(w, 0)
+			})
 		}
-		// Close errors matter here: on a full disk the write above can
-		// "succeed" into the page cache and the truncation only surfaces
-		// at close — reporting that as success hands the user a corrupt
-		// profile.
-		if err := heap.Close(); err != nil {
-			return fmt.Errorf("pprof: %w", err)
-		}
-		return nil
+		return err
 	}, nil
+}
+
+// writeProfile creates path and writes one profile into it.
+func writeProfile(path string, write func(io.Writer) error) error {
+	f, err := createProfileFile(path)
+	if err != nil {
+		return fmt.Errorf("pprof: %w", err)
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("pprof: %w", err)
+	}
+	// Close errors matter here: on a full disk the write above can
+	// "succeed" into the page cache and the truncation only surfaces at
+	// close — reporting that as success hands the user a corrupt profile.
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("pprof: %w", err)
+	}
+	return nil
 }

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -179,5 +182,32 @@ func TestStopProfilesPropagatesHeapCloseError(t *testing.T) {
 	}
 	if !errors.Is(err, closeErr) {
 		t.Fatalf("stop() = %v, want it to wrap %v", err, closeErr)
+	}
+}
+
+// TestStartProfilesWritesAllFour: -pprof writes the CPU, heap, mutex and
+// block profiles, each non-empty, and leaves mutex profiling off again.
+func TestStartProfilesWritesAllFour(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "run")
+	stop, err := StartProfiles(prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"cpu", "heap", "mutex", "block"} {
+		path := prefix + "." + kind + ".pprof"
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Errorf("%s profile: %v", kind, err)
+			continue
+		}
+		if fi.Size() == 0 {
+			t.Errorf("%s profile %s is empty", kind, path)
+		}
+	}
+	if got := runtime.SetMutexProfileFraction(-1); got != 0 {
+		t.Errorf("mutex profile fraction %d after stop, want 0", got)
 	}
 }

@@ -41,6 +41,12 @@ type Decoder struct {
 	names   map[string]Name
 	scratch []byte
 
+	// decoded memoizes this message's names by the offset their wire form
+	// starts at, so a name that is a bare compression pointer to one of
+	// them is a table scan, not a re-walk, re-validation and intern
+	// lookup. Capped at maxMemoNames per message to keep the scan short.
+	decoded []decodedName
+
 	// Pre-boxed RData values, keyed by content. Storing a concrete rdata
 	// struct in the RData interface allocates; a campaign decodes the same
 	// few addresses and targets endlessly, so each distinct value is boxed
@@ -49,6 +55,18 @@ type Decoder struct {
 	nsData    map[Name]RData
 	cnameData map[Name]RData
 }
+
+// decodedName is one memoized name: decoding at off yields name after
+// following hops compression pointers.
+type decodedName struct {
+	off  int
+	hops int
+	name Name
+}
+
+// maxMemoNames caps the per-message memo. A campaign response carries at
+// most a dozen or so names; past the cap, names decode the long way.
+const maxMemoNames = 32
 
 // decoderPool recycles decoders (and their intern tables) across queries.
 var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
@@ -78,6 +96,7 @@ func Decode(b []byte) (*Message, error) {
 // m holds partially decoded content and must not be used.
 func (d *Decoder) DecodeInto(b []byte, m *Message) error {
 	d.buf, d.pos = b, 0
+	d.decoded = d.decoded[:0]
 	m.Questions = m.Questions[:0]
 	m.Answers = m.Answers[:0]
 	m.Authority = m.Authority[:0]
@@ -173,12 +192,47 @@ func (d *Decoder) take(n int) ([]byte, error) {
 // as ParseName would see them), normalized, then interned so repeated
 // names cost no allocation.
 func (d *Decoder) name() (Name, error) {
-	next, err := d.readNameScratch(d.pos)
+	start := d.pos
+	if n, ok := d.memoized(start); ok {
+		d.pos = start + 2
+		return n, nil
+	}
+	next, hops, err := d.readNameScratch(start)
 	if err != nil {
 		return "", err
 	}
 	d.pos = next
+	n, err := d.normalizeScratch()
+	if err == nil && len(d.decoded) < maxMemoNames {
+		d.decoded = append(d.decoded, decodedName{off: start, hops: hops, name: n})
+	}
+	return n, err
+}
 
+// memoized returns the name at off when it is a bare compression pointer
+// to a name this message already decoded. Walking the pointer would
+// re-read exactly the memoized name's labels with one more hop, so the
+// memo answers only when that hop stays within readNameScratch's limit; a
+// forward or self pointer is left to the walk, which rejects it.
+func (d *Decoder) memoized(off int) (Name, bool) {
+	if off+2 > len(d.buf) || d.buf[off]&0xC0 != 0xC0 {
+		return "", false
+	}
+	ptr := int(binary.BigEndian.Uint16(d.buf[off:]) & 0x3FFF)
+	if ptr >= off {
+		return "", false
+	}
+	for _, m := range d.decoded {
+		if m.off == ptr && m.hops < maxPointerHops {
+			return m.name, true
+		}
+	}
+	return "", false
+}
+
+// normalizeScratch turns the dotted labels readNameScratch gathered into
+// a validated, lowercased, interned Name.
+func (d *Decoder) normalizeScratch() (Name, error) {
 	s := d.scratch
 	// ParseName semantics: one trailing dot is accepted and trimmed. A
 	// dotted join of wire labels ends with '.' only when the final label
@@ -241,18 +295,20 @@ func (d *Decoder) intern(s []byte) Name {
 	return n
 }
 
+// maxPointerHops bounds the compression pointers one name may follow:
+// more than any legal message needs.
+const maxPointerHops = 64
+
 // readNameScratch walks labels and compression pointers from off into
 // d.scratch as a dotted string, returning the offset just past the name's
-// in-place representation.
-func (d *Decoder) readNameScratch(off int) (next int, err error) {
-	const maxHops = 64 // more pointer hops than any legal message needs
+// in-place representation and the number of pointers followed.
+func (d *Decoder) readNameScratch(off int) (next, hops int, err error) {
 	buf := d.buf
 	d.scratch = d.scratch[:0]
-	hops := 0
 	next = -1
 	for {
 		if off >= len(buf) {
-			return 0, ErrShortMessage
+			return 0, 0, ErrShortMessage
 		}
 		b := buf[off]
 		switch {
@@ -260,29 +316,29 @@ func (d *Decoder) readNameScratch(off int) (next int, err error) {
 			if next < 0 {
 				next = off + 1
 			}
-			return next, nil
+			return next, hops, nil
 		case b&0xC0 == 0xC0:
 			if off+2 > len(buf) {
-				return 0, ErrShortMessage
+				return 0, 0, ErrShortMessage
 			}
 			ptr := int(binary.BigEndian.Uint16(buf[off:]) & 0x3FFF)
 			if next < 0 {
 				next = off + 2
 			}
 			if ptr >= off {
-				return 0, fmt.Errorf("pointer to %d at %d: %w", ptr, off, ErrBadPointer)
+				return 0, 0, fmt.Errorf("pointer to %d at %d: %w", ptr, off, ErrBadPointer)
 			}
 			hops++
-			if hops > maxHops {
-				return 0, ErrPointerLoop
+			if hops > maxPointerHops {
+				return 0, 0, ErrPointerLoop
 			}
 			off = ptr
 		case b&0xC0 != 0:
-			return 0, fmt.Errorf("label tag %#x: %w", b, ErrBadPointer)
+			return 0, 0, fmt.Errorf("label tag %#x: %w", b, ErrBadPointer)
 		default:
 			l := int(b)
 			if off+1+l > len(buf) {
-				return 0, ErrShortMessage
+				return 0, 0, ErrShortMessage
 			}
 			if len(d.scratch) > 0 {
 				d.scratch = append(d.scratch, '.')

@@ -22,12 +22,21 @@ type Encoder struct {
 	// non-empty caller buffer).
 	base int
 	// offsets remembers where each (sub)name was written so later
-	// occurrences can emit a compression pointer.
-	offsets map[Name]int
+	// occurrences can emit a compression pointer. A message holds a few
+	// distinct suffixes, so a linear table beats clearing and refilling a
+	// map per message.
+	offsets []nameOffset
 
 	// Query scratch for alloc-free query encoding.
 	qmsg Message
 	qs   [1]Question
+}
+
+// nameOffset is one compression-table entry: a (sub)name and the
+// message-relative offset it was written at.
+type nameOffset struct {
+	name Name
+	off  int
 }
 
 // encoderPool recycles encoders (buffer + compression table) across the
@@ -46,11 +55,7 @@ func ReleaseEncoder(e *Encoder) { encoderPool.Put(e) }
 func (e *Encoder) reset() {
 	e.buf = e.buf[:0]
 	e.base = 0
-	if e.offsets == nil {
-		e.offsets = make(map[Name]int)
-	} else {
-		clear(e.offsets)
-	}
+	e.offsets = e.offsets[:0]
 }
 
 // Encode serializes m into the encoder's internal buffer and returns it.
@@ -68,11 +73,7 @@ func (e *Encoder) EncodeAppend(dst []byte, m *Message) ([]byte, error) {
 	saved := e.buf
 	e.buf = dst
 	e.base = len(dst)
-	if e.offsets == nil {
-		e.offsets = make(map[Name]int)
-	} else {
-		clear(e.offsets)
-	}
+	e.offsets = e.offsets[:0]
 	out, err := e.encode(m)
 	e.buf = saved
 	e.base = 0
@@ -170,12 +171,12 @@ func (e *Encoder) u32(v uint32) { e.buf = binary.BigEndian.AppendUint32(e.buf, v
 // name writes a possibly-compressed domain name.
 func (e *Encoder) name(n Name) {
 	for !n.IsRoot() {
-		if off, ok := e.offsets[n]; ok && off <= 0x3FFF {
+		if off, ok := e.offsetOf(n); ok {
 			e.u16(0xC000 | uint16(off))
 			return
 		}
 		if off := len(e.buf) - e.base; off <= 0x3FFF {
-			e.offsets[n] = off
+			e.offsets = append(e.offsets, nameOffset{name: n, off: off})
 		}
 		label := string(n)
 		if i := strings.IndexByte(label, '.'); i >= 0 {
@@ -186,6 +187,17 @@ func (e *Encoder) name(n Name) {
 		n = n.Parent()
 	}
 	e.u8(0)
+}
+
+// offsetOf returns where n was written earlier in this message. Only
+// pointer-addressable offsets (<= 0x3FFF) are ever recorded.
+func (e *Encoder) offsetOf(n Name) (int, bool) {
+	for _, o := range e.offsets {
+		if o.name == n {
+			return o.off, true
+		}
+	}
+	return 0, false
 }
 
 func (e *Encoder) rr(rr RR) error {

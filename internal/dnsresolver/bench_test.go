@@ -64,7 +64,11 @@ func dropAnswer(r *Resolver, name dnsmsg.Name, qtype dnsmsg.Type) {
 	s := &r.cache.shards[shardIndex(name)]
 	s.mu.Lock()
 	if slot, ok := s.answers[key]; ok {
-		s.deleteEntry(slot.node)
+		if slot.node == noNode { // uncapped: no recency node to free
+			delete(s.answers, key)
+		} else {
+			s.deleteEntry(slot.node)
+		}
 	}
 	s.mu.Unlock()
 }

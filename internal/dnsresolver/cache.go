@@ -192,6 +192,33 @@ func (s *cacheShard) deleteEntry(i int32) {
 	s.free(i)
 }
 
+// used records a hit on node i. Only a capped shard keeps recency order;
+// an uncapped one skips the write, so hot entries that every worker reads
+// stay read-only.
+func (s *cacheShard) used(i int32) {
+	if s.capacity > 0 {
+		s.touch(i)
+	}
+}
+
+// reclaim drops the stale or expired entry behind node i from a capped
+// shard. An uncapped shard leaves it for the next put of its key or the
+// next Purge.
+func (s *cacheShard) reclaim(i int32) {
+	if s.capacity > 0 {
+		s.deleteEntry(i)
+	}
+}
+
+// link returns the recency node for a new entry: a fresh list head in a
+// capped shard, noNode in an uncapped one.
+func (s *cacheShard) link(kind uint8, key cacheKey) int32 {
+	if s.capacity == 0 {
+		return noNode
+	}
+	return s.newNode(kind, key)
+}
+
 // evictOver trims the shard to capacity from the LRU tail. Stale
 // generations drift tailward on their own (nothing touches them), so a
 // capped cache sheds purged entries before live ones.
@@ -210,11 +237,12 @@ func (s *cacheShard) evictOver() {
 // shard's generation in O(1) (the paper's collector purges its resolver
 // cache before every daily run so snapshots stay independent, §IV-B.1).
 //
-// Each shard keeps one recency list across its three tables. With a
-// capacity configured, inserts evict least-recently-used entries; the
+// With a capacity configured, each shard keeps one recency list across
+// its three tables and inserts evict least-recently-used entries. The
 // default capacity of 0 keeps the historical grow-with-the-world
 // behaviour, which campaign determinism (query-count-bearing reports)
-// relies on.
+// relies on; such a cache keeps no recency list at all (a hit writes
+// nothing) and Purge drops every entry outright.
 //
 // Every entry kind (answers, delegations, host addresses) routes to a
 // shard by an FNV-1a hash of the owner name, so all records for one name
@@ -247,14 +275,9 @@ func newCache(capacity int) *cache {
 // shardIndex routes a name to its stripe index by FNV-1a over the name's
 // bytes.
 func shardIndex(name dnsmsg.Name) int {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
+	h := uint64(fnvOffset64)
 	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= fnvPrime
+		h = fnvByte(h, name[i])
 	}
 	return int(h % cacheShards)
 }
@@ -271,17 +294,24 @@ func (c *cache) setObserver(r *obs.Registry) {
 }
 
 // Purge makes every cached entry invisible by bumping each shard's
-// generation — O(shards), no map reallocation. Old-generation entries are
-// reclaimed lazily: on the next access to their key, or by LRU eviction
-// when a capacity is set. A put racing with Purge may land pre-bump and
-// survive in an already-bumped stripe, which is fine for the campaigns
-// (they purge between runs, while the resolver is idle) and harmless
-// otherwise (the entry is valid, just not forgotten).
+// generation. A capped cache reclaims old-generation entries lazily, on
+// the next access to their key or by LRU eviction, since stale entries
+// drift to the recency tail on their own. An uncapped cache has no
+// recency list to age them out, so Purge empties its tables instead (the
+// maps keep their buckets for the next pass). A put racing with Purge may
+// land pre-bump and survive in an already-bumped stripe, which is fine
+// for the campaigns (they purge between runs, while the resolver is idle)
+// and harmless otherwise (the entry is valid, just not forgotten).
 func (c *cache) Purge() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		s.gen++
+		if s.capacity == 0 {
+			clear(s.answers)
+			clear(s.delegations)
+			clear(s.hostAddrs)
+		}
 		s.mu.Unlock()
 	}
 }
@@ -321,12 +351,12 @@ func (c *cache) getAnswer(now time.Time, key cacheKey) (answerEntry, bool) {
 	slot, ok := s.answers[key]
 	if !ok || slot.gen != s.gen || !slot.entry.expires.After(now) {
 		if ok {
-			s.deleteEntry(slot.node)
+			s.reclaim(slot.node)
 		}
 		c.obs.Load().observe(idx, false)
 		return answerEntry{}, false
 	}
-	s.touch(slot.node)
+	s.used(slot.node)
 	c.obs.Load().observe(idx, true)
 	return slot.entry, true
 }
@@ -340,11 +370,11 @@ func (c *cache) putAnswer(now time.Time, key cacheKey, e answerEntry, ttl time.D
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if slot, ok := s.answers[key]; ok {
-		s.touch(slot.node)
+		s.used(slot.node)
 		s.answers[key] = answerSlot{entry: e, gen: s.gen, node: slot.node}
 		return
 	}
-	node := s.newNode(kindAnswer, key)
+	node := s.link(kindAnswer, key)
 	s.answers[key] = answerSlot{entry: e, gen: s.gen, node: node}
 	s.evictOver()
 }
@@ -359,12 +389,12 @@ func (c *cache) getDelegation(now time.Time, zone dnsmsg.Name) ([]dnsmsg.Name, b
 	slot, ok := s.delegations[zone]
 	if !ok || slot.gen != s.gen || !slot.entry.expires.After(now) {
 		if ok {
-			s.deleteEntry(slot.node)
+			s.reclaim(slot.node)
 		}
 		c.obs.Load().observe(idx, false)
 		return nil, false
 	}
-	s.touch(slot.node)
+	s.used(slot.node)
 	c.obs.Load().observe(idx, true)
 	return slot.entry.hosts, true
 }
@@ -381,11 +411,11 @@ func (c *cache) putDelegation(now time.Time, zone dnsmsg.Name, hosts []dnsmsg.Na
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if slot, ok := s.delegations[zone]; ok {
-		s.touch(slot.node)
+		s.used(slot.node)
 		s.delegations[zone] = delegationSlot{entry: e, gen: s.gen, node: slot.node}
 		return
 	}
-	node := s.newNode(kindDelegation, cacheKey{name: zone})
+	node := s.link(kindDelegation, cacheKey{name: zone})
 	s.delegations[zone] = delegationSlot{entry: e, gen: s.gen, node: node}
 	s.evictOver()
 }
@@ -401,7 +431,7 @@ func (c *cache) closestDelegation(now time.Time, name dnsmsg.Name) (dnsmsg.Name,
 		s.mu.Lock()
 		slot, ok := s.delegations[zone]
 		if ok && slot.gen == s.gen && slot.entry.expires.After(now) {
-			s.touch(slot.node)
+			s.used(slot.node)
 			hosts := slot.entry.hosts
 			s.mu.Unlock()
 			// The whole walk counts as one lookup, attributed to the
@@ -423,12 +453,12 @@ func (c *cache) getHostAddr(now time.Time, host dnsmsg.Name) (netip.Addr, bool) 
 	slot, ok := s.hostAddrs[host]
 	if !ok || slot.gen != s.gen || !slot.entry.expires.After(now) {
 		if ok {
-			s.deleteEntry(slot.node)
+			s.reclaim(slot.node)
 		}
 		c.obs.Load().observe(idx, false)
 		return netip.Addr{}, false
 	}
-	s.touch(slot.node)
+	s.used(slot.node)
 	c.obs.Load().observe(idx, true)
 	return slot.entry.addr, true
 }
@@ -442,11 +472,11 @@ func (c *cache) putHostAddr(now time.Time, host dnsmsg.Name, addr netip.Addr, tt
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if slot, ok := s.hostAddrs[host]; ok {
-		s.touch(slot.node)
+		s.used(slot.node)
 		s.hostAddrs[host] = hostAddrSlot{entry: e, gen: s.gen, node: slot.node}
 		return
 	}
-	node := s.newNode(kindHostAddr, cacheKey{name: host})
+	node := s.link(kindHostAddr, cacheKey{name: host})
 	s.hostAddrs[host] = hostAddrSlot{entry: e, gen: s.gen, node: node}
 	s.evictOver()
 }

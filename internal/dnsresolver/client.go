@@ -139,7 +139,9 @@ func (c *Client) Exchange(server netip.Addr, name dnsmsg.Name, qtype dnsmsg.Type
 // hedge in the accounting.
 func (c *Client) ExchangeAny(servers []netip.Addr, name dnsmsg.Name, qtype dnsmsg.Type) (*dnsmsg.Message, error) {
 	sc := exchangeScratchPool.Get().(*exchangeScratch)
-	resp, err := c.exchangeAny(sc, servers, name, qtype)
+	var st QueryStats
+	resp, err := c.exchangeAny(sc, &st, servers, name, qtype)
+	c.stats.fold(&st)
 	if resp != nil {
 		// The scratch-backed message goes back into the pool; callers get a
 		// private copy.
@@ -150,8 +152,11 @@ func (c *Client) ExchangeAny(servers []netip.Addr, name dnsmsg.Name, qtype dnsms
 }
 
 // exchangeAny is ExchangeAny against caller-owned scratch. The returned
-// message aliases sc and is valid only until sc's next use.
-func (c *Client) exchangeAny(sc *exchangeScratch, servers []netip.Addr, name dnsmsg.Name, qtype dnsmsg.Type) (*dnsmsg.Message, error) {
+// message aliases sc and is valid only until sc's next use. Its accounting
+// accumulates in st, which the caller folds into the client's counters
+// (once per Resolve on the resolver path), so concurrent workers do not
+// write the shared counters on every attempt.
+func (c *Client) exchangeAny(sc *exchangeScratch, st *QueryStats, servers []netip.Addr, name dnsmsg.Name, qtype dnsmsg.Type) (*dnsmsg.Message, error) {
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("exchange %s %s: %w", name, qtype, ErrNoServers)
 	}
@@ -164,28 +169,28 @@ func (c *Client) exchangeAny(sc *exchangeScratch, servers []netip.Addr, name dns
 	}
 	primary := cands[start]
 
-	c.stats.queries.Add(1)
+	st.Queries++
 	o.observeQuery()
 	var lastErr error
 	for attempt := 1; attempt <= budget; attempt++ {
 		server := cands[(start+attempt-1)%len(cands)]
 		if attempt > 1 {
 			backoff := p.Backoff(c.idSeed, server, name, qtype, attempt)
-			c.stats.retries.Add(1)
-			c.stats.backoffNanos.Add(int64(backoff))
+			st.Retries++
+			st.Backoff += backoff
 			o.observeRetry(backoff)
 		}
 		if server != primary {
-			c.stats.hedges.Add(1)
+			st.Hedges++
 			o.observeHedge()
 		}
 
-		resp, rtt, err := c.attempt(sc, o, server, name, qtype, attempt)
+		resp, rtt, err := c.attempt(sc, st, o, server, name, qtype, attempt)
 		if err == nil {
 			c.health.ObserveSuccess(server)
 			c.health.ObserveRTT(server, rtt)
 			if attempt > 1 {
-				c.stats.recovered.Add(1)
+				st.Recovered++
 			}
 			o.observeOutcome(attempt, attempt > 1)
 			return resp, nil
@@ -193,11 +198,11 @@ func (c *Client) exchangeAny(sc *exchangeScratch, servers []netip.Addr, name dns
 		lastErr = err
 		switch {
 		case errors.Is(err, netsim.ErrTimeout):
-			c.stats.timeouts.Add(1)
+			st.Timeouts++
 			o.observeTimeout()
 			c.health.ObserveTimeout(server)
 		case errors.Is(err, ErrCorruptReply):
-			c.stats.corrupt.Add(1)
+			st.CorruptReplies++
 			o.observeCorrupt()
 		default:
 			// Fatal: validation failure (possible spoofing), unreachable
@@ -205,15 +210,15 @@ func (c *Client) exchangeAny(sc *exchangeScratch, servers []netip.Addr, name dns
 			// unsafe or pointless.
 			bad := errors.Is(err, ErrBadResponse)
 			if bad {
-				c.stats.bad.Add(1)
+				st.BadResponses++
 			}
-			c.stats.failed.Add(1)
+			st.Failed++
 			o.observeFailed(bad)
 			o.observeOutcome(attempt, false)
 			return nil, err
 		}
 	}
-	c.stats.failed.Add(1)
+	st.Failed++
 	o.observeFailed(false)
 	o.observeOutcome(budget, false)
 	return nil, lastErr
@@ -224,8 +229,8 @@ func (c *Client) exchangeAny(sc *exchangeScratch, servers []netip.Addr, name dns
 // deterministic across runs, distinct across a query's attempts (each
 // retry re-rolls the fabric's fault decisions). The returned message
 // aliases sc.
-func (c *Client) attempt(sc *exchangeScratch, o *clientObs, server netip.Addr, name dnsmsg.Name, qtype dnsmsg.Type, attempt int) (*dnsmsg.Message, time.Duration, error) {
-	c.stats.attempts.Add(1)
+func (c *Client) attempt(sc *exchangeScratch, st *QueryStats, o *clientObs, server netip.Addr, name dnsmsg.Name, qtype dnsmsg.Type, attempt int) (*dnsmsg.Message, time.Duration, error) {
+	st.Attempts++
 	o.observeAttempt()
 	id := uint16(queryHash(c.idSeed, server, name, qtype, attempt))
 	wire := sc.enc.EncodeQuery(id, name, qtype)
@@ -237,7 +242,7 @@ func (c *Client) attempt(sc *exchangeScratch, o *clientObs, server netip.Addr, n
 		sc.recv = raw[:0]
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("exchange %s %s with %s: %w", name, qtype, server, err)
+		return nil, 0, &exchangeError{name: name, qtype: qtype, server: server, err: err}
 	}
 	if err := sc.dec.DecodeInto(raw, &sc.resp); err != nil {
 		return nil, 0, fmt.Errorf("exchange %s %s with %s: %w: %v", name, qtype, server, ErrCorruptReply, err)
@@ -251,3 +256,19 @@ func (c *Client) attempt(sc *exchangeScratch, o *clientObs, server netip.Addr, n
 	}
 	return resp, rtt, nil
 }
+
+// exchangeError is a failed attempt's fabric error in the attempt's
+// context. It is formatted only when read: on a lossy fabric most failed
+// attempts are timeouts the retry loop matches with errors.Is and drops.
+type exchangeError struct {
+	name   dnsmsg.Name
+	qtype  dnsmsg.Type
+	server netip.Addr
+	err    error
+}
+
+func (e *exchangeError) Error() string {
+	return fmt.Sprintf("exchange %s %s with %s: %v", e.name, e.qtype, e.server, e.err)
+}
+
+func (e *exchangeError) Unwrap() error { return e.err }

@@ -1,9 +1,11 @@
 package dnsresolver
 
 import (
+	"maps"
 	"net/netip"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rrdps/internal/dnsmsg"
@@ -39,22 +41,39 @@ const (
 // A server with SidelineAfter consecutive all-timeout passes is sidelined
 // for SidelineFor passes, then probed back in: it becomes selectable
 // again, and the next pass's outcomes decide whether it stays.
+//
+// The per-exchange paths take no lock. Folded state (sideline sentences,
+// EWMA estimates) is written only by Checkpoint and RestoreState, which
+// run while the fabric is quiescent, so within a pass it is read-only and
+// readers need no lock. The entry table a pass reads is published through
+// an atomic pointer and replaced, never mutated, at those same
+// boundaries. Observations are atomics that read before they write, so a
+// server every worker keeps hitting costs a shared cache line, not a
+// contended one. Only observations of a server first seen during the
+// pass take mu: it sits in the fresh table until Checkpoint folds that
+// into the next published table, which keeps inserts O(1) amortized (the
+// fold already visits every entry).
 type Health struct {
-	mu      sync.Mutex
-	entries map[netip.Addr]*healthEntry
-	events  uint64 // total sideline transitions
+	// table is the published entry table: every server known at the last
+	// Checkpoint or RestoreState.
+	table atomic.Pointer[map[netip.Addr]*healthEntry]
+
+	mu     sync.Mutex
+	fresh  map[netip.Addr]*healthEntry // servers first observed this pass
+	events uint64                      // total sideline transitions
 }
 
 type healthEntry struct {
 	// Current-pass observations (set union / min; order-independent).
-	sawSuccess bool
-	sawTimeout bool
-	// passMinRTT is the smallest RTT observed this pass (0 = none). Min is
-	// the fold that keeps serial≡parallel: racing workers may duplicate a
-	// logical query, but duplicates carry identical content-hashed RTTs,
-	// so the pass minimum is the same set function either way.
-	passMinRTT time.Duration
-	// Folded state, mutated only in Checkpoint.
+	sawSuccess atomic.Bool
+	sawTimeout atomic.Bool
+	// passMinRTT is the smallest RTT observed this pass in nanoseconds
+	// (0 = none). Min is the fold that keeps serial≡parallel: racing
+	// workers may duplicate a logical query, but duplicates carry
+	// identical content-hashed RTTs, so the pass minimum is the same set
+	// function either way.
+	passMinRTT atomic.Int64
+	// Folded state, mutated only in Checkpoint and RestoreState.
 	consecBadPasses int
 	sidelinedFor    int
 	sidelined       uint64  // times this server was sidelined
@@ -63,31 +82,51 @@ type healthEntry struct {
 
 // NewHealth creates an empty tracker.
 func NewHealth() *Health {
-	return &Health{entries: make(map[netip.Addr]*healthEntry)}
+	h := &Health{fresh: make(map[netip.Addr]*healthEntry)}
+	h.publish(make(map[netip.Addr]*healthEntry))
+	return h
 }
 
+func (h *Health) publish(m map[netip.Addr]*healthEntry) { h.table.Store(&m) }
+
+// known returns addr's entry in the published table. A server missing
+// from it has no folded state: it is available and has no estimate.
+func (h *Health) known(addr netip.Addr) (*healthEntry, bool) {
+	e, ok := (*h.table.Load())[addr]
+	return e, ok
+}
+
+// entry returns addr's entry for recording an observation, adding it to
+// the fresh table when the server is new this pass.
 func (h *Health) entry(addr netip.Addr) *healthEntry {
-	e, ok := h.entries[addr]
+	if e, ok := h.known(addr); ok {
+		return e
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if e, ok := h.known(addr); ok {
+		return e
+	}
+	e, ok := h.fresh[addr]
 	if !ok {
 		e = &healthEntry{}
-		h.entries[addr] = e
+		h.fresh[addr] = e
 	}
 	return e
 }
 
-// ObserveSuccess records that addr answered a query this pass.
-func (h *Health) ObserveSuccess(addr netip.Addr) {
-	h.mu.Lock()
-	h.entry(addr).sawSuccess = true
-	h.mu.Unlock()
+// setFlag sets b, skipping the write when it is already set.
+func setFlag(b *atomic.Bool) {
+	if !b.Load() {
+		b.Store(true)
+	}
 }
 
+// ObserveSuccess records that addr answered a query this pass.
+func (h *Health) ObserveSuccess(addr netip.Addr) { setFlag(&h.entry(addr).sawSuccess) }
+
 // ObserveTimeout records that a query to addr timed out this pass.
-func (h *Health) ObserveTimeout(addr netip.Addr) {
-	h.mu.Lock()
-	h.entry(addr).sawTimeout = true
-	h.mu.Unlock()
-}
+func (h *Health) ObserveTimeout(addr netip.Addr) { setFlag(&h.entry(addr).sawTimeout) }
 
 // ObserveRTT records the round-trip time of a successful exchange with
 // addr this pass. Only the pass minimum is kept.
@@ -95,20 +134,22 @@ func (h *Health) ObserveRTT(addr netip.Addr, rtt time.Duration) {
 	if rtt <= 0 {
 		return
 	}
-	h.mu.Lock()
-	e := h.entry(addr)
-	if e.passMinRTT == 0 || rtt < e.passMinRTT {
-		e.passMinRTT = rtt
+	m := &h.entry(addr).passMinRTT
+	for {
+		cur := m.Load()
+		if cur != 0 && cur <= int64(rtt) {
+			return
+		}
+		if m.CompareAndSwap(cur, int64(rtt)) {
+			return
+		}
 	}
-	h.mu.Unlock()
 }
 
 // EwmaRTT returns the current smoothed RTT estimate for addr (0 when the
 // tracker has no estimate yet). The estimate changes only at Checkpoint.
 func (h *Health) EwmaRTT(addr netip.Addr) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if e, ok := h.entries[addr]; ok {
+	if e, ok := h.known(addr); ok {
 		return time.Duration(e.ewmaRTT)
 	}
 	return 0
@@ -117,10 +158,25 @@ func (h *Health) EwmaRTT(addr netip.Addr) time.Duration {
 // Available reports whether addr is selectable (not sidelined). Unknown
 // servers are available.
 func (h *Health) Available(addr netip.Addr) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	e, ok := h.entries[addr]
+	e, ok := h.known(addr)
 	return !ok || e.sidelinedFor == 0
+}
+
+// entriesLocked publishes a table holding the fresh entries too, empties
+// the fresh table, and returns the new table. Caller holds h.mu and the
+// fabric is quiescent.
+func (h *Health) entriesLocked() map[netip.Addr]*healthEntry {
+	m := *h.table.Load()
+	if len(h.fresh) == 0 {
+		return m
+	}
+	m = maps.Clone(m)
+	for addr, e := range h.fresh {
+		m[addr] = e
+	}
+	clear(h.fresh)
+	h.publish(m)
+	return m
 }
 
 // Checkpoint folds the pass's observations into sideline state under the
@@ -130,12 +186,16 @@ func (h *Health) Checkpoint(p Policy) {
 	p = p.normalized()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for _, e := range h.entries {
+	for _, e := range h.entriesLocked() {
+		sawSuccess, sawTimeout := e.sawSuccess.Load(), e.sawTimeout.Load()
+		passMinRTT := time.Duration(e.passMinRTT.Load())
+		e.sawSuccess.Store(false)
+		e.sawTimeout.Store(false)
+		e.passMinRTT.Store(0)
 		if e.sidelinedFor > 0 {
 			// Sitting out; observations (there should be none unless every
 			// candidate was sidelined) don't count against the sentence.
 			e.sidelinedFor--
-			e.sawSuccess, e.sawTimeout, e.passMinRTT = false, false, 0
 			continue
 		}
 		// Fold the pass's RTT evidence into the smoothed estimate: the
@@ -143,15 +203,15 @@ func (h *Health) Checkpoint(p Policy) {
 		// only timed out. Both are order-independent summaries, so the
 		// post-checkpoint estimate is too.
 		switch {
-		case e.passMinRTT > 0:
-			e.foldRTT(float64(e.passMinRTT))
-		case e.sawTimeout:
+		case passMinRTT > 0:
+			e.foldRTT(float64(passMinRTT))
+		case sawTimeout:
 			e.foldRTT(float64(rttTimeoutPenalty))
 		}
 		switch {
-		case e.sawSuccess:
+		case sawSuccess:
 			e.consecBadPasses = 0
-		case e.sawTimeout:
+		case sawTimeout:
 			e.consecBadPasses++
 			if p.SidelineAfter > 0 && e.consecBadPasses >= p.SidelineAfter {
 				e.sidelinedFor = p.SidelineFor
@@ -160,7 +220,6 @@ func (h *Health) Checkpoint(p Policy) {
 				h.events++
 			}
 		}
-		e.sawSuccess, e.sawTimeout, e.passMinRTT = false, false, 0
 	}
 }
 
@@ -179,7 +238,7 @@ func (h *Health) Sidelined() []netip.Addr {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var out []netip.Addr
-	for addr, e := range h.entries {
+	for addr, e := range *h.table.Load() {
 		if e.sidelinedFor > 0 {
 			out = append(out, addr)
 		}
@@ -224,18 +283,22 @@ func (h *Health) ExportState() HealthState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := HealthState{Events: h.events}
-	for addr, e := range h.entries {
-		st.Entries = append(st.Entries, HealthEntryState{
-			Addr:            addr,
-			SawSuccess:      e.sawSuccess,
-			SawTimeout:      e.sawTimeout,
-			ConsecBadPasses: e.consecBadPasses,
-			SidelinedFor:    e.sidelinedFor,
-			Sidelined:       e.sidelined,
-			PassMinRTT:      e.passMinRTT,
-			EwmaRTT:         e.ewmaRTT,
-		})
+	export := func(m map[netip.Addr]*healthEntry) {
+		for addr, e := range m {
+			st.Entries = append(st.Entries, HealthEntryState{
+				Addr:            addr,
+				SawSuccess:      e.sawSuccess.Load(),
+				SawTimeout:      e.sawTimeout.Load(),
+				ConsecBadPasses: e.consecBadPasses,
+				SidelinedFor:    e.sidelinedFor,
+				Sidelined:       e.sidelined,
+				PassMinRTT:      time.Duration(e.passMinRTT.Load()),
+				EwmaRTT:         e.ewmaRTT,
+			})
+		}
 	}
+	export(*h.table.Load())
+	export(h.fresh)
 	sort.Slice(st.Entries, func(i, j int) bool { return st.Entries[i].Addr.Less(st.Entries[j].Addr) })
 	return st
 }
@@ -247,35 +310,32 @@ func (h *Health) RestoreState(st HealthState) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.events = st.Events
-	h.entries = make(map[netip.Addr]*healthEntry, len(st.Entries))
+	m := make(map[netip.Addr]*healthEntry, len(st.Entries))
 	for _, e := range st.Entries {
-		h.entries[e.Addr] = &healthEntry{
-			sawSuccess:      e.SawSuccess,
-			sawTimeout:      e.SawTimeout,
-			passMinRTT:      e.PassMinRTT,
+		he := &healthEntry{
 			consecBadPasses: e.ConsecBadPasses,
 			sidelinedFor:    e.SidelinedFor,
 			sidelined:       e.Sidelined,
 			ewmaRTT:         e.EwmaRTT,
 		}
+		he.sawSuccess.Store(e.SawSuccess)
+		he.sawTimeout.Store(e.SawTimeout)
+		he.passMinRTT.Store(int64(e.PassMinRTT))
+		m[e.Addr] = he
 	}
+	clear(h.fresh)
+	h.publish(m)
 }
 
 // filterAvailable returns the available subset of servers in order; when
 // every candidate is sidelined it returns servers unchanged, so health
 // can degrade selection but never strand a query.
-func (h *Health) filterAvailable(servers []netip.Addr) []netip.Addr {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.filterAvailableLocked(servers)
-}
-
-func (h *Health) filterAvailableLocked(servers []netip.Addr) []netip.Addr {
+func filterAvailable(table map[netip.Addr]*healthEntry, servers []netip.Addr) []netip.Addr {
 	// Common case first: nothing sidelined means servers passes through
 	// without a copy — the resolve hot path never pays for the rare one.
 	sidelined := false
 	for _, s := range servers {
-		if e, ok := h.entries[s]; ok && e.sidelinedFor > 0 {
+		if e, ok := table[s]; ok && e.sidelinedFor > 0 {
 			sidelined = true
 			break
 		}
@@ -285,7 +345,7 @@ func (h *Health) filterAvailableLocked(servers []netip.Addr) []netip.Addr {
 	}
 	avail := servers[:0:0]
 	for _, s := range servers {
-		if e, ok := h.entries[s]; !ok || e.sidelinedFor == 0 {
+		if e, ok := table[s]; !ok || e.sidelinedFor == 0 {
 			avail = append(avail, s)
 		}
 	}
@@ -296,7 +356,8 @@ func (h *Health) filterAvailableLocked(servers []netip.Addr) []netip.Addr {
 }
 
 // planExchange filters sidelined servers and picks the starting candidate
-// index per the policy's selection strategy, under one lock acquisition.
+// index per the policy's selection strategy, reading one published table
+// and taking no lock.
 //
 // With SelectP2C the two "choices" are the candidates with the top two
 // rendezvous weights — each server's weight is a hash of (seed, server,
@@ -316,9 +377,8 @@ func (h *Health) filterAvailableLocked(servers []netip.Addr) []netip.Addr {
 //     hold the top-two weighted servers. An index-derived pick (hash mod
 //     len) would diverge on every such set difference.
 func (h *Health) planExchange(sel Selection, seed int64, servers []netip.Addr, name dnsmsg.Name, qtype dnsmsg.Type) ([]netip.Addr, int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	cands := h.filterAvailableLocked(servers)
+	table := *h.table.Load()
+	cands := filterAvailable(table, servers)
 	if sel != SelectP2C || len(cands) < 2 {
 		return cands, 0
 	}
@@ -338,10 +398,10 @@ func (h *Health) planExchange(sel Selection, seed int64, servers []netip.Addr, n
 		}
 	}
 	var ei, ej float64
-	if e, ok := h.entries[cands[i]]; ok {
+	if e, ok := table[cands[i]]; ok {
 		ei = e.ewmaRTT
 	}
-	if e, ok := h.entries[cands[j]]; ok {
+	if e, ok := table[cands[j]]; ok {
 		ej = e.ewmaRTT
 	}
 	// Lower estimate wins, but only when both servers are measured; if

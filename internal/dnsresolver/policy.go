@@ -2,7 +2,6 @@ package dnsresolver
 
 import (
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"time"
 
@@ -188,23 +187,35 @@ func unitHash(seed int64, server netip.Addr, name dnsmsg.Name, qtype dnsmsg.Type
 // content-hashed fault plan (and therefore the whole retry schedule)
 // independent of scheduling order.
 func queryHash(seed int64, server netip.Addr, name dnsmsg.Name, qtype dnsmsg.Type, attempt int) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(uint64(seed))
+	h := fnvWord(fnvOffset64, uint64(seed))
 	if server.IsValid() {
-		b := server.As4()
-		h.Write(b[:])
+		for _, b := range server.As4() {
+			h = fnvByte(h, b)
+		}
 	}
-	h.Write([]byte(name))
-	put(uint64(qtype))
-	put(uint64(attempt))
-	return mix64(h.Sum64())
+	for i := 0; i < len(name); i++ {
+		h = fnvByte(h, name[i])
+	}
+	h = fnvWord(h, uint64(qtype))
+	h = fnvWord(h, uint64(attempt))
+	return mix64(h)
+}
+
+// FNV-1a, inlined: hash/fnv's Hash64 would cost an interface call per
+// written slice on the per-exchange path.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// fnvWord folds v's eight little-endian bytes into h.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = fnvByte(h, byte(v>>(8*i)))
+	}
+	return h
 }
 
 // mix64 is the splitmix64 finalizer: every input bit avalanches into every

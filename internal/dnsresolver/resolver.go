@@ -139,10 +139,12 @@ type resolveFrame struct {
 }
 
 // resolveScratch is the full per-resolution scratch: a frame for every
-// recursion depth. Pooled, so steady-state resolutions allocate nothing
-// for plumbing.
+// recursion depth, and the resolution's query accounting, folded into the
+// client's counters once when it completes. Pooled, so steady-state
+// resolutions allocate nothing for plumbing.
 type resolveScratch struct {
 	frames [maxDepth + 1]resolveFrame
+	stats  QueryStats
 }
 
 var resolveScratchPool = sync.Pool{New: func() any { return new(resolveScratch) }}
@@ -195,6 +197,7 @@ func (r *Resolver) CacheLen() int { return r.cache.Len(r.clock.Now()) }
 func (r *Resolver) Resolve(name dnsmsg.Name, qtype dnsmsg.Type) (Result, error) {
 	sc := resolveScratchPool.Get().(*resolveScratch)
 	res, err := r.resolve(sc, name, qtype, 0)
+	r.client.stats.fold(&sc.stats)
 	resolveScratchPool.Put(sc)
 	return res, err
 }
@@ -281,7 +284,7 @@ func (r *Resolver) iterate(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 	zone := dnsmsg.Name("") // the root
 	if cut, hosts, ok := r.cache.closestDelegation(now, name); ok {
 		// hosts is cache-shared; hostAddrs only reads it.
-		if addrs := r.hostAddrs(sc, hosts, depth); len(addrs) > 0 {
+		if addrs := r.hostAddrs(sc, hosts, nil, depth); len(addrs) > 0 {
 			zone, servers = cut, addrs
 		}
 	}
@@ -291,7 +294,7 @@ func (r *Resolver) iterate(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 			break
 		}
 		child := nextLabel(zone, name)
-		resp, ok := r.queryAny(&f.ex, servers, child, dnsmsg.TypeNS)
+		resp, ok := r.queryAny(&f.ex, &sc.stats, servers, child, dnsmsg.TypeNS)
 		if !ok {
 			return nil, nil, 0, 0, fmt.Errorf("no server for %s answered: %w", child, ErrServFail)
 		}
@@ -331,8 +334,9 @@ func (r *Resolver) iterate(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 		// This overwrites f.addrs — the backing of `servers` when the walk
 		// started from a cached cut or took a prior referral — which is
 		// fine: this hop's queries are done, and `servers` is reassigned
-		// before the next read.
-		next := r.hostAddrs(sc, f.hosts, depth)
+		// before the next read. resp stays valid throughout: nested
+		// resolutions run in deeper frames.
+		next := r.hostAddrs(sc, f.hosts, resp.Additional, depth)
 		if len(next) == 0 {
 			return nil, nil, 0, 0, fmt.Errorf("no reachable nameserver for %s: %w", child, ErrServFail)
 		}
@@ -343,7 +347,7 @@ func (r *Resolver) iterate(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 	}
 
 	// The full question goes only to the name's own authoritative servers.
-	resp, ok := r.queryAny(&f.ex, servers, name, qtype)
+	resp, ok := r.queryAny(&f.ex, &sc.stats, servers, name, qtype)
 	if !ok {
 		return nil, nil, 0, 0, fmt.Errorf("no server for %s answered: %w", name, ErrServFail)
 	}
@@ -402,22 +406,35 @@ func (r *Resolver) negativeTTL(resp *dnsmsg.Message) time.Duration {
 // first target, attempts rotate across the rest, and with NoRetryPolicy
 // this reduces to the classic try-each-server-once loop. The response
 // aliases ex and is valid only until ex's next exchange.
-func (r *Resolver) queryAny(ex *exchangeScratch, servers []netip.Addr, name dnsmsg.Name, qtype dnsmsg.Type) (*dnsmsg.Message, bool) {
-	resp, err := r.client.exchangeAny(ex, servers, name, qtype)
+func (r *Resolver) queryAny(ex *exchangeScratch, st *QueryStats, servers []netip.Addr, name dnsmsg.Name, qtype dnsmsg.Type) (*dnsmsg.Message, bool) {
+	resp, err := r.client.exchangeAny(ex, st, servers, name, qtype)
 	if err != nil {
 		return nil, false
 	}
 	return resp, true
 }
 
-// hostAddrs maps nameserver hostnames to addresses, using glue from cache
-// and falling back to nested resolution. The returned slice is backed by
-// the depth's frame and is valid until its next hostAddrs call.
-func (r *Resolver) hostAddrs(sc *resolveScratch, hosts []dnsmsg.Name, depth int) []netip.Addr {
+// hostAddrs maps nameserver hostnames to addresses: from the referral's
+// glue in hand first, then from cache, falling back to nested resolution.
+// The returned slice is backed by the depth's frame and is valid until its
+// next hostAddrs call.
+//
+// Reading glue straight from the referral, rather than back out of the
+// cache it was just put into, keeps a concurrent Purge or a capped
+// cache's eviction from dropping it between the put and the get — a loss
+// that sent the walk into nested resolution of hosts only the glue could
+// reach, until it hit maxDepth. The glue lookup applies putHostAddr's
+// rules (zero-TTL records are skipped, the last record per host wins), so
+// on a quiescent cache it finds exactly what the cache round trip did.
+func (r *Resolver) hostAddrs(sc *resolveScratch, hosts []dnsmsg.Name, glue []dnsmsg.RR, depth int) []netip.Addr {
 	f := &sc.frames[depth]
 	now := r.clock.Now()
 	out := f.addrs[:0]
 	for _, h := range hosts {
+		if addr, ok := glueAddr(glue, h); ok {
+			out = append(out, addr)
+			continue
+		}
 		if addr, ok := r.cache.getHostAddr(now, h); ok {
 			out = append(out, addr)
 			continue
@@ -449,6 +466,21 @@ func (r *Resolver) hostAddrs(sc *resolveScratch, hosts []dnsmsg.Name, depth int)
 	}
 	f.addrs = out
 	return out
+}
+
+// glueAddr returns the address the last cacheable (positive-TTL) A record
+// for host in glue carries.
+func glueAddr(glue []dnsmsg.RR, host dnsmsg.Name) (netip.Addr, bool) {
+	for i := len(glue) - 1; i >= 0; i-- {
+		rr := glue[i]
+		if rr.Name != host || rr.TTL <= 0 {
+			continue
+		}
+		if a, ok := rr.Data.(dnsmsg.AData); ok {
+			return a.Addr, true
+		}
+	}
+	return netip.Addr{}, false
 }
 
 // splitChain extracts the CNAME records from an answer section in chain

@@ -312,3 +312,23 @@ func FuzzBackoff(f *testing.F) {
 		}
 	})
 }
+
+// TestTimeoutErrorText pins the timeout path's error: the exact message
+// the formatted errors it replaced produced, and errors.Is reaching the
+// fabric's sentinel through both the attempt and the fabric layer.
+func TestTimeoutErrorText(t *testing.T) {
+	f := newFixture(t)
+	authEP := netsim.Endpoint{Addr: f.authAddr, Port: netsim.PortDNS}
+	f.net.SetBlackholed(authEP, true)
+	_, err := f.resolver.Client().Exchange(f.authAddr, "www.example.com", dnsmsg.TypeA)
+	const want = "exchange www.example.com A with 192.0.2.3: sending to 192.0.2.3:53: netsim: request timed out"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if !errors.Is(err, netsim.ErrTimeout) {
+		t.Fatalf("errors.Is(%v, netsim.ErrTimeout) = false", err)
+	}
+	if errors.Is(err, netsim.ErrUnreachable) || errors.Is(err, ErrBadResponse) {
+		t.Fatalf("timeout error %v matches an unrelated sentinel", err)
+	}
+}

@@ -102,6 +102,29 @@ func (c *statsCounters) snapshot(h *Health) QueryStats {
 	return s
 }
 
+// fold adds one call's accumulated accounting to the counters and zeroes
+// d. Fields that did not move cost no write.
+func (c *statsCounters) fold(d *QueryStats) {
+	add := func(a *atomic.Uint64, v uint64) {
+		if v != 0 {
+			a.Add(v)
+		}
+	}
+	add(&c.queries, d.Queries)
+	add(&c.attempts, d.Attempts)
+	add(&c.retries, d.Retries)
+	add(&c.hedges, d.Hedges)
+	add(&c.timeouts, d.Timeouts)
+	add(&c.corrupt, d.CorruptReplies)
+	add(&c.bad, d.BadResponses)
+	add(&c.recovered, d.Recovered)
+	add(&c.failed, d.Failed)
+	if d.Backoff != 0 {
+		c.backoffNanos.Add(int64(d.Backoff))
+	}
+	*d = QueryStats{}
+}
+
 // reset zeroes the accumulator.
 func (c *statsCounters) reset() {
 	c.queries.Store(0)

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"hash/fnv"
-	"time"
-)
+import "time"
 
 // FaultConfig describes the deterministic fault-injection plan of a
 // Network, richer than the legacy uniform Config.LossRate: seeded uniform
@@ -115,24 +112,36 @@ const (
 // near the end (a DNS query's qtype, say) would get correlated fault
 // decisions.
 func faultHash(seed int64, salt uint64, ep Endpoint, extra uint64, payload []byte) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(uint64(seed))
-	put(salt)
+	h := fnvWord(fnvOffset64, uint64(seed))
+	h = fnvWord(h, salt)
 	if ep.Addr.IsValid() {
-		b := ep.Addr.As4()
-		h.Write(b[:])
+		for _, b := range ep.Addr.As4() {
+			h = fnvByte(h, b)
+		}
 	}
-	put(uint64(ep.Port))
-	put(extra)
-	h.Write(payload)
-	return mix64(h.Sum64())
+	h = fnvWord(h, uint64(ep.Port))
+	h = fnvWord(h, extra)
+	for _, b := range payload {
+		h = fnvByte(h, b)
+	}
+	return mix64(h)
+}
+
+// FNV-1a, inlined: hash/fnv's Hash64 would cost an interface call per
+// written slice on the per-send path.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// fnvWord folds v's eight little-endian bytes into h.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = fnvByte(h, byte(v>>(8*i)))
+	}
+	return h
 }
 
 // mix64 is the splitmix64 finalizer: every input bit avalanches into every
@@ -194,21 +203,19 @@ func (fc FaultConfig) FlakyEndpoint(ep Endpoint) bool {
 // fault plan. Safe to call between measurement passes; the plan applies
 // to every subsequent Send.
 func (n *Network) SetFaults(fc FaultConfig) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.faults = fc.withDefaults()
+	fc = fc.withDefaults()
+	n.faults.Store(&fc)
 }
 
 // Faults returns the active fault plan.
-func (n *Network) Faults() FaultConfig {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.faults
-}
+func (n *Network) Faults() FaultConfig { return *n.faults.Load() }
 
 // FaultStats returns the per-cause injected-fault counters.
 func (n *Network) FaultStats() FaultStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.faultStats
+	return FaultStats{
+		UniformDrops: n.uniformDrops.Load(),
+		BurstDrops:   n.burstDrops.Load(),
+		FlakyDrops:   n.flakyDrops.Load(),
+		Corrupted:    n.corrupted.Load(),
+	}
 }

@@ -61,65 +61,52 @@ type BufferedHandler interface {
 // the caller knows only that no reply arrived within its patience, and the
 // retry policy charges its own timeout penalty.
 func (n *Network) Exchange(from netip.Addr, fromRegion Region, to Endpoint, payload, dst []byte) ([]byte, time.Duration, error) {
-	n.mu.Lock()
-	n.sends++
-	if n.lossRate > 0 && n.rng.Float64() < n.lossRate {
-		n.drops++
-		n.mu.Unlock()
-		return nil, 0, fmt.Errorf("sending to %s: %w", to, ErrTimeout)
+	n.sends.Add(1)
+	if n.lossRate > 0 && n.lossDraw() {
+		n.drops.Add(1)
+		return nil, 0, &sendError{op: opSend, to: to, err: ErrTimeout}
 	}
 	var outcome faultOutcome
-	if n.faults.Enabled() {
-		// decide() is pure; it runs under the lock only because the plan
-		// and the clock read must be consistent with the counters.
-		outcome = n.faults.decide(n.clock.Now(), to, payload)
+	if fc := n.faults.Load(); fc.Enabled() {
+		outcome = fc.decide(n.clock.Now(), to, payload)
 		if outcome.drop {
-			n.drops++
+			n.drops.Add(1)
 			switch outcome.cause {
 			case saltUniform:
-				n.faultStats.UniformDrops++
+				n.uniformDrops.Add(1)
 			case saltBurstDrop:
-				n.faultStats.BurstDrops++
+				n.burstDrops.Add(1)
 			case saltFlakyDrop:
-				n.faultStats.FlakyDrops++
+				n.flakyDrops.Add(1)
 			}
-			n.mu.Unlock()
-			return nil, 0, fmt.Errorf("sending to %s: %w", to, ErrTimeout)
+			return nil, 0, &sendError{op: opSend, to: to, err: ErrTimeout}
 		}
 		if outcome.corrupt {
-			n.faultStats.Corrupted++
+			n.corrupted.Add(1)
 		}
 	}
-	st, ok := n.endpoints[to]
-	if !ok || len(st.instances) == 0 {
-		n.mu.Unlock()
-		return nil, 0, fmt.Errorf("sending to %s: %w", to, ErrUnreachable)
+	var rt *route
+	st := n.lookup(to)
+	if st != nil {
+		rt = st.route.Load()
 	}
-	if st.blackholed {
-		n.drops++
-		n.mu.Unlock()
-		return nil, 0, fmt.Errorf("sending to %s: %w", to, ErrTimeout)
+	if rt == nil || len(rt.instances) == 0 {
+		return nil, 0, &sendError{op: opSend, to: to, err: ErrUnreachable}
 	}
-	if st.limit != nil && !st.limit.admit(from, n.clock.Now()) {
+	if rt.blackholed {
+		n.drops.Add(1)
+		return nil, 0, &sendError{op: opSend, to: to, err: ErrTimeout}
+	}
+	now := n.clock.Now()
+	if rt.limit != nil && !rt.limit.admit(from, now) {
 		// Rate-limited: the server drops the query without answering, so
 		// the client sees the same timeout an injected loss produces.
-		n.drops++
-		n.limitDrops++
-		n.mu.Unlock()
-		return nil, 0, fmt.Errorf("sending to %s: %w", to, ErrTimeout)
+		n.drops.Add(1)
+		n.limitDrops.Add(1)
+		return nil, 0, &sendError{op: opSend, to: to, err: ErrTimeout}
 	}
-	inst := st.instances[0]
-	if len(st.instances) > 1 {
-		best := Distance(fromRegion, inst.region)
-		for _, cand := range st.instances[1:] {
-			if d := Distance(fromRegion, cand.region); d < best {
-				inst, best = cand, d
-			}
-		}
-	}
-	st.queries[inst.region]++
-	now := n.clock.Now()
-	n.mu.Unlock()
+	inst := rt.pick(fromRegion)
+	st.served(inst.region)
 
 	req := Request{
 		From:       from,
@@ -142,13 +129,13 @@ func (n *Network) Exchange(from netip.Addr, fromRegion Region, to Endpoint, payl
 		}
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("serving %s: %w", to, err)
+		return nil, 0, &sendError{op: opServe, to: to, err: err}
 	}
 	if resp == nil {
 		// The handler silently ignored the request; the client observes a
 		// timeout, exactly like querying a DPS nameserver for a domain it
 		// no longer serves.
-		return nil, 0, fmt.Errorf("no answer from %s: %w", to, ErrTimeout)
+		return nil, 0, &sendError{op: opNoAnswer, to: to, err: ErrTimeout}
 	}
 	rtt := rttFor(fromRegion, inst.region)
 	if outcome.corrupt {
@@ -161,3 +148,32 @@ func (n *Network) Exchange(from netip.Addr, fromRegion Region, to Endpoint, payl
 	}
 	return resp, rtt, nil
 }
+
+// lossDraw draws the legacy shared-RNG loss decision. The RNG is shared
+// and drawn in arrival order, so it keeps its lock.
+func (n *Network) lossDraw() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.rng.Float64() < n.lossRate
+}
+
+// Exchange failure contexts; each prefixes the endpoint in the message.
+const (
+	opSend     = "sending to"
+	opServe    = "serving"
+	opNoAnswer = "no answer from"
+)
+
+// sendError is a failed exchange: what failed (op), where, and the cause,
+// which errors.Is matches through Unwrap. The message is formatted only
+// when read, since on a lossy fabric most timeouts are matched and
+// dropped by a retry loop.
+type sendError struct {
+	op  string
+	to  Endpoint
+	err error
+}
+
+func (e *sendError) Error() string { return fmt.Sprintf("%s %s: %v", e.op, e.to, e.err) }
+
+func (e *sendError) Unwrap() error { return e.err }

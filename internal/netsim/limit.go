@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"net/netip"
+	"sync"
 	"time"
 )
 
@@ -60,14 +61,18 @@ func (lc LimitConfig) withDefaults() LimitConfig {
 // of the current window. Counters reset lazily when the window index
 // advances, so an idle endpoint costs nothing.
 type limitState struct {
-	cfg       LimitConfig
-	window    int64 // window index the counters belong to
+	cfg LimitConfig
+
+	mu        sync.Mutex // admissions count in arrival order
+	window    int64      // window index the counters belong to
 	total     int
 	perSource map[netip.Addr]int
 }
 
-// admit decides one send, counting it when admitted. Caller holds n.mu.
+// admit decides one send, counting it when admitted.
 func (ls *limitState) admit(from netip.Addr, now time.Time) bool {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
 	win := now.UnixNano() / int64(ls.cfg.Window)
 	if win != ls.window {
 		ls.window = win
@@ -99,27 +104,24 @@ func (n *Network) SetLimit(ep Endpoint, cfg LimitConfig) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st := n.ensureEndpointLocked(ep)
-	if !cfg.Enabled() {
-		st.limit = nil
-		return
+	rt := st.route.Load().clone()
+	rt.limit = nil
+	if cfg.Enabled() {
+		rt.limit = &limitState{cfg: cfg.withDefaults(), window: -1}
 	}
-	st.limit = &limitState{cfg: cfg.withDefaults(), window: -1}
+	st.route.Store(rt)
 }
 
 // Limit returns the limiter config installed at ep (zero when none).
 func (n *Network) Limit(ep Endpoint) LimitConfig {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if st, ok := n.endpoints[ep]; ok && st.limit != nil {
-		return st.limit.cfg
+	if st := n.lookup(ep); st != nil {
+		if rt := st.route.Load(); rt != nil && rt.limit != nil {
+			return rt.limit.cfg
+		}
 	}
 	return LimitConfig{}
 }
 
 // LimitDrops returns how many sends rate limiters have rejected,
 // fabric-wide.
-func (n *Network) LimitDrops() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.limitDrops
-}
+func (n *Network) LimitDrops() uint64 { return n.limitDrops.Load() }

@@ -18,9 +18,11 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -94,12 +96,83 @@ type popInstance struct {
 	handler Handler
 }
 
-// endpointState holds all instances and per-endpoint failure state.
+// endpointState is one endpoint's routing state and accounting.
 type endpointState struct {
+	// route is replaced whole, never mutated, by Register,
+	// RegisterAnycast, Deregister, SetBlackholed and SetLimit; Exchange
+	// reads it without a lock.
+	route atomic.Pointer[route]
+	// queries counts delivered queries per PoP region. It is allocated at
+	// the first delivery: most endpoints a long campaign accumulates are
+	// retired origin addresses that never serve one.
+	queries atomic.Pointer[popCounts]
+}
+
+// popCounts is one endpoint's delivered-query counters, by PoP region.
+type popCounts [regionCount]atomic.Uint64
+
+// served counts one query delivered to the endpoint's PoP in region.
+func (st *endpointState) served(region Region) {
+	q := st.queries.Load()
+	if q == nil {
+		st.queries.CompareAndSwap(nil, new(popCounts))
+		q = st.queries.Load()
+	}
+	q[region].Add(1)
+}
+
+// route is an endpoint's routing decision inputs at one point in time.
+type route struct {
 	instances  []popInstance
 	blackholed bool
-	limit      *limitState       // response rate limiter, nil when none
-	queries    map[Region]uint64 // per-PoP delivered query counts
+	limit      *limitState // response rate limiter, nil when none
+	// nearest, set for anycast endpoints only, indexes the instance a
+	// sender in each region reaches: the nearest PoP, ties to the earliest
+	// registered. Distances are a pure function of the two regions, so
+	// this is fixed once instances are. A sender outside the placed
+	// regions is maximally distant from every PoP and reaches the first.
+	nearest *[regionCount]uint8
+}
+
+// withInstances returns a copy of rt (nil for none) serving instances,
+// with the nearest-PoP table recomputed.
+func (rt *route) withInstances(instances []popInstance) *route {
+	next := &route{}
+	if rt != nil {
+		next.blackholed, next.limit = rt.blackholed, rt.limit
+	}
+	next.instances = instances
+	if len(instances) < 2 {
+		return next
+	}
+	next.nearest = new([regionCount]uint8)
+	for r := range next.nearest {
+		best, bestDist := 0, Distance(Region(r), instances[0].region)
+		for i, cand := range instances[1:] {
+			if d := Distance(Region(r), cand.region); d < bestDist {
+				best, bestDist = i+1, d
+			}
+		}
+		next.nearest[r] = uint8(best)
+	}
+	return next
+}
+
+// clone returns a copy of rt (nil for none) for changing one field.
+func (rt *route) clone() *route {
+	if rt == nil {
+		return &route{}
+	}
+	next := *rt
+	return &next
+}
+
+// pick returns the instance a sender in fromRegion reaches.
+func (rt *route) pick(fromRegion Region) popInstance {
+	if rt.nearest == nil || !fromRegion.indexable() {
+		return rt.instances[0]
+	}
+	return rt.instances[rt.nearest[fromRegion]]
 }
 
 // Config parametrizes a Network.
@@ -114,18 +187,37 @@ type Config struct {
 }
 
 // Network is the simulated message fabric. It is safe for concurrent use.
+//
+// Exchange takes no process-wide lock. It looks endpoints up in a
+// published table of the endpoints sends have reached, reads each
+// endpoint's route through an atomic pointer, and counts with atomics.
+// Routing changes — registrations, blackholing, limits — happen between
+// measurement passes while the fabric is quiescent. A change to an
+// existing endpoint swaps its route. An endpoint not yet in the table is
+// found under the lock and queued for it; the table is republished once
+// such lookups add up to its size, so the copy costs O(1) amortized per
+// lookup, and endpoints no send reaches (retired origin addresses) never
+// enter it. The legacy shared-RNG loss draw and each rate limiter's
+// counters keep their locks: both decide by arrival order.
 type Network struct {
 	clock    clockface
 	lossRate float64
 
-	mu         sync.Mutex
-	rng        *rand.Rand
-	endpoints  map[Endpoint]*endpointState
-	sends      uint64
-	drops      uint64
-	limitDrops uint64
-	faults     FaultConfig
-	faultStats FaultStats
+	// table is the published endpoint table Exchange reads: the
+	// endpoints lookups have reached, as of the last republish.
+	table atomic.Pointer[map[Endpoint]*endpointState]
+
+	mu        sync.Mutex
+	rng       *rand.Rand // legacy loss draws, under mu
+	endpoints map[Endpoint]*endpointState
+	pending   map[Endpoint]*endpointState // reached, not yet in table
+	misses    int                         // lookups served from endpoints since the last republish
+
+	faults atomic.Pointer[FaultConfig]
+
+	sends, drops, limitDrops atomic.Uint64
+	uniformDrops, burstDrops atomic.Uint64
+	flakyDrops, corrupted    atomic.Uint64
 }
 
 // New creates a Network. It panics if cfg.Clock is nil or if LossRate > 0
@@ -143,11 +235,46 @@ func New(cfg Config) *Network {
 	if cfg.LossRate > 0 && cfg.Rand == nil {
 		panic("netsim: Config.Rand is required when LossRate > 0")
 	}
-	return &Network{
+	n := &Network{
 		clock:     cfg.Clock,
 		lossRate:  cfg.LossRate,
 		rng:       cfg.Rand,
 		endpoints: make(map[Endpoint]*endpointState),
+		pending:   make(map[Endpoint]*endpointState),
+	}
+	n.faults.Store(&FaultConfig{})
+	n.table.Store(&map[Endpoint]*endpointState{})
+	return n
+}
+
+// lookup returns ep's state, or nil when nothing was ever attached there.
+func (n *Network) lookup(ep Endpoint) *endpointState {
+	if st, ok := (*n.table.Load())[ep]; ok {
+		return st
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	st, ok := n.endpoints[ep]
+	if !ok {
+		return nil
+	}
+	n.pending[ep] = st
+	n.misses++
+	if t := *n.table.Load(); n.misses >= len(t) {
+		m := maps.Clone(t)
+		maps.Copy(m, n.pending)
+		n.table.Store(&m)
+		clear(n.pending)
+		n.misses = 0
+	}
+	return st
+}
+
+// checkRegion panics on a region outside the placed set; handlers are
+// registered by the composition root, so one is a programming error.
+func checkRegion(region Region) {
+	if !region.indexable() {
+		panic(fmt.Sprintf("netsim: unknown region %d", region))
 	}
 }
 
@@ -158,10 +285,11 @@ func (n *Network) Register(ep Endpoint, region Region, h Handler) {
 	if h == nil {
 		panic("netsim: Register with nil handler")
 	}
+	checkRegion(region)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st := n.ensureEndpointLocked(ep)
-	st.instances = []popInstance{{region: region, handler: h}}
+	st.route.Store(st.route.Load().withInstances([]popInstance{{region: region, handler: h}}))
 }
 
 // RegisterAnycast adds an anycast PoP instance for ep in region. Multiple
@@ -171,16 +299,27 @@ func (n *Network) RegisterAnycast(ep Endpoint, region Region, h Handler) {
 	if h == nil {
 		panic("netsim: RegisterAnycast with nil handler")
 	}
+	checkRegion(region)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st := n.ensureEndpointLocked(ep)
-	for i := range st.instances {
-		if st.instances[i].region == region {
-			st.instances[i].handler = h
-			return
+	rt := st.route.Load()
+	var instances []popInstance
+	if rt != nil {
+		instances = append(instances, rt.instances...)
+	}
+	replaced := false
+	for i := range instances {
+		if instances[i].region == region {
+			instances[i].handler = h
+			replaced = true
+			break
 		}
 	}
-	st.instances = append(st.instances, popInstance{region: region, handler: h})
+	if !replaced {
+		instances = append(instances, popInstance{region: region, handler: h})
+	}
+	st.route.Store(rt.withInstances(instances))
 }
 
 // Deregister removes every handler at ep. Subsequent sends fail with
@@ -189,7 +328,7 @@ func (n *Network) Deregister(ep Endpoint) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if st, ok := n.endpoints[ep]; ok {
-		st.instances = nil
+		st.route.Store(st.route.Load().withInstances(nil))
 	}
 }
 
@@ -199,13 +338,17 @@ func (n *Network) SetBlackholed(ep Endpoint, blackholed bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st := n.ensureEndpointLocked(ep)
-	st.blackholed = blackholed
+	rt := st.route.Load().clone()
+	rt.blackholed = blackholed
+	st.route.Store(rt)
 }
 
+// ensureEndpointLocked returns ep's state, creating it on first use.
+// Caller holds n.mu.
 func (n *Network) ensureEndpointLocked(ep Endpoint) *endpointState {
 	st, ok := n.endpoints[ep]
 	if !ok {
-		st = &endpointState{queries: make(map[Region]uint64)}
+		st = &endpointState{}
 		n.endpoints[ep] = st
 	}
 	return st
@@ -221,42 +364,54 @@ func (n *Network) Send(from netip.Addr, fromRegion Region, to Endpoint, payload 
 // Reachable reports whether at least one handler is registered at ep and it
 // is not blackholed.
 func (n *Network) Reachable(ep Endpoint) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st, ok := n.endpoints[ep]
-	return ok && len(st.instances) > 0 && !st.blackholed
+	st := n.lookup(ep)
+	if st == nil {
+		return false
+	}
+	rt := st.route.Load()
+	return rt != nil && len(rt.instances) > 0 && !rt.blackholed
 }
 
 // QueryCount returns how many requests the endpoint's PoP in region has
 // served. For unicast endpoints, use the registration region.
 func (n *Network) QueryCount(ep Endpoint, region Region) uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st, ok := n.endpoints[ep]
-	if !ok {
+	st := n.lookup(ep)
+	if st == nil || !region.indexable() {
 		return 0
 	}
-	return st.queries[region]
+	if q := st.queries.Load(); q != nil {
+		return q[region].Load()
+	}
+	return 0
 }
 
-// QueryCounts returns a copy of the per-PoP query counters for ep.
+// QueryCounts returns a copy of the per-PoP query counters for ep: one
+// entry per PoP region that has served a query.
 func (n *Network) QueryCounts(ep Endpoint) map[Region]uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st, ok := n.endpoints[ep]
-	if !ok {
+	st := n.lookup(ep)
+	if st == nil {
 		return nil
 	}
-	out := make(map[Region]uint64, len(st.queries))
-	for r, c := range st.queries {
-		out[r] = c
+	return st.counts()
+}
+
+// counts returns the nonzero per-PoP counters (nil when the endpoint
+// never served a query).
+func (st *endpointState) counts() map[Region]uint64 {
+	q := st.queries.Load()
+	if q == nil {
+		return nil
+	}
+	out := make(map[Region]uint64)
+	for r := range q {
+		if c := q[r].Load(); c > 0 {
+			out[Region(r)] = c
+		}
 	}
 	return out
 }
 
 // Stats reports fabric-wide counters.
 func (n *Network) Stats() (sends, drops uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.sends, n.drops
+	return n.sends.Load(), n.drops.Load()
 }

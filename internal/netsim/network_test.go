@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -214,4 +215,104 @@ func TestNewPanicsOnLossWithoutRand(t *testing.T) {
 		}
 	}()
 	New(Config{Clock: simtime.NewSimulated(), LossRate: 0.1})
+}
+
+// TestExchangeErrorText pins every failed-exchange message byte for byte
+// and the sentinel errors.Is finds behind it.
+func TestExchangeErrorText(t *testing.T) {
+	n := testNet(t)
+	ignored := Endpoint{Addr: netip.MustParseAddr("203.0.113.11"), Port: PortDNS}
+	failing := Endpoint{Addr: netip.MustParseAddr("203.0.113.12"), Port: PortDNS}
+	n.Register(ignored, RegionVirginia, HandlerFunc(func(Request) ([]byte, error) { return nil, nil }))
+	handlerErr := errors.New("handler broke")
+	n.Register(failing, RegionVirginia, HandlerFunc(func(Request) ([]byte, error) { return nil, handlerErr }))
+	n.Register(testServer, RegionVirginia, echoHandler("srv"))
+	n.SetBlackholed(testServer, true)
+
+	for _, tc := range []struct {
+		to       Endpoint
+		want     string
+		sentinel error
+	}{
+		{testServer, "sending to 203.0.113.10:53: netsim: request timed out", ErrTimeout},
+		{ignored, "no answer from 203.0.113.11:53: netsim: request timed out", ErrTimeout},
+		{failing, "serving 203.0.113.12:53: handler broke", handlerErr},
+		{Endpoint{Addr: netip.MustParseAddr("203.0.113.99"), Port: PortDNS},
+			"sending to 203.0.113.99:53: netsim: destination unreachable", ErrUnreachable},
+	} {
+		_, _, err := n.Exchange(testClient, RegionOregon, tc.to, []byte("q"), nil)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Exchange to %s: err = %v, want %q", tc.to, err, tc.want)
+		}
+		if !errors.Is(err, tc.sentinel) {
+			t.Errorf("Exchange to %s: errors.Is(%v, %v) = false", tc.to, err, tc.sentinel)
+		}
+	}
+}
+
+// TestParallelCountersMatchSerial sends the same multiset of requests to
+// two identically wired fabrics, one serially and one from many
+// goroutines, over anycast and unicast endpoints, a deterministic fault
+// plan and a per-source rate limit. The lock-free counters must export
+// identically: sends, drops, limiter drops, fault causes and every
+// per-PoP count.
+func TestParallelCountersMatchSerial(t *testing.T) {
+	anycast := Endpoint{Addr: netip.MustParseAddr("203.0.113.20"), Port: PortDNS}
+	limited := Endpoint{Addr: netip.MustParseAddr("203.0.113.21"), Port: PortDNS}
+	build := func() *Network {
+		n := testNet(t)
+		for _, r := range []Region{RegionVirginia, RegionLondon, RegionTokyo, RegionSydney} {
+			n.RegisterAnycast(anycast, r, echoHandler(r.String()))
+		}
+		n.Register(testServer, RegionFrankfurt, echoHandler("uni"))
+		n.Register(limited, RegionOregon, echoHandler("lim"))
+		n.SetLimit(limited, LimitConfig{PerSource: 7})
+		n.SetFaults(FaultConfig{Seed: 5, LossRate: 0.2, BurstRate: 0.5, FlakyRate: 0.5, CorruptRate: 0.1})
+		return n
+	}
+	type send struct {
+		from   netip.Addr
+		region Region
+		to     Endpoint
+		body   []byte
+	}
+	var sends []send
+	regions := []Region{RegionOregon, RegionLondon, RegionSingapore, RegionSaoPaulo, RegionUnknown}
+	for i := 0; i < 600; i++ {
+		to := []Endpoint{anycast, testServer, limited}[i%3]
+		sends = append(sends, send{
+			from:   netip.AddrFrom4([4]byte{198, 51, 100, byte(i % 5)}),
+			region: regions[i%len(regions)],
+			to:     to,
+			body:   []byte{byte(i), byte(i >> 8)},
+		})
+	}
+
+	serial, parallel := build(), build()
+	for _, s := range sends {
+		serial.Exchange(s.from, s.region, s.to, s.body, nil)
+	}
+	var wg sync.WaitGroup
+	const workers = 8
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(sends); i += workers {
+				s := sends[i]
+				parallel.Exchange(s.from, s.region, s.to, s.body, nil)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if got, want := parallel.ExportCounters(), serial.ExportCounters(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("parallel counters %+v\nserial counters   %+v", got, want)
+	}
+	if got, want := parallel.FaultStats(), serial.FaultStats(); got != want {
+		t.Fatalf("parallel fault stats %+v, serial %+v", got, want)
+	}
+	if serial.LimitDrops() == 0 || serial.FaultStats().Corrupted == 0 {
+		t.Fatal("the send mix no longer exercises the limiter and corruption")
+	}
 }

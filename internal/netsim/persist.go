@@ -36,14 +36,11 @@ type EndpointCounts struct {
 func (n *Network) ExportCounters() CountersState {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	st := CountersState{Sends: n.sends, Drops: n.drops, LimitDrops: n.limitDrops}
+	st := CountersState{Sends: n.sends.Load(), Drops: n.drops.Load(), LimitDrops: n.limitDrops.Load()}
 	for ep, es := range n.endpoints {
-		if len(es.queries) == 0 {
+		q := es.counts()
+		if len(q) == 0 {
 			continue
-		}
-		q := make(map[Region]uint64, len(es.queries))
-		for r, c := range es.queries {
-			q[r] = c
 		}
 		st.Endpoints = append(st.Endpoints, EndpointCounts{Addr: ep.Addr, Port: ep.Port, Queries: q})
 	}
@@ -69,18 +66,27 @@ func (n *Network) RestoreCounters(st CountersState) error {
 		if _, ok := n.endpoints[Endpoint{Addr: ec.Addr, Port: ec.Port}]; !ok {
 			return fmt.Errorf("netsim: restore counters: no handler registered at %s:%d", ec.Addr, ec.Port)
 		}
-	}
-	n.sends, n.drops, n.limitDrops = st.Sends, st.Drops, st.LimitDrops
-	for _, es := range n.endpoints {
-		for r := range es.queries {
-			delete(es.queries, r)
+		for r := range ec.Queries {
+			if !r.indexable() {
+				return fmt.Errorf("netsim: restore counters: unknown region %d at %s:%d", r, ec.Addr, ec.Port)
+			}
 		}
+	}
+	n.sends.Store(st.Sends)
+	n.drops.Store(st.Drops)
+	n.limitDrops.Store(st.LimitDrops)
+	for _, es := range n.endpoints {
+		es.queries.Store(nil)
 	}
 	for _, ec := range st.Endpoints {
-		es := n.endpoints[Endpoint{Addr: ec.Addr, Port: ec.Port}]
-		for r, c := range ec.Queries {
-			es.queries[r] = c
+		if len(ec.Queries) == 0 {
+			continue
 		}
+		q := new(popCounts)
+		for r, c := range ec.Queries {
+			q[r].Store(c)
+		}
+		n.endpoints[Endpoint{Addr: ec.Addr, Port: ec.Port}].queries.Store(q)
 	}
 	return nil
 }

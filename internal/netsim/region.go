@@ -68,10 +68,13 @@ func (r Region) String() string {
 	}
 }
 
-// regionCoord places each region on an approximate (longitude, latitude)
+// regionCount bounds the Region values: per-region tables index by them.
+const regionCount = int(RegionJohannesburg) + 1
+
+// regionCoords places each region on an approximate (longitude, latitude)
 // plane. Distances on this plane decide anycast PoP selection and baseline
 // latency; they only need to be ordinally correct, not geodetically exact.
-var regionCoords = map[Region]struct{ x, y float64 }{
+var regionCoords = [regionCount]struct{ x, y float64 }{
 	RegionOregon:       {-121, 44},
 	RegionVirginia:     {-78, 38},
 	RegionLondon:       {0, 51},
@@ -88,15 +91,21 @@ var regionCoords = map[Region]struct{ x, y float64 }{
 // units. Unknown regions are treated as maximally distant from everything,
 // so they never win nearest-PoP selection.
 func Distance(a, b Region) float64 {
-	ca, okA := regionCoords[a]
-	cb, okB := regionCoords[b]
-	if !okA || !okB {
+	if !a.placed() || !b.placed() {
 		return math.MaxFloat64
 	}
+	ca, cb := regionCoords[a], regionCoords[b]
 	dx := ca.x - cb.x
 	dy := ca.y - cb.y
 	return math.Sqrt(dx*dx + dy*dy)
 }
+
+// placed reports whether r has coordinates.
+func (r Region) placed() bool { return r > RegionUnknown && r.indexable() }
+
+// indexable reports whether r indexes the per-region tables, RegionUnknown
+// included.
+func (r Region) indexable() bool { return r >= 0 && int(r) < regionCount }
 
 // Nearest returns the region in candidates closest to from. Ties break in
 // candidate order. It returns RegionUnknown when candidates is empty.

@@ -109,6 +109,44 @@ func TestScenarioRunByteIdenticalToFlagRun(t *testing.T) {
 	}
 }
 
+// TestPaperBaselineWorkersIdentical runs the paper-baseline world the way
+// the dyn-daily benchmark workload does — seed replaced, one AppendDay per
+// round — at 1, 2 and 4 collect workers. Result().String() and the report
+// figures must agree byte for byte: the lock-free clock, health, cache and
+// fabric paths change how much a day costs, never what it finds.
+func TestPaperBaselineWorkersIdentical(t *testing.T) {
+	spec, err := Load(filepath.Join("..", "..", "scenarios", "paper-baseline.json"))
+	if err != nil {
+		t.Fatalf("loading paper-baseline: %v", err)
+	}
+	comp := Compile(spec)
+	cfg := comp.World
+	cfg.Seed = 301
+	const days = 5
+
+	render := func(workers int) string {
+		policy := comp.Policy
+		en := experiment.Dynamics{World: world.New(cfg), Workers: workers, Policy: &policy}.NewEngine()
+		defer en.Close()
+		for en.NextDay() < days {
+			en.AppendDay()
+		}
+		res := en.Result()
+		var b strings.Builder
+		b.WriteString(res.String())
+		b.WriteString(report.Figure2(res))
+		b.WriteString(report.Figure3(res))
+		b.WriteString(report.TableV(res))
+		return b.String()
+	}
+	serial := render(1)
+	for _, workers := range []int{2, 4} {
+		if got := render(workers); got != serial {
+			t.Errorf("workers=%d report differs from workers=1:\n--- workers=1\n%s\n--- workers=%d\n%s", workers, serial, workers, got)
+		}
+	}
+}
+
 // TestCompileBoostSemanticsPerKind pins the asymmetry the binaries
 // implement: dynamics boosts all four hazards, residual leaves PauseRate
 // alone.

@@ -9,6 +9,7 @@ package simtime
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -32,9 +33,16 @@ var Epoch = time.Date(2017, time.September, 4, 0, 0, 0, 0, time.UTC)
 
 // Simulated is a manually advanced Clock. The zero value is not usable; use
 // NewSimulated. Simulated is safe for concurrent use.
+//
+// Now is lock-free: the current instant is published through an atomic
+// pointer, so the many concurrent readers of a measurement pass (every
+// resolution reads the clock several times) share the pointer's cache
+// line instead of all writing a read-lock counter. Writers serialize on mu
+// and publish a fresh instant; simulation time only moves between passes,
+// so they are rare.
 type Simulated struct {
-	mu  sync.RWMutex
-	now time.Time
+	mu  sync.Mutex
+	now atomic.Pointer[time.Time]
 }
 
 // NewSimulated returns a simulated clock starting at Epoch.
@@ -42,17 +50,15 @@ func NewSimulated() *Simulated { return NewSimulatedAt(Epoch) }
 
 // NewSimulatedAt returns a simulated clock starting at the given instant.
 func NewSimulatedAt(start time.Time) *Simulated {
-	return &Simulated{now: start}
+	c := &Simulated{}
+	c.now.Store(&start)
+	return c
 }
 
 var _ Clock = (*Simulated)(nil)
 
 // Now implements Clock.
-func (c *Simulated) Now() time.Time {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.now
-}
+func (c *Simulated) Now() time.Time { return *c.now.Load() }
 
 // Advance moves the clock forward by d. It panics if d is negative, because
 // simulation time never flows backwards and a negative advance always
@@ -63,7 +69,8 @@ func (c *Simulated) Advance(d time.Duration) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
+	t := c.now.Load().Add(d)
+	c.now.Store(&t)
 }
 
 // AdvanceDays moves the clock forward by n 24-hour days.
@@ -79,10 +86,10 @@ func (c *Simulated) AdvanceDays(n int) {
 func (c *Simulated) Set(t time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t.Before(c.now) {
-		panic(fmt.Sprintf("simtime: Set to %v before current %v", t, c.now))
+	if cur := *c.now.Load(); t.Before(cur) {
+		panic(fmt.Sprintf("simtime: Set to %v before current %v", t, cur))
 	}
-	c.now = t
+	c.now.Store(&t)
 }
 
 // Day returns the zero-based number of whole 24-hour days elapsed since

@@ -109,3 +109,46 @@ func TestSimulatedConcurrentAdvance(t *testing.T) {
 		t.Fatalf("after %d concurrent advances Now() = %v, want %v", n, got, want)
 	}
 }
+
+// TestSimulatedNowDuringAdvance reads the clock from several goroutines
+// while one goroutine advances it. Every reader must see whole published
+// instants (a multiple of the step past Epoch) that never move backwards;
+// under -race this also checks the lock-free read path.
+func TestSimulatedNowDuringAdvance(t *testing.T) {
+	c := NewSimulated()
+	const steps = 2000
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := Epoch
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				now := c.Now()
+				if now.Before(last) {
+					t.Errorf("Now() went backwards: %v after %v", now, last)
+					return
+				}
+				if d := now.Sub(Epoch); d%time.Second != 0 || d > steps*time.Second {
+					t.Errorf("Now() = %v is not a published instant", now)
+					return
+				}
+				last = now
+			}
+		}()
+	}
+	for i := 0; i < steps; i++ {
+		c.Advance(time.Second)
+	}
+	close(done)
+	wg.Wait()
+	if got, want := c.Now(), Epoch.Add(steps*time.Second); !got.Equal(want) {
+		t.Fatalf("Now() = %v after %d advances, want %v", got, steps, want)
+	}
+}

@@ -15,8 +15,9 @@
 #
 # The suite covers the layers under every campaign query: dnsmsg
 # encode/decode, the resolver cache + iterate path, the raw fabric
-# exchange, the scan loop, and the campaign's retained-bytes footprint
-# (the retained-B/domain-day metric from BenchmarkDynamicsMemory).
+# exchange, the scan loop, a collect day's CPU per domain at 1 and 2
+# workers, and the campaign's retained-bytes footprint (the
+# retained-B/domain-day metric from BenchmarkDynamicsMemory).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +44,12 @@ run ./internal/dnsmsg '.' -count="$count" -benchtime="$benchtime"
 
 # The scan loop the campaigns multiply by millions of domain-days.
 run . 'BenchmarkScan' -count="$count" -benchtime="$benchtime"
+
+# One purge-and-collect day of the paper-baseline world at 1 and 2
+# workers. Informational (outside the gate): cpu-ns/domain shows what the
+# second worker costs per domain, i.e. the collect pool's parallel
+# efficiency on the machine running it.
+run . 'BenchmarkCollectDay' -count=3 -benchtime=20x
 
 # The incremental engine's steady-state day append (daemon mode's
 # per-round cost). Quiescent world: allocs/op is deterministic, so the
