@@ -144,7 +144,15 @@ func BenchmarkDynamicsRun(b *testing.B) {
 // (the failure mode the engine refactor exists to prevent) shows up as
 // an allocation jump. The churned-path cost rides along ungated in
 // BenchmarkDynamicsRun.
+//
+// The engine collects on one goroutine, and the benchmark pins it to one
+// P. Otherwise the goroutine migrating between Ps misses the per-P
+// caches of the codec and scratch sync.Pools at scheduler-dependent
+// moments, and each miss allocates afresh: allocs/op wandered by tens
+// between runs of the same code. The heap is collected before timing so
+// every run starts from the same state.
 func BenchmarkAppendDay(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := world.PaperConfig(500)
 	cfg.Seed = 4242
 	cfg.JoinRate, cfg.LeaveRate, cfg.PauseRate, cfg.SwitchRate = 0, 0, 0, 0
@@ -153,6 +161,7 @@ func BenchmarkAppendDay(b *testing.B) {
 	for en.NextDay() < 42 {
 		en.AppendDay()
 	}
+	runtime.GC()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"strings"
 	"sync"
 	"time"
 )
@@ -95,6 +96,25 @@ func Decode(b []byte) (*Message, error) {
 // allocating once its slices have grown to the working-set size). On error
 // m holds partially decoded content and must not be used.
 func (d *Decoder) DecodeInto(b []byte, m *Message) error {
+	return d.decode(b, m, Question{}, false)
+}
+
+// DecodeReplyInto is DecodeInto for a reply to a query whose one question
+// is q. When the reply carries exactly one question and its bytes are q as
+// EncodeQuery writes it, the question is taken from q instead of being
+// decoded and interned, and the per-message name memo starts with it, so
+// compression pointers to the question's name resolve without a walk.
+// The outcome, m and the error alike, is always DecodeInto's: any other
+// reply, or a q that decoding would not reproduce (a name with uppercase
+// or non-ASCII bytes, or one ParseName would reject), takes the full
+// decode.
+func (d *Decoder) DecodeReplyInto(b []byte, m *Message, q Question) error {
+	return d.decode(b, m, q, true)
+}
+
+// decode is DecodeInto, taking the question from echo when hasEcho is set
+// and the reply repeats it (see DecodeReplyInto).
+func (d *Decoder) decode(b []byte, m *Message, echo Question, hasEcho bool) error {
 	d.buf, d.pos = b, 0
 	d.decoded = d.decoded[:0]
 	m.Questions = m.Questions[:0]
@@ -127,7 +147,16 @@ func (d *Decoder) DecodeInto(b []byte, m *Message) error {
 		}
 	}
 
-	for i := 0; i < int(counts[0]); i++ {
+	i := 0
+	if hasEcho && counts[0] == 1 {
+		if n, ok := echoedQuestion(b[d.pos:], echo); ok {
+			m.Questions = append(m.Questions, echo)
+			d.decoded = append(d.decoded, decodedName{off: d.pos, name: echo.Name})
+			d.pos += n
+			i = 1
+		}
+	}
+	for ; i < int(counts[0]); i++ {
 		q, err := d.question()
 		if err != nil {
 			return fmt.Errorf("question %d: %w", i, err)
@@ -347,6 +376,45 @@ func (d *Decoder) readNameScratch(off int) (next, hops int, err error) {
 			off += 1 + l
 		}
 	}
+}
+
+// echoedQuestion reports whether w starts with q written uncompressed, as
+// EncodeQuery writes it, in a form that decoding returns as q itself: a
+// name ParseName leaves unchanged, in ASCII without uppercase letters. It
+// returns the question's length in w.
+func echoedQuestion(w []byte, q Question) (int, bool) {
+	name := string(q.Name)
+	if len(name) > 253 {
+		return 0, false
+	}
+	off := 0
+	for rest := name; rest != ""; {
+		label := rest
+		if i := strings.IndexByte(rest, '.'); i >= 0 {
+			label, rest = rest[:i], rest[i+1:]
+			if rest == "" {
+				return 0, false // a trailing dot
+			}
+		} else {
+			rest = ""
+		}
+		if len(label) == 0 || len(label) > 63 || off+1+len(label) > len(w) ||
+			int(w[off]) != len(label) || string(w[off+1:off+1+len(label)]) != label {
+			return 0, false
+		}
+		for i := 0; i < len(label); i++ {
+			if c := label[i]; c >= 0x80 || ('A' <= c && c <= 'Z') {
+				return 0, false
+			}
+		}
+		off += 1 + len(label)
+	}
+	if off+5 > len(w) || w[off] != 0 ||
+		binary.BigEndian.Uint16(w[off+1:]) != uint16(q.Type) ||
+		binary.BigEndian.Uint16(w[off+3:]) != uint16(q.Class) {
+		return 0, false
+	}
+	return off + 5, true
 }
 
 func (d *Decoder) question() (Question, error) {

@@ -244,7 +244,8 @@ func (c *Client) attempt(sc *exchangeScratch, st *QueryStats, o *clientObs, serv
 	if err != nil {
 		return nil, 0, &exchangeError{name: name, qtype: qtype, server: server, err: err}
 	}
-	if err := sc.dec.DecodeInto(raw, &sc.resp); err != nil {
+	sent := dnsmsg.Question{Name: name, Type: qtype, Class: dnsmsg.ClassIN}
+	if err := sc.dec.DecodeReplyInto(raw, &sc.resp, sent); err != nil {
 		return nil, 0, fmt.Errorf("exchange %s %s with %s: %w: %v", name, qtype, server, ErrCorruptReply, err)
 	}
 	resp := &sc.resp

@@ -41,6 +41,11 @@ type Config struct {
 }
 
 // Server is an authoritative nameserver. It is safe for concurrent use.
+//
+// A server memoizes its answers (see answerMemo): a query whose bytes
+// after the ID repeat an earlier one, against an unchanged zone, is
+// answered from the stored response bytes without decoding, lookup or
+// encoding.
 type Server struct {
 	name    string
 	unknown UnknownZonePolicy
@@ -48,6 +53,9 @@ type Server struct {
 
 	mu    sync.RWMutex
 	zones map[dnsmsg.Name]*dnszone.Zone
+	gen   atomic.Uint32 // zone-set generation, bumped under mu
+
+	memo answerMemo
 }
 
 // New creates a Server.
@@ -56,11 +64,13 @@ func New(cfg Config) *Server {
 	if policy == 0 {
 		policy = PolicyRefuse
 	}
-	return &Server{
+	s := &Server{
 		name:    cfg.Name,
 		unknown: policy,
 		zones:   make(map[dnsmsg.Name]*dnszone.Zone),
 	}
+	s.memo.table.Store(&memoTable{})
+	return s
 }
 
 var _ netsim.Handler = (*Server)(nil)
@@ -71,6 +81,7 @@ func (s *Server) AddZone(z *dnszone.Zone) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.zones[z.Origin()] = z
+	s.gen.Add(1)
 }
 
 // RemoveZone stops serving the zone rooted at origin.
@@ -78,6 +89,7 @@ func (s *Server) RemoveZone(origin dnsmsg.Name) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.zones, origin)
+	s.gen.Add(1)
 }
 
 // Zone returns the hosted zone rooted exactly at origin.
@@ -139,22 +151,47 @@ var _ netsim.BufferedHandler = (*Server)(nil)
 
 // ServeNetBuf implements netsim.BufferedHandler: the response is appended
 // to dst, so a client that recycles its receive buffer gets answers
-// without a single server-side allocation.
+// without a single server-side allocation. A query the memo holds a valid
+// answer to is answered from its stored bytes.
 func (s *Server) ServeNetBuf(req netsim.Request, dst []byte) ([]byte, error) {
+	p := req.Payload
+	if len(p) < 2 {
+		return nil, nil
+	}
+	key := p[2:]
+	h := memoHash(key)
+	if e, w, ok := s.memoLookup(h, key); ok {
+		s.queries.Add(1)
+		if e.ignored() {
+			return nil, nil
+		}
+		return e.appendResponse(dst, w, p), nil
+	}
+
 	sc := scratchPool.Get().(*serverScratch)
 	defer scratchPool.Put(sc)
 
-	if err := sc.dec.DecodeInto(req.Payload, &sc.query); err != nil ||
+	if err := sc.dec.DecodeInto(p, &sc.query); err != nil ||
 		len(sc.query.Questions) == 0 || sc.query.Header.Response {
 		// Malformed datagram: real servers drop these.
 		return nil, nil
 	}
 	s.queries.Add(1)
 
-	if !s.respondInto(&sc.query, &sc.resp, &sc.res) {
+	gen := s.gen.Load()
+	zone, serial, answered := s.respondInto(&sc.query, &sc.resp, &sc.res)
+	qname := sc.query.Question().Name
+	if !answered {
+		s.memoize(h, key, nil, qname, zone, serial, gen)
 		return nil, nil
 	}
-	return sc.enc.EncodeAppend(dst, &sc.resp)
+	start := len(dst)
+	out, err := sc.enc.EncodeAppend(dst, &sc.resp)
+	if err != nil {
+		return out, err
+	}
+	s.memoize(h, key, out[start+2:], qname, zone, serial, gen)
+	return out, nil
 }
 
 // Respond computes the server's response to query, or nil when the query is
@@ -163,7 +200,7 @@ func (s *Server) ServeNetBuf(req netsim.Request, dst []byte) ([]byte, error) {
 func (s *Server) Respond(query *dnsmsg.Message) *dnsmsg.Message {
 	resp := &dnsmsg.Message{}
 	var res dnszone.Result
-	if !s.respondInto(query, resp, &res) {
+	if _, _, answered := s.respondInto(query, resp, &res); !answered {
 		return nil
 	}
 	return resp
@@ -172,7 +209,9 @@ func (s *Server) Respond(query *dnsmsg.Message) *dnsmsg.Message {
 // respondInto fills resp (reusing its slices) with the answer to query,
 // using res as lookup scratch. It reports false when the query is ignored
 // per policy. resp's sections may alias res; both belong to the caller.
-func (s *Server) respondInto(query, resp *dnsmsg.Message, res *dnszone.Result) bool {
+// It also returns the zone that answered (nil when none does) and that
+// zone's serial, read before the lookup.
+func (s *Server) respondInto(query, resp *dnsmsg.Message, res *dnszone.Result) (zone *dnszone.Zone, serial uint32, answered bool) {
 	q := query.Question()
 	resp.Header = dnsmsg.Header{
 		ID:               query.Header.ID,
@@ -185,17 +224,18 @@ func (s *Server) respondInto(query, resp *dnsmsg.Message, res *dnszone.Result) b
 	resp.Authority = nil
 	resp.Additional = nil
 
-	zone := s.findZone(q.Name)
+	zone = s.findZone(q.Name)
 	if zone == nil {
 		if s.unknown == PolicyIgnore {
-			return false
+			return nil, 0, false
 		}
 		resp.Header.RCode = dnsmsg.RCodeRefused
-		return true
+		return nil, 0, true
 	}
+	serial = zone.Serial()
 	if q.Class != dnsmsg.ClassIN {
 		resp.Header.RCode = dnsmsg.RCodeNotImp
-		return true
+		return zone, serial, true
 	}
 
 	zone.LookupInto(q.Name, q.Type, res)
@@ -216,5 +256,5 @@ func (s *Server) respondInto(query, resp *dnsmsg.Message, res *dnszone.Result) b
 		res.Glue = append(res.Glue[:0], res.SOA)
 		resp.Authority = res.Glue
 	}
-	return true
+	return zone, serial, true
 }

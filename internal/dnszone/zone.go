@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rrdps/internal/dnsmsg"
@@ -70,13 +71,20 @@ type Result struct {
 }
 
 // Zone holds the records of one DNS zone. It is safe for concurrent use.
+//
+// Every mutator bumps the serial after changing the records, under the
+// write lock: an unchanged serial means unchanged contents, and servers
+// reuse encoded answers on that premise. A new mutator must bump it too.
 type Zone struct {
 	origin dnsmsg.Name
+
+	// serial is read without the lock (Serial is an atomic load) and
+	// written only under mu.
+	serial atomic.Uint32
 
 	mu      sync.RWMutex
 	rrsets  map[dnsmsg.Name]map[dnsmsg.Type][]dnsmsg.RR
 	soa     dnsmsg.RR
-	serial  uint32
 	hasNode map[dnsmsg.Name]bool // every name with records or with records below it
 }
 
@@ -86,8 +94,8 @@ func New(origin dnsmsg.Name, soa dnsmsg.SOAData) *Zone {
 		origin:  origin,
 		rrsets:  make(map[dnsmsg.Name]map[dnsmsg.Type][]dnsmsg.RR),
 		hasNode: make(map[dnsmsg.Name]bool),
-		serial:  soa.Serial,
 	}
+	z.serial.Store(soa.Serial)
 	z.soa = dnsmsg.RR{Name: origin, Class: dnsmsg.ClassIN, TTL: soaTTL, Data: soa}
 	z.markNodesLocked(origin)
 	return z
@@ -96,11 +104,9 @@ func New(origin dnsmsg.Name, soa dnsmsg.SOAData) *Zone {
 // Origin returns the zone's apex name.
 func (z *Zone) Origin() dnsmsg.Name { return z.origin }
 
-// Serial returns the zone's current SOA serial.
+// Serial returns the zone's current SOA serial. It takes no lock.
 func (z *Zone) Serial() uint32 {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return z.serial
+	return z.serial.Load()
 }
 
 // SOA returns the zone's SOA record with the current serial.
@@ -113,7 +119,7 @@ func (z *Zone) SOA() dnsmsg.RR {
 func (z *Zone) soaLocked() dnsmsg.RR {
 	soa := z.soa
 	data := soa.Data.(dnsmsg.SOAData)
-	data.Serial = z.serial
+	data.Serial = z.serial.Load()
 	soa.Data = data
 	return soa
 }
@@ -138,7 +144,7 @@ func (z *Zone) Add(rr dnsmsg.RR) error {
 	}
 	sets[rr.Type()] = append(sets[rr.Type()], rr)
 	z.markNodesLocked(rr.Name)
-	z.serial++
+	z.serial.Add(1)
 	return nil
 }
 
@@ -173,7 +179,7 @@ func (z *Zone) Set(name dnsmsg.Name, t dnsmsg.Type, rrs ...dnsmsg.RR) error {
 		sets[t] = append([]dnsmsg.RR(nil), rrs...)
 		z.markNodesLocked(name)
 	}
-	z.serial++
+	z.serial.Add(1)
 	return nil
 }
 
@@ -182,7 +188,7 @@ func (z *Zone) Remove(name dnsmsg.Name, t dnsmsg.Type) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	z.removeLocked(name, t)
-	z.serial++
+	z.serial.Add(1)
 }
 
 // RemoveName deletes every RRset at name and bumps the serial.
@@ -191,7 +197,7 @@ func (z *Zone) RemoveName(name dnsmsg.Name) {
 	defer z.mu.Unlock()
 	delete(z.rrsets, name)
 	z.rebuildNodesLocked()
-	z.serial++
+	z.serial.Add(1)
 }
 
 func (z *Zone) removeLocked(name dnsmsg.Name, t dnsmsg.Type) {

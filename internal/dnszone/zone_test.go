@@ -232,6 +232,45 @@ func TestSerialBumpsOnMutation(t *testing.T) {
 	}
 }
 
+// TestEveryMutatorBumpsSerial pins the premise servers memoize answers
+// on: a zone whose serial has not moved has not changed. Each mutator,
+// including the no-op forms, must move it.
+func TestEveryMutatorBumpsSerial(t *testing.T) {
+	www := dnsmsg.Name("www.example.com")
+	a1 := dnsmsg.NewA(www, time.Minute, addr("10.0.0.1"))
+	a2 := dnsmsg.NewA(www, time.Minute, addr("10.0.0.2"))
+	mutators := []struct {
+		name string
+		do   func(z *Zone) error
+	}{
+		{"Add", func(z *Zone) error { return z.Add(a2) }},
+		{"MustAdd", func(z *Zone) error { z.MustAdd(a2); return nil }},
+		{"Set", func(z *Zone) error { return z.Set(www, dnsmsg.TypeA, a2) }},
+		{"Set/empty", func(z *Zone) error { return z.Set(www, dnsmsg.TypeA) }},
+		{"Set/empty-absent", func(z *Zone) error { return z.Set("nope.example.com", dnsmsg.TypeA) }},
+		{"Remove", func(z *Zone) error { z.Remove(www, dnsmsg.TypeA); return nil }},
+		{"Remove/absent", func(z *Zone) error { z.Remove(www, dnsmsg.TypeMX); return nil }},
+		{"RemoveName", func(z *Zone) error { z.RemoveName(www); return nil }},
+		{"RemoveName/absent", func(z *Zone) error { z.RemoveName("nope.example.com"); return nil }},
+	}
+	for _, m := range mutators {
+		t.Run(m.name, func(t *testing.T) {
+			z := newTestZone(t)
+			z.MustAdd(a1)
+			before := z.Serial()
+			if err := m.do(z); err != nil {
+				t.Fatal(err)
+			}
+			if z.Serial() == before {
+				t.Fatalf("%s left the serial at %d", m.name, before)
+			}
+			if got := z.SOA().Data.(dnsmsg.SOAData).Serial; got != z.Serial() {
+				t.Fatalf("SOA serial %d != zone serial %d", got, z.Serial())
+			}
+		})
+	}
+}
+
 func TestNamesSorted(t *testing.T) {
 	z := newTestZone(t)
 	z.MustAdd(dnsmsg.NewA("b.example.com", time.Minute, addr("10.0.0.1")))

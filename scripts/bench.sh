@@ -15,9 +15,10 @@
 #
 # The suite covers the layers under every campaign query: dnsmsg
 # encode/decode, the resolver cache + iterate path, the raw fabric
-# exchange, the scan loop, a collect day's CPU per domain at 1 and 2
-# workers, and the campaign's retained-bytes footprint (the
-# retained-B/domain-day metric from BenchmarkDynamicsMemory).
+# exchange, the authoritative server's answer memo, the scan loop, a
+# collect day's CPU per domain at 1 and 2 workers, and the campaign's
+# retained-bytes footprint (the retained-B/domain-day metric from
+# BenchmarkDynamicsMemory).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,6 +43,10 @@ run ./internal/dnsresolver 'BenchmarkResolve|BenchmarkExchangeDirect' \
 # The codec under every exchange.
 run ./internal/dnsmsg '.' -count="$count" -benchtime="$benchtime"
 
+# The authoritative side of every exchange: a repeated query answered
+# from the server's answer memo (0 allocs/op) and one that misses it.
+run ./internal/dnsserver 'BenchmarkServeNetBuf' -count="$count" -benchtime="$benchtime"
+
 # The scan loop the campaigns multiply by millions of domain-days.
 run . 'BenchmarkScan' -count="$count" -benchtime="$benchtime"
 
@@ -53,9 +58,12 @@ run . 'BenchmarkCollectDay' -count=3 -benchtime=20x
 
 # The incremental engine's steady-state day append (daemon mode's
 # per-round cost). Quiescent world: allocs/op is deterministic, so the
-# gate catches any change that re-touches unchanged records.
+# gate catches any change that re-touches unchanged records. The
+# campaign's own state grows day by day, so a few allocations are spread
+# over however many days a run appends; a fixed day count keeps allocs/op
+# from depending on the machine's speed.
 run ./internal/core/experiment 'BenchmarkAppendDay' \
-  -count="$count" -benchtime="$benchtime"
+  -count="$count" -benchtime=200x
 
 # Campaign memory footprint; a single shot is exact (retained bytes are
 # measured, not timed) and keeps the suite fast.

@@ -195,14 +195,15 @@ func load(path string) (map[string]Benchmark, error) {
 	return out, nil
 }
 
-// defaultGate is the hot-path set: the codec and resolver benchmarks,
-// plus the incremental engine's steady-state AppendDay — all
-// single-threaded with deterministic allocs/op, so a hard gate holds.
+// defaultGate is the hot-path set: the codec, resolver and
+// authoritative-server benchmarks, plus the incremental engine's
+// steady-state AppendDay — all single-threaded with deterministic
+// allocs/op, so a hard gate holds.
 // Campaign-scale benchmarks (Scan*, DynamicsMemory, DynamicsRun) run
 // concurrent workers or churned worlds, so their allocs/op wobbles with
 // scheduling — they are reported for trend-watching but never fail the
 // build.
-const defaultGate = `^Benchmark(Resolve|Exchange|Encode|Decode|ParseName|AppendDay)`
+const defaultGate = `^Benchmark(Resolve|Exchange|Encode|Decode|ParseName|ServeNetBuf|AppendDay)`
 
 // runCompare gates fresh against base. For gated benchmarks, a missing
 // entry or any allocs/op regression fails outright and ns/op regressions
