@@ -124,7 +124,7 @@ func main() {
 
 	var res experiment.DynamicsResult
 	if cf.Shards > 1 {
-		// Shard-parallel path: every shard builds its own world replica,
+		// Sharded path: every shard builds its own world replica,
 		// so there is no single world to announce up front.
 		fmt.Printf("running %d-day campaign over %d sites in %d shards (seed %d)...\n\n",
 			*days, *sites, cf.Shards, *seed)
@@ -133,7 +133,6 @@ func main() {
 			Config:          cfg,
 			Days:            *days,
 			Shards:          cf.Shards,
-			ShardWorkers:    cf.ShardWorkers,
 			Workers:         cf.Workers,
 			Policy:          &policy,
 			Obs:             reg,
@@ -155,7 +154,6 @@ func main() {
 			Policy:          &policy,
 			Obs:             reg,
 			SnapWindow:      cf.SnapWindow,
-			Legacy:          cf.Legacy,
 			CheckpointDir:   cf.CheckpointDir,
 			CheckpointEvery: cf.CheckpointEvery,
 			Resume:          cf.Resume,

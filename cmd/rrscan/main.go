@@ -156,7 +156,6 @@ func main() {
 			WarmupDays:         *warmup,
 			IncapsulaStartWeek: *incStart,
 			Shards:             cf.Shards,
-			ShardWorkers:       cf.ShardWorkers,
 			Workers:            cf.Workers,
 			Policy:             &policy,
 			Obs:                reg,
@@ -165,7 +164,7 @@ func main() {
 			CheckpointEvery:    cf.CheckpointEvery,
 			Resume:             cf.Resume,
 			// Fig. 7 load lives on each shard's network, not in the
-			// result; AfterShard runs serialized, so summing here is safe.
+			// result; shards run one at a time, so summing here is safe.
 			AfterShard: func(_ int, w *world.World) {
 				for region, n := range poolCounts(w) {
 					if fig7 == nil {
@@ -190,7 +189,6 @@ func main() {
 			Policy:             &policy,
 			Obs:                reg,
 			SnapWindow:         cf.SnapWindow,
-			Legacy:             cf.Legacy,
 			CheckpointDir:      cf.CheckpointDir,
 			CheckpointEvery:    cf.CheckpointEvery,
 			Resume:             cf.Resume,

@@ -43,14 +43,10 @@ type CampaignFlags struct {
 	CheckpointDir   string
 	CheckpointEvery int
 	Resume          bool
-	// Shards / ShardWorkers control shard-parallel execution (see
-	// internal/shardrun). Shards == 1 keeps the unsharded path.
-	Shards       int
-	ShardWorkers int
-	// Legacy selects the deprecated map-based batch pipeline, kept only
-	// for cross-checking the streaming engine. It supports none of the
-	// durability or daemon machinery.
-	Legacy bool
+	// Shards partitions the population into independent campaigns run
+	// one after another (see internal/shardrun). Shards == 1 keeps the
+	// unsharded path.
+	Shards int
 	// Follow / MaxDays / FollowInterval control daemon mode: the campaign
 	// keeps appending collection rounds past any configured horizon,
 	// checkpointing on SIGTERM, so a `rrserve -follow` reader can tail
@@ -88,9 +84,7 @@ func RegisterCampaignFlags(fs *flag.FlagSet, snapWindowHelp string) *CampaignFla
 	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "directory for durable campaign state (checkpoints + write-ahead log); empty disables durability")
 	fs.IntVar(&f.CheckpointEvery, "checkpoint-every", 7, "world days between full checkpoints (the write-ahead log covers the rounds in between)")
 	fs.BoolVar(&f.Resume, "resume", false, "resume the campaign recorded in -checkpoint-dir instead of starting over (same seed and configuration required)")
-	fs.IntVar(&f.Shards, "shards", 1, "partition the population into this many deterministic shards, each an independent campaign whose results merge into one report (1 = unsharded)")
-	fs.IntVar(&f.ShardWorkers, "shard-workers", 0, "how many shard campaigns run concurrently (0 = all at once); only meaningful with -shards > 1")
-	fs.BoolVar(&f.Legacy, "legacy", false, "run the deprecated map-based batch pipeline (cross-checking only; no durability, sharding, or daemon mode)")
+	fs.IntVar(&f.Shards, "shards", 1, "partition the population into this many deterministic shards, each an independent campaign run one at a time, whose results merge into one report (1 = unsharded)")
 	fs.BoolVar(&f.Follow, "follow", false, "daemon mode: keep appending collection rounds until SIGTERM (or -max-days), sealing each into -checkpoint-dir for rrserve -follow readers")
 	fs.IntVar(&f.MaxDays, "max-days", 0, "with -follow: stop after this many appended collection rounds (0 = run until SIGTERM)")
 	fs.DurationVar(&f.FollowInterval, "follow-interval", 0, "with -follow: pause between appended rounds (0 = append continuously)")
@@ -152,35 +146,6 @@ func (f *CampaignFlags) Validate() error {
 	if f.Shards < 1 {
 		return fmt.Errorf("-shards must be at least 1")
 	}
-	if f.ShardWorkers < 0 {
-		return fmt.Errorf("-shard-workers must not be negative")
-	}
-	if f.ShardWorkers != 0 && f.Shards == 1 {
-		// A typo like `-shard-workers 8` without `-shards` must not
-		// silently run unsharded while looking like a sharded run.
-		return fmt.Errorf("-shard-workers needs -shards > 1")
-	}
-	if f.ShardWorkers > f.Shards {
-		// More slots than shards is harmless but almost certainly a
-		// transposed pair of flags; clamp and say so.
-		fmt.Fprintf(os.Stderr, "note: -shard-workers %d exceeds -shards %d; clamping to %d\n",
-			f.ShardWorkers, f.Shards, f.Shards)
-		f.ShardWorkers = f.Shards
-	}
-	if f.Legacy {
-		// The legacy pipeline predates the snapstore and supports none of
-		// the machinery layered on it; rejecting here beats a panic deep
-		// inside the campaign.
-		if f.CheckpointDir != "" {
-			return fmt.Errorf("-legacy is incompatible with -checkpoint-dir (durability requires the streaming pipeline)")
-		}
-		if f.Shards > 1 {
-			return fmt.Errorf("-legacy is incompatible with -shards > 1")
-		}
-		if f.Follow {
-			return fmt.Errorf("-follow is incompatible with -legacy (daemon mode requires the streaming engine)")
-		}
-	}
 	if f.Follow {
 		if f.CheckpointDir == "" {
 			// Follow mode without a checkpoint directory would seal rounds
@@ -207,9 +172,6 @@ func (f *CampaignFlags) Validate() error {
 		return fmt.Errorf("-validate-only needs -scenario")
 	}
 	if f.Scenario != "" {
-		if f.Legacy {
-			return fmt.Errorf("-scenario is incompatible with -legacy (scenario campaigns run the streaming pipeline)")
-		}
 		if f.Shards > 1 {
 			return fmt.Errorf("-scenario is incompatible with -shards > 1 (scenario campaigns run unsharded so attack load and provenance stay in one engine)")
 		}

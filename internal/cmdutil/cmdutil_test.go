@@ -35,15 +35,13 @@ func TestCampaignFlagsValidate(t *testing.T) {
 		wantErr string // empty = must validate
 	}{
 		{name: "defaults", args: nil},
-		{name: "sharded", args: []string{"-shards", "8", "-shard-workers", "2"}},
-		{name: "sharded-all-at-once", args: []string{"-shards", "4", "-shard-workers", "0"}},
+		{name: "sharded", args: []string{"-shards", "8"}},
 		{name: "resume-with-dir", args: []string{"-resume", "-checkpoint-dir", "ckpt"}},
 		{name: "sharded-resume", args: []string{"-shards", "4", "-resume", "-checkpoint-dir", "ckpt"}},
 
 		{name: "metrics-text", args: []string{"-metrics", "text"}},
 		{name: "metrics-json-to-file", args: []string{"-metrics", "json", "-metrics-out", "dump.json"}},
 
-		{name: "legacy", args: []string{"-legacy"}},
 		{name: "follow", args: []string{"-follow", "-checkpoint-dir", "ckpt"}},
 		{name: "follow-bounded", args: []string{"-follow", "-checkpoint-dir", "ckpt", "-max-days", "3"}},
 		{name: "follow-throttled", args: []string{"-follow", "-checkpoint-dir", "ckpt", "-follow-interval", "5s"}},
@@ -52,19 +50,14 @@ func TestCampaignFlagsValidate(t *testing.T) {
 		{name: "resume-without-dir", args: []string{"-resume"}, wantErr: "-resume requires -checkpoint-dir"},
 		{name: "zero-shards", args: []string{"-shards", "0"}, wantErr: "-shards must be at least 1"},
 		{name: "negative-shards", args: []string{"-shards", "-2"}, wantErr: "-shards must be at least 1"},
-		{name: "negative-shard-workers", args: []string{"-shard-workers", "-1"}, wantErr: "-shard-workers must not be negative"},
 		{name: "zero-workers", args: []string{"-workers", "0"}, wantErr: "-workers and -retries must be positive"},
 		{name: "zero-retries", args: []string{"-retries", "0"}, wantErr: "-workers and -retries must be positive"},
 		{name: "zero-checkpoint-every", args: []string{"-checkpoint-every", "0"}, wantErr: "-checkpoint-every must be positive"},
 		{name: "bad-metrics-mode", args: []string{"-metrics", "yaml"}, wantErr: `-metrics: unknown mode "yaml"`},
 		{name: "metrics-out-without-metrics", args: []string{"-metrics-out", "dump.json"}, wantErr: "-metrics-out requires -metrics"},
-		{name: "shard-workers-unsharded", args: []string{"-shard-workers", "8"}, wantErr: "-shard-workers needs -shards > 1"},
 
 		// Daemon-mode combinations a later stage would only reject after
 		// hours of campaign work — all must fail at flag validation.
-		{name: "legacy-checkpoint", args: []string{"-legacy", "-checkpoint-dir", "ckpt"}, wantErr: "-legacy is incompatible with -checkpoint-dir"},
-		{name: "legacy-sharded", args: []string{"-legacy", "-shards", "2"}, wantErr: "-legacy is incompatible with -shards > 1"},
-		{name: "legacy-follow", args: []string{"-legacy", "-follow"}, wantErr: "-follow is incompatible with -legacy"},
 		{name: "follow-without-dir", args: []string{"-follow"}, wantErr: "-follow requires -checkpoint-dir"},
 		{name: "follow-sharded", args: []string{"-follow", "-checkpoint-dir", "ckpt", "-shards", "2"}, wantErr: "-follow is incompatible with -shards > 1"},
 		{name: "negative-max-days", args: []string{"-follow", "-checkpoint-dir", "ckpt", "-max-days", "-1"}, wantErr: "-max-days must be at least 1"},
@@ -99,9 +92,6 @@ func TestCampaignFlagsDefaults(t *testing.T) {
 	if f.Shards != 1 {
 		t.Errorf("default -shards = %d, want 1 (unsharded)", f.Shards)
 	}
-	if f.ShardWorkers != 0 {
-		t.Errorf("default -shard-workers = %d, want 0 (all at once)", f.ShardWorkers)
-	}
 	if f.Retries != 3 || !f.Hedge {
 		t.Errorf("default policy knobs = retries %d hedge %v, want 3 true", f.Retries, f.Hedge)
 	}
@@ -118,19 +108,6 @@ func TestCampaignFlagsPolicy(t *testing.T) {
 	p := f.Policy()
 	if p.MaxAttempts != 5 || p.Hedge {
 		t.Fatalf("Policy() = attempts %d hedge %v, want 5 false", p.MaxAttempts, p.Hedge)
-	}
-}
-
-// TestShardWorkersClampedToShards: more worker slots than shards is a
-// likely flag transposition, not an error — Validate clamps it so the
-// run behaves as if -shard-workers equaled -shards.
-func TestShardWorkersClampedToShards(t *testing.T) {
-	f, err := parse(t, "-shards", "4", "-shard-workers", "16")
-	if err != nil {
-		t.Fatalf("Validate() = %v, want clamp, not error", err)
-	}
-	if f.ShardWorkers != 4 {
-		t.Fatalf("ShardWorkers = %d after Validate, want clamped to 4", f.ShardWorkers)
 	}
 }
 

@@ -42,11 +42,11 @@ type Record struct {
 //
 // Deprecated-by-design for retention: Snapshot is the legacy map-based
 // view. Since the Table V verification moved onto the snapstore diff
-// stream, nothing on the streaming path consumes it anymore — it is kept
-// only for the Legacy cross-check pipeline and the tests that pin the
-// two pipelines equal. Code that keeps history should append days into a
-// snapstore.Store and replay them through its cursors instead of holding
-// Snapshots alive.
+// stream, nothing on the production path consumes it anymore — it is
+// kept for the tests, whose map-based reference pipeline and oracles pin
+// the streaming engine's outputs. Code that keeps history should append
+// days into a snapstore.Store and replay them through its cursors
+// instead of holding Snapshots alive.
 type Snapshot struct {
 	Day     int
 	Records map[dnsmsg.Name]Record // keyed by apex

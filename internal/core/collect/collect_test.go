@@ -1,9 +1,6 @@
 package collect
 
 import (
-	"bytes"
-	"reflect"
-	"strings"
 	"testing"
 
 	"rrdps/internal/alexa"
@@ -190,43 +187,4 @@ func TestSetWorkersPanicsOnZero(t *testing.T) {
 		}
 	}()
 	collector.SetWorkers(0)
-}
-
-func TestSnapshotJSONRoundTrip(t *testing.T) {
-	w := buildWorld(t, 60)
-	collector := New(w.NewResolver(netsim.RegionOregon), domainList(w))
-	snap := collector.Collect(3)
-
-	var buf bytes.Buffer
-	if err := snap.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Day != snap.Day || len(got.Records) != len(snap.Records) {
-		t.Fatalf("round trip shape: day %d/%d, records %d/%d",
-			got.Day, snap.Day, len(got.Records), len(snap.Records))
-	}
-	for apex, want := range snap.Records {
-		have := got.Records[apex]
-		if !reflect.DeepEqual(have, want) {
-			t.Fatalf("%s: %+v != %+v", apex, have, want)
-		}
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	cases := []string{
-		"not json",
-		`{"day":1,"records":[{"apex":"a..b"}]}`,
-		`{"day":1,"records":[{"apex":"ok.com","addrs":["not-an-ip"]}]}`,
-		`{"day":1,"records":[{"apex":"ok.com","cnames":["bad..name"]}]}`,
-	}
-	for _, c := range cases {
-		if _, err := ReadJSON(strings.NewReader(c)); err == nil {
-			t.Errorf("ReadJSON(%q) succeeded", c)
-		}
-	}
 }

@@ -22,8 +22,7 @@ import (
 // needed, Checkpoint before a planned shutdown, Close when done. Run is
 // itself implemented as "NewEngine + loop + Result", so the batch and
 // incremental paths cannot drift — they are the same code, which is what
-// the append≡batch equivalence suite (incremental_test.go) pins, in the
-// spirit of TestStreamingMatchesLegacy.
+// the append≡batch equivalence suite (incremental_test.go) pins.
 //
 // The engines are what the -follow daemon mode in cmd/dpsmeasure and
 // cmd/rrscan is built on: the campaign horizon (Days / Weeks) bounds
@@ -69,13 +68,7 @@ func (d Dynamics) NewEngine() *DynamicsEngine {
 	if d.Days < 0 {
 		panic("experiment: Dynamics.Days must not be negative")
 	}
-	if d.Legacy {
-		panic("experiment: the incremental engine requires the streaming pipeline (Legacy must be false)")
-	}
-	return d.newEngine(d.setup())
-}
-
-func (d Dynamics) newEngine(e *dynamicsEnv) *DynamicsEngine {
+	e := d.setup()
 	en := &DynamicsEngine{
 		cfg:       d,
 		e:         e,
@@ -341,16 +334,10 @@ func (r Residual) NewEngine() *ResidualEngine {
 	if r.Weeks < 0 {
 		panic("experiment: Residual.Weeks must not be negative")
 	}
-	if r.Legacy {
-		panic("experiment: the incremental engine requires the streaming pipeline (Legacy must be false)")
-	}
 	if r.CheckpointDir != "" && r.ProviderAudit {
 		panic("experiment: checkpointing is incompatible with ProviderAudit (audits mutate provider state a rebuilt world cannot replay)")
 	}
-	return r.newEngine(r.setup())
-}
-
-func (r Residual) newEngine(e *residualEnv) *ResidualEngine {
+	e := r.setup()
 	en := &ResidualEngine{
 		cfg:   r,
 		e:     e,

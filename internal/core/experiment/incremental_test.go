@@ -228,7 +228,7 @@ func TestAppendDayIncrementalReverify(t *testing.T) {
 	const days, sites, seed = 12, 400, 4242
 
 	legacyReg := obs.NewRegistry()
-	Dynamics{World: dynamicsWorld(sites, seed), Days: days, Legacy: true, Obs: legacyReg}.Run()
+	legacyDynamics(Dynamics{World: dynamicsWorld(sites, seed), Days: days, Obs: legacyReg})
 	legacyComparisons := legacyReg.Counter("verify.comparisons").Value()
 
 	reg := obs.NewRegistry()

@@ -116,14 +116,19 @@ func BenchmarkDynamicsMemory(b *testing.B) {
 }
 
 // BenchmarkDynamicsRun times the full streaming campaign end to end (the
-// legacy pipeline rides along for comparison).
+// map-based reference pipeline rides along for comparison).
 func BenchmarkDynamicsRun(b *testing.B) {
 	run := func(b *testing.B, legacy bool) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			w := dynamicsWorld(300, 4242)
 			b.StartTimer()
-			Dynamics{World: w, Days: 10, Legacy: legacy}.Run()
+			d := Dynamics{World: w, Days: 10}
+			if legacy {
+				legacyDynamics(d)
+			} else {
+				d.Run()
+			}
 		}
 	}
 	b.Run("streaming", func(b *testing.B) { run(b, false) })

@@ -315,19 +315,10 @@ func TestDynamicsResumeRestoresNetworkCounters(t *testing.T) {
 // the streaming≡legacy suite: a checkpointing streaming run still
 // matches the legacy pipeline.
 func TestCheckpointingMatchesLegacy(t *testing.T) {
-	legacy := Dynamics{World: dynamicsWorld(300, 8115), Days: 6, Legacy: true}.Run()
+	legacy := legacyDynamics(Dynamics{World: dynamicsWorld(300, 8115), Days: 6})
 	durable := Dynamics{World: dynamicsWorld(300, 8115), Days: 6,
 		CheckpointDir: t.TempDir(), CheckpointEvery: 2}.Run()
 	diffResults(t, durable, legacy)
-}
-
-func TestCheckpointRequiresStreaming(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Legacy + CheckpointDir did not panic")
-		}
-	}()
-	Dynamics{World: dynamicsWorld(50, 1), Days: 1, Legacy: true, CheckpointDir: t.TempDir()}.Run()
 }
 
 func TestCheckpointRejectsProviderAudit(t *testing.T) {

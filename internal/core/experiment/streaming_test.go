@@ -38,27 +38,30 @@ func diffResults(t *testing.T, streaming, legacy any, skip ...string) {
 
 // TestStreamingMatchesLegacy pins the tentpole guarantee: the streaming
 // snapstore pipeline produces value-identical campaign outputs to the
-// legacy map-based pipeline on the same seeded world — every breakdown,
-// detection, pause window, Table V row, and even the resolver's resilience
-// accounting (the two pipelines must issue the same queries in the same
-// order).
+// map-based reference pipeline (legacy_test.go) on the same seeded world
+// — every breakdown, detection, pause window, Table V row, and even the
+// resolver's resilience accounting (the two pipelines must issue the same
+// queries in the same order).
 func TestStreamingMatchesLegacy(t *testing.T) {
 	t.Run("dynamics-42-days", func(t *testing.T) {
-		legacy := Dynamics{World: dynamicsWorld(400, 4242), Days: 42, Legacy: true}.Run()
+		legacy := legacyDynamics(Dynamics{World: dynamicsWorld(400, 4242), Days: 42})
 		streaming := Dynamics{World: dynamicsWorld(400, 4242), Days: 42}.Run()
 		diffResults(t, streaming, legacy)
 	})
 
 	t.Run("dynamics-long-intervals-parallel", func(t *testing.T) {
 		run := func(legacy bool) DynamicsResult {
-			return Dynamics{
+			d := Dynamics{
 				World:            dynamicsWorld(300, 777),
 				Days:             20,
 				Workers:          4,
 				LongIntervalProb: 0.3,
 				Rand:             rand.New(rand.NewSource(7)),
-				Legacy:           legacy,
-			}.Run()
+			}
+			if legacy {
+				return legacyDynamics(d)
+			}
+			return d.Run()
 		}
 		diffResults(t, run(false), run(true), "Stats")
 	})
@@ -73,26 +76,32 @@ func TestStreamingMatchesLegacy(t *testing.T) {
 
 	t.Run("residual-6-weeks", func(t *testing.T) {
 		run := func(legacy bool) ResidualResult {
-			return Residual{
+			r := Residual{
 				World:              residualWorld(400, 4242),
 				Weeks:              6,
 				WarmupDays:         21,
 				IncapsulaStartWeek: 4,
-				Legacy:             legacy,
-			}.Run()
+			}
+			if legacy {
+				return legacyResidual(r)
+			}
+			return r.Run()
 		}
 		diffResults(t, run(false), run(true))
 	})
 
 	t.Run("residual-parallel", func(t *testing.T) {
 		run := func(legacy bool) ResidualResult {
-			return Residual{
+			r := Residual{
 				World:      residualWorld(300, 77),
 				Weeks:      3,
 				WarmupDays: 14,
 				Workers:    4,
-				Legacy:     legacy,
-			}.Run()
+			}
+			if legacy {
+				return legacyResidual(r)
+			}
+			return r.Run()
 		}
 		diffResults(t, run(false), run(true), "Stats")
 	})
@@ -103,7 +112,7 @@ func TestStreamingMatchesLegacy(t *testing.T) {
 // streaming run matches the one after a legacy run.
 func TestStreamingWorldConsistency(t *testing.T) {
 	wLegacy, wStreaming := dynamicsWorld(200, 5150), dynamicsWorld(200, 5150)
-	Dynamics{World: wLegacy, Days: 8, Legacy: true}.Run()
+	legacyDynamics(Dynamics{World: wLegacy, Days: 8})
 	Dynamics{World: wStreaming, Days: 8}.Run()
 	if !reflect.DeepEqual(worldEvents(wLegacy), worldEvents(wStreaming)) {
 		t.Fatal("world event streams diverged between pipelines")

@@ -38,43 +38,33 @@ func Load(path string) (*Spec, error) {
 	return Parse(path, data)
 }
 
-// Parse decodes a scenario document of any supported apiVersion,
-// converts it to the v1 hub form, applies defaults, validates, and
+// Parse decodes a scenario document, applies defaults, validates, and
 // computes the canonical form and hash. file names the source in error
 // messages; pass "" for in-memory data.
 func Parse(file string, data []byte) (*Spec, error) {
 	if file == "" {
 		file = "scenario"
 	}
-	// Peek the version with a lenient decode so version dispatch works
-	// even when the rest of the document would not survive strict
-	// decoding against either schema.
+	// Peek the version with a lenient decode so an unsupported version is
+	// named as such, even when the rest of the document would not survive
+	// strict decoding against the v1 schema.
 	var head struct {
 		APIVersion string `json:"apiVersion"`
 	}
 	if err := json.Unmarshal(data, &head); err != nil {
 		return nil, decodeError(file, data, err)
 	}
-
-	var doc V1
-	switch head.APIVersion {
-	case APIVersionV1:
-		if err := strictDecode(data, &doc); err != nil {
-			return nil, decodeError(file, data, err)
-		}
-	case APIVersionV1Alpha1:
-		var alpha V1Alpha1
-		if err := strictDecode(data, &alpha); err != nil {
-			return nil, decodeError(file, data, err)
-		}
-		doc = ConvertV1Alpha1(alpha)
-	default:
+	if head.APIVersion != APIVersionV1 {
 		return nil, &Error{
 			File: file,
 			Line: fieldLine(data, "", "apiVersion"),
-			Msg: fmt.Sprintf("unsupported apiVersion %q (supported: %s, %s)",
-				head.APIVersion, APIVersionV1, APIVersionV1Alpha1),
+			Msg: fmt.Sprintf("unsupported apiVersion %q (supported: %s)",
+				head.APIVersion, APIVersionV1),
 		}
+	}
+	var doc V1
+	if err := strictDecode(data, &doc); err != nil {
+		return nil, decodeError(file, data, err)
 	}
 
 	doc.normalize()

@@ -94,19 +94,25 @@ func TestParseRejectsUnknownField(t *testing.T) {
 	}
 }
 
+// TestParseRejectsUnknownAPIVersion: any apiVersion but rrdps/v1 is
+// rejected at the apiVersion line, naming the bad version and the
+// supported one. rrdps/v1alpha1, the draft format whose conversion to v1
+// was dropped, is one such version.
 func TestParseRejectsUnknownAPIVersion(t *testing.T) {
-	src := `{
-  "apiVersion": "rrdps/v2",
+	for _, version := range []string{"rrdps/v2", "rrdps/v1alpha1"} {
+		src := `{
+  "apiVersion": "` + version + `",
   "kind": "Scenario",
   "metadata": { "name": "x" },
   "campaign": { "kind": "dynamics" }
 }`
-	se := specErr(t, func() error { _, err := Parse("bad.json", []byte(src)); return err }())
-	if !strings.Contains(se.Msg, "rrdps/v2") || !strings.Contains(se.Msg, APIVersionV1) {
-		t.Errorf("message %q should name the bad version and the supported ones", se.Msg)
-	}
-	if se.Line != 2 {
-		t.Errorf("error anchored to line %d, want 2 (the apiVersion line)", se.Line)
+		se := specErr(t, func() error { _, err := Parse("bad.json", []byte(src)); return err }())
+		if !strings.Contains(se.Msg, `"`+version+`"`) || !strings.Contains(se.Msg, "(supported: "+APIVersionV1+")") {
+			t.Errorf("message %q should name the bad version and the supported one", se.Msg)
+		}
+		if se.Line != 2 {
+			t.Errorf("%s: error anchored to line %d, want 2 (the apiVersion line)", version, se.Line)
+		}
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 //     form re-parses to the same canonical bytes and hash. This is what
 //     makes the hash a stable scenario identity.
 func FuzzScenarioDecode(f *testing.F) {
-	// Seed with the entire shipped scenario library...
+	// Seed with the entire shipped scenario library, each file as
+	// written and in its canonical form...
 	dir := filepath.Join("..", "..", "scenarios")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -30,20 +31,12 @@ func FuzzScenarioDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data)
-	}
-	// ...the conversion corpus...
-	alphaDir := filepath.Join("testdata", "convert")
-	alphas, err := os.ReadDir(alphaDir)
-	if err != nil {
-		f.Fatalf("reading conversion corpus: %v", err)
-	}
-	for _, e := range alphas {
-		data, err := os.ReadFile(filepath.Join(alphaDir, e.Name()))
+		spec, err := Parse(e.Name(), data)
 		if err != nil {
-			f.Fatal(err)
+			f.Fatalf("library spec %s: %v", e.Name(), err)
 		}
 		f.Add(data)
+		f.Add(spec.Canonical)
 	}
 	// ...and hand-broken variants covering each decoder path.
 	for _, s := range []string{

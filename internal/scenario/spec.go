@@ -4,11 +4,10 @@
 // load — and compiles into the runtime configs the binaries otherwise
 // assemble from flags.
 //
-// Specs are versioned by apiVersion. rrdps/v1 is the hub version every
-// older spec converts into (the PowerDNS-Operator conversion style):
-// parsing accepts any supported version, converts to v1, applies
-// defaults, validates, and re-encodes a canonical form whose SHA-256
-// hash identifies the scenario in campaign checkpoints and reports.
+// Specs are versioned by apiVersion; rrdps/v1 is the only supported
+// version. Parsing decodes a v1 document, applies defaults, validates,
+// and re-encodes a canonical form whose SHA-256 hash identifies the
+// scenario in campaign checkpoints and reports.
 // Decoding is strict — unknown fields are rejected, with errors anchored
 // to the offending line of the source file.
 package scenario
@@ -21,15 +20,8 @@ import (
 	"regexp"
 )
 
-// Supported apiVersion values.
-const (
-	// APIVersionV1 is the hub version; canonical forms are always v1.
-	APIVersionV1 = "rrdps/v1"
-	// APIVersionV1Alpha1 is the original draft format, converted to v1 on
-	// load (waves were a single-multiplier "churnWaves" list; rate limits
-	// and attack loads did not exist).
-	APIVersionV1Alpha1 = "rrdps/v1alpha1"
-)
+// APIVersionV1 is the supported apiVersion; canonical forms are always v1.
+const APIVersionV1 = "rrdps/v1"
 
 // KindScenario is the only document kind.
 const KindScenario = "Scenario"
@@ -40,7 +32,7 @@ const (
 	CampaignResidual = "residual"
 )
 
-// V1 is the hub spec document. All defaulted fields are pointers or
+// V1 is the spec document. All defaulted fields are pointers or
 // omitempty values so a normalized document re-encodes without noise;
 // Parse returns documents with defaults already applied.
 type V1 struct {
@@ -172,7 +164,7 @@ type Attack struct {
 	StartWeek int `json:"startWeek,omitempty"`
 }
 
-// Spec is a parsed, converted-to-v1, defaulted, and validated scenario.
+// Spec is a parsed, defaulted, and validated scenario.
 type Spec struct {
 	// Doc is the normalized v1 document.
 	Doc V1

@@ -1,19 +1,24 @@
-// Package shardrun is the shard-parallel campaign driver that makes
-// paper-true population scales (§IV's 1M apexes) executable: it
-// partitions the apex population into N deterministic shards, runs each
-// shard as a fully independent campaign — its own world replica, its
-// own snapstore, day-level WAL, and checkpoint directory — and merges
-// the per-shard results into one report.
+// Package shardrun is the sharded campaign driver: it partitions the apex
+// population into N deterministic shards, runs each shard as a fully
+// independent campaign — its own world replica, its own snapstore,
+// day-level WAL, and checkpoint directory — and merges the per-shard
+// results into one report.
+//
+// Shards run one at a time. Each shard already spreads its measurement
+// loops over the campaign's Workers; running several shards at once
+// would multiply the world replicas held in memory without finishing
+// sooner (EXPERIMENTS.md, "Shard scheduling"). What sharding buys is
+// independent durable state per shard: a crashed shard is re-driven
+// alone (Only) from its own checkpoint directory.
 //
 // The design leans on two properties the earlier layers already
 // guarantee. First, a world is a pure function of its config and seed,
 // so every shard builds a value-identical world replica and advances it
-// on the same schedule; shards never share mutable state, which is what
-// makes the driver trivially race-free and lets each shard reuse the
-// whole single-campaign durability machinery (checkpoints, WAL,
-// crash/resume) unchanged. Second, shard assignment is a stable content
-// hash of the apex alone (Assign), so the partition survives resumes,
-// process restarts, and any change in shard-worker scheduling.
+// on the same schedule; shards never share mutable state, which lets
+// each shard reuse the whole single-campaign durability machinery
+// (checkpoints, WAL, crash/resume) unchanged. Second, shard assignment
+// is a stable content hash of the apex alone (Assign), so the partition
+// survives resumes, process restarts, and re-driving a subset of shards.
 //
 // The keystone identity — Merge(shard results) ≡ unsharded run, for
 // every scientific artifact — is pinned by this package's equivalence
@@ -36,7 +41,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"path/filepath"
-	"sync"
+	"sort"
 
 	"rrdps/internal/alexa"
 	"rrdps/internal/core/experiment"
@@ -90,56 +95,31 @@ func ShardDir(root string, shard int) string {
 	return filepath.Join(root, fmt.Sprintf("shard-%04d", shard))
 }
 
-// common is the driver configuration shared by both campaign kinds.
-type common struct {
-	shards       int
-	shardWorkers int
-	only         []int
-}
-
-// runnable resolves which shards execute this run.
-func (c common) runnable() []int {
-	if len(c.only) == 0 {
-		out := make([]int, c.shards)
+// runnable resolves which of shards execute this run, in index order:
+// all of them, or those listed in only. A shard listed twice in only
+// would run twice into the same checkpoint directory and be merged
+// twice, so a duplicate panics like an out-of-range index.
+func runnable(shards int, only []int) []int {
+	if len(only) == 0 {
+		out := make([]int, shards)
 		for i := range out {
 			out[i] = i
 		}
 		return out
 	}
-	for _, i := range c.only {
-		if i < 0 || i >= c.shards {
-			panic(fmt.Sprintf("shardrun: Only contains shard %d, want [0,%d)", i, c.shards))
+	seen := make(map[int]bool, len(only))
+	for _, i := range only {
+		if i < 0 || i >= shards {
+			panic(fmt.Sprintf("shardrun: Only contains shard %d, want [0,%d)", i, shards))
 		}
-	}
-	return append([]int(nil), c.only...)
-}
-
-// forEachShard runs fn for the runnable shards over a bounded worker
-// pool. fn must be self-contained per shard; the driver adds no shared
-// state beyond the caller's own synchronization.
-func (c common) forEachShard(fn func(shard int)) {
-	todo := c.runnable()
-	workers := c.shardWorkers
-	if workers <= 0 || workers > len(todo) {
-		workers = len(todo)
-	}
-	if workers <= 1 {
-		for _, i := range todo {
-			fn(i)
+		if seen[i] {
+			panic(fmt.Sprintf("shardrun: Only lists shard %d twice", i))
 		}
-		return
+		seen[i] = true
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := w; k < len(todo); k += workers {
-				fn(todo[k])
-			}
-		}(w)
-	}
-	wg.Wait()
+	out := append([]int(nil), only...)
+	sort.Ints(out)
+	return out
 }
 
 // Dynamics drives the §IV usage-dynamics campaign across shards. Every
@@ -151,10 +131,8 @@ type Dynamics struct {
 	// driver never holds a world of its own.
 	Config world.Config
 	Days   int
-	// Shards is the partition width (>= 1). ShardWorkers bounds how many
-	// shard campaigns run concurrently; zero runs all of them at once.
-	Shards       int
-	ShardWorkers int
+	// Shards is the partition width (>= 1).
+	Shards int
 	// Only restricts this run to the listed shards — the re-drive path
 	// for an individual crashed shard. The returned PerShard slice keeps
 	// length Shards with zero values at skipped indices, and Merged
@@ -189,10 +167,10 @@ type Dynamics struct {
 	// re-collecting; shards with no state start fresh — so resuming a
 	// partially-dead fleet re-drives exactly the shards that need it.
 	Resume bool
-	// AfterShard, when non-nil, is called for each completed shard while
-	// its world replica is still alive — the hook for accounting that
-	// must be read off the fabric (e.g. summing the Fig. 7 per-PoP query
-	// counters across replicas). Calls are serialized by the driver.
+	// AfterShard, when non-nil, is called once for each completed shard,
+	// in shard index order, while its world replica is still alive — the
+	// hook for accounting that must be read off the fabric (e.g. summing
+	// the Fig. 7 per-PoP query counters across replicas).
 	AfterShard func(shard int, w *world.World)
 
 	// StopShard / StopAfterDays simulate a kill of one shard's campaign
@@ -215,11 +193,10 @@ func (s Dynamics) Run() DynamicsRun {
 	if s.Shards < 1 {
 		panic("shardrun: Dynamics requires Shards >= 1")
 	}
-	c := common{shards: s.Shards, shardWorkers: s.ShardWorkers, only: s.Only}
+	todo := runnable(s.Shards, s.Only)
 	results := make([]experiment.DynamicsResult, s.Shards)
 	regs := make([]*obs.Registry, s.Shards)
-	var mu sync.Mutex // serializes AfterShard
-	c.forEachShard(func(i int) {
+	for _, i := range todo {
 		w := world.New(s.Config)
 		d := experiment.Dynamics{
 			World:           w,
@@ -249,16 +226,13 @@ func (s Dynamics) Run() DynamicsRun {
 		if s.StopAfterDays > 0 && i == s.StopShard {
 			d.StopAfterDays = s.StopAfterDays
 		}
-		res := d.Run()
-		mu.Lock()
-		results[i] = res
+		results[i] = d.Run()
 		if s.AfterShard != nil {
 			s.AfterShard(i, w)
 		}
-		mu.Unlock()
-	})
+	}
 	out := DynamicsRun{PerShard: results}
-	for _, i := range c.runnable() {
+	for _, i := range todo {
 		out.Merged = out.Merged.Merge(results[i])
 	}
 	s.foldObs(regs)
@@ -304,7 +278,6 @@ type Residual struct {
 	WarmupDays         int
 	ProviderAudit      bool
 	Shards             int
-	ShardWorkers       int
 	Only               []int
 	Workers            int
 	Policy             *dnsresolver.Policy
@@ -333,11 +306,10 @@ func (s Residual) Run() ResidualRun {
 	if s.Shards < 1 {
 		panic("shardrun: Residual requires Shards >= 1")
 	}
-	c := common{shards: s.Shards, shardWorkers: s.ShardWorkers, only: s.Only}
+	todo := runnable(s.Shards, s.Only)
 	results := make([]experiment.ResidualResult, s.Shards)
 	regs := make([]*obs.Registry, s.Shards)
-	var mu sync.Mutex
-	c.forEachShard(func(i int) {
+	for _, i := range todo {
 		w := world.New(s.Config)
 		r := experiment.Residual{
 			World:              w,
@@ -362,16 +334,13 @@ func (s Residual) Run() ResidualRun {
 		if s.StopAfterRounds > 0 && i == s.StopShard {
 			r.StopAfterRounds = s.StopAfterRounds
 		}
-		res := r.Run()
-		mu.Lock()
-		results[i] = res
+		results[i] = r.Run()
 		if s.AfterShard != nil {
 			s.AfterShard(i, w)
 		}
-		mu.Unlock()
-	})
+	}
 	out := ResidualRun{PerShard: results}
-	for _, i := range c.runnable() {
+	for _, i := range todo {
 		out.Merged = out.Merged.Merge(results[i])
 	}
 	foldRegistries(s.Obs, regs)

@@ -9,9 +9,9 @@ package shardrun
 // and are skipped, the same latitude the serial≡parallel comparisons
 // in internal/core/experiment allow.
 //
-// Run with -race: the driver's only concurrency claim is that shard
-// campaigns share no mutable state, and the race detector is what
-// turns that claim into a checked property.
+// Run with -race: shards run one at a time, but each shard's campaign
+// fans its measurement loops out over Workers, and the race detector
+// checks those pools under every shard layout.
 
 import (
 	"fmt"
@@ -240,12 +240,78 @@ func TestDynamicsShardEquivalenceLongIntervals(t *testing.T) {
 	}
 }
 
-func TestDynamicsShardWorkersBounded(t *testing.T) {
-	cfg := dynamicsConfig(200, 4601)
-	baseline := Dynamics{Config: cfg, Days: 4, Shards: 4}.Run()
-	for _, workers := range []int{1, 2, 3} {
-		run := Dynamics{Config: cfg, Days: 4, Shards: 4, ShardWorkers: workers}.Run()
-		diffResults(t, run.Merged, baseline.Merged, resultSkips...)
+// TestAfterShard pins the hook cmd/rrscan sums the Fig. 7 per-PoP
+// counters through: one call per runnable shard, in index order, each
+// with the world replica that shard's campaign ran on, and under Only a
+// call for the listed shards alone. A shard's world is recognised by its
+// fabric traffic, which must equal that of the shard's campaign run on
+// its own.
+func TestAfterShard(t *testing.T) {
+	const shards = 3
+	kinds := []struct {
+		name string
+		cfg  world.Config
+		day  int // world day after the campaign
+		// sharded runs the driver with the hook; alone runs shard i's
+		// campaign on w without the driver.
+		sharded func(cfg world.Config, only []int, hook func(int, *world.World))
+		alone   func(i int, w *world.World)
+	}{
+		{
+			name: "dynamics", cfg: dynamicsConfig(120, 4601), day: 2,
+			sharded: func(cfg world.Config, only []int, hook func(int, *world.World)) {
+				Dynamics{Config: cfg, Days: 2, Shards: shards, Only: only, AfterShard: hook}.Run()
+			},
+			alone: func(i int, w *world.World) {
+				experiment.Dynamics{World: w, Days: 2, Keep: KeepFunc(i, shards),
+					TopCut: wholePopulationTopCut(w)}.Run()
+			},
+		},
+		{
+			name: "residual", cfg: residualConfig(120, 4602), day: 7,
+			sharded: func(cfg world.Config, only []int, hook func(int, *world.World)) {
+				Residual{Config: cfg, Weeks: 1, Shards: shards, Only: only, AfterShard: hook}.Run()
+			},
+			alone: func(i int, w *world.World) {
+				experiment.Residual{World: w, Weeks: 1, Keep: KeepFunc(i, shards)}.Run()
+			},
+		},
+	}
+	for _, kind := range kinds {
+		wantSends := make([]uint64, shards)
+		for i := range wantSends {
+			w := world.New(kind.cfg)
+			kind.alone(i, w)
+			wantSends[i], _ = w.Net.Stats()
+		}
+		for _, tc := range []struct {
+			name       string
+			only, want []int
+		}{
+			{"all", nil, []int{0, 1, 2}},
+			{"only", []int{2, 0}, []int{0, 2}},
+		} {
+			t.Run(kind.name+"/"+tc.name, func(t *testing.T) {
+				var got []int
+				seen := make(map[*world.World]bool)
+				kind.sharded(kind.cfg, tc.only, func(i int, w *world.World) {
+					got = append(got, i)
+					if seen[w] {
+						t.Errorf("shard %d: world replica already handed to AfterShard", i)
+					}
+					seen[w] = true
+					if w.Day() != kind.day {
+						t.Errorf("shard %d: world at day %d, want %d (campaign not finished)", i, w.Day(), kind.day)
+					}
+					if sends, _ := w.Net.Stats(); sends != wantSends[i] {
+						t.Errorf("shard %d: world carries %d sends, want %d (shard %d's campaign alone)", i, sends, wantSends[i], i)
+					}
+				})
+				if !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("AfterShard calls = %v, want %v", got, tc.want)
+				}
+			})
+		}
 	}
 }
 
@@ -360,11 +426,21 @@ func TestRunPanicsOnBadShards(t *testing.T) {
 	Dynamics{Config: dynamicsConfig(10, 1), Days: 1, Shards: 0}.Run()
 }
 
+// TestOnlyPanicsOutOfRange: an Only index outside [0, Shards), or one
+// listed twice (which would run the shard twice into one checkpoint
+// directory and merge it twice), must panic before any shard runs.
 func TestOnlyPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Only=[5] with Shards=4 must panic")
-		}
-	}()
-	Dynamics{Config: dynamicsConfig(10, 1), Days: 1, Shards: 4, Only: []int{5}}.Run()
+	for _, only := range [][]int{{5}, {-1}, {1, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Only=%v with Shards=4 must panic", only)
+				}
+			}()
+			Dynamics{Config: dynamicsConfig(10, 1), Days: 1, Shards: 4, Only: only,
+				AfterShard: func(i int, _ *world.World) {
+					t.Errorf("Only=%v: shard %d ran before the panic", only, i)
+				}}.Run()
+		}()
+	}
 }

@@ -114,7 +114,7 @@ const (
 )
 
 // LoadScenario reads, parses, validates, and canonicalizes a scenario
-// spec file (rrdps/v1, or rrdps/v1alpha1 converted on the way in).
+// spec file (rrdps/v1).
 var LoadScenario = scenario.Load
 
 // ParseScenario is LoadScenario over bytes already in hand; file is used
@@ -134,12 +134,11 @@ type Collector = collect.Collector
 
 // Snapshot is one day's collected records as a full map.
 //
-// Deprecated-path note: Snapshot is the legacy adapter kept so pre-store
-// callers still compile. New code should stream Collector.CollectStream
-// into a SnapshotStore and read days back through SnapshotCursor /
+// Snapshot is the map-based adapter kept for callers that need a whole
+// day as a map. New code should stream Collector.CollectStream into a
+// SnapshotStore and read days back through SnapshotCursor /
 // SnapshotPairCursor (or SnapshotStore.SnapshotAt when a map really is
-// needed); the campaign runners already work this way, and the map-based
-// entry points go away once downstream callers have migrated.
+// needed); the campaign runners work only this way.
 type Snapshot = collect.Snapshot
 
 // SnapshotStore is the append-only, delta-encoded, name-interned store for

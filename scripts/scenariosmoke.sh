@@ -47,8 +47,6 @@ expect_exit2 "dynamics spec on rrscan" \
   "$work/rrscan" -scenario scenarios/paper-baseline.json -validate-only
 expect_exit2 "-scenario with owned -sites" \
   "$work/dpsmeasure" -scenario scenarios/paper-baseline.json -sites 500
-expect_exit2 "-scenario with -legacy" \
-  "$work/dpsmeasure" -scenario scenarios/paper-baseline.json -legacy
 expect_exit2 "missing spec file" \
   "$work/dpsmeasure" -scenario "$work/nope.json"
 

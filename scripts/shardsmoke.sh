@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# shardsmoke.sh — the shard-parallel driver end to end at the process
-# level and at meaningful scale: run each campaign binary unsharded and
-# with -shards 4, and demand the merged sharded report be identical to
-# the unsharded one.
+# shardsmoke.sh — the sharded driver end to end at the process level and
+# at meaningful scale: run each campaign binary unsharded and with
+# -shards 4 (the shards run one after another in one process), and
+# demand the merged sharded report be identical to the unsharded one.
 #
 # Usage:
 #   scripts/shardsmoke.sh            # defaults: 100k-domain dpsmeasure,
