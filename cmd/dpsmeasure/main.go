@@ -18,7 +18,6 @@ import (
 	"rrdps/internal/core/report"
 	"rrdps/internal/obs"
 	"rrdps/internal/scenario"
-	"rrdps/internal/shardrun"
 	"rrdps/internal/world"
 )
 
@@ -122,53 +121,31 @@ func main() {
 		os.Exit(1)
 	}
 
+	fmt.Printf("building world: %d sites (seed %d)...\n", *sites, *seed)
+	start := time.Now()
+	w := world.New(cfg)
+	campaign := experiment.Dynamics{
+		World:           w,
+		Days:            *days,
+		Workers:         cf.Workers,
+		Policy:          &policy,
+		Obs:             reg,
+		SnapWindow:      cf.SnapWindow,
+		CheckpointDir:   cf.CheckpointDir,
+		CheckpointEvery: cf.CheckpointEvery,
+		Resume:          cf.Resume,
+		Scenario:        scn,
+	}
 	var res experiment.DynamicsResult
-	if cf.Shards > 1 {
-		// Sharded path: every shard builds its own world replica,
-		// so there is no single world to announce up front.
-		fmt.Printf("running %d-day campaign over %d sites in %d shards (seed %d)...\n\n",
-			*days, *sites, cf.Shards, *seed)
-		start := time.Now()
-		run := shardrun.Dynamics{
-			Config:          cfg,
-			Days:            *days,
-			Shards:          cf.Shards,
-			Workers:         cf.Workers,
-			Policy:          &policy,
-			Obs:             reg,
-			SnapWindow:      cf.SnapWindow,
-			CheckpointDir:   cf.CheckpointDir,
-			CheckpointEvery: cf.CheckpointEvery,
-			Resume:          cf.Resume,
-		}.Run()
-		res = run.Merged
-		fmt.Printf("sharded campaign done in %v\n\n", time.Since(start).Round(time.Millisecond))
+	if cf.Follow {
+		// Daemon mode has no horizon: -days is ignored, the engine
+		// appends until SIGTERM or -max-days.
+		campaign.Days = 0
+		fmt.Printf("world ready in %v; following (SIGTERM to drain)...\n\n", time.Since(start).Round(time.Millisecond))
+		res = runFollow(campaign, cf)
 	} else {
-		fmt.Printf("building world: %d sites (seed %d)...\n", *sites, *seed)
-		start := time.Now()
-		w := world.New(cfg)
-		campaign := experiment.Dynamics{
-			World:           w,
-			Days:            *days,
-			Workers:         cf.Workers,
-			Policy:          &policy,
-			Obs:             reg,
-			SnapWindow:      cf.SnapWindow,
-			CheckpointDir:   cf.CheckpointDir,
-			CheckpointEvery: cf.CheckpointEvery,
-			Resume:          cf.Resume,
-			Scenario:        scn,
-		}
-		if cf.Follow {
-			// Daemon mode has no horizon: -days is ignored, the engine
-			// appends until SIGTERM or -max-days.
-			campaign.Days = 0
-			fmt.Printf("world ready in %v; following (SIGTERM to drain)...\n\n", time.Since(start).Round(time.Millisecond))
-			res = runFollow(campaign, cf)
-		} else {
-			fmt.Printf("world ready in %v; running %d-day campaign...\n\n", time.Since(start).Round(time.Millisecond), *days)
-			res = campaign.Run()
-		}
+		fmt.Printf("world ready in %v; running %d-day campaign...\n\n", time.Since(start).Round(time.Millisecond), *days)
+		res = campaign.Run()
 	}
 
 	if err := stopProfiles(); err != nil {

@@ -20,7 +20,6 @@ import (
 	"rrdps/internal/netsim"
 	"rrdps/internal/obs"
 	"rrdps/internal/scenario"
-	"rrdps/internal/shardrun"
 	"rrdps/internal/world"
 )
 
@@ -64,7 +63,7 @@ func runFollow(cfg experiment.Residual, cf *cmdutil.CampaignFlags) experiment.Re
 }
 
 // poolCounts reads the Fig. 7 per-PoP query counts of one Cloudflare pool
-// nameserver out of a world. Sharded runs sum this across shard worlds.
+// nameserver out of a world.
 func poolCounts(w *world.World) map[netsim.Region]uint64 {
 	prov, ok := w.Provider(dps.Cloudflare)
 	if !ok {
@@ -144,69 +143,36 @@ func main() {
 		os.Exit(1)
 	}
 
-	var res experiment.ResidualResult
-	var fig7 map[netsim.Region]uint64
-	if cf.Shards > 1 {
-		fmt.Printf("running %d-week campaign over %d sites in %d shards (seed %d)...\n\n",
-			*weeks, *sites, cf.Shards, *seed)
-		start := time.Now()
-		run := shardrun.Residual{
-			Config:             cfg,
-			Weeks:              *weeks,
-			WarmupDays:         *warmup,
-			IncapsulaStartWeek: *incStart,
-			Shards:             cf.Shards,
-			Workers:            cf.Workers,
-			Policy:             &policy,
-			Obs:                reg,
-			SnapWindow:         cf.SnapWindow,
-			CheckpointDir:      cf.CheckpointDir,
-			CheckpointEvery:    cf.CheckpointEvery,
-			Resume:             cf.Resume,
-			// Fig. 7 load lives on each shard's network, not in the
-			// result; shards run one at a time, so summing here is safe.
-			AfterShard: func(_ int, w *world.World) {
-				for region, n := range poolCounts(w) {
-					if fig7 == nil {
-						fig7 = make(map[netsim.Region]uint64)
-					}
-					fig7[region] += n
-				}
-			},
-		}.Run()
-		res = run.Merged
-		fmt.Printf("sharded campaign done in %v\n\n", time.Since(start).Round(time.Millisecond))
-	} else {
-		fmt.Printf("building world: %d sites (seed %d)...\n", *sites, *seed)
-		start := time.Now()
-		w := world.New(cfg)
-		campaign := experiment.Residual{
-			World:              w,
-			Weeks:              *weeks,
-			WarmupDays:         *warmup,
-			IncapsulaStartWeek: *incStart,
-			Workers:            cf.Workers,
-			Policy:             &policy,
-			Obs:                reg,
-			SnapWindow:         cf.SnapWindow,
-			CheckpointDir:      cf.CheckpointDir,
-			CheckpointEvery:    cf.CheckpointEvery,
-			Resume:             cf.Resume,
-			Scenario:           scn,
-			Attack:             attackLoad,
-		}
-		if cf.Follow {
-			// Daemon mode has no horizon: -weeks is ignored, the engine
-			// appends rounds until SIGTERM or -max-days.
-			campaign.Weeks = 0
-			fmt.Printf("world ready in %v; following (SIGTERM to drain)...\n\n", time.Since(start).Round(time.Millisecond))
-			res = runFollow(campaign, cf)
-		} else {
-			fmt.Printf("world ready in %v; running %d-week campaign...\n\n", time.Since(start).Round(time.Millisecond), *weeks)
-			res = campaign.Run()
-		}
-		fig7 = poolCounts(w)
+	fmt.Printf("building world: %d sites (seed %d)...\n", *sites, *seed)
+	start := time.Now()
+	w := world.New(cfg)
+	campaign := experiment.Residual{
+		World:              w,
+		Weeks:              *weeks,
+		WarmupDays:         *warmup,
+		IncapsulaStartWeek: *incStart,
+		Workers:            cf.Workers,
+		Policy:             &policy,
+		Obs:                reg,
+		SnapWindow:         cf.SnapWindow,
+		CheckpointDir:      cf.CheckpointDir,
+		CheckpointEvery:    cf.CheckpointEvery,
+		Resume:             cf.Resume,
+		Scenario:           scn,
+		Attack:             attackLoad,
 	}
+	var res experiment.ResidualResult
+	if cf.Follow {
+		// Daemon mode has no horizon: -weeks is ignored, the engine
+		// appends rounds until SIGTERM or -max-days.
+		campaign.Weeks = 0
+		fmt.Printf("world ready in %v; following (SIGTERM to drain)...\n\n", time.Since(start).Round(time.Millisecond))
+		res = runFollow(campaign, cf)
+	} else {
+		fmt.Printf("world ready in %v; running %d-week campaign...\n\n", time.Since(start).Round(time.Millisecond), *weeks)
+		res = campaign.Run()
+	}
+	fig7 := poolCounts(w)
 
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintf(os.Stderr, "rrscan: %v\n", err)
@@ -220,8 +186,7 @@ func main() {
 	fmt.Println(report.TableVI(res))
 	fmt.Println(report.Figure9(res))
 
-	// Fig. 7: per-PoP query counts of one Cloudflare pool nameserver
-	// (summed across shard worlds when sharded).
+	// Fig. 7: per-PoP query counts of one Cloudflare pool nameserver.
 	if len(fig7) > 0 {
 		fmt.Println(report.Figure7(fig7))
 	}

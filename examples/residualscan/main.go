@@ -39,10 +39,11 @@ func main() {
 	matcher := match.New(w.Registry, dps.Profiles())
 
 	// Step 0: discover Cloudflare's NS-rerouting nameservers from a
-	// regular collection snapshot, exactly as the paper does (§V-A.1).
-	snap := collector.Collect(w.Day())
+	// regular collection pass, exactly as the paper does (§V-A.1).
 	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	nsHosts, nsAddrs := rrscan.DiscoverNameservers([]collect.Snapshot{snap}, profile, resolver)
+	disc := rrscan.NewNameserverDiscovery(profile)
+	collector.CollectStream(w.Day(), disc.AddRecord)
+	nsHosts, nsAddrs := disc.Resolve(resolver)
 	fmt.Printf("discovered %d cloudflare NS-rerouting nameservers, e.g. %s\n", len(nsHosts), nsHosts[0])
 
 	// Step 1: direct scan of every domain from five vantage points.

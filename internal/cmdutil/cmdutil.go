@@ -43,10 +43,6 @@ type CampaignFlags struct {
 	CheckpointDir   string
 	CheckpointEvery int
 	Resume          bool
-	// Shards partitions the population into independent campaigns run
-	// one after another (see internal/shardrun). Shards == 1 keeps the
-	// unsharded path.
-	Shards int
 	// Follow / MaxDays / FollowInterval control daemon mode: the campaign
 	// keeps appending collection rounds past any configured horizon,
 	// checkpointing on SIGTERM, so a `rrserve -follow` reader can tail
@@ -84,7 +80,6 @@ func RegisterCampaignFlags(fs *flag.FlagSet, snapWindowHelp string) *CampaignFla
 	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "directory for durable campaign state (checkpoints + write-ahead log); empty disables durability")
 	fs.IntVar(&f.CheckpointEvery, "checkpoint-every", 7, "world days between full checkpoints (the write-ahead log covers the rounds in between)")
 	fs.BoolVar(&f.Resume, "resume", false, "resume the campaign recorded in -checkpoint-dir instead of starting over (same seed and configuration required)")
-	fs.IntVar(&f.Shards, "shards", 1, "partition the population into this many deterministic shards, each an independent campaign run one at a time, whose results merge into one report (1 = unsharded)")
 	fs.BoolVar(&f.Follow, "follow", false, "daemon mode: keep appending collection rounds until SIGTERM (or -max-days), sealing each into -checkpoint-dir for rrserve -follow readers")
 	fs.IntVar(&f.MaxDays, "max-days", 0, "with -follow: stop after this many appended collection rounds (0 = run until SIGTERM)")
 	fs.DurationVar(&f.FollowInterval, "follow-interval", 0, "with -follow: pause between appended rounds (0 = append continuously)")
@@ -143,21 +138,13 @@ func (f *CampaignFlags) Validate() error {
 	if f.Resume && f.CheckpointDir == "" {
 		return fmt.Errorf("-resume requires -checkpoint-dir")
 	}
-	if f.Shards < 1 {
-		return fmt.Errorf("-shards must be at least 1")
-	}
-	if f.Follow {
-		if f.CheckpointDir == "" {
-			// Follow mode without a checkpoint directory would seal rounds
-			// into thin air — no rrserve -follow reader could ever attach.
-			return fmt.Errorf("-follow requires -checkpoint-dir (readers tail the sealed rounds there)")
-		}
-		if f.Shards > 1 {
-			return fmt.Errorf("-follow is incompatible with -shards > 1")
-		}
+	if f.Follow && f.CheckpointDir == "" {
+		// Follow mode without a checkpoint directory would seal rounds
+		// into thin air — no rrserve -follow reader could ever attach.
+		return fmt.Errorf("-follow requires -checkpoint-dir (readers tail the sealed rounds there)")
 	}
 	if f.MaxDays < 0 {
-		return fmt.Errorf("-max-days must be at least 1 (0 = run until SIGTERM)")
+		return fmt.Errorf("-max-days must not be negative (0 = run until SIGTERM)")
 	}
 	if f.MaxDays != 0 && !f.Follow {
 		return fmt.Errorf("-max-days needs -follow")
@@ -172,9 +159,6 @@ func (f *CampaignFlags) Validate() error {
 		return fmt.Errorf("-validate-only needs -scenario")
 	}
 	if f.Scenario != "" {
-		if f.Shards > 1 {
-			return fmt.Errorf("-scenario is incompatible with -shards > 1 (scenario campaigns run unsharded so attack load and provenance stay in one engine)")
-		}
 		// The spec owns the experiment shape; an explicitly-set owned flag
 		// would silently disagree with the spec hash recorded in the
 		// campaign's provenance. Fail naming both sides.

@@ -35,9 +35,7 @@ func TestCampaignFlagsValidate(t *testing.T) {
 		wantErr string // empty = must validate
 	}{
 		{name: "defaults", args: nil},
-		{name: "sharded", args: []string{"-shards", "8"}},
 		{name: "resume-with-dir", args: []string{"-resume", "-checkpoint-dir", "ckpt"}},
-		{name: "sharded-resume", args: []string{"-shards", "4", "-resume", "-checkpoint-dir", "ckpt"}},
 
 		{name: "metrics-text", args: []string{"-metrics", "text"}},
 		{name: "metrics-json-to-file", args: []string{"-metrics", "json", "-metrics-out", "dump.json"}},
@@ -48,8 +46,6 @@ func TestCampaignFlagsValidate(t *testing.T) {
 		{name: "follow-resume", args: []string{"-follow", "-resume", "-checkpoint-dir", "ckpt"}},
 
 		{name: "resume-without-dir", args: []string{"-resume"}, wantErr: "-resume requires -checkpoint-dir"},
-		{name: "zero-shards", args: []string{"-shards", "0"}, wantErr: "-shards must be at least 1"},
-		{name: "negative-shards", args: []string{"-shards", "-2"}, wantErr: "-shards must be at least 1"},
 		{name: "zero-workers", args: []string{"-workers", "0"}, wantErr: "-workers and -retries must be positive"},
 		{name: "zero-retries", args: []string{"-retries", "0"}, wantErr: "-workers and -retries must be positive"},
 		{name: "zero-checkpoint-every", args: []string{"-checkpoint-every", "0"}, wantErr: "-checkpoint-every must be positive"},
@@ -59,8 +55,7 @@ func TestCampaignFlagsValidate(t *testing.T) {
 		// Daemon-mode combinations a later stage would only reject after
 		// hours of campaign work — all must fail at flag validation.
 		{name: "follow-without-dir", args: []string{"-follow"}, wantErr: "-follow requires -checkpoint-dir"},
-		{name: "follow-sharded", args: []string{"-follow", "-checkpoint-dir", "ckpt", "-shards", "2"}, wantErr: "-follow is incompatible with -shards > 1"},
-		{name: "negative-max-days", args: []string{"-follow", "-checkpoint-dir", "ckpt", "-max-days", "-1"}, wantErr: "-max-days must be at least 1"},
+		{name: "negative-max-days", args: []string{"-follow", "-checkpoint-dir", "ckpt", "-max-days", "-1"}, wantErr: "-max-days must not be negative"},
 		{name: "max-days-without-follow", args: []string{"-max-days", "3"}, wantErr: "-max-days needs -follow"},
 		{name: "negative-follow-interval", args: []string{"-follow", "-checkpoint-dir", "ckpt", "-follow-interval", "-1s"}, wantErr: "-follow-interval must not be negative"},
 		{name: "follow-interval-without-follow", args: []string{"-follow-interval", "5s"}, wantErr: "-follow-interval needs -follow"},
@@ -88,9 +83,6 @@ func TestCampaignFlagsDefaults(t *testing.T) {
 	f, err := parse(t)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if f.Shards != 1 {
-		t.Errorf("default -shards = %d, want 1 (unsharded)", f.Shards)
 	}
 	if f.Retries != 3 || !f.Hedge {
 		t.Errorf("default policy knobs = retries %d hedge %v, want 3 true", f.Retries, f.Hedge)

@@ -54,8 +54,6 @@ func TestScenarioFlagValidation(t *testing.T) {
 
 		{name: "validate-only-without-scenario", args: []string{"-validate-only"},
 			wantErr: "-validate-only needs -scenario"},
-		{name: "scenario-plus-shards", args: []string{"-scenario", paperBaseline, "-shards", "4"},
-			wantErr: "-scenario is incompatible with -shards"},
 		// The conflict error must name both the scenario file and the flag.
 		{name: "scenario-plus-owned-flag", args: []string{"-scenario", paperBaseline, "-sites", "500"},
 			wantErr: "paper-baseline.json && -sites && the scenario spec owns that knob"},

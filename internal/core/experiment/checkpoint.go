@@ -240,7 +240,6 @@ type residualCursor struct {
 	NextWeek        int                     `json:"next_week"`
 	WorldDay        int                     `json:"world_day"`
 	NameserverCount int                     `json:"nameserver_count"`
-	NSHostsByWeek   map[int][]dnsmsg.Name   `json:"ns_hosts_by_week,omitempty"`
 	Cloudflare      []WeeklyReport          `json:"cloudflare"`
 	Incapsula       []WeeklyReport          `json:"incapsula"`
 	CFExposure      []exposure.WeekState    `json:"cf_exposure"`
@@ -332,7 +331,6 @@ func (r Residual) exportCursor(warmupRemaining, nextWeek int, e *residualEnv, re
 		NextWeek:        nextWeek,
 		WorldDay:        e.w.Day(),
 		NameserverCount: res.NameserverCount,
-		NSHostsByWeek:   res.NSHostsByWeek,
 		Cloudflare:      res.Cloudflare,
 		Incapsula:       res.Incapsula,
 		CFExposure:      res.CFExposure.ExportState(),

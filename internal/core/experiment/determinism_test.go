@@ -4,11 +4,17 @@ import (
 	"reflect"
 	"testing"
 
+	"rrdps/internal/netsim"
 	"rrdps/internal/world"
 )
 
+// faultPlan is a seeded fault plan: loss and corruption are pure
+// content hashes of (seed, endpoint, sim time, payload), so every run
+// of a campaign hits the same faults and retries the same queries.
+var faultPlan = netsim.FaultConfig{Seed: 431, LossRate: 0.02, CorruptRate: 0.02}
+
 // TestDynamicsFullyDeterministic: two campaigns on identically seeded
-// worlds produce byte-identical results.
+// worlds produce byte-identical results, with and without a fault plan.
 func TestDynamicsFullyDeterministic(t *testing.T) {
 	build := func() *world.World {
 		cfg := world.PaperConfig(500)
@@ -34,10 +40,26 @@ func TestDynamicsFullyDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.Unchanged, b.Unchanged) {
 		t.Fatal("Table V data differs")
 	}
+
+	faulty := func() DynamicsResult {
+		cfg := world.PaperConfig(240)
+		cfg.Seed = 4301
+		cfg.JoinRate = 0.01
+		cfg.LeaveRate = 0.02
+		cfg.PauseRate = 0.04
+		cfg.SwitchRate = 0.01
+		cfg.Faults = faultPlan
+		return Dynamics{World: world.New(cfg), Days: 5}.Run()
+	}
+	fa := faulty()
+	if fa.Stats.Retries == 0 {
+		t.Fatalf("fault plan produced no retries: %v", fa.Stats)
+	}
+	diffResults(t, fa, faulty())
 }
 
 // TestResidualFullyDeterministic: the §V campaign is likewise a pure
-// function of its configuration.
+// function of its configuration, fault plan included.
 func TestResidualFullyDeterministic(t *testing.T) {
 	build := func() *world.World {
 		return world.New(countermeasureConfig(911))
@@ -58,6 +80,21 @@ func TestResidualFullyDeterministic(t *testing.T) {
 			t.Fatalf("week %d hidden records differ", i+1)
 		}
 	}
+
+	faulty := func() ResidualResult {
+		cfg := world.PaperConfig(280)
+		cfg.Seed = 4401
+		cfg.LeaveRate = 0.01
+		cfg.SwitchRate = 0.008
+		cfg.JoinRate = 0.002
+		cfg.Faults = faultPlan
+		return Residual{World: world.New(cfg), Weeks: 2, WarmupDays: 7, IncapsulaStartWeek: 1}.Run()
+	}
+	fa := faulty()
+	if fa.Stats.Retries == 0 {
+		t.Fatalf("fault plan produced no retries: %v", fa.Stats)
+	}
+	diffResults(t, fa, faulty())
 }
 
 // TestResidualParallelMatchesSerial: the whole §V campaign with eight

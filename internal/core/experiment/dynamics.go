@@ -163,20 +163,6 @@ type Dynamics struct {
 	Vantage netsim.Region
 	// Excluded lists extra domains to skip.
 	Excluded []dnsmsg.Name
-	// Keep, when non-nil, restricts the campaign to the domains it
-	// accepts. The shard-parallel driver (internal/shardrun) partitions
-	// the apex population by giving each shard's campaign its membership
-	// predicate; an unsharded campaign leaves it nil and measures
-	// everything.
-	Keep func(alexa.Domain) bool
-	// TopCut overrides the top rank bucket cutoff: domains with Rank <=
-	// TopCut count toward the Fig. 2 top-bucket numbers. Zero derives
-	// the cutoff from the campaign's own population (population/100,
-	// min 1). A sharded campaign must pass the whole population's
-	// cutoff, or each shard would bucket against its shard-local
-	// population and the merged breakdown would not match an unsharded
-	// run.
-	TopCut int
 	// KeepMultiCDN disables the automatic exclusion of detected multi-CDN
 	// front-end customers (see DetectMultiCDN). The paper excludes them
 	// (§IV-B.3); keep them only to demonstrate the SWITCH noise they add.
@@ -231,12 +217,10 @@ type Dynamics struct {
 	// epoch". It does not influence the computation.
 	Scenario *ScenarioInfo
 
-	// StopAfterDays, when positive, stops the campaign after that many
+	// stopAfterDays, when positive, stops the campaign after that many
 	// collected days and returns the partial result — the test hook that
-	// simulates a kill at a day boundary. Exported so the shard-parallel
-	// driver's crash/resume suite (internal/shardrun) can kill one
-	// shard's campaign while its siblings run to completion.
-	StopAfterDays int
+	// simulates a kill at a day boundary.
+	stopAfterDays int
 
 	// OnSeal, when non-nil, runs after every sealed collection round with
 	// an immutable view of the store's sealed days and the round's
@@ -292,7 +276,7 @@ func (d Dynamics) Run() DynamicsResult {
 	for en.nextDay < d.Days {
 		en.AppendDay()
 		appended++
-		if d.StopAfterDays > 0 && appended >= d.StopAfterDays && en.nextDay < d.Days {
+		if d.stopAfterDays > 0 && appended >= d.stopAfterDays && en.nextDay < d.Days {
 			return en.res // simulated kill; the partial result is not meaningful
 		}
 	}
@@ -321,11 +305,7 @@ func (d Dynamics) setup() *dynamicsEnv {
 	resolver := w.NewResolver(vantage)
 	domains := make([]alexa.Domain, 0, len(w.Sites()))
 	for _, s := range w.Sites() {
-		dom := s.Domain()
-		if d.Keep != nil && !d.Keep(dom) {
-			continue
-		}
-		domains = append(domains, dom)
+		domains = append(domains, s.Domain())
 	}
 	collector := collect.New(resolver, domains)
 	if d.Workers > 1 {
@@ -344,12 +324,11 @@ func (d Dynamics) setup() *dynamicsEnv {
 		d.Obs.Gauge("campaign.days").Set(int64(d.Days))
 		d.Obs.Gauge("campaign.domains").Set(int64(len(domains)))
 	}
-	topCut := d.TopCut
-	if topCut <= 0 {
-		topCut = len(domains) / 100
-		if topCut < 1 {
-			topCut = 1
-		}
+	// Domains with Rank <= topCut count toward the Fig. 2 top-bucket
+	// numbers.
+	topCut := len(domains) / 100
+	if topCut < 1 {
+		topCut = 1
 	}
 	return &dynamicsEnv{
 		w:          w,

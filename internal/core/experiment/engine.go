@@ -372,7 +372,6 @@ func (r Residual) NewEngine() *ResidualEngine {
 				en.nextWeek = cur.NextWeek
 				en.baseStats = cur.BaseStats
 				en.res.NameserverCount = cur.NameserverCount
-				en.res.NSHostsByWeek = cur.NSHostsByWeek
 				en.res.Cloudflare = cur.Cloudflare
 				en.res.Incapsula = cur.Incapsula
 				en.res.CFExposure = exposure.RestoreTracker(cur.CFExposure)
@@ -505,7 +504,7 @@ func (en *ResidualEngine) AppendRound() {
 		disc.AddRecord(rec)
 	}
 	nsHosts, nsAddrs := disc.Resolve(e.resolver)
-	en.res.addWeekHosts(week, nsHosts)
+	en.res.NameserverCount = max(en.res.NameserverCount, len(nsHosts))
 
 	// The reflection flood (if configured) loads the fleet the scan is
 	// about to hammer: collection and discovery above see a clean fabric,

@@ -5,8 +5,8 @@ package experiment
 // any process arrangement — must produce artifacts value-identical to a
 // single batch Run over the same day range. The suite covers the plain
 // engine loop, long-interval jitter, parallel collection, a crash
-// (Close without Checkpoint) and resume mid-stream, a 2-shard split
-// merged back together, and the incremental Table V re-verification.
+// (Close without Checkpoint) and resume mid-stream, and the incremental
+// Table V re-verification.
 //
 // Run with -race: the engines claim AppendDay publishes each sealed
 // round before returning, and the daemon binaries call the accessors
@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"rrdps/internal/alexa"
 	"rrdps/internal/obs"
 )
 
@@ -181,41 +180,6 @@ func TestAppendRoundKillResume(t *testing.T) {
 			diffResults(t, en2.Result(), baseline)
 		})
 	}
-}
-
-// TestAppendDayShardedMerge splits the population across two incremental
-// engines — each over its own world replica, appending days in lockstep —
-// and merges the results. Merge(engine shards) must equal an unsharded
-// batch run, with the standing Stats/Sidelined latitude (shared
-// infrastructure queries are issued once per shard).
-func TestAppendDayShardedMerge(t *testing.T) {
-	const days, sites, seed = 8, 400, 6101
-	unshardedCfg := Dynamics{World: dynamicsWorld(sites, seed), Days: days}
-	baseline := unshardedCfg.Run()
-
-	// The whole population's top-bucket cutoff: each shard must bucket
-	// against it, not against its shard-local population.
-	topCut := sites / 100
-	if topCut < 1 {
-		topCut = 1
-	}
-	engines := make([]*DynamicsEngine, 2)
-	for i := range engines {
-		shard := i
-		engines[i] = Dynamics{
-			World:  dynamicsWorld(sites, seed), // per-shard world replica
-			Keep:   func(d alexa.Domain) bool { return d.Rank%2 == shard },
-			TopCut: topCut,
-		}.NewEngine()
-		defer engines[i].Close()
-	}
-	for day := 0; day < days; day++ {
-		for _, en := range engines {
-			en.AppendDay()
-		}
-	}
-	merged := engines[0].Result().Merge(engines[1].Result())
-	diffResults(t, merged, baseline, "Stats", "Sidelined")
 }
 
 // TestAppendDayIncrementalReverify pins the incremental Table V

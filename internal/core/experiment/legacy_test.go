@@ -154,7 +154,7 @@ func legacyResidual(r Residual) ResidualResult {
 		e.cnameLib.AddSnapshot(snap)
 
 		nsHosts, nsAddrs := rrscan.DiscoverNameservers([]collect.Snapshot{snap}, e.cfProfile, e.resolver)
-		res.addWeekHosts(week, nsHosts)
+		res.NameserverCount = max(res.NameserverCount, len(nsHosts))
 
 		r.floodWeek(e, week, nsAddrs)
 		r.scanWeek(&res, e, week, nsAddrs)

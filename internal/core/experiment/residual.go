@@ -41,14 +41,6 @@ type ResidualResult struct {
 	// NameserverCount is how many Cloudflare NS-rerouting nameservers the
 	// scan discovered (the paper's 391) — the largest single week's count.
 	NameserverCount int
-	// NSHostsByWeek records each scan week's discovered NS-rerouting
-	// hosts, sorted. NameserverCount derives from it (max weekly set
-	// size). The per-week sets exist so shard merges stay exact:
-	// discovery accumulates per record, so the union of the shards'
-	// weekly sets equals the whole population's weekly set, and the max
-	// must be taken after that union — merging the per-shard maxima
-	// alone would undercount.
-	NSHostsByWeek map[int][]dnsmsg.Name
 	// Stats aggregates the campaign's resilience accounting: the shared
 	// collector/filter resolver (counted once) plus every scan vantage
 	// client.
@@ -71,11 +63,6 @@ type Residual struct {
 	// re-resolution runs, delaying that case study (the paper's Incapsula
 	// study covers the last three weeks). Zero or one starts at week 1.
 	IncapsulaStartWeek int
-	// Keep, when non-nil, restricts the campaign to the domains it
-	// accepts. The shard-parallel driver (internal/shardrun) partitions
-	// the apex population by giving each shard's campaign its membership
-	// predicate; an unsharded campaign leaves it nil.
-	Keep func(alexa.Domain) bool
 	// WarmupDays advances the world before the first scan so the
 	// population carries history (terminated customers, stale records),
 	// as the real Internet does. Snapshots are still collected weekly
@@ -138,13 +125,10 @@ type Residual struct {
 	// epoch". It does not influence the computation.
 	Scenario *ScenarioInfo
 
-	// StopAfterRounds, when positive, stops the campaign after that many
+	// stopAfterRounds, when positive, stops the campaign after that many
 	// collection rounds (warm-up rounds count) and returns the partial
 	// result — the test hook that simulates a kill at a round boundary.
-	// Exported so the shard-parallel driver's crash/resume suite
-	// (internal/shardrun) can kill one shard's campaign while its
-	// siblings run to completion.
-	StopAfterRounds int
+	stopAfterRounds int
 
 	// OnSeal, when non-nil, runs after every sealed collection round with
 	// an immutable view of the store's sealed rounds and the round's
@@ -176,11 +160,11 @@ func (r Residual) Run() ResidualResult {
 	en := r.NewEngine()
 	defer en.Close()
 	for en.warmupRemaining > 0 || en.nextWeek <= r.Weeks {
-		// The final scan week checkpoints regardless of StopAfterRounds,
+		// The final scan week checkpoints regardless of stopAfterRounds,
 		// like the pre-engine pipeline's force flag.
 		final := en.warmupRemaining == 0 && en.nextWeek == r.Weeks
 		en.AppendRound()
-		if r.StopAfterRounds > 0 && en.rounds >= r.StopAfterRounds && !final {
+		if r.stopAfterRounds > 0 && en.rounds >= r.stopAfterRounds && !final {
 			return en.res // simulated kill; the partial result is not meaningful
 		}
 	}
@@ -208,11 +192,7 @@ func (r Residual) setup() *residualEnv {
 	resolver := w.NewResolver(netsim.RegionOregon)
 	domains := make([]alexa.Domain, 0, len(w.Sites()))
 	for _, s := range w.Sites() {
-		dom := s.Domain()
-		if r.Keep != nil && !r.Keep(dom) {
-			continue
-		}
-		domains = append(domains, dom)
+		domains = append(domains, s.Domain())
 	}
 	collector := collect.New(resolver, domains)
 	matcher := match.New(w.Registry, dps.Profiles())
@@ -344,19 +324,6 @@ func mergeSidelined(lists ...[]netip.Addr) []netip.Addr {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
-}
-
-// addWeekHosts records one week's discovered NS-rerouting hosts and
-// folds the week into NameserverCount. hosts arrive sorted from the
-// discovery's Resolve.
-func (r *ResidualResult) addWeekHosts(week int, hosts []dnsmsg.Name) {
-	if r.NSHostsByWeek == nil {
-		r.NSHostsByWeek = make(map[int][]dnsmsg.Name)
-	}
-	r.NSHostsByWeek[week] = append([]dnsmsg.Name(nil), hosts...)
-	if len(hosts) > r.NameserverCount {
-		r.NameserverCount = len(hosts)
-	}
 }
 
 // TotalHidden returns the distinct hidden-record counts (Table VI totals).

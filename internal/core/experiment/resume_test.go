@@ -36,7 +36,7 @@ func (c dynCfg) build(dir string, resume bool, stopAfter int) Dynamics {
 		CheckpointDir:   dir,
 		CheckpointEvery: c.every,
 		Resume:          resume,
-		StopAfterDays:   stopAfter,
+		stopAfterDays:   stopAfter,
 	}
 	if c.longProb > 0 {
 		d.LongIntervalProb = c.longProb
@@ -191,7 +191,7 @@ func (c resCfg) build(dir string, resume bool, stopAfter int) Residual {
 		CheckpointDir:      dir,
 		CheckpointEvery:    c.every,
 		Resume:             resume,
-		StopAfterRounds:    stopAfter,
+		stopAfterRounds:    stopAfter,
 	}
 }
 
@@ -328,4 +328,19 @@ func TestCheckpointRejectsProviderAudit(t *testing.T) {
 		}
 	}()
 	Residual{World: residualWorld(50, 1), Weeks: 1, ProviderAudit: true, CheckpointDir: t.TempDir()}.Run()
+}
+
+// TestResidualCursorSkipsRetiredField: residual cursors once carried
+// each week's discovered nameserver set under "ns_hosts_by_week". The
+// decoder must skip that field, so checkpoint directories that still
+// hold it keep resuming.
+func TestResidualCursorSkipsRetiredField(t *testing.T) {
+	cur, err := decodeResidualCursor([]byte(`{"kind":"residual","next_week":3,"nameserver_count":8,` +
+		`"ns_hosts_by_week":{"1":["ada.ns.cloudflare.com."],"2":["ada.ns.cloudflare.com.","bob.ns.cloudflare.com."]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.NextWeek != 3 || cur.NameserverCount != 8 {
+		t.Fatalf("decoded next_week %d nameserver_count %d, want 3 and 8", cur.NextWeek, cur.NameserverCount)
+	}
 }

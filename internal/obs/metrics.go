@@ -68,7 +68,7 @@ const histBuckets = 65
 
 // Histogram accumulates a value distribution in fixed log2 buckets. The
 // bucket layout never changes, so histograms from different runs or
-// components merge by plain bucket-wise addition, and totals are
+// components compare and diff bucket by bucket, and totals are
 // order-independent — the property the serial≡parallel equality test
 // relies on. Safe for concurrent use; no-ops on a nil receiver.
 type Histogram struct {

@@ -1,6 +1,6 @@
 // Package obs is the measurement pipeline's observability layer: a
 // dependency-free metrics registry (atomic counters, gauges, and
-// fixed-log-scale histograms with snapshot/diff/merge semantics) plus a
+// fixed-log-scale histograms with snapshot/diff semantics) plus a
 // lightweight phase tracer with a ring-buffered event log.
 //
 // The design mirrors dnsresolver.QueryStats: every metric is a sum of

@@ -120,7 +120,7 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestSnapshotDiffMerge(t *testing.T) {
+func TestSnapshotDiff(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("events")
 	h := r.Histogram("sizes")
@@ -144,15 +144,6 @@ func TestSnapshotDiffMerge(t *testing.T) {
 	}
 	if dh := diff.Histograms["sizes"]; dh.Count != 2 || dh.Sum != 13 || dh.Buckets[3] != 1 || dh.Buckets[4] != 1 {
 		t.Fatalf("diff histogram = %+v", dh)
-	}
-
-	// Merge(first, diff) reconstructs second for counters and histograms.
-	merged := first.Merge(diff)
-	if merged.Counters["events"] != second.Counters["events"] {
-		t.Fatalf("merge counter = %d, want %d", merged.Counters["events"], second.Counters["events"])
-	}
-	if !merged.Histograms["sizes"].equal(second.Histograms["sizes"]) {
-		t.Fatalf("merge histogram = %+v, want %+v", merged.Histograms["sizes"], second.Histograms["sizes"])
 	}
 }
 

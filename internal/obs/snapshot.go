@@ -8,9 +8,8 @@ import (
 )
 
 // Snapshot is a point-in-time copy of a registry's metrics. Snapshots are
-// plain values: Diff and Merge make pass-scoped accounting (per-week
-// deltas, multi-registry sums) explicit, mirroring how
-// dnsresolver.QueryStats composes with Add.
+// plain values: Diff makes pass-scoped accounting (per-week deltas)
+// explicit, mirroring how dnsresolver.QueryStats composes with Add.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
@@ -113,49 +112,10 @@ func (h HistogramSnapshot) diff(prev HistogramSnapshot) HistogramSnapshot {
 	return out
 }
 
-// Merge returns the field-wise sum of s and o — the multi-registry
-// aggregation (per-worker registries folding into a campaign total).
-// Gauges sum too; treat them as additive (sizes, not ratios) when
-// merging. Volatility marks are unioned.
-func (s Snapshot) Merge(o Snapshot) Snapshot {
-	out := emptySnapshot()
-	for name, v := range s.Counters {
-		out.Counters[name] = v
-	}
-	for name, v := range o.Counters {
-		out.Counters[name] += v
-	}
-	for name, v := range s.Gauges {
-		out.Gauges[name] = v
-	}
-	for name, v := range o.Gauges {
-		out.Gauges[name] += v
-	}
-	for name, h := range s.Histograms {
-		out.Histograms[name] = h.clone()
-	}
-	for name, h := range o.Histograms {
-		out.Histograms[name] = out.Histograms[name].merge(h)
-	}
-	s.copyVolatile(out.Volatile)
-	o.copyVolatile(out.Volatile)
-	return out
-}
-
 func (h HistogramSnapshot) clone() HistogramSnapshot {
 	out := HistogramSnapshot{Count: h.Count, Sum: h.Sum, Buckets: map[int]uint64{}}
 	for i, n := range h.Buckets {
 		out.Buckets[i] = n
-	}
-	return out
-}
-
-func (h HistogramSnapshot) merge(o HistogramSnapshot) HistogramSnapshot {
-	out := h.clone()
-	out.Count += o.Count
-	out.Sum += o.Sum
-	for i, n := range o.Buckets {
-		out.Buckets[i] += n
 	}
 	return out
 }

@@ -17,7 +17,7 @@ import (
 // runDynamicsCampaign runs a small dynamics campaign that both writes a
 // checkpoint directory and publishes every sealed round to a LiveSource —
 // the two attachment modes the service supports, off one ground truth.
-func runDynamicsCampaign(t *testing.T, dir string, days int) *LiveSource {
+func runDynamicsCampaign(t testing.TB, dir string, days int) *LiveSource {
 	t.Helper()
 	cfg := world.PaperConfig(200)
 	cfg.Seed = 9001

@@ -409,7 +409,7 @@ var VantageRegions = netsim.VantageRegions
 type MetricsRegistry = obs.Registry
 
 // MetricsSnapshot is a point-in-time copy of a registry's metrics, with
-// Diff/Merge/Deterministic for comparing runs.
+// Diff/Deterministic for comparing runs.
 type MetricsSnapshot = obs.Snapshot
 
 // MetricsDump bundles a snapshot with the tracer's phase summaries and
