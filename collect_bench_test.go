@@ -2,6 +2,7 @@ package rrdps_test
 
 import (
 	"fmt"
+	"runtime"
 	"syscall"
 	"testing"
 	"time"
@@ -48,6 +49,37 @@ func BenchmarkCollectDay(b *testing.B) {
 			cpu := processCPU(b) - cpu0
 			b.ReportMetric(float64(cpu.Nanoseconds())/float64(b.N*len(domains)), "cpu-ns/domain")
 		})
+	}
+}
+
+// TestCollectDayAllocBudget pins the collect day's allocation budget: on
+// a steady paper-baseline day, at GOMAXPROCS 1 so the pooled scratch
+// stays on one P, a day allocates at most 4 objects per domain. What is
+// left is what the day keeps: the cached answers and zone cuts, and the
+// record slices of the domains whose content changed.
+func TestCollectDayAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	spec, err := scenario.Load("scenarios/paper-baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp := scenario.Compile(spec)
+	w := world.New(comp.World)
+	var domains []alexa.Domain
+	for _, s := range w.Sites() {
+		domains = append(domains, s.Domain())
+	}
+	res := w.NewResolver(netsim.RegionOregon)
+	res.SetPolicy(comp.Policy)
+	c := collect.New(res, domains)
+	emit := func(collect.Record) {}
+	c.CollectStream(w.Day(), emit) // warm pools, maps and yesterday's records
+	allocs := testing.AllocsPerRun(5, func() { c.CollectStream(w.Day(), emit) })
+	if perDomain := allocs / float64(len(domains)); perDomain > 4 {
+		t.Errorf("collect day: %.0f allocs, %.2f per domain, want <= 4", allocs, perDomain)
 	}
 }
 

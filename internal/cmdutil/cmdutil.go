@@ -70,7 +70,7 @@ type CampaignFlags struct {
 // binaries.
 func RegisterCampaignFlags(fs *flag.FlagSet, snapWindowHelp string) *CampaignFlags {
 	f := &CampaignFlags{}
-	fs.IntVar(&f.Workers, "workers", runtime.GOMAXPROCS(0), "parallelism of the measurement loops (1 = serial; results are identical either way)")
+	fs.IntVar(&f.Workers, "workers", runtime.GOMAXPROCS(0), "parallelism of the measurement loops (1 = serial; findings are identical either way, query counts nearly so)")
 	fs.IntVar(&f.SnapWindow, "snap-window", 0, snapWindowHelp)
 	fs.IntVar(&f.Retries, "retries", 3, "attempts per query (1 = no retries); backoff and health sidelining follow the default policy")
 	fs.BoolVar(&f.Hedge, "hedge", true, "hedge retried queries to an alternate nameserver when one is available")

@@ -18,6 +18,11 @@ import (
 )
 
 // Record is one domain's records in a snapshot.
+//
+// Its slices are immutable. A collector hands a record the previous
+// day's slice for the same domain when the content is unchanged, so the
+// same backing array can sit in many days' records and in whatever
+// consumers retained: never sort, append to or overwrite them in place.
 type Record struct {
 	Domain alexa.Domain
 	// Addrs are the A records of the www subdomain after CNAME chasing.
@@ -83,9 +88,17 @@ func (s *Snapshot) Apexes() []dnsmsg.Name {
 type Collector struct {
 	resolver *dnsresolver.Resolver
 	domains  []alexa.Domain
+	www      []dnsmsg.Name // domains[i]'s www name, built once
 	ranked   []dnsmsg.Name // apexes in rank order, computed once
 	workers  int
 	obs      *obs.Registry
+
+	// days[cur] holds the latest pass's records, indexed like domains. A
+	// pass fills the other array, reusing the latest records' slices where
+	// the content is unchanged, then clears the array it read from.
+	// Records leave the collector by value, so the arrays never escape.
+	days [2][]Record
+	cur  int
 }
 
 // New creates a collector over the given domain list.
@@ -94,6 +107,10 @@ func New(resolver *dnsresolver.Resolver, domains []alexa.Domain) *Collector {
 		panic("collect: resolver is required")
 	}
 	c := &Collector{resolver: resolver, domains: append([]alexa.Domain(nil), domains...), workers: 1}
+	c.www = make([]dnsmsg.Name, len(c.domains))
+	for i, d := range c.domains {
+		c.www[i] = d.WWW()
+	}
 	// The population is fixed for the collector's lifetime, so the
 	// rank-ordered apex list every snapshot serves from Apexes is
 	// computed exactly once here, not once per snapshot per call.
@@ -141,15 +158,16 @@ func (c *Collector) SetObserver(r *obs.Registry) {
 // while the fabric is quiescent.
 //
 // With workers > 1 the domains fan out over a bounded pool. Each worker
-// writes only its own pre-assigned slots of a pre-sized results slice — no
-// results channel, no fan-in goroutine — and the snapshot map is assembled
-// afterwards on the caller's goroutine. Snapshots are value-identical to
-// serial collection because (a) each domain's record is computed by exactly
-// one worker from the same quiescent world (the campaign runners advance
-// the world only between snapshots), (b) the resolver's sharded cache only
-// memoizes answers that are stable while the world is quiescent, so cache
-// hit/miss interleaving cannot change any record's value, and (c) the
-// snapshot map is keyed by apex, so assembly order is irrelevant.
+// writes only its own pre-assigned slots of the collector's results
+// slice — no results channel, no fan-in goroutine — and the snapshot map
+// is assembled afterwards on the caller's goroutine. Snapshots are
+// value-identical to serial collection because (a) each domain's record
+// is computed by exactly one worker from the same quiescent world (the
+// campaign runners advance the world only between snapshots), (b) the
+// resolver's sharded cache only memoizes answers that are stable while
+// the world is quiescent, so cache hit/miss interleaving cannot change
+// any record's value, and (c) the snapshot map is keyed by apex, so
+// assembly order is irrelevant.
 func (c *Collector) Collect(day int) Snapshot {
 	records := c.collectAll(day)
 	snap := Snapshot{Day: day, Records: make(map[dnsmsg.Name]Record, len(c.domains)), apexes: c.ranked}
@@ -162,8 +180,9 @@ func (c *Collector) Collect(day int) Snapshot {
 // CollectStream is Collect without the map: it runs the same daily pass
 // (same cache purge, same health checkpoint, same queries in the same
 // order) and emits each domain's record, in domain-list order, to emit —
-// typically a snapstore.DayWriter's Put. Nothing per-day is retained by
-// the collector, so memory stays flat regardless of campaign length.
+// typically a snapstore.DayWriter's Put. The collector retains only the
+// latest day's records (to reuse their unchanged slices), so memory stays
+// flat regardless of campaign length.
 func (c *Collector) CollectStream(day int, emit func(Record)) {
 	for _, rec := range c.collectAll(day) {
 		emit(rec)
@@ -171,16 +190,24 @@ func (c *Collector) CollectStream(day int, emit func(Record)) {
 }
 
 // collectAll runs one daily pass and returns the records in domain-list
-// order (the i-th record belongs to c.domains[i]).
+// order (the i-th record belongs to c.domains[i]). The slice is the
+// collector's and valid until its next pass.
 func (c *Collector) collectAll(day int) []Record {
 	span := c.obs.Tracer().StartSpan("collect", fmt.Sprintf("day %d", day))
 	defer span.End()
 	c.resolver.Checkpoint()
 	c.resolver.PurgeCache()
-	records := make([]Record, len(c.domains))
+	if c.days[0] == nil {
+		c.days[0] = make([]Record, len(c.domains))
+		c.days[1] = make([]Record, len(c.domains))
+	}
+	prev := c.days[c.cur]
+	c.cur ^= 1
+	records := c.days[c.cur]
+	defer clear(prev)
 	if c.workers <= 1 || len(c.domains) <= 1 {
-		for i, d := range c.domains {
-			records[i] = c.collectOne(d)
+		for i := range c.domains {
+			records[i] = c.collectOne(i, &prev[i])
 		}
 		c.countRecords(span, records)
 		return records
@@ -196,7 +223,7 @@ func (c *Collector) collectAll(day int) []Record {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(c.domains); i += workers {
-				records[i] = c.collectOne(c.domains[i])
+				records[i] = c.collectOne(i, &prev[i])
 			}
 		}(w)
 	}
@@ -228,28 +255,79 @@ func (c *Collector) countRecords(span *obs.Span, records []Record) {
 	c.obs.Counter("collect.ns_ok").Add(nsOK)
 }
 
-func (c *Collector) collectOne(d alexa.Domain) Record {
-	rec := Record{Domain: d}
+// collectOne resolves domain i. prev is the domain's previous record (or
+// a zero one); its slices are reused wherever today's content equals them,
+// so an unchanged domain costs no allocation for its record.
+func (c *Collector) collectOne(i int, prev *Record) Record {
+	rec := Record{Domain: c.domains[i]}
 
-	aRes, err := c.resolver.Resolve(d.WWW(), dnsmsg.TypeA)
+	aRes, err := c.resolver.Resolve(c.www[i], dnsmsg.TypeA)
 	switch {
 	case err == nil:
 		rec.ResolveOK = true
-		rec.Addrs = aRes.Addrs()
-		rec.CNAMEs = aRes.CNAMETargets()
+		rec.Addrs = reuseAddrs(prev.Addrs, aRes)
+		rec.CNAMEs = reuseCNAMEs(prev.CNAMEs, aRes)
 	case errors.Is(err, dnsresolver.ErrNXDomain):
 		// The chain may still be informative (stale CNAME, NXDOMAIN target).
-		rec.CNAMEs = aRes.CNAMETargets()
+		rec.CNAMEs = reuseCNAMEs(prev.CNAMEs, aRes)
 	default:
 		// SERVFAIL/timeout: record stays empty.
 	}
 
-	nsRes, err := c.resolver.Resolve(d.Apex, dnsmsg.TypeNS)
+	nsRes, err := c.resolver.Resolve(rec.Domain.Apex, dnsmsg.TypeNS)
 	if err == nil {
 		rec.NSOK = true
-		rec.NSHosts = nsRes.NSHosts()
+		rec.NSHosts = reuseNSHosts(prev.NSHosts, nsRes)
 	}
 	return rec
+}
+
+// reuseAddrs returns res.Addrs(), or prev when that would be a copy of
+// it.
+func reuseAddrs(prev []netip.Addr, res dnsresolver.Result) []netip.Addr {
+	n := 0
+	for _, rr := range res.Answers {
+		if a, ok := rr.Data.(dnsmsg.AData); ok {
+			if n == len(prev) || prev[n] != a.Addr {
+				return res.Addrs()
+			}
+			n++
+		}
+	}
+	if n != len(prev) {
+		return res.Addrs()
+	}
+	return prev
+}
+
+// reuseNSHosts is reuseAddrs for res.NSHosts().
+func reuseNSHosts(prev []dnsmsg.Name, res dnsresolver.Result) []dnsmsg.Name {
+	n := 0
+	for _, rr := range res.Answers {
+		if ns, ok := rr.Data.(dnsmsg.NSData); ok {
+			if n == len(prev) || prev[n] != ns.Host {
+				return res.NSHosts()
+			}
+			n++
+		}
+	}
+	if n != len(prev) {
+		return res.NSHosts()
+	}
+	return prev
+}
+
+// reuseCNAMEs is reuseAddrs for res.CNAMETargets().
+func reuseCNAMEs(prev []dnsmsg.Name, res dnsresolver.Result) []dnsmsg.Name {
+	if len(prev) != len(res.Chain) {
+		return res.CNAMETargets()
+	}
+	for i, rr := range res.Chain {
+		if rr.Data.(dnsmsg.CNAMEData).Target != prev[i] {
+			return res.CNAMETargets()
+		}
+	}
+	return prev
 }
 
 // ResolveOne performs a one-off "normal resolution" of an arbitrary

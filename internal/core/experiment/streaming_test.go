@@ -14,6 +14,9 @@ import (
 // resolver's Stats depend on goroutine interleaving over the shared cache
 // (the same latitude the serial≡parallel determinism tests allow), so
 // parallel sub-tests skip "Stats" and serial sub-tests pin everything.
+// Concurrent misses on one key are de-duplicated (dnsresolver's flight
+// table), but a site can still find glue a later site's referral already
+// cached, where a serial pass resolves that nameserver itself.
 func diffResults(t *testing.T, streaming, legacy any, skip ...string) {
 	t.Helper()
 	skipped := make(map[string]bool, len(skip))

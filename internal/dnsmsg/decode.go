@@ -51,10 +51,20 @@ type Decoder struct {
 	// Pre-boxed RData values, keyed by content. Storing a concrete rdata
 	// struct in the RData interface allocates; a campaign decodes the same
 	// few addresses and targets endlessly, so each distinct value is boxed
-	// once and reused. SOA/MX/TXT are rare enough to box per record.
+	// once and reused. MX/TXT are rare enough to box per record.
 	aData     map[netip.Addr]RData
 	nsData    map[Name]RData
 	cnameData map[Name]RData
+	// soaData holds each zone's latest boxed SOA, keyed by its names:
+	// every negative answer carries its zone's SOA, but a serial bump
+	// changes the content, so keying by content would keep every
+	// superseded serial alive.
+	soaData map[soaKey]RData
+}
+
+// soaKey identifies a zone's SOA across serial changes.
+type soaKey struct {
+	mname, rname Name
 }
 
 // decodedName is one memoized name: decoding at off yields name after
@@ -512,12 +522,31 @@ func (d *Decoder) rr() (RR, error) {
 		if soa.RName, err = d.name(); err != nil {
 			return RR{}, err
 		}
-		for _, p := range []*uint32{&soa.Serial, &soa.Refresh, &soa.Retry, &soa.Expire, &soa.Minimum} {
-			if *p, err = d.u32(); err != nil {
-				return RR{}, err
-			}
+		if soa.Serial, err = d.u32(); err != nil {
+			return RR{}, err
 		}
-		data = soa
+		if soa.Refresh, err = d.u32(); err != nil {
+			return RR{}, err
+		}
+		if soa.Retry, err = d.u32(); err != nil {
+			return RR{}, err
+		}
+		if soa.Expire, err = d.u32(); err != nil {
+			return RR{}, err
+		}
+		if soa.Minimum, err = d.u32(); err != nil {
+			return RR{}, err
+		}
+		key := soaKey{soa.MName, soa.RName}
+		if v, ok := d.soaData[key]; ok && v.(SOAData) == soa {
+			data = v
+		} else {
+			if d.soaData == nil || len(d.soaData) >= maxInternedNames {
+				d.soaData = make(map[soaKey]RData)
+			}
+			data = soa
+			d.soaData[key] = data
+		}
 	case TypeMX:
 		pref, err := d.u16()
 		if err != nil {

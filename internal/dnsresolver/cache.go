@@ -78,6 +78,10 @@ type delegationSlot struct {
 	entry delegationEntry
 	gen   uint64
 	node  int32
+	// seq and by stamp the fill: the cache's fill sequence number after
+	// it, and the resolution that made it (flight.go).
+	seq uint64
+	by  *resolveScratch
 }
 
 type hostAddrSlot struct {
@@ -87,13 +91,14 @@ type hostAddrSlot struct {
 }
 
 // cacheShard is one stripe: a mutex, its slice of each table, the shared
-// recency list, and the current generation.
+// recency list, the current generation, and the fills in flight.
 type cacheShard struct {
 	mu          sync.Mutex
 	gen         uint64
 	answers     map[cacheKey]answerSlot
 	delegations map[dnsmsg.Name]delegationSlot
 	hostAddrs   map[dnsmsg.Name]hostAddrSlot
+	flightShard
 
 	nodes    []lruNode
 	head     int32 // most recently used
@@ -106,6 +111,7 @@ func (s *cacheShard) init(capacity int) {
 	s.answers = make(map[cacheKey]answerSlot)
 	s.delegations = make(map[dnsmsg.Name]delegationSlot)
 	s.hostAddrs = make(map[dnsmsg.Name]hostAddrSlot)
+	s.landed.L = &s.mu
 	s.head, s.tail, s.freeHead = noNode, noNode, noNode
 	s.capacity = capacity
 }
@@ -253,6 +259,12 @@ type cache struct {
 	// obs is atomic so lookups never contend on a process-wide mutex —
 	// that would undo the sharding.
 	obs atomic.Pointer[cacheObs]
+
+	// fills counts delegation fills, stamping each (flight.go).
+	fills atomic.Uint64
+	// waitMu guards every resolution's wait edge (resolveScratch.waitFor
+	// and waitKey), so a would-be waiter sees all the others'.
+	waitMu sync.Mutex
 }
 
 // newCache creates a cache. capacity is the approximate total entry
@@ -343,7 +355,11 @@ func (c *cache) Len(now time.Time) int {
 	return n
 }
 
-func (c *cache) getAnswer(now time.Time, key cacheKey) (answerEntry, bool) {
+// lookupAnswer looks key up for resolution sc. On a miss, sc joins the
+// key's fill (flight.go): it leads it, fills it solo, or waits for the
+// leader and re-reads, which is a hit when the leader cached the entry.
+// A nil sc joins nothing and reports a miss as claimSolo.
+func (c *cache) lookupAnswer(sc *resolveScratch, now time.Time, key cacheKey) (answerEntry, claim) {
 	idx := shardIndex(key.name)
 	s := &c.shards[idx]
 	s.mu.Lock()
@@ -354,21 +370,36 @@ func (c *cache) getAnswer(now time.Time, key cacheKey) (answerEntry, bool) {
 			s.reclaim(slot.node)
 		}
 		c.obs.Load().observe(idx, false)
-		return answerEntry{}, false
+		if sc == nil {
+			return answerEntry{}, claimSolo
+		}
+		if cl := c.join(s, sc, now, key, 0); cl != claimHit {
+			return answerEntry{}, cl
+		}
+		return s.answers[key].entry, claimHit
 	}
 	s.used(slot.node)
 	c.obs.Load().observe(idx, true)
-	return slot.entry, true
+	return slot.entry, claimHit
 }
 
-func (c *cache) putAnswer(now time.Time, key cacheKey, e answerEntry, ttl time.Duration) {
+// putAnswer caches e under key for ttl and lands the fill of key that
+// leader leads, if any (flight.go).
+func (c *cache) putAnswer(now time.Time, key cacheKey, e answerEntry, ttl time.Duration, leader *resolveScratch) {
 	if ttl <= 0 {
-		return // zero-TTL answers are never cached
+		// Zero-TTL answers are never cached.
+		if leader != nil {
+			c.land(leader, key)
+		}
+		return
 	}
 	e.expires = now.Add(ttl)
 	s := c.shardFor(key.name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if leader != nil {
+		s.landLocked(leader, key)
+	}
 	if slot, ok := s.answers[key]; ok {
 		s.used(slot.node)
 		s.answers[key] = answerSlot{entry: e, gen: s.gen, node: slot.node}
@@ -399,8 +430,14 @@ func (c *cache) getDelegation(now time.Time, zone dnsmsg.Name) ([]dnsmsg.Name, b
 	return slot.entry.hosts, true
 }
 
-func (c *cache) putDelegation(now time.Time, zone dnsmsg.Name, hosts []dnsmsg.Name, ttl time.Duration) {
+// putDelegation caches the zone cut at zone, filled by resolution by,
+// and lands by's fill of the cut if it leads it (flight.go).
+func (c *cache) putDelegation(now time.Time, zone dnsmsg.Name, hosts []dnsmsg.Name, ttl time.Duration, by *resolveScratch) {
+	key := cacheKey{name: zone}
 	if ttl <= 0 || len(hosts) == 0 {
+		if by != nil {
+			c.land(by, key)
+		}
 		return
 	}
 	e := delegationEntry{
@@ -410,14 +447,30 @@ func (c *cache) putDelegation(now time.Time, zone dnsmsg.Name, hosts []dnsmsg.Na
 	s := c.shardFor(zone)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.landLocked(by, key)
+	seq := c.fills.Add(1)
 	if slot, ok := s.delegations[zone]; ok {
 		s.used(slot.node)
-		s.delegations[zone] = delegationSlot{entry: e, gen: s.gen, node: slot.node}
+		s.delegations[zone] = delegationSlot{entry: e, gen: s.gen, node: slot.node, seq: seq, by: by}
 		return
 	}
-	node := s.link(kindDelegation, cacheKey{name: zone})
-	s.delegations[zone] = delegationSlot{entry: e, gen: s.gen, node: node}
+	node := s.link(kindDelegation, key)
+	s.delegations[zone] = delegationSlot{entry: e, gen: s.gen, node: node, seq: seq, by: by}
 	s.evictOver()
+}
+
+// joinCut is the flight-table join (flight.go) of resolution sc for the
+// zone cut at zone, which its walk, started at fill sequence since, is
+// about to probe. On claimHit it returns the cut's hosts, shared with the
+// cache: callers must not mutate them.
+func (c *cache) joinCut(sc *resolveScratch, now time.Time, zone dnsmsg.Name, since uint64) ([]dnsmsg.Name, claim) {
+	s := c.shardFor(zone)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cl := c.join(s, sc, now, cacheKey{name: zone}, since); cl != claimHit {
+		return nil, cl
+	}
+	return s.delegations[zone].entry.hosts, claimHit
 }
 
 // closestDelegation returns the cached zone cut deepest along name's

@@ -25,8 +25,8 @@ func TestCacheShardRouting(t *testing.T) {
 		hit[c.shardFor(name)] = true
 		key := cacheKey{name: name, qtype: dnsmsg.TypeA}
 		addr := netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})
-		c.putAnswer(now, key, answerEntry{answers: []dnsmsg.RR{dnsmsg.NewA(name, time.Minute, addr)}}, time.Minute)
-		c.putDelegation(now, name, []dnsmsg.Name{"ns." + name}, time.Minute)
+		c.putAnswer(now, key, answerEntry{answers: []dnsmsg.RR{dnsmsg.NewA(name, time.Minute, addr)}}, time.Minute, nil)
+		c.putDelegation(now, name, []dnsmsg.Name{"ns." + name}, time.Minute, nil)
 		c.putHostAddr(now, name, addr, time.Minute)
 
 		if e, ok := c.getAnswer(now, key); !ok || len(e.answers) != 1 {
@@ -104,8 +104,8 @@ func TestCacheConcurrentStress(t *testing.T) {
 				name := cacheTestName(i)
 				key := cacheKey{name: name, qtype: dnsmsg.TypeA}
 				want := addrOf(i)
-				c.putAnswer(now, key, answerEntry{answers: []dnsmsg.RR{dnsmsg.NewA(name, time.Minute, want)}}, time.Minute)
-				c.putDelegation(now, name, []dnsmsg.Name{"ns." + name}, time.Minute)
+				c.putAnswer(now, key, answerEntry{answers: []dnsmsg.RR{dnsmsg.NewA(name, time.Minute, want)}}, time.Minute, nil)
+				c.putDelegation(now, name, []dnsmsg.Name{"ns." + name}, time.Minute, nil)
 				c.putHostAddr(now, name, want, time.Minute)
 				if e, ok := c.getAnswer(now, key); ok {
 					if len(e.answers) != 1 || e.answers[0].Data.(dnsmsg.AData).Addr != want {
@@ -129,4 +129,10 @@ func TestCacheConcurrentStress(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+}
+
+// getAnswer is lookupAnswer outside any resolution: a plain lookup.
+func (c *cache) getAnswer(now time.Time, key cacheKey) (answerEntry, bool) {
+	e, cl := c.lookupAnswer(nil, now, key)
+	return e, cl == claimHit
 }

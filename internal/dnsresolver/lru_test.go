@@ -44,8 +44,8 @@ func TestCacheCapacityEviction(t *testing.T) {
 	key := func(n dnsmsg.Name) cacheKey { return cacheKey{name: n, qtype: dnsmsg.TypeA} }
 	shard := &c.shards[shardIndex(a)]
 
-	c.putAnswer(now, key(a), answerEntry{}, ttl)
-	c.putAnswer(now, key(b), answerEntry{}, ttl)
+	c.putAnswer(now, key(a), answerEntry{}, ttl, nil)
+	c.putAnswer(now, key(b), answerEntry{}, ttl, nil)
 	if got := shard.size(); got != 2 {
 		t.Fatalf("shard size = %d after two puts, want 2", got)
 	}
@@ -54,7 +54,7 @@ func TestCacheCapacityEviction(t *testing.T) {
 	if _, ok := c.getAnswer(now, key(a)); !ok {
 		t.Fatal("a missing before eviction")
 	}
-	c.putAnswer(now, key(x), answerEntry{}, ttl)
+	c.putAnswer(now, key(x), answerEntry{}, ttl, nil)
 	if got := shard.size(); got != 2 {
 		t.Fatalf("shard size = %d after eviction, want 2", got)
 	}
@@ -95,7 +95,7 @@ func TestCacheUncappedNeverEvicts(t *testing.T) {
 	const n = 500
 	for i := 0; i < n; i++ {
 		key := cacheKey{name: dnsmsg.Name(fmt.Sprintf("u-%d.example.com", i)), qtype: dnsmsg.TypeA}
-		c.putAnswer(now, key, answerEntry{}, time.Hour)
+		c.putAnswer(now, key, answerEntry{}, time.Hour, nil)
 	}
 	if got := c.Len(now); got != n {
 		t.Fatalf("uncapped cache Len = %d after %d puts, want %d", got, n, n)

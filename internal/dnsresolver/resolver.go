@@ -13,6 +13,7 @@ package dnsresolver
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"sync"
@@ -60,9 +61,20 @@ func (r Result) FinalName() dnsmsg.Name {
 	return r.Chain[len(r.Chain)-1].Data.(dnsmsg.CNAMEData).Target
 }
 
-// Addrs extracts the IPv4 addresses from A answers.
+// Addrs extracts the IPv4 addresses from A answers, or nil when there
+// are none. The slice is sized by a counting pass, so it is the one
+// allocation.
 func (r Result) Addrs() []netip.Addr {
-	var out []netip.Addr
+	n := 0
+	for _, rr := range r.Answers {
+		if _, ok := rr.Data.(dnsmsg.AData); ok {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]netip.Addr, 0, n)
 	for _, rr := range r.Answers {
 		if a, ok := rr.Data.(dnsmsg.AData); ok {
 			out = append(out, a.Addr)
@@ -71,18 +83,32 @@ func (r Result) Addrs() []netip.Addr {
 	return out
 }
 
-// CNAMETargets extracts the alias targets in chain order.
+// CNAMETargets extracts the alias targets in chain order, or nil when no
+// alias was followed.
 func (r Result) CNAMETargets() []dnsmsg.Name {
-	var out []dnsmsg.Name
-	for _, rr := range r.Chain {
-		out = append(out, rr.Data.(dnsmsg.CNAMEData).Target)
+	if len(r.Chain) == 0 {
+		return nil
+	}
+	out := make([]dnsmsg.Name, len(r.Chain))
+	for i, rr := range r.Chain {
+		out[i] = rr.Data.(dnsmsg.CNAMEData).Target
 	}
 	return out
 }
 
-// NSHosts extracts nameserver hostnames from NS answers.
+// NSHosts extracts nameserver hostnames from NS answers, or nil when
+// there are none, in one allocation like Addrs.
 func (r Result) NSHosts() []dnsmsg.Name {
-	var out []dnsmsg.Name
+	n := 0
+	for _, rr := range r.Answers {
+		if _, ok := rr.Data.(dnsmsg.NSData); ok {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]dnsmsg.Name, 0, n)
 	for _, rr := range r.Answers {
 		if ns, ok := rr.Data.(dnsmsg.NSData); ok {
 			out = append(out, ns.Host)
@@ -141,10 +167,17 @@ type resolveFrame struct {
 // resolveScratch is the full per-resolution scratch: a frame for every
 // recursion depth, and the resolution's query accounting, folded into the
 // client's counters once when it completes. Pooled, so steady-state
-// resolutions allocate nothing for plumbing.
+// resolutions allocate nothing for plumbing. Its address is also the
+// resolution's identity in the flight table, which is why one scratch
+// never serves two resolutions at once.
 type resolveScratch struct {
 	frames [maxDepth + 1]resolveFrame
 	stats  QueryStats
+
+	// waitFor is the resolution whose fill of waitKey this one is waiting
+	// for, if any. Guarded by the flight table's waitMu.
+	waitFor *resolveScratch
+	waitKey cacheKey
 }
 
 var resolveScratchPool = sync.Pool{New: func() any { return new(resolveScratch) }}
@@ -212,7 +245,12 @@ func (r *Resolver) resolve(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 	cur := name
 	for hop := 0; hop <= maxCNAMEHops; hop++ {
 		key := cacheKey{name: cur, qtype: qtype}
-		if e, ok := r.cache.getAnswer(now, key); ok {
+		e, cl := r.cache.lookupAnswer(sc, now, key)
+		var leader *resolveScratch // set when this resolution leads key's fill
+		if cl == claimLead {
+			leader = sc
+		}
+		if cl == claimHit {
 			res.Chain = append(res.Chain, e.chain...)
 			res.Answers = e.answers
 			if e.rcode == dnsmsg.RCodeNXDomain {
@@ -228,16 +266,19 @@ func (r *Resolver) resolve(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 
 		chain, answers, rcode, negTTL, err := r.iterate(sc, cur, qtype, depth)
 		if err != nil {
+			if leader != nil {
+				r.cache.land(leader, key)
+			}
 			return res, fmt.Errorf("resolving %s %s: %w", name, qtype, err)
 		}
 		if rcode == dnsmsg.RCodeNXDomain {
-			r.cache.putAnswer(now, key, answerEntry{rcode: rcode}, negTTL)
+			r.cache.putAnswer(now, key, answerEntry{rcode: rcode}, negTTL, leader)
 			res.Chain = append(res.Chain, chain...)
 			return res, fmt.Errorf("resolving %s %s: %w", name, qtype, ErrNXDomain)
 		}
 
 		ttl := minTTL2(chain, answers, r.negTTL)
-		r.cache.putAnswer(now, key, answerEntry{chain: chain, answers: answers}, ttl)
+		r.cache.putAnswer(now, key, answerEntry{chain: chain, answers: answers}, ttl, leader)
 		// Feed A answers into the host-address cache for NS resolution.
 		for _, rr := range answers {
 			if a, ok := rr.Data.(dnsmsg.AData); ok {
@@ -279,6 +320,7 @@ func (r *Resolver) resolve(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 func (r *Resolver) iterate(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Type, depth int) (chain, answers []dnsmsg.RR, rcode dnsmsg.RCode, negTTL time.Duration, err error) {
 	f := &sc.frames[depth]
 	now := r.clock.Now()
+	walkStart := r.cache.fills.Load()
 	f.servers = append(f.servers[:0], r.roots...)
 	servers := f.servers
 	zone := dnsmsg.Name("") // the root
@@ -294,7 +336,16 @@ func (r *Resolver) iterate(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 			break
 		}
 		child := nextLabel(zone, name)
+		addrs, lead := r.awaitCut(sc, now, child, walkStart, depth)
+		if len(addrs) > 0 {
+			zone, servers = child, addrs
+			continue
+		}
 		resp, ok := r.queryAny(&f.ex, &sc.stats, servers, child, dnsmsg.TypeNS)
+		cut := ok && resp.Header.RCode == dnsmsg.RCodeNoError && r.fillCut(sc, f, now, child, resp)
+		if lead && !cut { // fillCut's put lands a cut
+			r.cache.land(sc, cacheKey{name: child})
+		}
 		if !ok {
 			return nil, nil, 0, 0, fmt.Errorf("no server for %s answered: %w", child, ErrServFail)
 		}
@@ -308,28 +359,11 @@ func (r *Resolver) iterate(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 			return nil, nil, 0, 0, fmt.Errorf("server answered %s for %s: %w", resp.Header.RCode, child, ErrServFail)
 		}
 
-		// A cut at child arrives as a referral from the parent side, or as
-		// an authoritative NS answer when the queried server happens to
-		// host the child zone too (provider fleets serving both).
-		nsSet := refNS(resp)
-		if len(nsSet) == 0 {
-			nsSet = finalAnswers(resp.Answers, dnsmsg.TypeNS)
-		}
-		if len(nsSet) == 0 {
+		if !cut {
 			// NODATA or an alias at child: no cut there, the current
 			// servers stay authoritative one label deeper.
 			zone = child
 			continue
-		}
-		f.hosts = f.hosts[:0]
-		for _, rr := range nsSet {
-			f.hosts = append(f.hosts, rr.Data.(dnsmsg.NSData).Host)
-		}
-		r.cache.putDelegation(now, child, f.hosts, minTTL(nsSet, r.negTTL))
-		for _, rr := range resp.Additional {
-			if a, ok := rr.Data.(dnsmsg.AData); ok {
-				r.cache.putHostAddr(now, rr.Name, a.Addr, rr.TTL)
-			}
 		}
 		// This overwrites f.addrs — the backing of `servers` when the walk
 		// started from a cached cut or took a prior referral — which is
@@ -364,6 +398,53 @@ func (r *Resolver) iterate(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 	}
 	// Authoritative NODATA.
 	return nil, nil, dnsmsg.RCodeNoError, r.negativeTTL(resp), nil
+}
+
+// awaitCut is iterate's path for the zone cut at child, about to be
+// probed by a walk that began at fill sequence since. When another
+// resolution landed the cut after that, it returns the cut's server
+// addresses from the cache, as a walk starting now would have found
+// them. Otherwise it reports whether the caller leads the probe (and must
+// land it). An unusable cached cut leaves the caller's servers intact:
+// hostAddrs appended nothing to the frame they may alias.
+func (r *Resolver) awaitCut(sc *resolveScratch, now time.Time, child dnsmsg.Name, since uint64, depth int) (addrs []netip.Addr, lead bool) {
+	hosts, cl := r.cache.joinCut(sc, now, child, since)
+	if cl == claimHit {
+		if addrs := r.hostAddrs(sc, hosts, nil, depth); len(addrs) > 0 {
+			return addrs, false
+		}
+		// Unusable: probe it anyway, as the walk that found it cached at
+		// its start would have.
+		_, cl = r.cache.joinCut(sc, now, child, math.MaxUint64)
+	}
+	return nil, cl == claimLead
+}
+
+// fillCut reads the zone cut at child out of a NOERROR probe reply into
+// f.hosts and caches it with the reply's glue. A cut arrives as a
+// referral from the parent side, or as an authoritative NS answer when
+// the queried server happens to host the child zone too (provider fleets
+// serving both). It reports whether the reply held a cut.
+//
+// The glue goes in first: a concurrent walk that finds the cut cached
+// must find its glue too, or it would resolve in-bailiwick hosts
+// through the cut they are the servers of.
+func (r *Resolver) fillCut(sc *resolveScratch, f *resolveFrame, now time.Time, child dnsmsg.Name, resp *dnsmsg.Message) bool {
+	hosts, ttl := appendNSHosts(f.hosts[:0], resp.Authority)
+	if len(hosts) == 0 {
+		hosts, ttl = appendNSHosts(hosts, resp.Answers)
+	}
+	f.hosts = hosts
+	if len(hosts) == 0 {
+		return false
+	}
+	for _, rr := range resp.Additional {
+		if a, ok := rr.Data.(dnsmsg.AData); ok {
+			r.cache.putHostAddr(now, rr.Name, a.Addr, rr.TTL)
+		}
+	}
+	r.cache.putDelegation(now, child, hosts, ttl, sc)
+	return true
 }
 
 // nextLabel returns the ancestor of name exactly one label below zone —
@@ -508,9 +589,19 @@ func splitChain(answers []dnsmsg.RR, qname dnsmsg.Name, qtype dnsmsg.Type) []dns
 	return chain
 }
 
-// finalAnswers returns the records of qtype from an answer section.
+// finalAnswers returns the records of qtype from an answer section, or
+// nil when there are none, in one allocation.
 func finalAnswers(answers []dnsmsg.RR, qtype dnsmsg.Type) []dnsmsg.RR {
-	var out []dnsmsg.RR
+	n := 0
+	for _, rr := range answers {
+		if rr.Type() == qtype {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]dnsmsg.RR, 0, n)
 	for _, rr := range answers {
 		if rr.Type() == qtype {
 			out = append(out, rr)
@@ -519,15 +610,21 @@ func finalAnswers(answers []dnsmsg.RR, qtype dnsmsg.Type) []dnsmsg.RR {
 	return out
 }
 
-// refNS extracts the NS records of a referral's authority section.
-func refNS(resp *dnsmsg.Message) []dnsmsg.RR {
-	var out []dnsmsg.RR
-	for _, rr := range resp.Authority {
-		if rr.Type() == dnsmsg.TypeNS {
-			out = append(out, rr)
+// appendNSHosts appends the hosts of the NS records in rrs to dst. It
+// returns the extended slice and the smallest TTL among those records
+// (zero when there are none).
+func appendNSHosts(dst []dnsmsg.Name, rrs []dnsmsg.RR) ([]dnsmsg.Name, time.Duration) {
+	var ttl time.Duration
+	start := len(dst)
+	for _, rr := range rrs {
+		if ns, ok := rr.Data.(dnsmsg.NSData); ok {
+			if len(dst) == start || rr.TTL < ttl {
+				ttl = rr.TTL
+			}
+			dst = append(dst, ns.Host)
 		}
 	}
-	return out
+	return dst, ttl
 }
 
 // minTTL returns the smallest TTL among rrs, or fallback when rrs is empty.

@@ -11,11 +11,15 @@ import (
 // the retry/hedge machinery recovered or gave up on.
 //
 // Counters are sums of per-attempt events, so aggregating across clients
-// (Add) and comparing across serial/parallel runs is well-defined. For
-// the direct-scan path the counters are exactly identical between serial
-// and parallel runs of the same seed and policy; for cache-backed
-// resolver paths, concurrent workers can race on a cold cache and issue
-// duplicate upstream attempts (values are unaffected).
+// (Add) and comparing across serial/parallel runs is well-defined. On the
+// direct-scan path the counters are identical between serial and
+// parallel runs of the same seed and policy. On the cache-backed resolver
+// path, concurrent misses on one answer or zone cut wait for a single
+// fill (flight.go), so workers never repeat each other's lookups, and the
+// paper-baseline campaign counts the same at any worker count. What can
+// still differ is order: a site may find glue that a site after it
+// already cached, where a serial pass resolves that nameserver itself.
+// Values are unaffected either way.
 type QueryStats struct {
 	// Queries counts logical queries (Exchange/ExchangeAny calls).
 	Queries uint64

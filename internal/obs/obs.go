@@ -6,9 +6,10 @@
 // The design mirrors dnsresolver.QueryStats: every metric is a sum of
 // per-event increments, so aggregating across components and comparing
 // across serial/parallel runs is well-defined. Metrics whose values
-// legitimately depend on goroutine scheduling — cold-cache races can
-// issue duplicate upstream work — are registered as *volatile* and can be
-// stripped from a snapshot before an equality check (Deterministic).
+// legitimately depend on goroutine scheduling — which worker fills a
+// shared cache entry first, and so who counts a hit or a miss — are
+// registered as *volatile* and can be stripped from a snapshot before an
+// equality check (Deterministic).
 //
 // Everything is nil-safe: a nil *Registry hands out nil metrics, and nil
 // metrics no-op, so components instrument unconditionally and pay nothing

@@ -111,9 +111,11 @@ func TestScenarioRunByteIdenticalToFlagRun(t *testing.T) {
 
 // TestPaperBaselineWorkersIdentical runs the paper-baseline world the way
 // the dyn-daily benchmark workload does — seed replaced, one AppendDay per
-// round — at 1, 2 and 4 collect workers. Result().String() and the report
-// figures must agree byte for byte: the lock-free clock, health, cache and
-// fabric paths change how much a day costs, never what it finds.
+// round — at 1, 2 and 4 collect workers. Result().String(), the report
+// figures and the query accounting must agree byte for byte: the
+// lock-free clock, health, cache and fabric paths change how much a day
+// costs, never what it finds, and the resolver's in-flight
+// de-duplication keeps workers from repeating each other's exchanges.
 func TestPaperBaselineWorkersIdentical(t *testing.T) {
 	spec, err := Load(filepath.Join("..", "..", "scenarios", "paper-baseline.json"))
 	if err != nil {
@@ -134,6 +136,7 @@ func TestPaperBaselineWorkersIdentical(t *testing.T) {
 		res := en.Result()
 		var b strings.Builder
 		b.WriteString(res.String())
+		b.WriteString("\n" + res.Stats.String() + "\n")
 		b.WriteString(report.Figure2(res))
 		b.WriteString(report.Figure3(res))
 		b.WriteString(report.TableV(res))
