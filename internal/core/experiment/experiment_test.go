@@ -9,16 +9,20 @@ import (
 	"rrdps/internal/world"
 )
 
-// dynamicsWorld builds a world with boosted churn so short runs produce
-// every behaviour.
 func dynamicsWorld(n int, seed int64) *world.World {
+	return world.New(dynamicsConfig(n, seed))
+}
+
+// dynamicsConfig is a world config with boosted churn so short runs
+// produce every behaviour.
+func dynamicsConfig(n int, seed int64) world.Config {
 	cfg := world.PaperConfig(n)
 	cfg.Seed = seed
 	cfg.JoinRate = 0.01
 	cfg.LeaveRate = 0.02
 	cfg.PauseRate = 0.04
 	cfg.SwitchRate = 0.01
-	return world.New(cfg)
+	return cfg
 }
 
 func truthCounts(w *world.World, maxDay int) map[world.BehaviorKind]int {
@@ -135,13 +139,17 @@ func TestDynamicsSummaryString(t *testing.T) {
 }
 
 func residualWorld(n int, seed int64) *world.World {
+	return world.New(residualConfig(n, seed))
+}
+
+func residualConfig(n int, seed int64) world.Config {
 	cfg := world.PaperConfig(n)
 	cfg.Seed = seed
 	// Boost churn so a few weeks produce leaves and switches.
 	cfg.LeaveRate = 0.01
 	cfg.SwitchRate = 0.008
 	cfg.JoinRate = 0.002
-	return world.New(cfg)
+	return cfg
 }
 
 func TestResidualCampaign(t *testing.T) {

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"rrdps/internal/netsim"
+	"rrdps/internal/world"
 )
 
 // The resume-equivalence suite pins the durability tentpole's keystone
@@ -26,11 +29,14 @@ type dynCfg struct {
 	every    int
 	longProb float64
 	randSeed int64
+	faults   netsim.FaultConfig
 }
 
 func (c dynCfg) build(dir string, resume bool, stopAfter int) Dynamics {
+	wc := dynamicsConfig(c.sites, c.seed)
+	wc.Faults = c.faults
 	d := Dynamics{
-		World:           dynamicsWorld(c.sites, c.seed),
+		World:           world.New(wc),
 		Days:            c.days,
 		Workers:         c.workers,
 		CheckpointDir:   dir,
@@ -53,14 +59,28 @@ func (c dynCfg) killAndResume(t *testing.T, dir string, stopAfter int) DynamicsR
 	return c.build(dir, true, 0).Run()
 }
 
+// resumeFabrics are the fabrics the boundary sweeps kill campaigns on: a
+// clean one and the seeded fault plan. The plan's decisions hash each
+// send's content, so a resumed run retries exactly the queries an
+// uninterrupted one does. The prefix names the sweep's subtests.
+var resumeFabrics = []struct {
+	prefix string
+	faults netsim.FaultConfig
+}{{"", netsim.FaultConfig{}}, {"faults-", faultPlan}}
+
 func TestDynamicsResumeEveryDayBoundary(t *testing.T) {
-	cfg := dynCfg{sites: 300, seed: 8101, days: 8, every: 3}
-	baseline := cfg.build("", false, 0).Run()
-	for kill := 1; kill < cfg.days; kill++ {
-		t.Run(fmt.Sprintf("kill-after-day-%d", kill), func(t *testing.T) {
-			resumed := cfg.killAndResume(t, t.TempDir(), kill)
-			diffResults(t, resumed, baseline)
-		})
+	for _, tc := range resumeFabrics {
+		cfg := dynCfg{sites: 300, seed: 8101, days: 8, every: 3, faults: tc.faults}
+		baseline := cfg.build("", false, 0).Run()
+		if tc.faults.Enabled() && baseline.Stats.Retries == 0 {
+			t.Fatalf("fault plan forced no retries: %v", baseline.Stats)
+		}
+		for kill := 1; kill < cfg.days; kill++ {
+			t.Run(fmt.Sprintf("%skill-after-day-%d", tc.prefix, kill), func(t *testing.T) {
+				resumed := cfg.killAndResume(t, t.TempDir(), kill)
+				diffResults(t, resumed, baseline)
+			})
+		}
 	}
 }
 
@@ -179,11 +199,14 @@ type resCfg struct {
 	incStart int
 	workers  int
 	every    int
+	faults   netsim.FaultConfig
 }
 
 func (c resCfg) build(dir string, resume bool, stopAfter int) Residual {
+	wc := residualConfig(c.sites, c.seed)
+	wc.Faults = c.faults
 	return Residual{
-		World:              residualWorld(c.sites, c.seed),
+		World:              world.New(wc),
 		Weeks:              c.weeks,
 		WarmupDays:         c.warmup,
 		IncapsulaStartWeek: c.incStart,
@@ -206,12 +229,17 @@ func (c resCfg) killAndResume(t *testing.T, dir string, stopAfter int) ResidualR
 func TestResidualResumeEveryRoundBoundary(t *testing.T) {
 	// warmup 14 = two warm-up rounds, then three weekly rounds; the kill
 	// sweep covers both warm-up and scan-week boundaries.
-	cfg := resCfg{sites: 400, seed: 9001, weeks: 3, warmup: 14, incStart: 2, every: 7}
-	baseline := cfg.build("", false, 0).Run()
-	for kill := 1; kill < cfg.rounds(); kill++ {
-		t.Run(fmt.Sprintf("kill-after-round-%d", kill), func(t *testing.T) {
-			diffResults(t, cfg.killAndResume(t, t.TempDir(), kill), baseline)
-		})
+	for _, tc := range resumeFabrics {
+		cfg := resCfg{sites: 400, seed: 9001, weeks: 3, warmup: 14, incStart: 2, every: 7, faults: tc.faults}
+		baseline := cfg.build("", false, 0).Run()
+		if tc.faults.Enabled() && baseline.Stats.Retries == 0 {
+			t.Fatalf("fault plan forced no retries: %v", baseline.Stats)
+		}
+		for kill := 1; kill < cfg.rounds(); kill++ {
+			t.Run(fmt.Sprintf("%skill-after-round-%d", tc.prefix, kill), func(t *testing.T) {
+				diffResults(t, cfg.killAndResume(t, t.TempDir(), kill), baseline)
+			})
+		}
 	}
 }
 

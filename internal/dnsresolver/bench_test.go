@@ -56,20 +56,13 @@ func BenchmarkResolveCrossZoneCNAME(b *testing.B) {
 	}
 }
 
-// dropAnswer evicts just (name, qtype)'s answer entry, leaving delegation
-// and host-address entries warm — the steady-state miss a capped cache
-// produces mid-campaign.
+// dropAnswer deletes just (name, qtype)'s answer entry, leaving
+// delegation and host-address entries warm: an answer miss under warm
+// zone cuts, as when a new name in a known zone is first resolved.
 func dropAnswer(r *Resolver, name dnsmsg.Name, qtype dnsmsg.Type) {
-	key := cacheKey{name: name, qtype: qtype}
-	s := &r.cache.shards[shardIndex(name)]
+	s := r.cache.shardFor(name)
 	s.mu.Lock()
-	if slot, ok := s.answers[key]; ok {
-		if slot.node == noNode { // uncapped: no recency node to free
-			delete(s.answers, key)
-		} else {
-			s.deleteEntry(slot.node)
-		}
-	}
+	delete(s.answers, cacheKey{name: name, qtype: qtype})
 	s.mu.Unlock()
 }
 
@@ -91,7 +84,7 @@ func BenchmarkResolveCached(b *testing.B) {
 
 // BenchmarkResolveUncached is the answer-cache-miss path with warm
 // delegations: one authoritative exchange plus the re-cache of its
-// answer, the steady-state cost after a capped cache evicts an entry.
+// answer, the cost of a new name in an already-walked zone.
 func BenchmarkResolveUncached(b *testing.B) {
 	f := newFixture(b)
 	if _, err := f.resolver.Resolve("www.example.com", dnsmsg.TypeA); err != nil {

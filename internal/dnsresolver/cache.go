@@ -10,9 +10,8 @@ import (
 	"rrdps/internal/obs"
 )
 
-// cacheKey identifies a cached answer RRset. Delegation and host-address
-// entries reuse it with a zero qtype (the kind byte on the LRU node keeps
-// the namespaces apart).
+// cacheKey identifies a cached answer RRset. The flight table also keys
+// zone cuts by it, with a zero qtype.
 type cacheKey struct {
 	name  dnsmsg.Name
 	qtype dnsmsg.Type
@@ -41,214 +40,42 @@ type hostAddrEntry struct {
 	expires time.Time
 }
 
-// Entry kinds, stored on LRU nodes so eviction knows which table to
-// delete from.
-const (
-	kindAnswer = iota
-	kindDelegation
-	kindHostAddr
-)
-
 // cacheShards is the lock-striping factor. Scan campaigns run dozens of
 // workers against one resolver; 32 stripes keeps the probability of two
 // workers colliding on one mutex low without bloating the struct.
 const cacheShards = 32
 
-// noNode marks an absent LRU link.
-const noNode = int32(-1)
-
-// lruNode is one entry's position in a shard's recency list. Nodes live
-// in a flat slice and link by index; freed nodes go on a freelist and are
-// reused, so steady-state churn allocates nothing.
-type lruNode struct {
-	key  cacheKey
-	kind uint8
-	prev int32
-	next int32
-}
-
-// answerSlot et al. pair an entry with its generation stamp and LRU node.
-type answerSlot struct {
-	entry answerEntry
-	gen   uint64
-	node  int32
-}
-
+// delegationSlot pairs a zone cut with its fill stamps: the cache's fill
+// sequence number after it, and the resolution that made it (flight.go).
 type delegationSlot struct {
 	entry delegationEntry
-	gen   uint64
-	node  int32
-	// seq and by stamp the fill: the cache's fill sequence number after
-	// it, and the resolution that made it (flight.go).
-	seq uint64
-	by  *resolveScratch
+	seq   uint64
+	by    *resolveScratch
 }
 
-type hostAddrSlot struct {
-	entry hostAddrEntry
-	gen   uint64
-	node  int32
-}
-
-// cacheShard is one stripe: a mutex, its slice of each table, the shared
-// recency list, the current generation, and the fills in flight.
+// cacheShard is one stripe: a mutex, its slice of each table, and the
+// fills in flight.
 type cacheShard struct {
 	mu          sync.Mutex
-	gen         uint64
-	answers     map[cacheKey]answerSlot
+	answers     map[cacheKey]answerEntry
 	delegations map[dnsmsg.Name]delegationSlot
-	hostAddrs   map[dnsmsg.Name]hostAddrSlot
+	hostAddrs   map[dnsmsg.Name]hostAddrEntry
 	flightShard
-
-	nodes    []lruNode
-	head     int32 // most recently used
-	tail     int32 // least recently used
-	freeHead int32
-	capacity int // max entries in this shard; 0 = unbounded
 }
 
-func (s *cacheShard) init(capacity int) {
-	s.answers = make(map[cacheKey]answerSlot)
+func (s *cacheShard) init() {
+	s.answers = make(map[cacheKey]answerEntry)
 	s.delegations = make(map[dnsmsg.Name]delegationSlot)
-	s.hostAddrs = make(map[dnsmsg.Name]hostAddrSlot)
+	s.hostAddrs = make(map[dnsmsg.Name]hostAddrEntry)
 	s.landed.L = &s.mu
-	s.head, s.tail, s.freeHead = noNode, noNode, noNode
-	s.capacity = capacity
-}
-
-// newNode takes a node off the freelist (or grows the arena) and links it
-// at the head of the recency list.
-func (s *cacheShard) newNode(kind uint8, key cacheKey) int32 {
-	var i int32
-	if s.freeHead != noNode {
-		i = s.freeHead
-		s.freeHead = s.nodes[i].next
-	} else {
-		s.nodes = append(s.nodes, lruNode{})
-		i = int32(len(s.nodes) - 1)
-	}
-	s.nodes[i] = lruNode{key: key, kind: kind, prev: noNode, next: s.head}
-	if s.head != noNode {
-		s.nodes[s.head].prev = i
-	}
-	s.head = i
-	if s.tail == noNode {
-		s.tail = i
-	}
-	return i
-}
-
-// unlink removes node i from the recency list (it stays allocated).
-func (s *cacheShard) unlink(i int32) {
-	n := &s.nodes[i]
-	if n.prev != noNode {
-		s.nodes[n.prev].next = n.next
-	} else {
-		s.head = n.next
-	}
-	if n.next != noNode {
-		s.nodes[n.next].prev = n.prev
-	} else {
-		s.tail = n.prev
-	}
-	n.prev, n.next = noNode, noNode
-}
-
-// free returns node i to the freelist.
-func (s *cacheShard) free(i int32) {
-	s.unlink(i)
-	s.nodes[i] = lruNode{next: s.freeHead}
-	s.freeHead = i
-}
-
-// touch moves node i to the head of the recency list.
-func (s *cacheShard) touch(i int32) {
-	if s.head == i {
-		return
-	}
-	s.unlink(i)
-	n := &s.nodes[i]
-	n.next = s.head
-	if s.head != noNode {
-		s.nodes[s.head].prev = i
-	}
-	s.head = i
-	if s.tail == noNode {
-		s.tail = i
-	}
-}
-
-// size returns the shard's total entry count (all generations).
-func (s *cacheShard) size() int {
-	return len(s.answers) + len(s.delegations) + len(s.hostAddrs)
-}
-
-// deleteEntry removes the entry behind node i from its table and frees
-// the node.
-func (s *cacheShard) deleteEntry(i int32) {
-	n := s.nodes[i]
-	switch n.kind {
-	case kindAnswer:
-		delete(s.answers, n.key)
-	case kindDelegation:
-		delete(s.delegations, n.key.name)
-	case kindHostAddr:
-		delete(s.hostAddrs, n.key.name)
-	}
-	s.free(i)
-}
-
-// used records a hit on node i. Only a capped shard keeps recency order;
-// an uncapped one skips the write, so hot entries that every worker reads
-// stay read-only.
-func (s *cacheShard) used(i int32) {
-	if s.capacity > 0 {
-		s.touch(i)
-	}
-}
-
-// reclaim drops the stale or expired entry behind node i from a capped
-// shard. An uncapped shard leaves it for the next put of its key or the
-// next Purge.
-func (s *cacheShard) reclaim(i int32) {
-	if s.capacity > 0 {
-		s.deleteEntry(i)
-	}
-}
-
-// link returns the recency node for a new entry: a fresh list head in a
-// capped shard, noNode in an uncapped one.
-func (s *cacheShard) link(kind uint8, key cacheKey) int32 {
-	if s.capacity == 0 {
-		return noNode
-	}
-	return s.newNode(kind, key)
-}
-
-// evictOver trims the shard to capacity from the LRU tail. Stale
-// generations drift tailward on their own (nothing touches them), so a
-// capped cache sheds purged entries before live ones.
-func (s *cacheShard) evictOver() {
-	if s.capacity <= 0 {
-		return
-	}
-	for s.size() > s.capacity && s.tail != noNode {
-		s.deleteEntry(s.tail)
-	}
 }
 
 // cache is the resolver's TTL-aware store, sharded so concurrent scan
 // workers stop serializing on a single mutex. Entries are never served
-// past their expiry or from a previous generation; Purge bumps every
-// shard's generation in O(1) (the paper's collector purges its resolver
-// cache before every daily run so snapshots stay independent, §IV-B.1).
-//
-// With a capacity configured, each shard keeps one recency list across
-// its three tables and inserts evict least-recently-used entries. The
-// default capacity of 0 keeps the historical grow-with-the-world
-// behaviour, which campaign determinism (query-count-bearing reports)
-// relies on; such a cache keeps no recency list at all (a hit writes
-// nothing) and Purge drops every entry outright.
+// past their expiry. Nothing is evicted: the cache grows with the world
+// until Purge empties it (the paper's collector purges its resolver cache
+// before every daily run so snapshots stay independent, §IV-B.1). A hit
+// writes nothing, so hot entries that every worker reads stay read-only.
 //
 // Every entry kind (answers, delegations, host addresses) routes to a
 // shard by an FNV-1a hash of the owner name, so all records for one name
@@ -267,19 +94,11 @@ type cache struct {
 	waitMu sync.Mutex
 }
 
-// newCache creates a cache. capacity is the approximate total entry
-// budget, split evenly across shards; 0 means unbounded.
-func newCache(capacity int) *cache {
-	perShard := 0
-	if capacity > 0 {
-		perShard = (capacity + cacheShards - 1) / cacheShards
-		if perShard < 1 {
-			perShard = 1
-		}
-	}
+// newCache creates an empty cache.
+func newCache() *cache {
 	c := &cache{}
 	for i := range c.shards {
-		c.shards[i].init(perShard)
+		c.shards[i].init()
 	}
 	return c
 }
@@ -305,25 +124,18 @@ func (c *cache) setObserver(r *obs.Registry) {
 	c.obs.Store(newCacheObs(r))
 }
 
-// Purge makes every cached entry invisible by bumping each shard's
-// generation. A capped cache reclaims old-generation entries lazily, on
-// the next access to their key or by LRU eviction, since stale entries
-// drift to the recency tail on their own. An uncapped cache has no
-// recency list to age them out, so Purge empties its tables instead (the
-// maps keep their buckets for the next pass). A put racing with Purge may
-// land pre-bump and survive in an already-bumped stripe, which is fine
-// for the campaigns (they purge between runs, while the resolver is idle)
-// and harmless otherwise (the entry is valid, just not forgotten).
+// Purge empties every table (the maps keep their buckets for the next
+// pass). A put racing with Purge may land in an already-cleared stripe,
+// which is fine for the campaigns (they purge between runs, while the
+// resolver is idle) and harmless otherwise (the entry is valid, just not
+// forgotten).
 func (c *cache) Purge() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.gen++
-		if s.capacity == 0 {
-			clear(s.answers)
-			clear(s.delegations)
-			clear(s.hostAddrs)
-		}
+		clear(s.answers)
+		clear(s.delegations)
+		clear(s.hostAddrs)
 		s.mu.Unlock()
 	}
 }
@@ -336,17 +148,17 @@ func (c *cache) Len(now time.Time) int {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for _, e := range s.answers {
-			if e.gen == s.gen && e.entry.expires.After(now) {
+			if e.expires.After(now) {
 				n++
 			}
 		}
 		for _, e := range s.delegations {
-			if e.gen == s.gen && e.entry.expires.After(now) {
+			if e.entry.expires.After(now) {
 				n++
 			}
 		}
 		for _, e := range s.hostAddrs {
-			if e.gen == s.gen && e.entry.expires.After(now) {
+			if e.expires.After(now) {
 				n++
 			}
 		}
@@ -364,11 +176,8 @@ func (c *cache) lookupAnswer(sc *resolveScratch, now time.Time, key cacheKey) (a
 	s := &c.shards[idx]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	slot, ok := s.answers[key]
-	if !ok || slot.gen != s.gen || !slot.entry.expires.After(now) {
-		if ok {
-			s.reclaim(slot.node)
-		}
+	e, ok := s.answers[key]
+	if !ok || !e.expires.After(now) {
 		c.obs.Load().observe(idx, false)
 		if sc == nil {
 			return answerEntry{}, claimSolo
@@ -376,11 +185,10 @@ func (c *cache) lookupAnswer(sc *resolveScratch, now time.Time, key cacheKey) (a
 		if cl := c.join(s, sc, now, key, 0); cl != claimHit {
 			return answerEntry{}, cl
 		}
-		return s.answers[key].entry, claimHit
+		return s.answers[key], claimHit
 	}
-	s.used(slot.node)
 	c.obs.Load().observe(idx, true)
-	return slot.entry, claimHit
+	return e, claimHit
 }
 
 // putAnswer caches e under key for ttl and lands the fill of key that
@@ -400,14 +208,7 @@ func (c *cache) putAnswer(now time.Time, key cacheKey, e answerEntry, ttl time.D
 	if leader != nil {
 		s.landLocked(leader, key)
 	}
-	if slot, ok := s.answers[key]; ok {
-		s.used(slot.node)
-		s.answers[key] = answerSlot{entry: e, gen: s.gen, node: slot.node}
-		return
-	}
-	node := s.link(kindAnswer, key)
-	s.answers[key] = answerSlot{entry: e, gen: s.gen, node: node}
-	s.evictOver()
+	s.answers[key] = e
 }
 
 // getDelegation returns the cached nameserver hosts for zone. The slice
@@ -418,14 +219,10 @@ func (c *cache) getDelegation(now time.Time, zone dnsmsg.Name) ([]dnsmsg.Name, b
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	slot, ok := s.delegations[zone]
-	if !ok || slot.gen != s.gen || !slot.entry.expires.After(now) {
-		if ok {
-			s.reclaim(slot.node)
-		}
+	if !ok || !slot.entry.expires.After(now) {
 		c.obs.Load().observe(idx, false)
 		return nil, false
 	}
-	s.used(slot.node)
 	c.obs.Load().observe(idx, true)
 	return slot.entry.hosts, true
 }
@@ -448,15 +245,7 @@ func (c *cache) putDelegation(now time.Time, zone dnsmsg.Name, hosts []dnsmsg.Na
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.landLocked(by, key)
-	seq := c.fills.Add(1)
-	if slot, ok := s.delegations[zone]; ok {
-		s.used(slot.node)
-		s.delegations[zone] = delegationSlot{entry: e, gen: s.gen, node: slot.node, seq: seq, by: by}
-		return
-	}
-	node := s.link(kindDelegation, key)
-	s.delegations[zone] = delegationSlot{entry: e, gen: s.gen, node: node, seq: seq, by: by}
-	s.evictOver()
+	s.delegations[zone] = delegationSlot{entry: e, seq: c.fills.Add(1), by: by}
 }
 
 // joinCut is the flight-table join (flight.go) of resolution sc for the
@@ -483,16 +272,13 @@ func (c *cache) closestDelegation(now time.Time, name dnsmsg.Name) (dnsmsg.Name,
 		s := &c.shards[idx]
 		s.mu.Lock()
 		slot, ok := s.delegations[zone]
-		if ok && slot.gen == s.gen && slot.entry.expires.After(now) {
-			s.used(slot.node)
-			hosts := slot.entry.hosts
-			s.mu.Unlock()
+		s.mu.Unlock()
+		if ok && slot.entry.expires.After(now) {
 			// The whole walk counts as one lookup, attributed to the
 			// stripe that satisfied it.
 			c.obs.Load().observe(idx, true)
-			return zone, hosts, true
+			return zone, slot.entry.hosts, true
 		}
-		s.mu.Unlock()
 	}
 	c.obs.Load().observe(shardIndex(name), false)
 	return "", nil, false
@@ -503,33 +289,21 @@ func (c *cache) getHostAddr(now time.Time, host dnsmsg.Name) (netip.Addr, bool) 
 	s := &c.shards[idx]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	slot, ok := s.hostAddrs[host]
-	if !ok || slot.gen != s.gen || !slot.entry.expires.After(now) {
-		if ok {
-			s.reclaim(slot.node)
-		}
+	e, ok := s.hostAddrs[host]
+	if !ok || !e.expires.After(now) {
 		c.obs.Load().observe(idx, false)
 		return netip.Addr{}, false
 	}
-	s.used(slot.node)
 	c.obs.Load().observe(idx, true)
-	return slot.entry.addr, true
+	return e.addr, true
 }
 
 func (c *cache) putHostAddr(now time.Time, host dnsmsg.Name, addr netip.Addr, ttl time.Duration) {
 	if ttl <= 0 {
 		return
 	}
-	e := hostAddrEntry{addr: addr, expires: now.Add(ttl)}
 	s := c.shardFor(host)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if slot, ok := s.hostAddrs[host]; ok {
-		s.used(slot.node)
-		s.hostAddrs[host] = hostAddrSlot{entry: e, gen: s.gen, node: slot.node}
-		return
-	}
-	node := s.link(kindHostAddr, cacheKey{name: host})
-	s.hostAddrs[host] = hostAddrSlot{entry: e, gen: s.gen, node: node}
-	s.evictOver()
+	s.hostAddrs[host] = hostAddrEntry{addr: addr, expires: now.Add(ttl)}
 }

@@ -17,7 +17,7 @@ func cacheTestName(i int) dnsmsg.Name {
 // TestCacheShardRouting checks that every entry kind round-trips through
 // the sharded store and that distinct names actually spread across stripes.
 func TestCacheShardRouting(t *testing.T) {
-	c := newCache(0)
+	c := newCache()
 	now := time.Unix(1000, 0)
 	hit := make(map[*cacheShard]bool)
 	for i := 0; i < 256; i++ {
@@ -47,7 +47,7 @@ func TestCacheShardRouting(t *testing.T) {
 // TestCacheLenAcrossShards checks the Len sum is consistent with the
 // number of live entries spread over all stripes, including expiry.
 func TestCacheLenAcrossShards(t *testing.T) {
-	c := newCache(0)
+	c := newCache()
 	now := time.Unix(1000, 0)
 	const n = 100
 	for i := 0; i < n; i++ {
@@ -70,11 +70,27 @@ func TestCacheLenAcrossShards(t *testing.T) {
 	}
 }
 
+// TestCacheNeverEvicts: the cache grows with the world until Purge. The
+// flight table's premise (flight.go) and the query counts the campaign
+// reports carry both rely on it.
+func TestCacheNeverEvicts(t *testing.T) {
+	c := newCache()
+	now := time.Unix(1_000_000, 0)
+	const n = 500
+	for i := 0; i < n; i++ {
+		key := cacheKey{name: dnsmsg.Name(fmt.Sprintf("u-%d.example.com", i)), qtype: dnsmsg.TypeA}
+		c.putAnswer(now, key, answerEntry{}, time.Hour, nil)
+	}
+	if got := c.Len(now); got != n {
+		t.Fatalf("cache Len = %d after %d puts, want %d", got, n, n)
+	}
+}
+
 // TestCacheConcurrentStress mixes puts, gets, Purge, Len, and
 // closestDelegation from many goroutines. The race detector covers the
 // striping; the value checks cover torn reads.
 func TestCacheConcurrentStress(t *testing.T) {
-	c := newCache(0)
+	c := newCache()
 	now := time.Unix(1000, 0)
 	addrOf := func(i int) netip.Addr {
 		return netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)})

@@ -119,12 +119,11 @@ func (c *cache) join(s *cacheShard, sc *resolveScratch, now time.Time, key cache
 // other than sc since fill sequence since for a zone cut. s.mu is held.
 func (s *cacheShard) landedLocked(sc *resolveScratch, now time.Time, key cacheKey, since uint64) bool {
 	if key.qtype != 0 {
-		slot, ok := s.answers[key]
-		return ok && slot.gen == s.gen && slot.entry.expires.After(now)
+		e, ok := s.answers[key]
+		return ok && e.expires.After(now)
 	}
 	slot, ok := s.delegations[key.name]
-	return ok && slot.gen == s.gen && slot.entry.expires.After(now) &&
-		slot.seq > since && slot.by != sc
+	return ok && slot.entry.expires.After(now) && slot.seq > since && slot.by != sc
 }
 
 // land ends sc's fill of key, whatever it left in the cache, and wakes

@@ -10,11 +10,13 @@ import (
 // clientObs holds the client's metric handles, resolved once at
 // SetObserver time so the hot path never touches the registry's map.
 //
-// Every dns.* metric is registered volatile: with a shared cache, two
-// goroutines can miss on the same cold entry and both go upstream, so
-// attempt-level totals legitimately depend on scheduling (see the
-// QueryStats doc). The metrics still mirror QueryStats field-for-field —
-// they are operational telemetry, not determinism-checked invariants.
+// Every dns.* metric is registered volatile. Concurrent misses on one
+// entry share a single fill (flight.go), but order still counts: a worker
+// can find glue that a site later in the caller's order already cached,
+// where a serial pass resolves that nameserver itself, so attempt-level
+// totals can depend on scheduling (see the QueryStats doc). The metrics
+// still mirror QueryStats field-for-field — they are operational
+// telemetry, not determinism-checked invariants.
 type clientObs struct {
 	queries   *obs.Counter
 	attempts  *obs.Counter
@@ -109,9 +111,9 @@ func (o *clientObs) observeFailed(bad bool) {
 }
 
 // cacheObs counts cache lookups per stripe. Like the dns.* client
-// metrics, hit/miss totals are volatile: which of two racing goroutines
-// populates a cold entry (and which one therefore misses) is a
-// scheduling accident.
+// metrics, hit/miss totals are volatile: whether a host's address is
+// already cached when a walk needs it can depend on which sites other
+// workers resolved first (the glue order effect, flight.go).
 type cacheObs struct {
 	hit  *obs.Counter
 	miss *obs.Counter

@@ -132,15 +132,6 @@ type Config struct {
 	Roots []netip.Addr
 	// Rand seeds query-ID generation. Required.
 	Rand *rand.Rand
-	// Policy is the client's retry policy. Nil means NoRetryPolicy (one
-	// attempt per candidate server, no sidelining) — the pre-resilience
-	// behaviour. The campaign runners install DefaultPolicy instead.
-	Policy *Policy
-	// CacheCapacity bounds the cache's total entry count; past it, the
-	// least-recently-used entries are evicted. Zero means unbounded — the
-	// historical behaviour, which campaigns whose reports carry query
-	// counts rely on (eviction changes which queries go upstream).
-	CacheCapacity int
 }
 
 // Resolver is an iterative resolver with cache. Safe for concurrent use.
@@ -182,7 +173,9 @@ type resolveScratch struct {
 
 var resolveScratchPool = sync.Pool{New: func() any { return new(resolveScratch) }}
 
-// New creates a Resolver.
+// New creates a Resolver. Its client starts with NoRetryPolicy (one
+// attempt per candidate server, no sidelining); the campaign runners
+// install DefaultPolicy with SetPolicy.
 func New(cfg Config) *Resolver {
 	if cfg.Network == nil || cfg.Clock == nil || cfg.Rand == nil {
 		panic("dnsresolver: Network, Clock, and Rand are required")
@@ -190,15 +183,11 @@ func New(cfg Config) *Resolver {
 	if len(cfg.Roots) == 0 {
 		panic("dnsresolver: at least one root server is required")
 	}
-	client := NewClient(cfg.Network, cfg.Addr, cfg.Region, cfg.Rand)
-	if cfg.Policy != nil {
-		client.SetPolicy(*cfg.Policy)
-	}
 	return &Resolver{
-		client: client,
+		client: NewClient(cfg.Network, cfg.Addr, cfg.Region, cfg.Rand),
 		clock:  cfg.Clock,
 		roots:  append([]netip.Addr(nil), cfg.Roots...),
-		cache:  newCache(cfg.CacheCapacity),
+		cache:  newCache(),
 		negTTL: 15 * time.Minute,
 	}
 }
@@ -501,12 +490,12 @@ func (r *Resolver) queryAny(ex *exchangeScratch, st *QueryStats, servers []netip
 // next hostAddrs call.
 //
 // Reading glue straight from the referral, rather than back out of the
-// cache it was just put into, keeps a concurrent Purge or a capped
-// cache's eviction from dropping it between the put and the get — a loss
-// that sent the walk into nested resolution of hosts only the glue could
-// reach, until it hit maxDepth. The glue lookup applies putHostAddr's
-// rules (zero-TTL records are skipped, the last record per host wins), so
-// on a quiescent cache it finds exactly what the cache round trip did.
+// cache it was just put into, keeps a concurrent Purge from dropping it
+// between the put and the get — a loss that sent the walk into nested
+// resolution of hosts only the glue could reach, until it hit maxDepth.
+// The glue lookup applies putHostAddr's rules (zero-TTL records are
+// skipped, the last record per host wins), so on a quiescent cache it
+// finds exactly what the cache round trip did.
 func (r *Resolver) hostAddrs(sc *resolveScratch, hosts []dnsmsg.Name, glue []dnsmsg.RR, depth int) []netip.Addr {
 	f := &sc.frames[depth]
 	now := r.clock.Now()

@@ -3,9 +3,9 @@ package netsim
 import "time"
 
 // FaultConfig describes the deterministic fault-injection plan of a
-// Network, richer than the legacy uniform Config.LossRate: seeded uniform
-// loss, fabric-wide burst-loss windows, per-endpoint flakiness windows,
-// and reply corruption.
+// Network: seeded uniform loss, fabric-wide burst-loss windows,
+// per-endpoint flakiness windows, and reply corruption. It is the
+// fabric's only loss model.
 //
 // Every decision is a pure function of (Seed, destination endpoint,
 // payload bytes, simulation-time window) — no shared RNG state — so the
@@ -13,8 +13,9 @@ import "time"
 // hit the fabric. Two runs that issue the same set of (endpoint, payload)
 // sends observe the same set of outcomes whether they run serially or
 // over a worker pool; this is what lets the retry layer above keep the
-// ParallelMatchesSerial guarantee even on a lossy fabric. (The legacy
-// Config.LossRate keeps its shared-RNG, arrival-order semantics.)
+// ParallelMatchesSerial guarantee even on a lossy fabric, and what lets a
+// resumed campaign replay the faults an uninterrupted one saw without
+// checkpointing any RNG state.
 //
 // A retry with a fresh query ID changes the payload and therefore re-rolls
 // every decision, which is exactly how real retries escape real loss.
@@ -24,8 +25,8 @@ type FaultConfig struct {
 	Seed int64
 
 	// LossRate is the probability in [0,1) that a given (endpoint,
-	// payload) send is dropped. Unlike Config.LossRate the decision is
-	// deterministic per send content, not sampled in arrival order.
+	// payload) send is dropped. The decision is deterministic per send
+	// content, not sampled in arrival order.
 	LossRate float64
 
 	// BurstRate is the probability that any given BurstWindow-sized slice

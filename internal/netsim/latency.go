@@ -62,10 +62,6 @@ type BufferedHandler interface {
 // retry policy charges its own timeout penalty.
 func (n *Network) Exchange(from netip.Addr, fromRegion Region, to Endpoint, payload, dst []byte) ([]byte, time.Duration, error) {
 	n.sends.Add(1)
-	if n.lossRate > 0 && n.lossDraw() {
-		n.drops.Add(1)
-		return nil, 0, &sendError{op: opSend, to: to, err: ErrTimeout}
-	}
 	var outcome faultOutcome
 	if fc := n.faults.Load(); fc.Enabled() {
 		outcome = fc.decide(n.clock.Now(), to, payload)
@@ -147,14 +143,6 @@ func (n *Network) Exchange(from netip.Addr, fromRegion Region, to Endpoint, payl
 		return resp[:keep], rtt, nil
 	}
 	return resp, rtt, nil
-}
-
-// lossDraw draws the legacy shared-RNG loss decision. The RNG is shared
-// and drawn in arrival order, so it keeps its lock.
-func (n *Network) lossDraw() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rng.Float64() < n.lossRate
 }
 
 // Exchange failure contexts; each prefixes the endpoint in the message.

@@ -8,18 +8,16 @@
 // nearest to the sender's region, mirroring how Cloudflare's anycast DNS
 // spreads load across PoPs (paper §V-A.1, Fig. 7).
 //
-// The fabric also provides failure injection — legacy shared-RNG packet
-// loss, per-endpoint blackholing, and the deterministic FaultConfig plan
-// (seeded uniform loss, burst windows, per-endpoint flakiness, reply
-// corruption) — plus per-endpoint accounting used by the Fig. 7
-// experiment.
+// The fabric also provides failure injection — per-endpoint blackholing
+// and the deterministic FaultConfig plan (seeded uniform loss, burst
+// windows, per-endpoint flakiness, reply corruption) — plus per-endpoint
+// accounting used by the Fig. 7 experiment.
 package netsim
 
 import (
 	"errors"
 	"fmt"
 	"maps"
-	"math/rand"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -179,11 +177,6 @@ func (rt *route) pick(fromRegion Region) popInstance {
 type Config struct {
 	// Clock supplies request timestamps. Required.
 	Clock clockface
-	// LossRate is the probability in [0,1) that any single request/response
-	// exchange is dropped. Zero disables random loss.
-	LossRate float64
-	// Rand drives loss decisions. Required when LossRate > 0.
-	Rand *rand.Rand
 }
 
 // Network is the simulated message fabric. It is safe for concurrent use.
@@ -197,18 +190,16 @@ type Config struct {
 // found under the lock and queued for it; the table is republished once
 // such lookups add up to its size, so the copy costs O(1) amortized per
 // lookup, and endpoints no send reaches (retired origin addresses) never
-// enter it. The legacy shared-RNG loss draw and each rate limiter's
-// counters keep their locks: both decide by arrival order.
+// enter it. Each rate limiter's counters keep their lock: a limiter
+// decides by arrival order.
 type Network struct {
-	clock    clockface
-	lossRate float64
+	clock clockface
 
 	// table is the published endpoint table Exchange reads: the
 	// endpoints lookups have reached, as of the last republish.
 	table atomic.Pointer[map[Endpoint]*endpointState]
 
 	mu        sync.Mutex
-	rng       *rand.Rand // legacy loss draws, under mu
 	endpoints map[Endpoint]*endpointState
 	pending   map[Endpoint]*endpointState // reached, not yet in table
 	misses    int                         // lookups served from endpoints since the last republish
@@ -220,25 +211,14 @@ type Network struct {
 	flakyDrops, corrupted    atomic.Uint64
 }
 
-// New creates a Network. It panics if cfg.Clock is nil or if LossRate > 0
-// without a Rand, because both are programming errors in the composition
-// root rather than runtime conditions.
+// New creates a Network. It panics if cfg.Clock is nil, a programming
+// error in the composition root rather than a runtime condition.
 func New(cfg Config) *Network {
 	if cfg.Clock == nil {
 		panic("netsim: Config.Clock is required")
 	}
-	if cfg.LossRate < 0 || cfg.LossRate >= 1 {
-		if cfg.LossRate != 0 {
-			panic(fmt.Sprintf("netsim: LossRate %v outside [0,1)", cfg.LossRate))
-		}
-	}
-	if cfg.LossRate > 0 && cfg.Rand == nil {
-		panic("netsim: Config.Rand is required when LossRate > 0")
-	}
 	n := &Network{
 		clock:     cfg.Clock,
-		lossRate:  cfg.LossRate,
-		rng:       cfg.Rand,
 		endpoints: make(map[Endpoint]*endpointState),
 		pending:   make(map[Endpoint]*endpointState),
 	}

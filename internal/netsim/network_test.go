@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"errors"
-	"math/rand"
 	"net/netip"
 	"reflect"
 	"sync"
@@ -149,11 +148,8 @@ func TestRegisterReplacesUnicastHandler(t *testing.T) {
 }
 
 func TestLossRateDropsEverything(t *testing.T) {
-	n := New(Config{
-		Clock:    simtime.NewSimulated(),
-		LossRate: 0.999999999,
-		Rand:     rand.New(rand.NewSource(1)),
-	})
+	n := testNet(t)
+	n.SetFaults(FaultConfig{Seed: 1, LossRate: 0.999999999})
 	n.Register(testServer, RegionVirginia, echoHandler("srv"))
 	if _, err := n.Send(testClient, RegionOregon, testServer, nil); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -161,6 +157,9 @@ func TestLossRateDropsEverything(t *testing.T) {
 	sends, drops := n.Stats()
 	if sends != 1 || drops != 1 {
 		t.Fatalf("stats = (%d, %d), want (1, 1)", sends, drops)
+	}
+	if fs := n.FaultStats(); fs.UniformDrops != 1 {
+		t.Fatalf("uniform drops = %d, want 1", fs.UniformDrops)
 	}
 }
 
@@ -206,15 +205,6 @@ func TestNewPanicsWithoutClock(t *testing.T) {
 		}
 	}()
 	New(Config{})
-}
-
-func TestNewPanicsOnLossWithoutRand(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New with loss but no rand did not panic")
-		}
-	}()
-	New(Config{Clock: simtime.NewSimulated(), LossRate: 0.1})
 }
 
 // TestExchangeErrorText pins every failed-exchange message byte for byte

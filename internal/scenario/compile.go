@@ -90,9 +90,6 @@ func Compile(s *Spec) *Compiled {
 		if w.PurgeDelayPaidDays != nil {
 			cfg.PurgeDelayPaid = time.Duration(*w.PurgeDelayPaidDays) * 24 * time.Hour
 		}
-		if w.PacketLossRate != nil {
-			cfg.PacketLossRate = *w.PacketLossRate
-		}
 		if rl := w.NSRateLimit; rl != nil {
 			cfg.NSRateLimit = netsim.LimitConfig{
 				Window:    time.Duration(rl.WindowHours) * time.Hour,

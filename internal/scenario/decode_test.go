@@ -78,19 +78,37 @@ func TestParseRoundTripsCanonical(t *testing.T) {
 	}
 }
 
+// TestParseRejectsUnknownField: the strict decoder names an unknown field
+// and anchors the error to its line. world.packetLossRate named a retired
+// arrival-order loss sampler; faults.lossRate is the spec's loss knob.
 func TestParseRejectsUnknownField(t *testing.T) {
-	src := `{
+	for _, tc := range []struct {
+		field, src string
+		line       int
+	}{
+		{"dayz", `{
   "apiVersion": "rrdps/v1",
   "kind": "Scenario",
   "metadata": { "name": "x" },
   "campaign": { "kind": "dynamics", "dayz": 10 }
-}`
-	se := specErr(t, func() error { _, err := Parse("bad.json", []byte(src)); return err }())
-	if !strings.Contains(se.Msg, `unknown field "dayz"`) {
-		t.Errorf("message %q does not name the field", se.Msg)
-	}
-	if se.Line != 5 {
-		t.Errorf("error anchored to line %d, want 5", se.Line)
+}`, 5},
+		{"packetLossRate", `{
+  "apiVersion": "rrdps/v1",
+  "kind": "Scenario",
+  "metadata": { "name": "x" },
+  "campaign": { "kind": "dynamics" },
+  "world": {
+    "packetLossRate": 0.03
+  }
+}`, 7},
+	} {
+		se := specErr(t, func() error { _, err := Parse("bad.json", []byte(tc.src)); return err }())
+		if !strings.Contains(se.Msg, `unknown field "`+tc.field+`"`) {
+			t.Errorf("message %q does not name the field", se.Msg)
+		}
+		if se.Line != tc.line {
+			t.Errorf("%s: error anchored to line %d, want %d", tc.field, se.Line, tc.line)
+		}
 	}
 }
 

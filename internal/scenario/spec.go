@@ -113,8 +113,6 @@ type World struct {
 	// residual-record lifetimes, in days.
 	PurgeDelayFreeDays *int `json:"purgeDelayFreeDays,omitempty"`
 	PurgeDelayPaidDays *int `json:"purgeDelayPaidDays,omitempty"`
-	// PacketLossRate enables the legacy shared-RNG loss sampler.
-	PacketLossRate *float64 `json:"packetLossRate,omitempty"`
 }
 
 // RateLimit is the spec form of netsim.LimitConfig.
@@ -333,9 +331,6 @@ func (doc *V1) validate(anchor func(section, key string) int, file string) error
 			if rate != nil && (*rate < 0 || *rate > 1) {
 				return fail("world", key, "world.%s %v outside [0,1]", key, *rate)
 			}
-		}
-		if w.PacketLossRate != nil && (*w.PacketLossRate < 0 || *w.PacketLossRate >= 1) {
-			return fail("world", "packetLossRate", "world.packetLossRate %v outside [0,1)", *w.PacketLossRate)
 		}
 		for key, days := range map[string]*int{
 			"purgeDelayFreeDays": w.PurgeDelayFreeDays,

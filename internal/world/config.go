@@ -110,16 +110,13 @@ type Config struct {
 	EdgesPerProvider       int
 	NameserversPerProvider int
 
-	// PacketLossRate injects random datagram loss into the fabric via the
-	// legacy shared-RNG sampler (drop decisions depend on arrival order).
-	PacketLossRate float64
-
-	// Faults installs the richer deterministic fault plan (seeded uniform
-	// loss, burst windows, per-endpoint flakiness, reply corruption) on
-	// the fabric. A zero Faults.Seed defaults to Seed+9 so the plan is
-	// reproducible per world without extra configuration. Unlike
-	// PacketLossRate, every Faults decision is a pure function of the
-	// send's content, independent of arrival order.
+	// Faults installs the fabric's deterministic fault plan (seeded
+	// uniform loss, burst windows, per-endpoint flakiness, reply
+	// corruption). A zero Faults.Seed defaults to Seed+9 so the plan is
+	// reproducible per world without extra configuration. Every decision
+	// is a pure function of the send's content, independent of arrival
+	// order, so serial and parallel runs, and resumed and uninterrupted
+	// ones, see the same faults.
 	Faults netsim.FaultConfig
 
 	// Exposures sets the probability that a generated site carries each

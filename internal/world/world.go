@@ -93,12 +93,7 @@ func New(cfg Config) *World {
 		pausedUntil: make(map[dnsmsg.Name]int),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 	}
-	netCfg := netsim.Config{Clock: w.Clock}
-	if cfg.PacketLossRate > 0 {
-		netCfg.LossRate = cfg.PacketLossRate
-		netCfg.Rand = rand.New(rand.NewSource(cfg.Seed + 1))
-	}
-	w.Net = netsim.New(netCfg)
+	w.Net = netsim.New(netsim.Config{Clock: w.Clock})
 	if cfg.Faults.Enabled() {
 		faults := cfg.Faults
 		if faults.Seed == 0 {
