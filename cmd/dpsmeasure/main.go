@@ -21,45 +21,23 @@ import (
 	"rrdps/internal/world"
 )
 
-// runFollow is the -follow daemon loop: append days until SIGTERM/SIGINT
-// or -max-days, print a one-line summary per sealed day, then drain —
-// finish the in-flight day, force a checkpoint, and hand back the result
-// accumulated so far. Every sealed day is immediately visible to
-// `rrserve -follow` readers tailing the checkpoint directory.
+// runFollow is the -follow daemon: cmdutil.RunFollow appends days until
+// SIGTERM/SIGINT or -max-days, printing a one-line summary per sealed
+// day, then checkpoints; the result accumulated so far is the report.
+// Every sealed day is immediately visible to `rrserve -follow` readers
+// tailing the checkpoint directory.
 func runFollow(cfg experiment.Dynamics, cf *cmdutil.CampaignFlags) experiment.DynamicsResult {
 	en := cfg.NewEngine()
 	defer en.Close()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sig)
-
-	drain := func(why string) experiment.DynamicsResult {
-		fmt.Fprintf(os.Stderr, "dpsmeasure: %s; checkpointing and draining\n", why)
-		en.Checkpoint()
-		return en.Result()
-	}
-	appended := 0
-	for {
-		select {
-		case s := <-sig:
-			return drain(s.String())
-		default:
-		}
+	cf.RunFollow("dpsmeasure", sig, func() {
 		day := en.NextDay()
 		en.AppendDay()
 		fmt.Println(report.DynamicsProgress(day, en.WorldDay(), en.LastBreakdown(), en.DayCounts(day)))
-		appended++
-		if cf.MaxDays > 0 && appended >= cf.MaxDays {
-			return drain(fmt.Sprintf("-max-days %d reached", cf.MaxDays))
-		}
-		if cf.FollowInterval > 0 {
-			select {
-			case s := <-sig:
-				return drain(s.String())
-			case <-time.After(cf.FollowInterval):
-			}
-		}
-	}
+	}, en.Checkpoint)
+	return en.Result()
 }
 
 func main() {

@@ -23,43 +23,21 @@ import (
 	"rrdps/internal/world"
 )
 
-// runFollow is the -follow daemon loop: append collection rounds
-// (warm-up steps, then scan weeks) until SIGTERM/SIGINT or -max-days,
-// print a one-line summary per sealed round, then drain — finish the
-// in-flight round, force a checkpoint, and hand back the result so far.
+// runFollow is the -follow daemon: cmdutil.RunFollow appends collection
+// rounds (warm-up steps, then scan weeks) until SIGTERM/SIGINT or
+// -max-days, printing a one-line summary per sealed round, then
+// checkpoints; the result accumulated so far is the report.
 func runFollow(cfg experiment.Residual, cf *cmdutil.CampaignFlags) experiment.ResidualResult {
 	en := cfg.NewEngine()
 	defer en.Close()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	defer signal.Stop(sig)
-
-	drain := func(why string) experiment.ResidualResult {
-		fmt.Fprintf(os.Stderr, "rrscan: %s; checkpointing and draining\n", why)
-		en.Checkpoint()
-		return en.Result()
-	}
-	appended := 0
-	for {
-		select {
-		case s := <-sig:
-			return drain(s.String())
-		default:
-		}
+	cf.RunFollow("rrscan", sig, func() {
 		en.AppendRound()
 		fmt.Println(report.ResidualProgress(en.WorldDay(), en.Result()))
-		appended++
-		if cf.MaxDays > 0 && appended >= cf.MaxDays {
-			return drain(fmt.Sprintf("-max-days %d reached", cf.MaxDays))
-		}
-		if cf.FollowInterval > 0 {
-			select {
-			case s := <-sig:
-				return drain(s.String())
-			case <-time.After(cf.FollowInterval):
-			}
-		}
-	}
+	}, en.Checkpoint)
+	return en.Result()
 }
 
 // poolCounts reads the Fig. 7 per-PoP query counts of one Cloudflare pool

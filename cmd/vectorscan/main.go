@@ -47,10 +47,9 @@ func main() {
 	collector := collect.New(resolver, domains)
 	archive := pdns.NewArchive()
 	for day := 0; day < 14; day += 2 {
-		snap := collector.Collect(w.Day())
-		for apex, rec := range snap.Records {
-			archive.Record(w.Day(), apex.Child("www"), rec.Addrs...)
-		}
+		collector.CollectStream(w.Day(), func(rec collect.Record) {
+			archive.Record(w.Day(), rec.Domain.WWW(), rec.Addrs...)
+		})
 		w.AdvanceDays(2)
 	}
 

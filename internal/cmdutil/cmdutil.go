@@ -1,6 +1,7 @@
 // Package cmdutil holds the plumbing shared by the cmd binaries: the
-// common campaign flag block, emitting a metrics dump as text or JSON,
-// and capturing CPU/heap profiles around a campaign body.
+// common campaign flag block, the -follow daemon loop, emitting a
+// metrics dump as text or JSON, and capturing CPU/heap profiles around
+// a campaign body.
 package cmdutil
 
 import (
@@ -210,6 +211,42 @@ func (f *CampaignFlags) Policy() dnsresolver.Policy {
 	p.MaxAttempts = f.Retries
 	p.Hedge = f.Hedge
 	return p
+}
+
+// RunFollow is the -follow daemon loop both campaign binaries share:
+// it calls step once per collection round until a signal arrives on sig
+// or -max-days rounds have run, waiting -follow-interval between rounds,
+// then drains — it prints "<prog>: <why>; checkpointing and draining" to
+// stderr and calls checkpoint exactly once. A signal is only taken
+// between rounds, so the in-flight round always finishes; one that
+// arrives during the wait ends it at once.
+func (f *CampaignFlags) RunFollow(prog string, sig <-chan os.Signal, step, checkpoint func()) {
+	why := f.follow(sig, step)
+	fmt.Fprintf(os.Stderr, "%s: %s; checkpointing and draining\n", prog, why)
+	checkpoint()
+}
+
+// follow runs RunFollow's loop and returns why it stopped.
+func (f *CampaignFlags) follow(sig <-chan os.Signal, step func()) string {
+	for steps := 0; ; {
+		select {
+		case s := <-sig:
+			return s.String()
+		default:
+		}
+		step()
+		steps++
+		if f.MaxDays > 0 && steps >= f.MaxDays {
+			return fmt.Sprintf("-max-days %d reached", f.MaxDays)
+		}
+		if f.FollowInterval > 0 {
+			select {
+			case s := <-sig:
+				return s.String()
+			case <-time.After(f.FollowInterval):
+			}
+		}
+	}
 }
 
 // RenderMetrics renders a registry dump in the given mode ("text" or

@@ -7,8 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"rrdps/internal/obs"
 )
@@ -178,5 +181,60 @@ func TestStartProfilesWritesAllFour(t *testing.T) {
 	}
 	if got := runtime.SetMutexProfileFraction(-1); got != 0 {
 		t.Errorf("mutex profile fraction %d after stop, want 0", got)
+	}
+}
+
+// TestRunFollow pins the daemon loop's three exits: -max-days, a signal
+// already pending before the first round, and a signal that lands
+// during the -follow-interval wait. Each drains with exactly one
+// checkpoint, after the last round.
+func TestRunFollow(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		maxDays   int
+		interval  time.Duration
+		pending   bool // a signal is queued before the loop starts
+		midWait   bool // the first round raises a signal a moment later
+		wantSteps int
+	}{
+		{name: "max-days", maxDays: 3, wantSteps: 3},
+		{name: "pending signal", pending: true, wantSteps: 0},
+		{name: "signal during wait", interval: time.Hour, midWait: true, wantSteps: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := &CampaignFlags{Follow: true, MaxDays: tc.maxDays, FollowInterval: tc.interval}
+			sig := make(chan os.Signal, 1)
+			if tc.pending {
+				sig <- syscall.SIGTERM
+			}
+			var events []string
+			step := func() {
+				events = append(events, "step")
+				if tc.midWait {
+					go func() {
+						time.Sleep(20 * time.Millisecond)
+						sig <- syscall.SIGTERM
+					}()
+				}
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				f.RunFollow("test", sig, step, func() { events = append(events, "checkpoint") })
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("RunFollow did not drain")
+			}
+			var want []string
+			for i := 0; i < tc.wantSteps; i++ {
+				want = append(want, "step")
+			}
+			want = append(want, "checkpoint")
+			if !slices.Equal(events, want) {
+				t.Fatalf("events %v, want %v", events, want)
+			}
+		})
 	}
 }

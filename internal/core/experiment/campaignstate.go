@@ -19,42 +19,43 @@ const (
 // DynamicsState is the externally consumable slice of a Dynamics
 // campaign cursor: the classification and behaviour products a lookup
 // service answers from, without the process internals (resolver health,
-// accounting, RNG position) a resuming campaign also needs.
+// accounting, RNG position) a resuming campaign also needs. The
+// campaign cursor embeds it, so its JSON keys are the cursor's own.
 type DynamicsState struct {
 	// WorldDay is the world clock as of the cursor; NextDay the next
 	// collection-loop index (== collected days so far).
-	WorldDay int
-	NextDay  int
+	WorldDay int `json:"world_day"`
+	NextDay  int `json:"next_day"`
 	// Adoptions is every apex's latest Table III verdict.
-	Adoptions map[dnsmsg.Name]status.Adoption
+	Adoptions map[dnsmsg.Name]status.Adoption `json:"adoptions"`
 	// HaveTracker guards Tracker: the behaviour FSM exists only after the
 	// first collected day.
-	HaveTracker bool
+	HaveTracker bool `json:"have_tracker"`
 	// Tracker carries per-apex detections, closed pause windows, and
 	// still-open pauses — the per-domain DPS history.
-	Tracker behavior.TrackerState
+	Tracker behavior.TrackerState `json:"tracker"`
 	// Breakdowns are the per-day Fig. 2 adoption aggregates.
-	Breakdowns []AdoptionBreakdown
+	Breakdowns []AdoptionBreakdown `json:"breakdowns"`
 }
 
 // ResidualState is the Residual campaign counterpart: the §V hidden-
-// record products by week.
+// record products by week, likewise embedded in the cursor.
 type ResidualState struct {
 	// WorldDay is the world clock as of the cursor; NextWeek the next
 	// scan week (Weeks+1 once the campaign finished).
-	WorldDay int
-	NextWeek int
+	WorldDay int `json:"world_day"`
+	NextWeek int `json:"next_week"`
 	// NameserverCount is the discovered NS-rerouting nameserver count
 	// (the paper's 391 equivalent).
-	NameserverCount int
+	NameserverCount int `json:"nameserver_count"`
 	// Cloudflare / Incapsula hold the per-week Fig. 8 filtering reports,
 	// hidden records included.
-	Cloudflare []WeeklyReport
-	Incapsula  []WeeklyReport
+	Cloudflare []WeeklyReport `json:"cloudflare"`
+	Incapsula  []WeeklyReport `json:"incapsula"`
 	// CFExposure / IncExposure are the week-over-week exposure tracker
 	// states (Fig. 9 timelines).
-	CFExposure  []exposure.WeekState
-	IncExposure []exposure.WeekState
+	CFExposure  []exposure.WeekState `json:"cf_exposure"`
+	IncExposure []exposure.WeekState `json:"inc_exposure"`
 }
 
 // CampaignState is the decoded form of a checkpoint's campaign cursor
@@ -90,42 +91,23 @@ func DecodeCampaignState(blob []byte) (CampaignState, error) {
 	if err := json.Unmarshal(blob, &kind); err != nil {
 		return CampaignState{}, fmt.Errorf("experiment: decode campaign state: %w", err)
 	}
+	// The states are copied out of the cursors so an epoch does not pin
+	// the process state (health, metrics, counters) it never reads.
 	switch kind.Kind {
 	case cursorKindDynamics:
-		cur, err := decodeDynamicsCursor(blob)
+		cur, err := decodeCursor[dynamicsCursor](blob, kind.Kind)
 		if err != nil {
 			return CampaignState{}, err
 		}
-		return CampaignState{
-			Kind:     cur.Kind,
-			Scenario: cur.Scenario,
-			Dynamics: &DynamicsState{
-				WorldDay:    cur.WorldDay,
-				NextDay:     cur.NextDay,
-				Adoptions:   cur.Adoptions,
-				HaveTracker: cur.HaveTracker,
-				Tracker:     cur.Tracker,
-				Breakdowns:  cur.Breakdowns,
-			},
-		}, nil
+		st := cur.DynamicsState
+		return CampaignState{Kind: cur.Kind, Scenario: cur.Scenario, Dynamics: &st}, nil
 	case cursorKindResidual:
-		cur, err := decodeResidualCursor(blob)
+		cur, err := decodeCursor[residualCursor](blob, kind.Kind)
 		if err != nil {
 			return CampaignState{}, err
 		}
-		return CampaignState{
-			Kind:     cur.Kind,
-			Scenario: cur.Scenario,
-			Residual: &ResidualState{
-				WorldDay:        cur.WorldDay,
-				NextWeek:        cur.NextWeek,
-				NameserverCount: cur.NameserverCount,
-				Cloudflare:      cur.Cloudflare,
-				Incapsula:       cur.Incapsula,
-				CFExposure:      cur.CFExposure,
-				IncExposure:     cur.IncExposure,
-			},
-		}, nil
+		st := cur.ResidualState
+		return CampaignState{Kind: cur.Kind, Scenario: cur.Scenario, Residual: &st}, nil
 	default:
 		return CampaignState{}, fmt.Errorf("experiment: unknown campaign cursor kind %q", kind.Kind)
 	}

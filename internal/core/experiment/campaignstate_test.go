@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
 	"testing"
 
 	"rrdps/internal/snapdisk"
@@ -81,6 +83,8 @@ func TestDynamicsOnSealMatchesCheckpoint(t *testing.T) {
 			t.Fatalf("round %d: NextDay=%d, want %d", i, cs.Dynamics.NextDay, i+1)
 		}
 	}
+	assertCursorKeys(t, blobs[last], "adoptions", "base_stats", "breakdowns", "have_tracker", "health",
+		"kind", "net", "next_day", "obs", "rand_draws", "tracker", "unchanged", "world_day")
 	final, _ := DecodeCampaignState(blobs[last])
 	if len(final.Dynamics.Adoptions) == 0 {
 		t.Fatal("final state carries no adoptions")
@@ -112,6 +116,9 @@ func TestResidualOnSealDecodes(t *testing.T) {
 	if rounds != 3 { // one warm-up round + two weeks
 		t.Fatalf("OnSeal fired %d times, want 3", rounds)
 	}
+	assertCursorKeys(t, lastBlob, "base_stats", "cf_exposure", "cloudflare", "cname_lib", "health",
+		"inc_exposure", "incapsula", "kind", "nameserver_count", "net", "next_week", "obs", "scanner",
+		"warmup_remaining", "world_day")
 	cs, err := DecodeCampaignState(lastBlob)
 	if err != nil {
 		t.Fatal(err)
@@ -127,6 +134,25 @@ func TestResidualOnSealDecodes(t *testing.T) {
 	}
 	if cs.WorldDay() == 0 {
 		t.Fatal("WorldDay() = 0 after a 3-round campaign")
+	}
+}
+
+// assertCursorKeys pins a cursor blob's top-level JSON keys (sorted):
+// checkpoints written by other versions must keep decoding, so a key may
+// never be renamed or dropped.
+func assertCursorKeys(t *testing.T, blob []byte, want ...string) {
+	t.Helper()
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &fields); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for k := range fields {
+		got = append(got, k)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("cursor keys %v, want %v", got, want)
 	}
 }
 

@@ -4,18 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"rrdps/internal/core/behavior"
 	"rrdps/internal/core/collect"
-	"rrdps/internal/core/exposure"
 	"rrdps/internal/core/rrscan"
-	"rrdps/internal/core/status"
-	"rrdps/internal/dnsmsg"
 	"rrdps/internal/dnsresolver"
 	"rrdps/internal/dps"
 	"rrdps/internal/netsim"
 	"rrdps/internal/obs"
 	"rrdps/internal/snapdisk"
 	"rrdps/internal/snapstore"
+	"rrdps/internal/world"
 )
 
 // Campaign durability (see internal/snapdisk for the on-disk formats).
@@ -28,14 +25,13 @@ import (
 //
 //	last full checkpoint + the sealed WAL day groups after it,
 //
-// so resume is: load the newest valid checkpoint, replay the sealed WAL
-// groups on top, adopt the last footer's cursor, rebuild the world to
-// the cursor's day (the world is derived from config + seed, so
-// advancing a fresh world is exact replay), and continue the loop. A
-// crash mid-round leaves an unsealed WAL tail; replay drops it and the
-// round is re-collected live, which is value-identical because the
-// world is quiescent within a round and the resolver cache is purged at
-// every pass start.
+// so resume is: rebuild that state (snapdisk.Dir.Recover), adopt the
+// last footer's cursor, rebuild the world to the cursor's day (the
+// world is derived from config + seed, so advancing a fresh world is
+// exact replay), and continue the loop. A crash mid-round leaves an
+// unsealed WAL tail; replay drops it and the round is re-collected
+// live, which is value-identical because the world is quiescent within
+// a round and the resolver cache is purged at every pass start.
 //
 // The cursor carries cumulative QueryStats with SidelineEvents zeroed:
 // sideline events live in the health trackers, whose restored event
@@ -47,183 +43,169 @@ import (
 // when CheckpointEvery is left zero.
 const defaultCheckpointEvery = 7
 
-// campaignPersist bundles a campaign's checkpoint directory and WAL.
-type campaignPersist struct {
-	dir   *snapdisk.Dir
+// roundLog is the durability shell both engines share: the live
+// snapstore every collection round streams into and, with a
+// CheckpointDir, the directory and WAL that make those rounds durable.
+// An engine drives it open → start → (collect → seal)* → checkpoint →
+// close; everything campaign-specific reaches it as a cursor blob.
+type roundLog struct {
+	store *snapstore.Store
+	dir   *snapdisk.Dir // nil without a CheckpointDir
 	wal   *snapdisk.WAL
 	every int
-	// lastCkpt is the world day of the newest full checkpoint, -1 when
-	// none exists yet.
+	// lastCkpt is the world day of the newest full checkpoint this
+	// process wrote, -1 before the first.
 	lastCkpt int
+	onSeal   func(*snapstore.View, []byte)
+	// footer is the most recent sealed round's cursor blob; checkpoint
+	// reuses it, so a forced checkpoint is byte-identical to the WAL
+	// footer of the round it covers.
+	footer []byte
+	closed bool
 }
 
-func openCampaignPersist(dirPath string, every int, resume bool) (*campaignPersist, error) {
-	if every <= 0 {
-		every = defaultCheckpointEvery
-	}
-	dir, err := snapdisk.OpenDir(dirPath)
-	if err != nil {
-		return nil, err
-	}
-	if !resume {
-		// A fresh campaign owns the directory; stale state from an
-		// earlier run must not leak into this one's recovery.
-		if err := dir.Clear(); err != nil {
-			return nil, err
-		}
-	}
-	return &campaignPersist{dir: dir, every: every, lastCkpt: -1}, nil
-}
-
-// recovered is what resume found on disk.
-type recovered struct {
-	store *snapstore.Store
-	blob  []byte // campaign cursor: the checkpoint's, or the last sealed WAL footer's
-	ok    bool
-}
-
-// recoverState loads checkpoint + sealed WAL days. window is the
-// campaign's retention bound, applied when recovery starts from an
-// empty store (a crash before the first full checkpoint).
-func (p *campaignPersist) recoverState(window int) (recovered, error) {
-	st, blob, _, ok, err := p.dir.LatestCheckpoint()
-	if err != nil {
-		return recovered{}, err
-	}
-	var store *snapstore.Store
-	if ok {
-		if blob == nil {
-			return recovered{}, fmt.Errorf("experiment: checkpoint carries no campaign state")
-		}
-		store, err = snapstore.FromState(st)
-		if err != nil {
-			return recovered{}, err
-		}
-		store.SetWindow(window)
-	} else {
-		store = snapstore.New()
-		store.SetWindow(window)
-	}
-	days, _, err := snapdisk.ReplayWAL(p.dir.WALPath())
-	if err != nil {
-		return recovered{}, err
-	}
-	for _, wd := range days {
-		if last, has := store.LatestDay(); has && wd.Day <= last {
-			continue // already folded into the checkpoint
-		}
-		dw := store.BeginDay(wd.Day)
-		for _, rec := range wd.Records {
-			dw.Put(rec)
-		}
-		dw.Seal()
-		blob = wd.Footer
-		ok = true
-	}
-	return recovered{store: store, blob: blob, ok: ok}, nil
-}
-
-// openWAL opens the campaign WAL for appending. Call after recovery and
-// after the post-recovery checkpointNow (or after Clear): appending to a
-// torn tail would bury sealed groups behind garbage, so the WAL is
-// truncated first — and truncating before the recovered state has been
-// re-checkpointed would durably discard the sealed groups it replayed.
-func (p *campaignPersist) openWAL() error {
-	if err := p.truncateWAL(); err != nil {
-		return err
-	}
-	wal, err := snapdisk.OpenWAL(p.dir.WALPath())
-	if err != nil {
-		return err
-	}
-	p.wal = wal
-	return nil
-}
-
-func (p *campaignPersist) truncateWAL() error {
-	w, err := snapdisk.OpenWAL(p.dir.WALPath())
-	if err != nil {
-		return err
-	}
-	if err := w.Reset(); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
-}
-
-// sealRound seals the round's WAL group with the cursor footer, then
-// writes a full checkpoint (and truncates the WAL) when the cadence is
-// due or force is set.
-func (p *campaignPersist) sealRound(worldDay int, store *snapstore.Store, footer []byte, force bool) error {
-	if err := p.wal.SealDay(footer); err != nil {
-		return err
-	}
-	if !force && p.lastCkpt >= 0 && worldDay-p.lastCkpt < p.every {
+// open sets up the store (retention bounded by window) and, with a
+// directory, either clears it — a fresh campaign owns the directory, so
+// stale state from an earlier run must not leak into this one's
+// recovery — or, when resuming, recovers it. It returns the recovered
+// cursor blob, nil when there was nothing to resume.
+func (l *roundLog) open(dirPath string, every int, resume bool, window int, onSeal func(*snapstore.View, []byte)) []byte {
+	l.store, l.lastCkpt, l.onSeal = snapstore.New(), -1, onSeal
+	l.store.SetWindow(window)
+	if dirPath == "" {
 		return nil
 	}
-	if err := p.dir.WriteCheckpoint(worldDay, store.ExportState(), footer); err != nil {
-		return err
+	l.every = every
+	if l.every <= 0 {
+		l.every = defaultCheckpointEvery
 	}
-	p.lastCkpt = worldDay
-	return p.wal.Reset()
+	dir, err := snapdisk.OpenDir(dirPath)
+	must(err)
+	l.dir = dir
+	if !resume {
+		must(dir.Clear())
+		return nil
+	}
+	store, blob, ok, err := dir.Recover(window)
+	if err != nil {
+		panic(fmt.Sprintf("experiment: recover: %v", err))
+	}
+	if !ok {
+		return nil
+	}
+	l.store = store
+	return blob
 }
 
-// checkpointNow writes a full checkpoint outside the seal path — the
-// fresh post-recovery checkpoint that re-establishes the invariant
-// before the campaign continues. It runs BEFORE openWAL truncates the
-// WAL: the replayed sealed groups must be durable in the new checkpoint
-// before the only other copy of them is discarded (a crash in between
-// just resumes from the new checkpoint, skipping the stale WAL groups).
-func (p *campaignPersist) checkpointNow(worldDay int, store *snapstore.Store, footer []byte) error {
-	if err := p.dir.WriteCheckpoint(worldDay, store.ExportState(), footer); err != nil {
-		return err
+// start opens the WAL for this process's rounds. A resumed campaign
+// first re-establishes the invariant with a fresh checkpoint of cursor —
+// written before the WAL is truncated, so a crash in between cannot
+// discard the sealed groups recovery replayed (it just resumes from the
+// new checkpoint, skipping the stale groups). The truncate itself is
+// needed because appending to a torn tail would bury sealed groups
+// behind garbage.
+func (l *roundLog) start(worldDay int, resumed bool, cursor func() []byte) {
+	if l.dir == nil {
+		return
 	}
-	p.lastCkpt = worldDay
-	return nil
+	if resumed {
+		l.writeCheckpoint(worldDay, cursor())
+	}
+	wal, err := snapdisk.OpenWAL(l.dir.WALPath())
+	must(err)
+	if err := wal.Reset(); err != nil {
+		wal.Close()
+		must(err)
+	}
+	l.wal = wal
 }
 
-func (p *campaignPersist) close() {
-	if p.wal != nil {
-		p.wal.Close()
-	}
-}
-
-// tee returns a Put that feeds both the store's DayWriter and the WAL.
-func (p *campaignPersist) tee(put func(collect.Record)) func(collect.Record) {
-	return func(rec collect.Record) {
-		put(rec)
-		if err := p.wal.Put(rec); err != nil {
-			panic(fmt.Sprintf("experiment: wal put: %v", err))
+// collect streams one collection round into the store under the given
+// day label — and, with a WAL, into a new day group alongside it.
+func (l *roundLog) collect(day int, c *collect.Collector) {
+	dw := l.store.BeginDay(day)
+	put := dw.Put
+	if l.wal != nil {
+		if err := l.wal.BeginDay(day); err != nil {
+			panic(fmt.Sprintf("experiment: wal begin day %d: %v", day, err))
+		}
+		put = func(rec collect.Record) {
+			dw.Put(rec)
+			if err := l.wal.Put(rec); err != nil {
+				panic(fmt.Sprintf("experiment: wal put: %v", err))
+			}
 		}
 	}
+	c.CollectStream(day, put)
+	dw.Seal()
 }
 
-func (p *campaignPersist) beginDay(day int) {
-	if err := p.wal.BeginDay(day); err != nil {
-		panic(fmt.Sprintf("experiment: wal begin day %d: %v", day, err))
+// seal closes a round: it seals the WAL group with the round's cursor
+// footer, writes a full checkpoint when the cadence is due, and
+// publishes the round to the OnSeal hook. The cursor is only built when
+// a WAL or the hook consumes it.
+func (l *roundLog) seal(worldDay int, cursor func() []byte) {
+	if l.wal == nil && l.onSeal == nil {
+		return
+	}
+	l.footer = cursor()
+	if l.wal != nil {
+		must(l.wal.SealDay(l.footer))
+		if l.lastCkpt < 0 || worldDay-l.lastCkpt >= l.every {
+			l.checkpoint(worldDay)
+		}
+	}
+	if l.onSeal != nil {
+		l.onSeal(l.store.SealedView(), l.footer)
 	}
 }
 
-// dynamicsCursor is the Dynamics campaign state a footer/checkpoint
-// carries beyond the store: where the loop is, everything the result
-// has accumulated, and the process state (FSM, caches, health,
-// accounting) the next round's behaviour depends on.
-type dynamicsCursor struct {
-	Kind     string `json:"kind"`
-	NextDay  int    `json:"next_day"`
-	WorldDay int    `json:"world_day"`
-	// RandDraws counts long-interval jitter draws so far; resume burns
-	// as many from a fresh identically-seeded Rand.
-	RandDraws   int                               `json:"rand_draws"`
-	HaveTracker bool                              `json:"have_tracker"`
-	Tracker     behavior.TrackerState             `json:"tracker"`
-	Adoptions   map[dnsmsg.Name]status.Adoption   `json:"adoptions"`
-	Breakdowns  []AdoptionBreakdown               `json:"breakdowns"`
-	Unchanged   map[dps.ProviderKey]*UnchangedRow `json:"unchanged"`
-	BaseStats   dnsresolver.QueryStats            `json:"base_stats"`
-	Health      dnsresolver.HealthState           `json:"health"`
-	Obs         obs.Snapshot                      `json:"obs"`
+// checkpoint writes a full checkpoint carrying the last sealed round's
+// footer, then truncates the WAL it subsumes. It does nothing without a
+// directory or before this process sealed a round: a resumed, already
+// complete campaign must not rewrite its final checkpoint with a
+// recomputed cursor.
+func (l *roundLog) checkpoint(worldDay int) {
+	if l.dir == nil || l.footer == nil {
+		return
+	}
+	l.writeCheckpoint(worldDay, l.footer)
+	must(l.wal.Reset())
+}
+
+func (l *roundLog) writeCheckpoint(worldDay int, footer []byte) {
+	must(l.dir.WriteCheckpoint(worldDay, l.store.ExportState(), footer))
+	l.lastCkpt = worldDay
+}
+
+// close releases the WAL handle. It does not checkpoint.
+func (l *roundLog) close() {
+	if l.closed {
+		return
+	}
+	l.closed = true
+	if l.wal != nil {
+		l.wal.Close()
+	}
+}
+
+// must panics on a durability failure: a campaign that can no longer
+// write its state must not carry on as if it could.
+func must(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("experiment: %v", err))
+	}
+}
+
+// cursorBase is the envelope both campaign cursors share: the kind tag
+// and the process state a resumed run restores before its next round.
+type cursorBase struct {
+	Kind string `json:"kind"`
+	// BaseStats is the campaign's cumulative accounting, SidelineEvents
+	// zeroed (the restored health tracker carries those).
+	BaseStats dnsresolver.QueryStats  `json:"base_stats"`
+	Health    dnsresolver.HealthState `json:"health"`
+	Obs       obs.Snapshot            `json:"obs"`
 	// Net carries the fabric's per-endpoint accounting (Fig. 7); the
 	// checkpointed rounds' queries never recur on resume, so the
 	// counters must travel with the cursor.
@@ -233,24 +215,58 @@ type dynamicsCursor struct {
 	Scenario *ScenarioInfo `json:"scenario,omitempty"`
 }
 
+func (c *cursorBase) base() *cursorBase { return c }
+
+// newCursorBase captures the shared process state. stats is the
+// campaign's cumulative accounting: the stats inherited from the cursor
+// this process resumed from plus its own, so the recorded figure stays
+// cumulative across any number of crash/resume cycles.
+func newCursorBase(kind string, stats dnsresolver.QueryStats, resolver *dnsresolver.Resolver, reg *obs.Registry, w *world.World, scn *ScenarioInfo) cursorBase {
+	stats.SidelineEvents = 0
+	return cursorBase{
+		Kind:      kind,
+		BaseStats: stats,
+		Health:    resolver.Health().ExportState(),
+		Obs:       reg.Snapshot(),
+		Net:       w.Net.ExportCounters(),
+		Scenario:  scn,
+	}
+}
+
+// restore puts the shared process state back into a freshly set-up
+// campaign: resolver health, observability counters, the world replayed
+// to worldDay (the world is a pure function of config and seed, so
+// advancing a fresh one reproduces the interrupted run's world exactly)
+// and the fabric's counters.
+func (c *cursorBase) restore(resolver *dnsresolver.Resolver, reg *obs.Registry, w *world.World, worldDay int) {
+	resolver.Health().RestoreState(c.Health)
+	reg.Restore(c.Obs)
+	if worldDay < w.Day() {
+		panic(fmt.Sprintf("experiment: resume world day %d behind current day %d — resume needs a fresh world built from the same config", worldDay, w.Day()))
+	}
+	w.AdvanceDays(worldDay - w.Day())
+	must(w.Net.RestoreCounters(c.Net))
+}
+
+// dynamicsCursor is the Dynamics campaign state a footer or checkpoint
+// carries beyond the store: the exported DynamicsState plus what only a
+// resuming campaign needs.
+type dynamicsCursor struct {
+	cursorBase
+	DynamicsState
+	// RandDraws counts long-interval jitter draws so far; resume burns
+	// as many from a fresh identically-seeded Rand.
+	RandDraws int                               `json:"rand_draws"`
+	Unchanged map[dps.ProviderKey]*UnchangedRow `json:"unchanged"`
+}
+
 // residualCursor is the Residual campaign's counterpart.
 type residualCursor struct {
-	Kind            string                  `json:"kind"`
-	WarmupRemaining int                     `json:"warmup_remaining"`
-	NextWeek        int                     `json:"next_week"`
-	WorldDay        int                     `json:"world_day"`
-	NameserverCount int                     `json:"nameserver_count"`
-	Cloudflare      []WeeklyReport          `json:"cloudflare"`
-	Incapsula       []WeeklyReport          `json:"incapsula"`
-	CFExposure      []exposure.WeekState    `json:"cf_exposure"`
-	IncExposure     []exposure.WeekState    `json:"inc_exposure"`
-	CNAMELib        []rrscan.CNAMETargets   `json:"cname_lib"`
-	Scanner         rrscan.ScannerState     `json:"scanner"`
-	Health          dnsresolver.HealthState `json:"health"`
-	BaseStats       dnsresolver.QueryStats  `json:"base_stats"`
-	Obs             obs.Snapshot            `json:"obs"`
-	Net             netsim.CountersState    `json:"net"`
-	Scenario        *ScenarioInfo           `json:"scenario,omitempty"`
+	cursorBase
+	ResidualState
+	WarmupRemaining int                   `json:"warmup_remaining"`
+	CNAMELib        []rrscan.CNAMETargets `json:"cname_lib"`
+	Scanner         rrscan.ScannerState   `json:"scanner"`
 }
 
 const (
@@ -266,94 +282,17 @@ func encodeCursor(v any) []byte {
 	return b
 }
 
-func decodeDynamicsCursor(b []byte) (dynamicsCursor, error) {
-	var cur dynamicsCursor
+// decodeCursor decodes a cursor blob that must be of the given kind.
+func decodeCursor[C any, P interface {
+	*C
+	base() *cursorBase
+}](b []byte, kind string) (C, error) {
+	var cur C
 	if err := json.Unmarshal(b, &cur); err != nil {
-		return cur, fmt.Errorf("experiment: decode dynamics cursor: %w", err)
+		return cur, fmt.Errorf("experiment: decode %s cursor: %w", kind, err)
 	}
-	if cur.Kind != cursorKindDynamics {
-		return cur, fmt.Errorf("experiment: cursor kind %q, want %q", cur.Kind, cursorKindDynamics)
+	if got := P(&cur).base().Kind; got != kind {
+		return cur, fmt.Errorf("experiment: cursor kind %q, want %q", got, kind)
 	}
 	return cur, nil
-}
-
-func decodeResidualCursor(b []byte) (residualCursor, error) {
-	var cur residualCursor
-	if err := json.Unmarshal(b, &cur); err != nil {
-		return cur, fmt.Errorf("experiment: decode residual cursor: %w", err)
-	}
-	if cur.Kind != cursorKindResidual {
-		return cur, fmt.Errorf("experiment: cursor kind %q, want %q", cur.Kind, cursorKindResidual)
-	}
-	return cur, nil
-}
-
-// exportCursor captures the Dynamics campaign state after a completed
-// day (nextDay is the next loop index to run). baseStats is the
-// accounting this process inherited from the cursor it resumed from
-// (zero on a fresh campaign); folding it in keeps the recorded
-// BaseStats cumulative across any number of crash/resume cycles.
-func (d Dynamics) exportCursor(nextDay, randDraws int, e *dynamicsEnv, tracker *behavior.Tracker, adoptions map[dnsmsg.Name]status.Adoption, res *DynamicsResult, baseStats dnsresolver.QueryStats) dynamicsCursor {
-	base := baseStats.Add(e.resolver.Stats())
-	base.SidelineEvents = 0 // carried by the restored health tracker
-	cur := dynamicsCursor{
-		Kind:       cursorKindDynamics,
-		NextDay:    nextDay,
-		WorldDay:   e.w.Day(),
-		RandDraws:  randDraws,
-		Adoptions:  adoptions,
-		Breakdowns: res.Breakdowns,
-		Unchanged:  res.Unchanged,
-		BaseStats:  base,
-		Health:     e.resolver.Health().ExportState(),
-		Obs:        d.Obs.Snapshot(),
-		Net:        e.w.Net.ExportCounters(),
-		Scenario:   d.Scenario,
-	}
-	if tracker != nil {
-		cur.HaveTracker = true
-		cur.Tracker = tracker.ExportState()
-	}
-	return cur
-}
-
-// exportCursor captures the Residual campaign state after a completed
-// round. warmupRemaining is the warm-up still owed; nextWeek is the
-// next week to run (Weeks+1 when the campaign is done). baseStats is
-// the accounting inherited from the cursor this process resumed from
-// (zero on a fresh campaign), kept cumulative across restarts.
-func (r Residual) exportCursor(warmupRemaining, nextWeek int, e *residualEnv, res *ResidualResult, baseStats dnsresolver.QueryStats) residualCursor {
-	base := baseStats.Add(e.resolver.Stats().Add(e.scanner.Stats()))
-	base.SidelineEvents = 0 // carried by the restored health trackers
-	return residualCursor{
-		Kind:            cursorKindResidual,
-		WarmupRemaining: warmupRemaining,
-		NextWeek:        nextWeek,
-		WorldDay:        e.w.Day(),
-		NameserverCount: res.NameserverCount,
-		Cloudflare:      res.Cloudflare,
-		Incapsula:       res.Incapsula,
-		CFExposure:      res.CFExposure.ExportState(),
-		IncExposure:     res.IncExposure.ExportState(),
-		CNAMELib:        e.cnameLib.ExportState(),
-		Scanner:         e.scanner.ExportState(),
-		Health:          e.resolver.Health().ExportState(),
-		BaseStats:       base,
-		Obs:             r.Obs.Snapshot(),
-		Net:             e.w.Net.ExportCounters(),
-		Scenario:        r.Scenario,
-	}
-}
-
-// advanceWorldTo replays a fresh world forward to the cursor's day. The
-// world is a pure function of its config and seed, so this reproduces
-// the interrupted run's world state exactly.
-func advanceWorldTo(w interface {
-	Day() int
-	AdvanceDays(int)
-}, worldDay int) {
-	if worldDay < w.Day() {
-		panic(fmt.Sprintf("experiment: resume world day %d behind current day %d — resume needs a fresh world built from the same config", worldDay, w.Day()))
-	}
-	w.AdvanceDays(worldDay - w.Day())
 }

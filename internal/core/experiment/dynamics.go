@@ -159,10 +159,6 @@ func (r DynamicsResult) TotalUnchangedRate() (joinResume, unchanged int, rate fl
 type Dynamics struct {
 	World *world.World
 	Days  int
-	// Vantage is the collector's region. Defaults to Oregon.
-	Vantage netsim.Region
-	// Excluded lists extra domains to skip.
-	Excluded []dnsmsg.Name
 	// KeepMultiCDN disables the automatic exclusion of detected multi-CDN
 	// front-end customers (see DetectMultiCDN). The paper excludes them
 	// (§IV-B.3); keep them only to demonstrate the SWITCH noise they add.
@@ -297,12 +293,8 @@ type dynamicsEnv struct {
 }
 
 func (d Dynamics) setup() *dynamicsEnv {
-	vantage := d.Vantage
-	if vantage == 0 {
-		vantage = netsim.RegionOregon
-	}
 	w := d.World
-	resolver := w.NewResolver(vantage)
+	resolver := w.NewResolver(netsim.RegionOregon)
 	domains := make([]alexa.Domain, 0, len(w.Sites()))
 	for _, s := range w.Sites() {
 		domains = append(domains, s.Domain())
@@ -317,7 +309,7 @@ func (d Dynamics) setup() *dynamicsEnv {
 	}
 	resolver.SetPolicy(policy)
 	matcher := match.New(w.Registry, dps.Profiles())
-	verifier := htmlverify.New(w.NewHTTPClient(vantage))
+	verifier := htmlverify.New(w.NewHTTPClient(netsim.RegionOregon))
 	if d.Obs != nil {
 		collector.SetObserver(d.Obs)
 		verifier.SetObserver(d.Obs)

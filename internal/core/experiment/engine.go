@@ -38,10 +38,9 @@ import (
 // windows, and the Table V verification rows. Construct with
 // Dynamics.NewEngine.
 type DynamicsEngine struct {
-	cfg   Dynamics
-	e     *dynamicsEnv
-	store *snapstore.Store
-	p     *campaignPersist
+	cfg Dynamics
+	e   *dynamicsEnv
+	log roundLog
 
 	tracker   *behavior.Tracker // built after the first day (multi-CDN detection)
 	adoptions map[dnsmsg.Name]status.Adoption
@@ -49,11 +48,6 @@ type DynamicsEngine struct {
 	nextDay   int
 	randDraws int
 	baseStats dnsresolver.QueryStats
-	// lastFooter is the most recent sealed round's cursor blob; Checkpoint
-	// reuses it so a forced checkpoint is byte-identical to the WAL footer
-	// of the round it covers.
-	lastFooter []byte
-	closed     bool
 }
 
 // NewEngine builds the campaign's incremental engine: full setup, and —
@@ -72,67 +66,59 @@ func (d Dynamics) NewEngine() *DynamicsEngine {
 	en := &DynamicsEngine{
 		cfg:       d,
 		e:         e,
-		store:     snapstore.New(),
 		adoptions: make(map[dnsmsg.Name]status.Adoption, len(e.domains)),
 		res:       DynamicsResult{Days: d.Days, Unchanged: make(map[dps.ProviderKey]*UnchangedRow)},
 	}
-	en.store.SetWindow(d.window())
-	if d.CheckpointDir == "" {
-		return en
+	blob := en.log.open(d.CheckpointDir, d.CheckpointEvery, d.Resume, d.window(), d.OnSeal)
+	if blob != nil {
+		en.restore(blob)
 	}
-	p, err := openCampaignPersist(d.CheckpointDir, d.CheckpointEvery, d.Resume)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: %v", err))
-	}
-	en.p = p
-	if d.Resume {
-		rec, err := p.recoverState(d.window())
-		if err != nil {
-			panic(fmt.Sprintf("experiment: recover: %v", err))
-		}
-		if rec.ok {
-			cur, err := decodeDynamicsCursor(rec.blob)
-			if err != nil {
-				panic(fmt.Sprintf("experiment: %v", err))
-			}
-			en.store = rec.store
-			en.nextDay = cur.NextDay
-			en.randDraws = cur.RandDraws
-			en.baseStats = cur.BaseStats
-			if cur.HaveTracker {
-				en.tracker = behavior.RestoreTracker(cur.Tracker)
-			}
-			if cur.Adoptions != nil {
-				en.adoptions = cur.Adoptions
-			}
-			en.res.Breakdowns = cur.Breakdowns
-			if cur.Unchanged != nil {
-				en.res.Unchanged = cur.Unchanged
-			}
-			e.resolver.Health().RestoreState(cur.Health)
-			d.Obs.Restore(cur.Obs)
-			advanceWorldTo(e.w, cur.WorldDay)
-			if err := e.w.Net.RestoreCounters(cur.Net); err != nil {
-				panic(fmt.Sprintf("experiment: %v", err))
-			}
-			for i := 0; i < cur.RandDraws; i++ {
-				d.Rand.Float64()
-			}
-		}
-	}
-	if en.nextDay > 0 {
-		// Re-establish the invariant (state = checkpoint + WAL) with a
-		// fresh checkpoint — written before openWAL truncates the WAL,
-		// so a crash in between cannot discard the sealed days it held.
-		footer := encodeCursor(d.exportCursor(en.nextDay, en.randDraws, e, en.tracker, en.adoptions, &en.res, en.baseStats))
-		if err := p.checkpointNow(e.w.Day(), en.store, footer); err != nil {
-			panic(fmt.Sprintf("experiment: %v", err))
-		}
-	}
-	if err := p.openWAL(); err != nil {
-		panic(fmt.Sprintf("experiment: %v", err))
-	}
+	en.log.start(e.w.Day(), blob != nil, en.cursor)
 	return en
+}
+
+// restore adopts a recovered cursor: the loop position, every
+// accumulated artifact, and the process state the next day depends on.
+func (en *DynamicsEngine) restore(blob []byte) {
+	cur, err := decodeCursor[dynamicsCursor](blob, cursorKindDynamics)
+	must(err)
+	en.nextDay, en.randDraws, en.baseStats = cur.NextDay, cur.RandDraws, cur.BaseStats
+	if cur.HaveTracker {
+		en.tracker = behavior.RestoreTracker(cur.Tracker)
+	}
+	if cur.Adoptions != nil {
+		en.adoptions = cur.Adoptions
+	}
+	en.res.Breakdowns = cur.Breakdowns
+	if cur.Unchanged != nil {
+		en.res.Unchanged = cur.Unchanged
+	}
+	cur.restore(en.e.resolver, en.cfg.Obs, en.e.w, cur.WorldDay)
+	for i := 0; i < cur.RandDraws; i++ {
+		en.cfg.Rand.Float64()
+	}
+}
+
+// cursor encodes the campaign state after a completed day (nextDay is
+// the next loop index to run).
+func (en *DynamicsEngine) cursor() []byte {
+	d, e := en.cfg, en.e
+	cur := dynamicsCursor{
+		cursorBase: newCursorBase(cursorKindDynamics, en.baseStats.Add(e.resolver.Stats()), e.resolver, d.Obs, e.w, d.Scenario),
+		DynamicsState: DynamicsState{
+			WorldDay:   e.w.Day(),
+			NextDay:    en.nextDay,
+			Adoptions:  en.adoptions,
+			Breakdowns: en.res.Breakdowns,
+		},
+		RandDraws: en.randDraws,
+		Unchanged: en.res.Unchanged,
+	}
+	if en.tracker != nil {
+		cur.HaveTracker = true
+		cur.Tracker = en.tracker.ExportState()
+	}
+	return encodeCursor(cur)
 }
 
 // NextDay returns the next collection-loop index — equivalently, how
@@ -170,26 +156,19 @@ func (en *DynamicsEngine) LastBreakdown() AdoptionBreakdown {
 // returns the day's detections (the increment a daemon logs); the world
 // then advances to the next snapshot.
 func (en *DynamicsEngine) AppendDay() []behavior.Detection {
-	if en.closed {
+	if en.log.closed {
 		panic("experiment: AppendDay on a closed engine")
 	}
 	d, e := en.cfg, en.e
 	day := en.nextDay
 	daySpan := d.Obs.Tracer().StartSpan("day", fmt.Sprintf("day %d", day))
 	daySpan.SetItems(len(e.domains))
-	dw := en.store.BeginDay(day)
-	put := dw.Put
-	if en.p != nil {
-		en.p.beginDay(day)
-		put = en.p.tee(dw.Put)
-	}
-	e.collector.CollectStream(day, put)
-	dw.Seal()
+	en.log.collect(day, e.collector)
 
 	if en.tracker == nil {
-		excluded := append([]dnsmsg.Name(nil), d.Excluded...)
+		var excluded []dnsmsg.Name
 		if !d.KeepMultiCDN {
-			excluded = append(excluded, DetectMultiCDNStream(en.store.Cursor(day))...)
+			excluded = DetectMultiCDNStream(en.log.store.Cursor(day))
 		}
 		en.tracker = behavior.NewTracker(excluded)
 	}
@@ -206,7 +185,7 @@ func (en *DynamicsEngine) AppendDay() []behavior.Detection {
 		changed = make(map[dnsmsg.Name]snapstore.Pair)
 	}
 	en.tracker.BeginDay(day)
-	for pairs := en.store.DiffPairs(day); pairs.Next(); {
+	for pairs := en.log.store.DiffPairs(day); pairs.Next(); {
 		p := pairs.Pair()
 		unchanged := p.Unchanged()
 		if changed != nil && !unchanged {
@@ -247,18 +226,7 @@ func (en *DynamicsEngine) AppendDay() []behavior.Detection {
 
 	en.randDraws += d.advance(e.w)
 	en.nextDay = day + 1
-	if en.p != nil || d.OnSeal != nil {
-		footer := encodeCursor(d.exportCursor(en.nextDay, en.randDraws, e, en.tracker, en.adoptions, &en.res, en.baseStats))
-		en.lastFooter = footer
-		if en.p != nil {
-			if err := en.p.sealRound(e.w.Day(), en.store, footer, false); err != nil {
-				panic(fmt.Sprintf("experiment: %v", err))
-			}
-		}
-		if d.OnSeal != nil {
-			d.OnSeal(en.store.SealedView(), footer)
-		}
-	}
+	en.log.seal(e.w.Day(), en.cursor)
 	daySpan.End()
 	return detections
 }
@@ -269,9 +237,7 @@ func (en *DynamicsEngine) AppendDay() []behavior.Detection {
 // sealed round's footer, so the checkpoint is byte-identical to what
 // that round's cadence checkpoint would have carried. A no-op without a
 // CheckpointDir, or before the first round sealed by this process.
-func (en *DynamicsEngine) Checkpoint() {
-	checkpointEngine(en.p, en.e.w.Day(), en.store, en.lastFooter)
-}
+func (en *DynamicsEngine) Checkpoint() { en.log.checkpoint(en.e.w.Day()) }
 
 // Result assembles the campaign result over everything appended so far:
 // value-identical to a batch Run over the same number of days. The
@@ -293,15 +259,7 @@ func (en *DynamicsEngine) Result() DynamicsResult {
 // Close releases the engine's WAL handle. It does not checkpoint — call
 // Checkpoint first for a clean shutdown; skipping it models a crash
 // (the sealed WAL groups still resume exactly).
-func (en *DynamicsEngine) Close() {
-	if en.closed {
-		return
-	}
-	en.closed = true
-	if en.p != nil {
-		en.p.close()
-	}
-}
+func (en *DynamicsEngine) Close() { en.log.close() }
 
 // ResidualEngine is the §V residual-resolution campaign as an
 // incremental process: each AppendRound is one collection round — a
@@ -309,10 +267,9 @@ func (en *DynamicsEngine) Close() {
 // round (direct scan + filter + exposure fold) per call. Construct with
 // Residual.NewEngine.
 type ResidualEngine struct {
-	cfg   Residual
-	e     *residualEnv
-	store *snapstore.Store
-	p     *campaignPersist
+	cfg Residual
+	e   *residualEnv
+	log roundLog
 
 	res             ResidualResult
 	warmupRemaining int
@@ -320,8 +277,6 @@ type ResidualEngine struct {
 	rounds          int // rounds appended by this process
 	baseStats       dnsresolver.QueryStats
 	warmupSpan      *obs.Span
-	lastFooter      []byte
-	closed          bool
 }
 
 // NewEngine builds the campaign's incremental engine; see
@@ -339,9 +294,8 @@ func (r Residual) NewEngine() *ResidualEngine {
 	}
 	e := r.setup()
 	en := &ResidualEngine{
-		cfg:   r,
-		e:     e,
-		store: snapstore.New(),
+		cfg: r,
+		e:   e,
 		res: ResidualResult{
 			Weeks:       r.Weeks,
 			CFExposure:  exposure.NewTracker(),
@@ -350,61 +304,52 @@ func (r Residual) NewEngine() *ResidualEngine {
 		warmupRemaining: r.WarmupDays,
 		nextWeek:        1,
 	}
-	en.store.SetWindow(r.window())
-	if r.CheckpointDir != "" {
-		p, err := openCampaignPersist(r.CheckpointDir, r.CheckpointEvery, r.Resume)
-		if err != nil {
-			panic(fmt.Sprintf("experiment: %v", err))
-		}
-		en.p = p
-		if r.Resume {
-			rec, err := p.recoverState(r.window())
-			if err != nil {
-				panic(fmt.Sprintf("experiment: recover: %v", err))
-			}
-			if rec.ok {
-				cur, err := decodeResidualCursor(rec.blob)
-				if err != nil {
-					panic(fmt.Sprintf("experiment: %v", err))
-				}
-				en.store = rec.store
-				en.warmupRemaining = cur.WarmupRemaining
-				en.nextWeek = cur.NextWeek
-				en.baseStats = cur.BaseStats
-				en.res.NameserverCount = cur.NameserverCount
-				en.res.Cloudflare = cur.Cloudflare
-				en.res.Incapsula = cur.Incapsula
-				en.res.CFExposure = exposure.RestoreTracker(cur.CFExposure)
-				en.res.IncExposure = exposure.RestoreTracker(cur.IncExposure)
-				e.cnameLib.RestoreState(cur.CNAMELib)
-				if err := e.scanner.RestoreState(cur.Scanner); err != nil {
-					panic(fmt.Sprintf("experiment: %v", err))
-				}
-				e.resolver.Health().RestoreState(cur.Health)
-				r.Obs.Restore(cur.Obs)
-				advanceWorldTo(e.w, cur.WorldDay)
-				if err := e.w.Net.RestoreCounters(cur.Net); err != nil {
-					panic(fmt.Sprintf("experiment: %v", err))
-				}
-			}
-		}
-		if en.warmupRemaining < r.WarmupDays || en.nextWeek > 1 {
-			// Re-establish the invariant (state = checkpoint + WAL) with a
-			// fresh checkpoint — written before openWAL truncates the WAL,
-			// so a crash in between cannot discard the sealed days it held.
-			footer := encodeCursor(r.exportCursor(en.warmupRemaining, en.nextWeek, e, &en.res, en.baseStats))
-			if err := p.checkpointNow(e.w.Day(), en.store, footer); err != nil {
-				panic(fmt.Sprintf("experiment: %v", err))
-			}
-		}
-		if err := p.openWAL(); err != nil {
-			panic(fmt.Sprintf("experiment: %v", err))
-		}
+	blob := en.log.open(r.CheckpointDir, r.CheckpointEvery, r.Resume, r.window(), r.OnSeal)
+	if blob != nil {
+		en.restore(blob)
 	}
+	en.log.start(e.w.Day(), blob != nil, en.cursor)
 	if en.warmupRemaining > 0 {
 		en.warmupSpan = r.Obs.Tracer().StartSpan("warmup", fmt.Sprintf("%d days", en.warmupRemaining))
 	}
 	return en
+}
+
+// restore adopts a recovered cursor; see DynamicsEngine.restore.
+func (en *ResidualEngine) restore(blob []byte) {
+	cur, err := decodeCursor[residualCursor](blob, cursorKindResidual)
+	must(err)
+	e := en.e
+	en.warmupRemaining, en.nextWeek, en.baseStats = cur.WarmupRemaining, cur.NextWeek, cur.BaseStats
+	en.res.NameserverCount = cur.NameserverCount
+	en.res.Cloudflare, en.res.Incapsula = cur.Cloudflare, cur.Incapsula
+	en.res.CFExposure = exposure.RestoreTracker(cur.CFExposure)
+	en.res.IncExposure = exposure.RestoreTracker(cur.IncExposure)
+	e.cnameLib.RestoreState(cur.CNAMELib)
+	must(e.scanner.RestoreState(cur.Scanner))
+	cur.restore(e.resolver, en.cfg.Obs, e.w, cur.WorldDay)
+}
+
+// cursor encodes the campaign state after a completed round.
+// warmupRemaining is the warm-up still owed; nextWeek is the next week
+// to run (Weeks+1 when the campaign is done).
+func (en *ResidualEngine) cursor() []byte {
+	r, e := en.cfg, en.e
+	return encodeCursor(residualCursor{
+		cursorBase: newCursorBase(cursorKindResidual, en.baseStats.Add(e.resolver.Stats().Add(e.scanner.Stats())), e.resolver, r.Obs, e.w, r.Scenario),
+		ResidualState: ResidualState{
+			WorldDay:        e.w.Day(),
+			NextWeek:        en.nextWeek,
+			NameserverCount: en.res.NameserverCount,
+			Cloudflare:      en.res.Cloudflare,
+			Incapsula:       en.res.Incapsula,
+			CFExposure:      en.res.CFExposure.ExportState(),
+			IncExposure:     en.res.IncExposure.ExportState(),
+		},
+		WarmupRemaining: en.warmupRemaining,
+		CNAMELib:        e.cnameLib.ExportState(),
+		Scanner:         e.scanner.ExportState(),
+	})
 }
 
 // InWarmup reports whether the next AppendRound is a warm-up round.
@@ -417,46 +362,6 @@ func (en *ResidualEngine) NextWeek() int { return en.nextWeek }
 // WorldDay returns the world clock.
 func (en *ResidualEngine) WorldDay() int { return en.e.w.Day() }
 
-// Rounds returns how many rounds this process has appended.
-func (en *ResidualEngine) Rounds() int { return en.rounds }
-
-// collectRound streams one collection round into the store (same
-// queries, same order as the legacy Collect) and returns its day label
-// for cursor replay. With persistence, the records tee into the WAL.
-func (en *ResidualEngine) collectRound() int {
-	day := en.e.w.Day()
-	dw := en.store.BeginDay(day)
-	put := dw.Put
-	if en.p != nil {
-		en.p.beginDay(day)
-		put = en.p.tee(dw.Put)
-	}
-	en.e.collector.CollectStream(day, put)
-	dw.Seal()
-	return day
-}
-
-// sealRound closes the round's WAL group with the current cursor,
-// writes a cadence checkpoint when due, and publishes the round to the
-// OnSeal hook.
-func (en *ResidualEngine) sealRound() {
-	en.rounds++
-	r := en.cfg
-	if en.p == nil && r.OnSeal == nil {
-		return
-	}
-	footer := encodeCursor(r.exportCursor(en.warmupRemaining, en.nextWeek, en.e, &en.res, en.baseStats))
-	en.lastFooter = footer
-	if en.p != nil {
-		if err := en.p.sealRound(en.e.w.Day(), en.store, footer, false); err != nil {
-			panic(fmt.Sprintf("experiment: %v", err))
-		}
-	}
-	if r.OnSeal != nil {
-		r.OnSeal(en.store.SealedView(), footer)
-	}
-}
-
 // AppendRound runs one collection round and folds it into every artifact
 // in place. During warm-up it collects and feeds the Incapsula CNAME
 // library, then advances the world up to seven days; afterwards each
@@ -465,13 +370,14 @@ func (en *ResidualEngine) sealRound() {
 // through the Fig. 8 filter, and the week's exposure fold — followed by
 // a week of world time.
 func (en *ResidualEngine) AppendRound() {
-	if en.closed {
+	if en.log.closed {
 		panic("experiment: AppendRound on a closed engine")
 	}
 	r, e, w := en.cfg, en.e, en.e.w
 	if en.warmupRemaining > 0 {
-		day := en.collectRound()
-		for cur := en.store.Cursor(day); cur.Next(); {
+		day := w.Day()
+		en.log.collect(day, e.collector)
+		for cur := en.log.store.Cursor(day); cur.Next(); {
 			e.cnameLib.AddRecord(cur.Apex(), cur.Record())
 		}
 		en.warmupSpan.AddItems(len(e.domains))
@@ -481,7 +387,8 @@ func (en *ResidualEngine) AppendRound() {
 		}
 		w.AdvanceDays(step)
 		en.warmupRemaining -= step
-		en.sealRound()
+		en.rounds++
+		en.log.seal(w.Day(), en.cursor)
 		if en.warmupRemaining == 0 {
 			en.warmupSpan.End()
 			en.warmupSpan = nil
@@ -496,9 +403,10 @@ func (en *ResidualEngine) AppendRound() {
 	// Collect at the start of the week; one cursor pass feeds both
 	// snapshot consumers — the Incapsula CNAME library and the week's
 	// fresh nameserver discovery.
-	day := en.collectRound()
+	day := w.Day()
+	en.log.collect(day, e.collector)
 	disc := rrscan.NewNameserverDiscovery(e.cfProfile)
-	for cur := en.store.Cursor(day); cur.Next(); {
+	for cur := en.log.store.Cursor(day); cur.Next(); {
 		rec := cur.Record()
 		e.cnameLib.AddRecord(cur.Apex(), rec)
 		disc.AddRecord(rec)
@@ -515,14 +423,13 @@ func (en *ResidualEngine) AppendRound() {
 	// A week of usage dynamics between scans.
 	w.AdvanceDays(7)
 	en.nextWeek = week + 1
-	en.sealRound()
+	en.rounds++
+	en.log.seal(w.Day(), en.cursor)
 	weekSpan.End()
 }
 
 // Checkpoint forces a full checkpoint; see DynamicsEngine.Checkpoint.
-func (en *ResidualEngine) Checkpoint() {
-	checkpointEngine(en.p, en.e.w.Day(), en.store, en.lastFooter)
-}
+func (en *ResidualEngine) Checkpoint() { en.log.checkpoint(en.e.w.Day()) }
 
 // Result assembles the campaign result over everything appended so far;
 // Weeks is the number of completed scan weeks. See
@@ -535,29 +442,4 @@ func (en *ResidualEngine) Result() ResidualResult {
 }
 
 // Close releases the engine's WAL handle; see DynamicsEngine.Close.
-func (en *ResidualEngine) Close() {
-	if en.closed {
-		return
-	}
-	en.closed = true
-	if en.p != nil {
-		en.p.close()
-	}
-}
-
-// checkpointEngine is the shared forced-checkpoint path: write a full
-// checkpoint carrying the last sealed round's footer, then truncate the
-// WAL it subsumes. Skipped before anything sealed (footer nil) — a
-// resumed-and-already-complete campaign must not rewrite its final
-// checkpoint with a recomputed one.
-func checkpointEngine(p *campaignPersist, worldDay int, store *snapstore.Store, footer []byte) {
-	if p == nil || footer == nil {
-		return
-	}
-	if err := p.checkpointNow(worldDay, store, footer); err != nil {
-		panic(fmt.Sprintf("experiment: %v", err))
-	}
-	if err := p.wal.Reset(); err != nil {
-		panic(fmt.Sprintf("experiment: %v", err))
-	}
-}
+func (en *ResidualEngine) Close() { en.log.close() }

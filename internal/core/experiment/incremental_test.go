@@ -207,7 +207,7 @@ func TestAppendDayIncrementalReverify(t *testing.T) {
 		prev = comparisons.Value()
 
 		changed := 0
-		for pairs := en.store.DiffPairs(day); pairs.Next(); {
+		for pairs := en.log.store.DiffPairs(day); pairs.Next(); {
 			if !pairs.Pair().Unchanged() {
 				changed++
 			}

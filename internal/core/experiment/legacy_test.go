@@ -39,9 +39,9 @@ func legacyDynamics(d Dynamics) DynamicsResult {
 		classified := e.classifier.ClassifySnapshot(snap)
 
 		if tracker == nil {
-			excluded := append([]dnsmsg.Name(nil), d.Excluded...)
+			var excluded []dnsmsg.Name
 			if !d.KeepMultiCDN {
-				excluded = append(excluded, detectMultiCDN(snap)...)
+				excluded = detectMultiCDN(snap)
 			}
 			tracker = behavior.NewTracker(excluded)
 		}

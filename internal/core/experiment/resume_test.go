@@ -363,8 +363,9 @@ func TestCheckpointRejectsProviderAudit(t *testing.T) {
 // decoder must skip that field, so checkpoint directories that still
 // hold it keep resuming.
 func TestResidualCursorSkipsRetiredField(t *testing.T) {
-	cur, err := decodeResidualCursor([]byte(`{"kind":"residual","next_week":3,"nameserver_count":8,` +
-		`"ns_hosts_by_week":{"1":["ada.ns.cloudflare.com."],"2":["ada.ns.cloudflare.com.","bob.ns.cloudflare.com."]}}`))
+	blob := []byte(`{"kind":"residual","next_week":3,"nameserver_count":8,` +
+		`"ns_hosts_by_week":{"1":["ada.ns.cloudflare.com."],"2":["ada.ns.cloudflare.com.","bob.ns.cloudflare.com."]}}`)
+	cur, err := decodeCursor[residualCursor](blob, cursorKindResidual)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,25 +11,17 @@ import (
 
 	"rrdps/internal/core/experiment"
 	"rrdps/internal/snapdisk"
-	"rrdps/internal/snapstore"
 )
 
 // FollowSource tails a live campaign's checkpoint directory: each
-// Refresh rebuilds the current epoch from the newest checkpoint plus the
-// sealed WAL day groups after it — exactly the campaign's own recovery
-// invariant — and swaps it in atomically. A `rrserve -follow` reader
-// therefore serves answers at most one poll interval staler than the
-// writer's last sealed round, without ever talking to the writer
-// process: the checkpoint is an atomic rename, and WAL replay drops any
-// torn tail, so a reader racing the writer sees complete rounds only.
-//
-// Read ordering inside Refresh is load-bearing: the WAL bytes are
-// captured BEFORE the checkpoint is picked. The WAL only ever holds the
-// day groups sealed after some checkpoint C; a checkpoint read later is
-// C or newer, so every WAL day beyond the checkpoint's coverage extends
-// it contiguously. Reading the checkpoint first would race the writer's
-// checkpoint-then-truncate step: a WAL captured after the truncate can
-// start past the stale checkpoint's coverage, leaving a day gap.
+// Refresh rebuilds the current epoch with snapdisk.Dir.Recover — the
+// campaign's own recovery rule, newest checkpoint plus the sealed WAL
+// day groups after it — and swaps it in atomically. A `rrserve -follow`
+// reader therefore serves answers at most one poll interval staler than
+// the writer's last sealed round, without ever talking to the writer
+// process: the checkpoint is an atomic rename, WAL replay drops any torn
+// tail, and Recover reads the WAL before it picks the checkpoint, so a
+// reader racing the writer sees complete, contiguous rounds only.
 type FollowSource struct {
 	dir *snapdisk.Dir
 	cur atomic.Pointer[Epoch]
@@ -89,46 +81,11 @@ func (s *FollowSource) Refresh() (swapped bool, err error) {
 		return false, nil
 	}
 
-	// WAL first — see the type comment for why this ordering is correct.
-	walBytes, err := os.ReadFile(s.dir.WALPath())
-	if err != nil && !os.IsNotExist(err) {
-		return false, err
-	}
-
-	st, blob, _, ok, err := s.dir.LatestCheckpoint()
+	store, blob, ok, err := s.dir.Recover(0)
 	if err != nil {
 		return false, err
 	}
-	var store *snapstore.Store
-	if ok {
-		if blob == nil {
-			return false, fmt.Errorf("serve: checkpoint in %s carries no campaign state", s.dir.Path())
-		}
-		store, err = snapstore.FromState(st)
-		if err != nil {
-			return false, err
-		}
-	} else {
-		store = snapstore.New()
-	}
-
-	// Fold the sealed WAL groups past the checkpoint's coverage; a torn
-	// tail is dropped by ReplayWALBytes, so only complete rounds land.
-	days, _ := snapdisk.ReplayWALBytes(walBytes)
-	haveState := ok
-	for _, wd := range days {
-		if last, has := store.LatestDay(); has && wd.Day <= last {
-			continue // already folded into the checkpoint
-		}
-		dw := store.BeginDay(wd.Day)
-		for _, rec := range wd.Records {
-			dw.Put(rec)
-		}
-		dw.Seal()
-		blob = wd.Footer
-		haveState = true
-	}
-	if !haveState {
+	if !ok {
 		// Nothing sealed yet; keep reporting "no epoch".
 		s.lastSig = sig
 		return false, nil

@@ -314,11 +314,11 @@ func OpenDir(path string) (*Dir, error) {
 // OpenDirReadOnly opens an existing checkpoint directory for reading —
 // the lookup-service path. Unlike OpenDir it never creates the
 // directory, and a consumer holding a read-only Dir must only call
-// LatestCheckpoint: the WAL append path (and the campaign code that
-// truncates the WAL on open) belongs to the campaign that owns the
-// directory. A missing directory is an error, not an empty campaign,
-// because a reader pointed at the wrong path should say so rather than
-// serve nothing.
+// LatestCheckpoint and Recover: the WAL append path (and the campaign
+// code that truncates the WAL on open) belongs to the campaign that
+// owns the directory. A missing directory is an error, not an empty
+// campaign, because a reader pointed at the wrong path should say so
+// rather than serve nothing.
 func OpenDirReadOnly(path string) (*Dir, error) {
 	info, err := os.Stat(path)
 	if err != nil {
@@ -399,6 +399,63 @@ func (d *Dir) LatestCheckpoint() (st snapstore.State, campaign []byte, label int
 		}
 	}
 	return snapstore.State{}, nil, 0, false, nil
+}
+
+// Recover rebuilds a campaign's durable state: the newest valid
+// checkpoint plus the sealed WAL day groups after it, and the campaign
+// blob of the last of them (the checkpoint's when the WAL adds no day).
+// It is the one home of that rule — a resuming campaign and a follower
+// tailing a live writer both call it. ok is false when the directory
+// holds no sealed state at all. A checkpoint without a campaign blob is
+// an error: a campaign directory always carries its cursor.
+//
+// window > 0 bounds the store's retention before the replay, so the
+// replayed days evict as the writer's did; 0 keeps the checkpoint's own
+// bound (unbounded when there is no checkpoint).
+//
+// The WAL bytes are read BEFORE the checkpoint is picked, which is what
+// makes Recover safe against a writer running concurrently. The WAL only
+// ever holds the day groups sealed after some checkpoint C; a checkpoint
+// picked later is C or newer, so every WAL day past its coverage extends
+// it contiguously. Reading the checkpoint first would race the writer's
+// checkpoint-then-truncate step: a WAL read after the truncate can start
+// past the stale checkpoint's coverage, leaving a day gap.
+func (d *Dir) Recover(window int) (store *snapstore.Store, campaign []byte, ok bool, err error) {
+	walBytes, err := os.ReadFile(d.WALPath())
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, false, fmt.Errorf("snapdisk: %w", err)
+	}
+	st, campaign, label, ok, err := d.LatestCheckpoint()
+	if err != nil {
+		return nil, nil, false, err
+	}
+	store = snapstore.New()
+	if ok {
+		if campaign == nil {
+			return nil, nil, false, fmt.Errorf("snapdisk: checkpoint %d in %s carries no campaign state", label, d.path)
+		}
+		if store, err = snapstore.FromState(st); err != nil {
+			return nil, nil, false, err
+		}
+	}
+	if window > 0 {
+		store.SetWindow(window)
+	}
+	// A torn tail (or a missing log) just ends the replay: only sealed
+	// groups come back.
+	days, _ := ReplayWALBytes(walBytes)
+	for _, wd := range days {
+		if last, has := store.LatestDay(); has && wd.Day <= last {
+			continue // already folded into the checkpoint
+		}
+		dw := store.BeginDay(wd.Day)
+		for _, rec := range wd.Records {
+			dw.Put(rec)
+		}
+		dw.Seal()
+		campaign, ok = wd.Footer, true
+	}
+	return store, campaign, ok, nil
 }
 
 // Clear removes every checkpoint file and the WAL — a fresh campaign

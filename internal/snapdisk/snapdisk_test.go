@@ -273,6 +273,107 @@ func TestDirRotationAndFallback(t *testing.T) {
 	}
 }
 
+// TestDirRecover pins the recovery rule: newest checkpoint plus the
+// sealed WAL groups past its last day, with the window applied before
+// the replay.
+func TestDirRecover(t *testing.T) {
+	recs := walRecords()
+	// storeOf builds a store that sealed the given days.
+	storeOf := func(days ...int) *snapstore.Store {
+		s := snapstore.New()
+		for _, day := range days {
+			w := s.BeginDay(day)
+			for _, r := range recs {
+				w.Put(r)
+			}
+			w.Seal()
+		}
+		return s
+	}
+	ckpt := func(label int, campaign []byte, days ...int) func(*testing.T, *Dir) {
+		return func(t *testing.T, d *Dir) {
+			if err := d.WriteCheckpoint(label, storeOf(days...).ExportState(), campaign); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// wal seals one group per day, footer "f<day>", and leaves a torn
+	// group after them.
+	wal := func(days ...int) func(*testing.T, *Dir) {
+		return func(t *testing.T, d *Dir) {
+			w, err := OpenWAL(d.WALPath())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, day := range days {
+				w.BeginDay(day)
+				for _, r := range recs {
+					w.Put(r)
+				}
+				if err := w.SealDay([]byte(fmt.Sprintf("f%d", day))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w.BeginDay(100)
+			w.Put(recs[0])
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name         string
+		setup        []func(*testing.T, *Dir)
+		window       int
+		wantErr      bool
+		wantOK       bool
+		wantCampaign string
+		wantDays     []int
+	}{
+		{name: "empty directory"},
+		{name: "wal only", setup: []func(*testing.T, *Dir){wal(0, 1)},
+			wantOK: true, wantCampaign: "f1", wantDays: []int{0, 1}},
+		{name: "checkpoint plus folded wal groups",
+			setup:  []func(*testing.T, *Dir){ckpt(1, []byte("ck"), 0, 1), wal(0, 1, 2)},
+			wantOK: true, wantCampaign: "f2", wantDays: []int{0, 1, 2}},
+		{name: "checkpoint covers the whole wal",
+			setup:  []func(*testing.T, *Dir){ckpt(1, []byte("ck"), 0, 1), wal(0, 1)},
+			wantOK: true, wantCampaign: "ck", wantDays: []int{0, 1}},
+		{name: "checkpoint without campaign state",
+			setup: []func(*testing.T, *Dir){ckpt(1, nil, 0, 1)}, wantErr: true},
+		{name: "window 0 keeps every day",
+			setup:  []func(*testing.T, *Dir){ckpt(0, []byte("ck"), 0), wal(1, 2, 3)},
+			wantOK: true, wantCampaign: "f3", wantDays: []int{0, 1, 2, 3}},
+		{name: "window 2 evicts during the replay",
+			setup:  []func(*testing.T, *Dir){ckpt(0, []byte("ck"), 0), wal(1, 2, 3)},
+			window: 2, wantOK: true, wantCampaign: "f3", wantDays: []int{2, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := OpenDir(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range tc.setup {
+				f(t, d)
+			}
+			store, campaign, ok, err := d.Recover(tc.window)
+			if tc.wantErr {
+				if err == nil {
+					t.Fatal("Recover succeeded, want an error")
+				}
+				return
+			}
+			if err != nil || ok != tc.wantOK || string(campaign) != tc.wantCampaign {
+				t.Fatalf("Recover = ok %v campaign %q err %v, want ok %v campaign %q",
+					ok, campaign, err, tc.wantOK, tc.wantCampaign)
+			}
+			if got := store.Days(); !reflect.DeepEqual(got, tc.wantDays) {
+				t.Fatalf("recovered days %v, want %v", got, tc.wantDays)
+			}
+		})
+	}
+}
+
 func walRecords() []collect.Record {
 	return []collect.Record{
 		rec(1, "alpha.com", []string{"10.0.0.1", "2001:db8::1"}, []string{"edge.cdn.net"}, []string{"ns1.alpha.com"}, true, true),
@@ -442,33 +543,59 @@ func mustReplay(t *testing.T, b []byte) []WALDay {
 }
 
 func TestWALReset(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal.log")
-	w, err := OpenWAL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.BeginDay(0)
-	w.Put(walRecords()[0])
-	if err := w.SealDay([]byte("f")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Reset(); err != nil {
-		t.Fatalf("reset: %v", err)
-	}
-	// Post-reset writes land after the magic, not after stale bytes.
-	w.BeginDay(7)
-	if err := w.SealDay([]byte("g")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	days, tail, err := ReplayWAL(path)
-	if err != nil || tail != nil {
-		t.Fatalf("replay: tail=%v err=%v", tail, err)
-	}
-	if len(days) != 1 || days[0].Day != 7 || string(days[0].Footer) != "g" {
-		t.Fatalf("post-reset replay: %+v", days)
+	for _, tc := range []struct {
+		name string
+		// prep leaves the file Reset starts from.
+		prep func(t *testing.T, path string)
+	}{
+		{"after a sealed day", func(t *testing.T, path string) {
+			w, err := OpenWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.BeginDay(0)
+			w.Put(walRecords()[0])
+			if err := w.SealDay([]byte("f")); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// A crash while the header was being written leaves a prefix of
+		// the magic; Reset must not keep it.
+		{"torn header", func(t *testing.T, path string) {
+			if err := os.WriteFile(path, []byte(walMagic[:3]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "wal.log")
+			tc.prep(t, path)
+			w, err := OpenWAL(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Reset(); err != nil {
+				t.Fatalf("reset: %v", err)
+			}
+			// Post-reset writes land after the magic, not after stale bytes.
+			w.BeginDay(7)
+			if err := w.SealDay([]byte("g")); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			days, tail, err := ReplayWAL(path)
+			if err != nil || tail != nil {
+				t.Fatalf("replay: tail=%v err=%v", tail, err)
+			}
+			if len(days) != 1 || days[0].Day != 7 || string(days[0].Footer) != "g" {
+				t.Fatalf("post-reset replay: %+v", days)
+			}
+		})
 	}
 }
 

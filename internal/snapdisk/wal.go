@@ -116,22 +116,25 @@ func (w *WAL) SealDay(footer []byte) error {
 	return nil
 }
 
-// Reset truncates the log back to its magic header — called right after
-// a full checkpoint subsumes the sealed days.
+// Reset truncates the log to empty and rewrites the magic header —
+// called right after a full checkpoint subsumes the sealed days, and
+// when a campaign takes the log over. Truncating to zero rather than to
+// the header's length matters for a file torn inside its header: kept,
+// those bytes would make every later sealed day unreadable.
 func (w *WAL) Reset() error {
 	if err := w.bw.Flush(); err != nil {
 		return fmt.Errorf("snapdisk: %w", err)
 	}
-	if err := w.f.Truncate(int64(len(walMagic))); err != nil {
+	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("snapdisk: %w", err)
 	}
-	if _, err := w.f.Seek(int64(len(walMagic)), 0); err != nil {
+	// The file is opened O_APPEND, so the header lands at offset 0.
+	if _, err := w.f.WriteString(walMagic); err != nil {
 		return fmt.Errorf("snapdisk: %w", err)
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("snapdisk: %w", err)
 	}
-	w.bw.Reset(w.f)
 	return nil
 }
 

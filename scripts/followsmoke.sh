@@ -9,6 +9,9 @@
 # number of days is served side by side and the two servers' answers —
 # stats, the full population, a sampled domain and its history — must be
 # byte-identical, the process-level face of the append==batch law.
+# Last, `rrscan -follow` runs the same daemon loop (cmdutil.RunFollow)
+# for a few rounds: it must drain on -max-days, and a plain rrserve
+# must load what it left as a residual campaign.
 #
 # Environment:
 #   SMOKE_SITES  campaign population (default 500)
@@ -31,6 +34,7 @@ cleanup() {
 trap cleanup EXIT
 
 go build -o "$work/dpsmeasure" ./cmd/dpsmeasure
+go build -o "$work/rrscan" ./cmd/rrscan
 go build -o "$work/rrserve" ./cmd/rrserve
 
 wait_addr() { # wait_addr <logfile> <pid-var-value>
@@ -158,4 +162,23 @@ for pair in "follow_pid follow.log" "batch_pid batch.log"; do
     { echo "FAIL: no clean shutdown line in $log"; cat "$work/$log"; exit 1; }
 done
 echo "ok: both servers drained on SIGTERM"
+
+# The residual campaign shares the follow loop: four rounds, then the
+# -max-days drain, then the directory loads as a residual campaign.
+echo ">> rrscan -follow -max-days 4"
+"$work/rrscan" -sites 300 -warmup 7 -workers 1 -follow -max-days 4 \
+  -checkpoint-dir "$work/res" > "$work/res.out" 2> "$work/res.err" || \
+  { echo "FAIL: rrscan -follow exited nonzero"; cat "$work/res.err"; exit 1; }
+grep -q 'rrscan: -max-days 4 reached; checkpointing and draining' "$work/res.err" || \
+  { echo "FAIL: no drain line in rrscan stderr"; cat "$work/res.err"; exit 1; }
+"$work/rrserve" -addr 127.0.0.1:0 -checkpoint-dir "$work/res" \
+  -drain 5s > "$work/res.log" 2>&1 &
+batch_pid=$!
+raddr="$(wait_addr "$work/res.log" "$batch_pid")"
+kind="$(curl -s "http://$raddr/v1/stats" | python3 -c 'import json, sys; print(json.load(sys.stdin)["kind"])')"
+[ "$kind" = "residual" ] || { echo "FAIL: /v1/stats kind $kind, want residual"; exit 1; }
+kill -TERM "$batch_pid"
+wait "$batch_pid" || { echo "FAIL: rrserve (res.log) exited nonzero"; cat "$work/res.log"; exit 1; }
+batch_pid=""
+echo "ok: rrscan -follow drained and its directory serves a residual campaign"
 echo "followsmoke: all checks passed"
