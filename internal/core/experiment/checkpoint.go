@@ -17,21 +17,26 @@ import (
 
 // Campaign durability (see internal/snapdisk for the on-disk formats).
 //
-// A checkpointing campaign writes two things: a WAL day group per
-// collection round (the round's records plus a footer holding the
-// campaign cursor as of that round's end), and a full checkpoint —
-// store state plus the same cursor — every CheckpointEvery world days.
-// The invariant is that the durable state always equals
+// A checkpointing campaign makes each collection round durable with
+// exactly one write when the round seals. When a full checkpoint is due
+// (every CheckpointEvery world days; at the default cadence, every
+// residual round) the round's write is that checkpoint: store state plus
+// the campaign cursor as of the round's end, after which the WAL, whose
+// groups it subsumes, is reset to its header. Otherwise the round's
+// records and the same cursor, as its footer, go to the WAL as one day
+// group. The invariant is that the durable state always equals
 //
 //	last full checkpoint + the sealed WAL day groups after it,
 //
 // so resume is: rebuild that state (snapdisk.Dir.Recover), adopt the
 // last footer's cursor, rebuild the world to the cursor's day (the
 // world is derived from config + seed, so advancing a fresh world is
-// exact replay), and continue the loop. A crash mid-round leaves an
-// unsealed WAL tail; replay drops it and the round is re-collected
-// live, which is value-identical because the world is quiescent within
-// a round and the resolver cache is purged at every pass start.
+// exact replay), and continue the loop. A crash mid-round, or before a
+// due checkpoint's rename, leaves the previous durable state (plus at
+// most an unsealed WAL tail, which replay drops) and the round is
+// re-collected live. That is value-identical because the world is
+// quiescent within a round and the resolver cache is purged at every
+// pass start.
 //
 // The cursor carries cumulative QueryStats with SidelineEvents zeroed:
 // sideline events live in the health trackers, whose restored event
@@ -57,9 +62,16 @@ type roundLog struct {
 	// process wrote, -1 before the first.
 	lastCkpt int
 	onSeal   func(*snapstore.View, []byte)
+	// day and recs are the round collect streamed last, kept for seal
+	// to log when no checkpoint is due. Records are immutable values.
+	day  int
+	recs []collect.Record
+	// walGroups counts the day groups written since the WAL was last
+	// reset; a checkpoint only needs to reset a WAL that holds some.
+	walGroups int
 	// footer is the most recent sealed round's cursor blob; checkpoint
-	// reuses it, so a forced checkpoint is byte-identical to the WAL
-	// footer of the round it covers.
+	// reuses it, so a forced checkpoint is byte-identical to the one the
+	// round's cadence wrote or would have written.
 	footer []byte
 	closed bool
 }
@@ -121,38 +133,39 @@ func (l *roundLog) start(worldDay int, resumed bool, cursor func() []byte) {
 }
 
 // collect streams one collection round into the store under the given
-// day label — and, with a WAL, into a new day group alongside it.
+// day label. With a WAL it also keeps the round's records: whether they
+// are logged is decided when the round seals.
 func (l *roundLog) collect(day int, c *collect.Collector) {
 	dw := l.store.BeginDay(day)
 	put := dw.Put
 	if l.wal != nil {
-		if err := l.wal.BeginDay(day); err != nil {
-			panic(fmt.Sprintf("experiment: wal begin day %d: %v", day, err))
-		}
+		clear(l.recs)
+		l.day, l.recs = day, l.recs[:0]
 		put = func(rec collect.Record) {
 			dw.Put(rec)
-			if err := l.wal.Put(rec); err != nil {
-				panic(fmt.Sprintf("experiment: wal put: %v", err))
-			}
+			l.recs = append(l.recs, rec)
 		}
 	}
 	c.CollectStream(day, put)
 	dw.Seal()
 }
 
-// seal closes a round: it seals the WAL group with the round's cursor
-// footer, writes a full checkpoint when the cadence is due, and
-// publishes the round to the OnSeal hook. The cursor is only built when
-// a WAL or the hook consumes it.
+// seal closes a round with one durable write: a full checkpoint when the
+// cadence is due, otherwise a WAL day group of the round's records
+// sealed with its cursor footer. It then publishes the round to the
+// OnSeal hook. The cursor is only built when a WAL or the hook consumes
+// it. The decision waits for seal because a round's seal day (a Dynamics
+// round's jitter) is only known once it has advanced the world.
 func (l *roundLog) seal(worldDay int, cursor func() []byte) {
 	if l.wal == nil && l.onSeal == nil {
 		return
 	}
 	l.footer = cursor()
 	if l.wal != nil {
-		must(l.wal.SealDay(l.footer))
 		if l.lastCkpt < 0 || worldDay-l.lastCkpt >= l.every {
 			l.checkpoint(worldDay)
+		} else {
+			l.logRound()
 		}
 	}
 	if l.onSeal != nil {
@@ -160,17 +173,34 @@ func (l *roundLog) seal(worldDay int, cursor func() []byte) {
 	}
 }
 
+// logRound writes the collected round to the WAL as one sealed group.
+func (l *roundLog) logRound() {
+	if err := l.wal.BeginDay(l.day); err != nil {
+		panic(fmt.Sprintf("experiment: wal begin day %d: %v", l.day, err))
+	}
+	for _, rec := range l.recs {
+		if err := l.wal.Put(rec); err != nil {
+			panic(fmt.Sprintf("experiment: wal put: %v", err))
+		}
+	}
+	must(l.wal.SealDay(l.footer))
+	l.walGroups++
+}
+
 // checkpoint writes a full checkpoint carrying the last sealed round's
-// footer, then truncates the WAL it subsumes. It does nothing without a
-// directory or before this process sealed a round: a resumed, already
-// complete campaign must not rewrite its final checkpoint with a
-// recomputed cursor.
+// footer, then resets the WAL if it holds groups the checkpoint
+// subsumes. It does nothing without a directory or before this process
+// sealed a round: a resumed, already complete campaign must not rewrite
+// its final checkpoint with a recomputed cursor.
 func (l *roundLog) checkpoint(worldDay int) {
 	if l.dir == nil || l.footer == nil {
 		return
 	}
 	l.writeCheckpoint(worldDay, l.footer)
-	must(l.wal.Reset())
+	if l.walGroups > 0 {
+		must(l.wal.Reset())
+		l.walGroups = 0
+	}
 }
 
 func (l *roundLog) writeCheckpoint(worldDay int, footer []byte) {
@@ -281,6 +311,45 @@ func encodeCursor(v any) []byte {
 	}
 	return b
 }
+
+// jsonList is the JSON array encoding of a list that only grows and
+// whose elements never change once appended (a finished week's report
+// or exposure state): each element is encoded once, on the first seal
+// that sees it, so a round pays for the elements it adds rather than for
+// the whole history.
+type jsonList struct {
+	enc []byte // "[" and the elements encoded so far, comma-separated
+	n   int    // elements in enc
+}
+
+// update encodes the elements past the n the list has already seen;
+// elem returns element i.
+func (l *jsonList) update(n int, elem func(i int) any) {
+	if n < l.n {
+		panic(fmt.Sprintf("experiment: cursor list shrank from %d to %d elements", l.n, n))
+	}
+	if l.enc == nil {
+		l.enc = []byte{'['}
+	}
+	for ; l.n < n; l.n++ {
+		if l.n > 0 {
+			l.enc = append(l.enc, ',')
+		}
+		l.enc = append(l.enc, encodeCursor(elem(l.n))...)
+	}
+}
+
+// appendTo appends the list's encoding as json.Marshal writes it, which
+// for a nil slice is null.
+func (l *jsonList) appendTo(dst []byte, isNil bool) []byte {
+	if isNil {
+		return append(dst, "null"...)
+	}
+	return append(append(dst, l.enc...), ']')
+}
+
+// size is an upper bound on what appendTo appends.
+func (l *jsonList) size() int { return len(l.enc) + len("null") }
 
 // decodeCursor decodes a cursor blob that must be of the given kind.
 func decodeCursor[C any, P interface {

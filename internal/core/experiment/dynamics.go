@@ -190,10 +190,10 @@ type Dynamics struct {
 	// Values below 2 are raised to 2; negative retains every day (useful
 	// when the caller wants to replay the campaign afterwards).
 	SnapWindow int
-	// CheckpointDir, when non-empty, makes the campaign durable: every
-	// day is teed into a write-ahead log in the directory, and a full
+	// CheckpointDir, when non-empty, makes the campaign durable: a full
 	// checkpoint (store + campaign cursor) is written every
-	// CheckpointEvery world days — see internal/snapdisk.
+	// CheckpointEvery world days, and each day in between is logged to a
+	// write-ahead log in the directory — see internal/snapdisk.
 	CheckpointDir string
 	// CheckpointEvery is the full-checkpoint cadence in world days.
 	// Zero means 7.

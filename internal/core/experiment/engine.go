@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 
 	"rrdps/internal/core/behavior"
@@ -28,7 +29,7 @@ import (
 // cmd/rrscan is built on: the campaign horizon (Days / Weeks) bounds
 // Run, but an engine keeps appending past it for as long as the caller
 // keeps calling — the simulated Internet keeps running, each sealed
-// round lands in the WAL (and periodically a checkpoint), and a
+// round lands in a checkpoint or the WAL, and a
 // `rrserve -follow` reader picks it up within one poll.
 
 // DynamicsEngine is the §IV usage-dynamics campaign as an incremental
@@ -148,8 +149,8 @@ func (en *DynamicsEngine) LastBreakdown() AdoptionBreakdown {
 }
 
 // AppendDay collects and seals one day and folds it into every artifact
-// in place: the day streams into the snapstore (teed to the WAL when
-// durable), one DiffPairs pass feeds the Fig. 2 breakdown, the
+// in place: the day streams into the snapstore (and, when durable,
+// seals as a checkpoint or a WAL group), one DiffPairs pass feeds the Fig. 2 breakdown, the
 // classification cache, and the behaviour FSM, and the day's JOIN/RESUME
 // detections are HTML-verified for Table V straight off the diff
 // stream — only records that changed this day are ever re-verified. It
@@ -277,6 +278,9 @@ type ResidualEngine struct {
 	rounds          int // rounds appended by this process
 	baseStats       dnsresolver.QueryStats
 	warmupSpan      *obs.Span
+	// weekJSON caches the cursor's per-week lists, in ResidualState
+	// order: Cloudflare, Incapsula, CFExposure, IncExposure.
+	weekJSON [4]jsonList
 }
 
 // NewEngine builds the campaign's incremental engine; see
@@ -333,23 +337,63 @@ func (en *ResidualEngine) restore(blob []byte) {
 // cursor encodes the campaign state after a completed round.
 // warmupRemaining is the warm-up still owed; nextWeek is the next week
 // to run (Weeks+1 when the campaign is done).
+//
+// The result is byte-identical to encodeCursor of the full
+// residualCursor, but the per-week lists, whose finished weeks never
+// change, come from weekJSON: the rest of the cursor is encoded with
+// them nil and the cached encodings are spliced in where their nulls
+// sit.
 func (en *ResidualEngine) cursor() []byte {
+	head := encodeCursor(en.cursorFields())
+	i := bytes.Index(head, []byte(residualListsNull))
+	if i < 0 {
+		panic("experiment: residual cursor without its per-week lists")
+	}
+	res := &en.res
+	lists := &en.weekJSON
+	lists[0].update(len(res.Cloudflare), func(i int) any { return res.Cloudflare[i] })
+	lists[1].update(len(res.Incapsula), func(i int) any { return res.Incapsula[i] })
+	lists[2].update(res.CFExposure.Weeks(), func(i int) any { return res.CFExposure.ExportWeek(i) })
+	lists[3].update(res.IncExposure.Weeks(), func(i int) any { return res.IncExposure.ExportWeek(i) })
+	isNil := [4]bool{res.Cloudflare == nil, res.Incapsula == nil}
+
+	size := len(head)
+	for _, l := range lists {
+		size += l.size()
+	}
+	out := append(make([]byte, 0, size), head[:i]...)
+	for k, key := range residualListKeys {
+		if k > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, key...)
+		out = lists[k].appendTo(out, isNil[k])
+	}
+	return append(out, head[i+len(residualListsNull):]...)
+}
+
+// residualListKeys / residualListsNull locate the per-week lists in an
+// encoded residualCursor whose lists are nil. ResidualState declares the
+// four next to each other, and the text cannot occur inside an encoded
+// string, where every quote is escaped.
+var residualListKeys = [4]string{`"cloudflare":`, `"incapsula":`, `"cf_exposure":`, `"inc_exposure":`}
+
+const residualListsNull = `"cloudflare":null,"incapsula":null,"cf_exposure":null,"inc_exposure":null`
+
+// cursorFields is the residual cursor without its per-week lists.
+func (en *ResidualEngine) cursorFields() residualCursor {
 	r, e := en.cfg, en.e
-	return encodeCursor(residualCursor{
+	return residualCursor{
 		cursorBase: newCursorBase(cursorKindResidual, en.baseStats.Add(e.resolver.Stats().Add(e.scanner.Stats())), e.resolver, r.Obs, e.w, r.Scenario),
 		ResidualState: ResidualState{
 			WorldDay:        e.w.Day(),
 			NextWeek:        en.nextWeek,
 			NameserverCount: en.res.NameserverCount,
-			Cloudflare:      en.res.Cloudflare,
-			Incapsula:       en.res.Incapsula,
-			CFExposure:      en.res.CFExposure.ExportState(),
-			IncExposure:     en.res.IncExposure.ExportState(),
 		},
 		WarmupRemaining: en.warmupRemaining,
 		CNAMELib:        e.cnameLib.ExportState(),
 		Scanner:         e.scanner.ExportState(),
-	})
+	}
 }
 
 // InWarmup reports whether the next AppendRound is a warm-up round.

@@ -16,17 +16,25 @@ import (
 // its cache) is collected first, so the figure is the cost of the retained
 // snapshot representation alone.
 func retainedBytes(build func() any) (any, uint64) {
-	runtime.GC()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
+	before := settledHeap()
 	artifact := build()
-	runtime.GC()
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	if after.HeapAlloc <= before.HeapAlloc {
+	after := settledHeap()
+	if after <= before {
 		return artifact, 0
 	}
-	return artifact, after.HeapAlloc - before.HeapAlloc
+	return artifact, after - before
+}
+
+// settledHeap returns the live heap bytes once garbage is collected. It
+// collects twice: one GC only moves sync.Pool contents to their victim
+// caches, and garbage an earlier test left there would otherwise be
+// freed inside the measured window, shrinking the reading.
+func settledHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // memoryCampaign runs a dynamicsWorld collection campaign and hands each

@@ -95,10 +95,11 @@ type Residual struct {
 	// the current round's snapshot is ever read, so nothing older needs to
 	// stay replayable. Negative retains every round.
 	SnapWindow int
-	// CheckpointDir, when non-empty, makes the campaign durable: every
-	// collection round is teed into a write-ahead log in the directory,
-	// and a full checkpoint (store + campaign cursor) is written every
-	// CheckpointEvery world days — see internal/snapdisk. Incompatible
+	// CheckpointDir, when non-empty, makes the campaign durable: a full
+	// checkpoint (store + campaign cursor) is written every
+	// CheckpointEvery world days, and each collection round in between
+	// is logged to a write-ahead log in the directory — see
+	// internal/snapdisk. Incompatible
 	// with ProviderAudit (the audit mutates provider state through
 	// queries that a rebuilt world cannot replay).
 	CheckpointDir string

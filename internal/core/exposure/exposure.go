@@ -73,19 +73,27 @@ type WeekState struct {
 // sets sorted, so the encoding is deterministic.
 func (t *Tracker) ExportState() []WeekState {
 	out := make([]WeekState, len(t.weeks))
-	for i, obs := range t.weeks {
-		ws := WeekState{Week: obs.Week}
-		for apex := range obs.Hidden {
-			ws.Hidden = append(ws.Hidden, apex)
-		}
-		for apex := range obs.Verified {
-			ws.Verified = append(ws.Verified, apex)
-		}
-		sort.Slice(ws.Hidden, func(a, b int) bool { return ws.Hidden[a] < ws.Hidden[b] })
-		sort.Slice(ws.Verified, func(a, b int) bool { return ws.Verified[a] < ws.Verified[b] })
-		out[i] = ws
+	for i := range t.weeks {
+		out[i] = t.ExportWeek(i)
 	}
 	return out
+}
+
+// ExportWeek captures the i-th week's observation (0-based, in the
+// order added) as ExportState does. A week's observation never changes
+// once added, so neither does its export.
+func (t *Tracker) ExportWeek(i int) WeekState {
+	obs := t.weeks[i]
+	ws := WeekState{Week: obs.Week}
+	for apex := range obs.Hidden {
+		ws.Hidden = append(ws.Hidden, apex)
+	}
+	for apex := range obs.Verified {
+		ws.Verified = append(ws.Verified, apex)
+	}
+	sort.Slice(ws.Hidden, func(a, b int) bool { return ws.Hidden[a] < ws.Hidden[b] })
+	sort.Slice(ws.Verified, func(a, b int) bool { return ws.Verified[a] < ws.Verified[b] })
+	return ws
 }
 
 // RestoreTracker rebuilds a tracker from exported weeks; AddWeek

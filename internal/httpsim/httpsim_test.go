@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -57,6 +58,46 @@ func TestDecodeRequestErrors(t *testing.T) {
 		if _, err := DecodeRequest(c); !errors.Is(err, ErrMalformedRequest) {
 			t.Errorf("DecodeRequest(%q) err = %v, want ErrMalformedRequest", c, err)
 		}
+	}
+}
+
+// TestDecodeRequestLineLengths: the scanner buffer is sized from the
+// request, so lines past that size, past the former 64 KiB start, or
+// cut off by EOF must decode as before, and a line over the 1 MiB token
+// cap must still fail as an empty request.
+func TestDecodeRequestLineLengths(t *testing.T) {
+	long := strings.Repeat("x", 100*1024)
+	for _, raw := range []string{
+		"GET / HTTP/1.1\r\nHost: a.example\r\nX-Long: " + long + "\r\n\r\n",
+		"GET / HTTP/1.1\r\nHost: a.example", // no final newline
+	} {
+		req, err := DecodeRequest([]byte(raw))
+		if err != nil || req.Host != "a.example" {
+			t.Errorf("DecodeRequest(%.40q…) = host %q, err %v", raw, req.Host, err)
+		}
+	}
+	huge := "GET /" + strings.Repeat("x", 1024*1024) + " HTTP/1.1\r\nHost: a.example\r\n\r\n"
+	if _, err := DecodeRequest([]byte(huge)); !errors.Is(err, ErrMalformedRequest) || !strings.HasPrefix(err.Error(), "empty:") {
+		t.Errorf("DecodeRequest(2 MiB request line) err = %v, want the empty-request error", err)
+	}
+}
+
+// TestDecodeRequestAllocBytes: decoding a verification-sized request
+// must not pay for a 64 KiB scanner buffer.
+func TestDecodeRequestAllocBytes(t *testing.T) {
+	raw := EncodeRequest(Request{Method: "GET", Path: "/", Host: "www.example.com",
+		Headers: map[string]string{"User-Agent": "rrdps-verify/1.0"}})
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := DecodeRequest(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > 4096 {
+		t.Fatalf("DecodeRequest of a %d-byte request allocates %d B, want <= 4096", len(raw), perOp)
 	}
 }
 

@@ -82,7 +82,11 @@ func EncodeRequest(req Request) []byte {
 // DecodeRequest parses a wire-form request.
 func DecodeRequest(raw []byte) (Request, error) {
 	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	// The buffer starts at the request's size (plus one byte, so reading
+	// it whole leaves room to see EOF) rather than at 64 KiB: every HTML
+	// verification fetch decodes a request of a few hundred bytes. A
+	// longer line still grows it up to the 1 MiB token cap.
+	sc.Buffer(make([]byte, 0, min(len(raw)+1, 64*1024)), 1024*1024)
 	if !sc.Scan() {
 		return Request{}, fmt.Errorf("empty: %w", ErrMalformedRequest)
 	}

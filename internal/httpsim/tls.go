@@ -71,12 +71,24 @@ func (s *CertServer) ServeNet(req netsim.Request) ([]byte, error) {
 	return []byte(subjectPrefix + " " + strings.Join(subs, ",")), nil
 }
 
+// probeError is ProbeCert's send failure, formatted as
+// "probing <addr>: <cause>" only when read: a certificate sweep probes
+// mostly silent addresses and drops their errors unread.
+type probeError struct {
+	addr netip.Addr
+	err  error
+}
+
+func (e *probeError) Error() string { return fmt.Sprintf("probing %v: %v", e.addr, e.err) }
+
+func (e *probeError) Unwrap() error { return e.err }
+
 // ProbeCert sends a TLS hello to addr and returns the certificate subject
 // names presented there.
 func ProbeCert(net *netsim.Network, from netip.Addr, region netsim.Region, addr netip.Addr) ([]string, error) {
 	raw, err := net.Send(from, region, netsim.Endpoint{Addr: addr, Port: PortHTTPS}, []byte(probeHello))
 	if err != nil {
-		return nil, fmt.Errorf("probing %v: %w", addr, err)
+		return nil, &probeError{addr: addr, err: err}
 	}
 	body, ok := strings.CutPrefix(string(raw), subjectPrefix)
 	if !ok {

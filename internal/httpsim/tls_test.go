@@ -1,6 +1,7 @@
 package httpsim
 
 import (
+	"errors"
 	"net/netip"
 	"testing"
 
@@ -59,8 +60,18 @@ func TestCertEmptyServer(t *testing.T) {
 
 func TestCertProbeNoServer(t *testing.T) {
 	net, prober := tlsFixture(t)
-	if _, err := ProbeCert(net, prober, netsim.RegionOregon, netip.MustParseAddr("10.9.9.9")); err == nil {
+	addr := netip.MustParseAddr("10.9.9.9")
+	_, err := ProbeCert(net, prober, netsim.RegionOregon, addr)
+	if err == nil {
 		t.Fatal("probe of empty address succeeded")
+	}
+	// The error reads and unwraps as the fabric's, prefixed by the address.
+	_, sendErr := net.Send(prober, netsim.RegionOregon, netsim.Endpoint{Addr: addr, Port: PortHTTPS}, []byte(probeHello))
+	if want := "probing 10.9.9.9: " + sendErr.Error(); err.Error() != want {
+		t.Fatalf("probe error %q, want %q", err, want)
+	}
+	if !errors.Is(err, netsim.ErrUnreachable) {
+		t.Fatalf("probe error %v does not wrap netsim.ErrUnreachable", err)
 	}
 }
 

@@ -33,16 +33,31 @@ type EndpointCounts struct {
 // ExportCounters snapshots the fabric's accounting. Endpoints that have
 // served no queries are omitted, and the slice is sorted by address then
 // port, so fabrics in equal states export equal values.
+//
+// Only endpoints a lookup has reached can hold counters (a query is
+// counted after its endpoint is looked up, and RestoreCounters marks
+// the endpoints it fills as reached), so the walk covers the published
+// table and the pending set, not every endpoint ever registered: a long
+// campaign's retired origin addresses never enter either.
 func (n *Network) ExportCounters() CountersState {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	st := CountersState{Sends: n.sends.Load(), Drops: n.drops.Load(), LimitDrops: n.limitDrops.Load()}
-	for ep, es := range n.endpoints {
-		q := es.counts()
-		if len(q) == 0 {
-			continue
+	add := func(ep Endpoint, es *endpointState) {
+		if q := es.counts(); len(q) > 0 {
+			st.Endpoints = append(st.Endpoints, EndpointCounts{Addr: ep.Addr, Port: ep.Port, Queries: q})
 		}
-		st.Endpoints = append(st.Endpoints, EndpointCounts{Addr: ep.Addr, Port: ep.Port, Queries: q})
+	}
+	table := *n.table.Load()
+	for ep, es := range table {
+		add(ep, es)
+	}
+	for ep, es := range n.pending {
+		// A lookup racing a republish can queue an endpoint the new
+		// table already holds.
+		if _, ok := table[ep]; !ok {
+			add(ep, es)
+		}
 	}
 	sort.Slice(st.Endpoints, func(i, j int) bool {
 		a, b := st.Endpoints[i], st.Endpoints[j]
@@ -86,7 +101,14 @@ func (n *Network) RestoreCounters(st CountersState) error {
 		for r, c := range ec.Queries {
 			q[r].Store(c)
 		}
-		n.endpoints[Endpoint{Addr: ec.Addr, Port: ec.Port}].queries.Store(q)
+		ep := Endpoint{Addr: ec.Addr, Port: ec.Port}
+		es := n.endpoints[ep]
+		es.queries.Store(q)
+		// An endpoint that served before the export counts as reached,
+		// so ExportCounters finds it before it serves again.
+		if _, ok := (*n.table.Load())[ep]; !ok {
+			n.pending[ep] = es
+		}
 	}
 	return nil
 }

@@ -78,3 +78,43 @@ func TestRestoreCountersRejectsUnknownEndpoint(t *testing.T) {
 		t.Fatal("RestoreCounters accepted an endpoint with no handler")
 	}
 }
+
+// TestExportCountersAfterRestoreWithoutTraffic: ExportCounters walks
+// only the endpoints lookups have reached, so RestoreCounters must mark
+// the endpoints it fills as reached. An endpoint restored with counters
+// and never sent to again must still export them, next to one that
+// served after the restore and one that never served at all.
+func TestExportCountersAfterRestoreWithoutTraffic(t *testing.T) {
+	quiet := Endpoint{Addr: netip.MustParseAddr("203.0.113.30"), Port: PortDNS}
+	idle := Endpoint{Addr: netip.MustParseAddr("203.0.113.31"), Port: PortDNS}
+	build := func() *Network {
+		n := testNet(t)
+		n.Register(testServer, RegionVirginia, echoHandler("a"))
+		n.Register(quiet, RegionTokyo, echoHandler("b"))
+		n.Register(idle, RegionTokyo, echoHandler("c"))
+		return n
+	}
+	n := build()
+	for _, ep := range []Endpoint{testServer, quiet} {
+		if _, err := n.Send(testClient, RegionOregon, ep, []byte("q")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	n2 := build()
+	if err := n2.RestoreCounters(n.ExportCounters()); err != nil {
+		t.Fatalf("RestoreCounters: %v", err)
+	}
+	for _, net := range []*Network{n, n2} {
+		if _, err := net.Send(testClient, RegionOregon, testServer, []byte("q")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want := n2.ExportCounters(), n.ExportCounters()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("export after restore = %+v, want %+v", got, want)
+	}
+	if len(got.Endpoints) != 2 || got.Endpoints[1].Addr != quiet.Addr || got.Endpoints[1].Queries[RegionTokyo] != 1 {
+		t.Fatalf("export after restore = %+v, want the quiet endpoint's restored count", got.Endpoints)
+	}
+}

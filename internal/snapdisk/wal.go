@@ -2,6 +2,7 @@ package snapdisk
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"net/netip"
@@ -12,15 +13,14 @@ import (
 	"rrdps/internal/dnsmsg"
 )
 
-// WAL is the campaign's day-level write-ahead log. Each day in flight is
-// one group: a begin entry, the day's Put records teed in as the
-// campaign's DayWriter receives them, and a seal entry carrying the
-// campaign's per-day footer blob. Only the seal is durably flushed — a
-// crash mid-day leaves an unsealed tail that replay drops, and the
-// campaign re-collects that day live (the world is quiescent during a
-// day and the resolver cache is purged at each pass start, so the rerun
-// is value-identical). Sealed groups between checkpoints are what resume
-// replays instead of re-querying.
+// WAL is the campaign's day-level write-ahead log. Each logged day is
+// one group: a begin entry, the day's Put records, and a seal entry
+// carrying the campaign's per-day footer blob. Only the seal is durably
+// flushed — a crash mid-group leaves an unsealed tail that replay drops,
+// and the campaign re-collects that day live (the world is quiescent
+// during a day and the resolver cache is purged at each pass start, so
+// the rerun is value-identical). Sealed groups between checkpoints are
+// what resume replays instead of re-querying.
 //
 // Entry framing: [1-byte kind][uvarint payload length][payload]
 // [4-byte little-endian CRC32-IEEE of kind+payload], after an 8-byte
@@ -64,20 +64,18 @@ func OpenWAL(path string) (*WAL, error) {
 }
 
 func (w *WAL) writeEntry(kind byte, payload []byte) error {
-	var hdr Writer
-	hdr.Uvarint(uint64(len(payload)))
-	if err := w.bw.WriteByte(kind); err != nil {
-		return fmt.Errorf("snapdisk: %w", err)
-	}
-	if _, err := w.bw.Write(hdr.Bytes()); err != nil {
+	// head is the kind byte followed by the payload length; it is reused
+	// for the checksum trailer.
+	head := append(make([]byte, 0, 1+binary.MaxVarintLen64), kind)
+	head = binary.AppendUvarint(head, uint64(len(payload)))
+	sum := crc32.Update(crc32.ChecksumIEEE(head[:1]), crc32.IEEETable, payload)
+	if _, err := w.bw.Write(head); err != nil {
 		return fmt.Errorf("snapdisk: %w", err)
 	}
 	if _, err := w.bw.Write(payload); err != nil {
 		return fmt.Errorf("snapdisk: %w", err)
 	}
-	sum := crc32.ChecksumIEEE(append([]byte{kind}, payload...))
-	_, err := w.bw.Write([]byte{byte(sum), byte(sum >> 8), byte(sum >> 16), byte(sum >> 24)})
-	if err != nil {
+	if _, err := w.bw.Write(binary.LittleEndian.AppendUint32(head[:0], sum)); err != nil {
 		return fmt.Errorf("snapdisk: %w", err)
 	}
 	return nil
