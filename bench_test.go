@@ -31,6 +31,7 @@ import (
 	"rrdps/internal/httpsim"
 	"rrdps/internal/netsim"
 	"rrdps/internal/simtime"
+	"rrdps/internal/snapstore"
 	"rrdps/internal/world"
 )
 
@@ -138,18 +139,27 @@ func BenchmarkTable2ProviderMatching(b *testing.B) {
 func BenchmarkTable3StatusClassification(b *testing.B) {
 	w, matcher, domains := sharedWorld()
 	resolver := w.NewResolver(netsim.RegionOregon)
-	collector := collect.New(resolver, domains[:400])
-	snap := collector.Collect(w.Day())
+	store := collectDay(collect.New(resolver, domains[:400]), w.Day())
 	classifier := status.New(matcher)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var n int
 	for i := 0; i < b.N; i++ {
-		classified := classifier.ClassifySnapshot(snap)
-		if len(classified) == 0 {
+		n = classifier.ClassifyStream(store.Cursor(w.Day()), func(dnsmsg.Name, collect.Record, status.Adoption) {})
+		if n == 0 {
 			b.Fatal("no classifications")
 		}
 	}
-	b.ReportMetric(float64(len(snap.Records)), "domains/op")
+	b.ReportMetric(float64(n), "domains/op")
+}
+
+// collectDay streams one collection pass into a new snapshot store.
+func collectDay(c *collect.Collector, day int) *snapstore.Store {
+	store := snapstore.New()
+	dw := store.BeginDay(day)
+	c.CollectStream(day, dw.Put)
+	dw.Seal()
+	return store
 }
 
 // ---------------------------------------------------------------------------
@@ -164,14 +174,13 @@ func BenchmarkFigure2AdoptionBreakdown(b *testing.B) {
 	b.ResetTimer()
 	adopters := 0
 	for i := 0; i < b.N; i++ {
-		snap := collector.Collect(w.Day())
-		classified := classifier.ClassifySnapshot(snap)
+		store := collectDay(collector, w.Day())
 		adopters = 0
-		for _, a := range classified {
+		classifier.ClassifyStream(store.Cursor(w.Day()), func(_ dnsmsg.Name, _ collect.Record, a status.Adoption) {
 			if a.Status != status.StatusNone {
 				adopters++
 			}
-		}
+		})
 	}
 	b.ReportMetric(float64(adopters), "adopters")
 	b.ReportMetric(100*float64(adopters)/300, "adoption_pct")
@@ -327,10 +336,10 @@ func BenchmarkFigure7VantageSpread(b *testing.B) {
 func BenchmarkFigure8FilterPipeline(b *testing.B) {
 	w, matcher, domains := sharedWorld()
 	resolver := w.NewResolver(netsim.RegionOregon)
-	collector := collect.New(resolver, domains)
-	snap := collector.Collect(w.Day())
 	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := rrscan.DiscoverNameservers([]collect.Snapshot{snap}, profile, resolver)
+	discovery := rrscan.NewNameserverDiscovery(profile)
+	collect.New(resolver, domains).CollectStream(w.Day(), discovery.AddRecord)
+	_, nsAddrs := discovery.Resolve(resolver)
 	var vantage []*dnsresolver.Client
 	for _, region := range netsim.VantageRegions() {
 		vantage = append(vantage, w.NewResolver(region).Client())
@@ -406,14 +415,17 @@ func scanFixture() {
 		scanRes = w.NewResolver(netsim.RegionOregon)
 		collector := collect.New(scanRes, domains)
 		collector.SetWorkers(8)
-		snap := collector.Collect(w.Day())
 		profile, _ := dps.ProfileFor(dps.Cloudflare)
-		_, scanNSAddrs = rrscan.DiscoverNameservers([]collect.Snapshot{snap}, profile, scanRes)
+		discovery := rrscan.NewNameserverDiscovery(profile)
+		scanLib = rrscan.NewCNAMELibrary(dps.Incapsula, matcher)
+		collector.CollectStream(w.Day(), func(rec collect.Record) {
+			discovery.AddRecord(rec)
+			scanLib.AddRecord(rec.Domain.Apex, rec)
+		})
+		_, scanNSAddrs = discovery.Resolve(scanRes)
 		for _, region := range netsim.VantageRegions() {
 			scanVantage = append(scanVantage, w.NewResolver(region).Client())
 		}
-		scanLib = rrscan.NewCNAMELibrary(dps.Incapsula, matcher)
-		scanLib.AddSnapshot(snap)
 		scanScanned = rrscan.NewScanner(scanVantage).ScanDirect(scanNSAddrs, domains)
 	})
 }

@@ -30,10 +30,10 @@
 // Snapshot flow: the campaign runners stream each day's collection
 // straight into a SnapshotStore (collector → store → streaming
 // classifier/differ → campaign aggregation) and bound retention with
-// SnapWindow, so memory stays flat over campaign length. The map-based
-// Snapshot remains as a thin adapter — see the note on the Snapshot alias
-// in rrdps.go — and the original map pipeline survives only in the tests,
-// as the reference the streaming pipeline is checked against.
+// SnapWindow, so memory stays flat over campaign length. Days are read
+// back only through the store's cursors and views; the original map
+// pipeline survives only in the tests, as the reference the streaming
+// pipeline is checked against.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rrdps"
+	"rrdps/internal/alexa"
 )
 
 // ExampleNewWorld builds a small deterministic world and inspects its
@@ -24,6 +25,40 @@ func ExampleNewWorld() {
 	// Output:
 	// sites: 300
 	// initial adopters: 31
+}
+
+// ExampleNewSnapshotStore streams one collection day into a snapshot
+// store and reads it back through a sealed view: a cursor replays the
+// whole day in rank order, RecordAt and Rank are point reads.
+func ExampleNewSnapshotStore() {
+	cfg := rrdps.PaperConfig(100)
+	cfg.Seed = 12345
+	w := rrdps.NewWorld(cfg)
+	var domains []alexa.Domain
+	for _, site := range w.Sites() {
+		domains = append(domains, site.Domain())
+	}
+	collector := rrdps.NewCollector(w.NewResolver(rrdps.VantageRegions()[0]), domains)
+
+	store := rrdps.NewSnapshotStore()
+	day := w.Day()
+	dw := store.BeginDay(day)
+	collector.CollectStream(day, dw.Put)
+	dw.Seal()
+
+	view := store.SealedView()
+	n := 0
+	for cur := view.Cursor(day); cur.Next(); {
+		n++
+	}
+	apex := domains[0].Apex
+	rec, live := view.RecordAt(apex, day)
+	rank, _ := view.Rank(apex)
+	fmt.Printf("day %d: %d records\n", day, n)
+	fmt.Printf("%s: rank %d, live %v, resolved %v, %d NS hosts\n", apex, rank, live, rec.ResolveOK, len(rec.NSHosts))
+	// Output:
+	// day 0: 100 records
+	// sonenet61.com: rank 1, live true, resolved true, 2 NS hosts
 }
 
 // ExampleProfiles lists which providers are vulnerable to residual

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sort"
 	"sync"
 
 	"rrdps/internal/alexa"
@@ -43,53 +42,11 @@ type Record struct {
 	NSOK bool
 }
 
-// Snapshot is one day's collected records.
-//
-// Deprecated-by-design for retention: Snapshot is the legacy map-based
-// view. Since the Table V verification moved onto the snapstore diff
-// stream, nothing on the production path consumes it anymore — it is
-// kept for the tests, whose map-based reference pipeline and oracles pin
-// the streaming engine's outputs. Code that keeps history should append
-// days into a snapstore.Store and replay them through its cursors
-// instead of holding Snapshots alive.
-type Snapshot struct {
-	Day     int
-	Records map[dnsmsg.Name]Record // keyed by apex
-
-	// apexes caches the rank-ordered apex list; snapshots from a
-	// Collector share the collector's precomputed list, literals compute
-	// it on first use.
-	apexes []dnsmsg.Name
-}
-
-// Apexes returns the snapshot's domains in rank order. The list is
-// computed at most once per snapshot (collector-built snapshots inherit
-// the collector's precomputed ranking) and the returned slice is shared:
-// callers must not mutate it.
-func (s *Snapshot) Apexes() []dnsmsg.Name {
-	if s.apexes == nil && len(s.Records) > 0 {
-		out := make([]dnsmsg.Name, 0, len(s.Records))
-		for apex := range s.Records {
-			out = append(out, apex)
-		}
-		sort.Slice(out, func(i, j int) bool {
-			ri, rj := s.Records[out[i]].Domain.Rank, s.Records[out[j]].Domain.Rank
-			if ri != rj {
-				return ri < rj
-			}
-			return out[i] < out[j]
-		})
-		s.apexes = out
-	}
-	return s.apexes
-}
-
 // Collector drives daily collection runs.
 type Collector struct {
 	resolver *dnsresolver.Resolver
 	domains  []alexa.Domain
 	www      []dnsmsg.Name // domains[i]'s www name, built once
-	ranked   []dnsmsg.Name // apexes in rank order, computed once
 	workers  int
 	obs      *obs.Registry
 
@@ -110,20 +67,6 @@ func New(resolver *dnsresolver.Resolver, domains []alexa.Domain) *Collector {
 	c.www = make([]dnsmsg.Name, len(c.domains))
 	for i, d := range c.domains {
 		c.www[i] = d.WWW()
-	}
-	// The population is fixed for the collector's lifetime, so the
-	// rank-ordered apex list every snapshot serves from Apexes is
-	// computed exactly once here, not once per snapshot per call.
-	byRank := append([]alexa.Domain(nil), c.domains...)
-	sort.Slice(byRank, func(i, j int) bool {
-		if byRank[i].Rank != byRank[j].Rank {
-			return byRank[i].Rank < byRank[j].Rank
-		}
-		return byRank[i].Apex < byRank[j].Apex
-	})
-	c.ranked = make([]dnsmsg.Name, len(byRank))
-	for i, d := range byRank {
-		c.ranked[i] = d.Apex
 	}
 	return c
 }
@@ -151,38 +94,26 @@ func (c *Collector) SetObserver(r *obs.Registry) {
 	c.resolver.SetObserver(r)
 }
 
-// Collect takes one snapshot labelled with day. The resolver cache is
-// purged first, exactly as the paper does between daily experiments, and
-// the resolver's nameserver-health tracker is checkpointed so the
-// previous pass's timeout observations fold into sideline decisions
-// while the fabric is quiescent.
+// CollectStream takes one snapshot labelled with day and emits each
+// domain's record, in domain-list order, to emit — typically a
+// snapstore.DayWriter's Put. The resolver cache is purged first, exactly
+// as the paper does between daily experiments, and the resolver's
+// nameserver-health tracker is checkpointed so the previous pass's
+// timeout observations fold into sideline decisions while the fabric is
+// quiescent. The collector retains only the latest day's records (to
+// reuse their unchanged slices), so memory stays flat regardless of
+// campaign length.
 //
 // With workers > 1 the domains fan out over a bounded pool. Each worker
 // writes only its own pre-assigned slots of the collector's results
-// slice — no results channel, no fan-in goroutine — and the snapshot map
-// is assembled afterwards on the caller's goroutine. Snapshots are
-// value-identical to serial collection because (a) each domain's record
-// is computed by exactly one worker from the same quiescent world (the
-// campaign runners advance the world only between snapshots), (b) the
-// resolver's sharded cache only memoizes answers that are stable while
-// the world is quiescent, so cache hit/miss interleaving cannot change
-// any record's value, and (c) the snapshot map is keyed by apex, so
-// assembly order is irrelevant.
-func (c *Collector) Collect(day int) Snapshot {
-	records := c.collectAll(day)
-	snap := Snapshot{Day: day, Records: make(map[dnsmsg.Name]Record, len(c.domains)), apexes: c.ranked}
-	for i, d := range c.domains {
-		snap.Records[d.Apex] = records[i]
-	}
-	return snap
-}
-
-// CollectStream is Collect without the map: it runs the same daily pass
-// (same cache purge, same health checkpoint, same queries in the same
-// order) and emits each domain's record, in domain-list order, to emit —
-// typically a snapstore.DayWriter's Put. The collector retains only the
-// latest day's records (to reuse their unchanged slices), so memory stays
-// flat regardless of campaign length.
+// slice — no results channel, no fan-in goroutine — and the records are
+// emitted afterwards on the caller's goroutine. They are value-identical
+// to serial collection because (a) each domain's record is computed by
+// exactly one worker from the same quiescent world (the campaign runners
+// advance the world only between snapshots), (b) the resolver's sharded
+// cache only memoizes answers that are stable while the world is
+// quiescent, so cache hit/miss interleaving cannot change any record's
+// value, and (c) emission follows the domain list, not completion order.
 func (c *Collector) CollectStream(day int, emit func(Record)) {
 	for _, rec := range c.collectAll(day) {
 		emit(rec)
@@ -328,26 +259,4 @@ func reuseCNAMEs(prev []dnsmsg.Name, res dnsresolver.Result) []dnsmsg.Name {
 		}
 	}
 	return prev
-}
-
-// ResolveOne performs a one-off "normal resolution" of an arbitrary
-// hostname's A records, as the A-matching filter needs (§V-A.2). The cache
-// is not purged: within one filtering pass, reuse is desirable.
-func (c *Collector) ResolveOne(host dnsmsg.Name) ([]netip.Addr, error) {
-	res, err := c.resolver.Resolve(host, dnsmsg.TypeA)
-	if err != nil {
-		return nil, err
-	}
-	return res.Addrs(), nil
-}
-
-// Resolver exposes the underlying resolver (vantage reuse by the scanner).
-func (c *Collector) Resolver() *dnsresolver.Resolver { return c.resolver }
-
-// Stats returns the underlying resolver's resilience accounting.
-func (c *Collector) Stats() dnsresolver.QueryStats { return c.resolver.Stats() }
-
-// Domains returns the collector's domain list.
-func (c *Collector) Domains() []alexa.Domain {
-	return append([]alexa.Domain(nil), c.domains...)
 }

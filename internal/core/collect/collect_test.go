@@ -1,9 +1,11 @@
 package collect
 
 import (
+	"reflect"
 	"testing"
 
 	"rrdps/internal/alexa"
+	"rrdps/internal/dnsmsg"
 	"rrdps/internal/dps"
 	"rrdps/internal/netsim"
 	"rrdps/internal/website"
@@ -27,16 +29,38 @@ func domainList(w *world.World) []alexa.Domain {
 	return out
 }
 
+// collectDay drains one CollectStream pass into a slice, in emit order.
+func collectDay(c *Collector, day int) []Record {
+	var out []Record
+	c.CollectStream(day, func(rec Record) { out = append(out, rec) })
+	return out
+}
+
+// recordOf returns apex's record from a drained pass.
+func recordOf(t *testing.T, records []Record, apex dnsmsg.Name) Record {
+	t.Helper()
+	for _, rec := range records {
+		if rec.Domain.Apex == apex {
+			return rec
+		}
+	}
+	t.Fatalf("%s: no record", apex)
+	return Record{}
+}
+
 func TestCollectSnapshot(t *testing.T) {
 	w := buildWorld(t, 150)
 	res := w.NewResolver(netsim.RegionOregon)
-	collector := New(res, domainList(w))
-	snap := collector.Collect(0)
-	if snap.Day != 0 {
-		t.Fatalf("day = %d", snap.Day)
+	domains := domainList(w)
+	collector := New(res, domains)
+	records := collectDay(collector, 0)
+	if len(records) != 150 {
+		t.Fatalf("records = %d", len(records))
 	}
-	if len(snap.Records) != 150 {
-		t.Fatalf("records = %d", len(snap.Records))
+	for i, rec := range records {
+		if rec.Domain != domains[i] {
+			t.Fatalf("record %d is %v, want domain-list order (%v)", i, rec.Domain, domains[i])
+		}
 	}
 
 	multiCDN := make(map[string]bool)
@@ -44,7 +68,8 @@ func TestCollectSnapshot(t *testing.T) {
 		multiCDN[string(apex)] = true
 	}
 	okCount := 0
-	for apex, rec := range snap.Records {
+	for _, rec := range records {
+		apex := rec.Domain.Apex
 		if !rec.ResolveOK {
 			continue
 		}
@@ -75,14 +100,13 @@ func TestCollectPurgesBetweenRuns(t *testing.T) {
 	res := w.NewResolver(netsim.RegionOregon)
 	collector := New(res, domainList(w))
 
-	collector.Collect(0)
+	collectDay(collector, 0)
 	var target = pickUnprotected(t, w)
 	old := target.OriginAddr()
 	if _, err := target.ChangeOriginIP(); err != nil {
 		t.Fatal(err)
 	}
-	snap := collector.Collect(1)
-	rec := snap.Records[target.Domain().Apex]
+	rec := recordOf(t, collectDay(collector, 1), target.Domain().Apex)
 	if len(rec.Addrs) != 1 || rec.Addrs[0] == old {
 		t.Fatalf("second snapshot served stale addr %v", rec.Addrs)
 	}
@@ -92,10 +116,9 @@ func TestCollectNSRecords(t *testing.T) {
 	w := buildWorld(t, 200)
 	res := w.NewResolver(netsim.RegionLondon)
 	collector := New(res, domainList(w))
-	snap := collector.Collect(0)
-
 	foundCF := false
-	for apex, rec := range snap.Records {
+	for _, rec := range collectDay(collector, 0) {
+		apex := rec.Domain.Apex
 		site, _ := w.Site(apex)
 		key, method, _ := site.Provider()
 		if key == dps.Cloudflare && method == dps.ReroutingNS {
@@ -107,36 +130,6 @@ func TestCollectNSRecords(t *testing.T) {
 	}
 	if !foundCF {
 		t.Skip("no cloudflare NS site in sample")
-	}
-}
-
-func TestSnapshotApexesRankOrder(t *testing.T) {
-	w := buildWorld(t, 40)
-	res := w.NewResolver(netsim.RegionOregon)
-	collector := New(res, domainList(w))
-	snap := collector.Collect(0)
-	apexes := snap.Apexes()
-	if len(apexes) != 40 {
-		t.Fatalf("apexes = %d", len(apexes))
-	}
-	for i := 1; i < len(apexes); i++ {
-		if snap.Records[apexes[i-1]].Domain.Rank >= snap.Records[apexes[i]].Domain.Rank {
-			t.Fatal("apexes not in rank order")
-		}
-	}
-}
-
-func TestResolveOne(t *testing.T) {
-	w := buildWorld(t, 30)
-	res := w.NewResolver(netsim.RegionOregon)
-	collector := New(res, domainList(w))
-	site := pickUnprotected(t, w)
-	addrs, err := collector.ResolveOne(site.WWW())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(addrs) != 1 || addrs[0] != site.OriginAddr() {
-		t.Fatalf("addrs = %v", addrs)
 	}
 }
 
@@ -156,24 +149,16 @@ func TestCollectParallelMatchesSerial(t *testing.T) {
 	res := w.NewResolver(netsim.RegionOregon)
 	collector := New(res, domainList(w))
 
-	serial := collector.Collect(0)
+	serial := collectDay(collector, 0)
 	collector.SetWorkers(8)
-	parallel := collector.Collect(0)
+	parallel := collectDay(collector, 0)
 
-	if len(serial.Records) != len(parallel.Records) {
-		t.Fatalf("sizes differ: %d vs %d", len(serial.Records), len(parallel.Records))
+	if len(serial) != len(parallel) {
+		t.Fatalf("sizes differ: %d vs %d", len(serial), len(parallel))
 	}
-	for apex, want := range serial.Records {
-		got := parallel.Records[apex]
-		if got.ResolveOK != want.ResolveOK || got.NSOK != want.NSOK ||
-			len(got.Addrs) != len(want.Addrs) || len(got.CNAMEs) != len(want.CNAMEs) ||
-			len(got.NSHosts) != len(want.NSHosts) {
-			t.Fatalf("%s: parallel %+v != serial %+v", apex, got, want)
-		}
-		for i := range want.Addrs {
-			if got.Addrs[i] != want.Addrs[i] {
-				t.Fatalf("%s: addrs differ", apex)
-			}
+	for i, want := range serial {
+		if got := parallel[i]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("record %d (%s): parallel %+v != serial %+v", i, want.Domain.Apex, got, want)
 		}
 	}
 }

@@ -3,9 +3,11 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"slices"
 	"testing"
 
+	"rrdps/internal/core/collect"
 	"rrdps/internal/snapdisk"
 	"rrdps/internal/snapstore"
 )
@@ -54,19 +56,15 @@ func TestDynamicsOnSealMatchesCheckpoint(t *testing.T) {
 	if lday, _ := loaded.LatestDay(); lday != day {
 		t.Fatalf("checkpoint latest day %d != view latest day %d", lday, day)
 	}
-	want := loaded.SnapshotAt(day)
-	got := views[last].SnapshotAt(day)
-	if len(got.Records) == 0 || len(got.Records) != len(want.Records) {
-		t.Fatalf("view snapshot has %d records, checkpoint %d", len(got.Records), len(want.Records))
+	var want, got []collect.Record
+	for cur := loaded.Cursor(day); cur.Next(); {
+		want = append(want, cur.Record())
 	}
-	for apex, rec := range want.Records {
-		g, ok := got.Records[apex]
-		if !ok {
-			t.Fatalf("view missing %s", apex)
-		}
-		if g.ResolveOK != rec.ResolveOK || len(g.Addrs) != len(rec.Addrs) {
-			t.Fatalf("view record for %s differs: %+v vs %+v", apex, g, rec)
-		}
+	for cur := views[last].Cursor(day); cur.Next(); {
+		got = append(got, cur.Record())
+	}
+	if len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("view day %d (%d records) differs from checkpoint (%d records)", day, len(got), len(want))
 	}
 
 	// Every hook's blob must decode as a dynamics campaign state whose

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"net/netip"
 
 	"rrdps/internal/core/behavior"
 	"rrdps/internal/core/collect"
@@ -16,27 +17,68 @@ import (
 )
 
 // The map-based reference pipeline. Before the snapstore, both campaigns
-// materialized every collection round as a full collect.Snapshot and fed
-// the maps to their consumers. Production code now runs only the
-// streaming engine; this file keeps the original pipeline as the
-// reference the streaming≡legacy suites compare against. It runs on the
-// same setup() wiring as the engine, so the two differ only in how a
-// round's records reach the classifier, tracker, verifier and scanners.
+// materialized every collection round as a full map of records keyed by
+// apex and fed the maps to their consumers. Production code now runs only
+// the streaming engine and exports no map-based read API; this file keeps
+// the original pipeline, including its private map type and the map
+// loops for classification, nameserver discovery and the CNAME library,
+// as the reference the streaming≡legacy suites compare against. It runs
+// on the same setup() wiring as the engine, so the two differ only in how
+// a round's records reach the classifier, tracker, verifier and scanners.
+
+// legacySnapshot is one day's collected records as a full map keyed by
+// apex.
+type legacySnapshot map[dnsmsg.Name]collect.Record
+
+// collectLegacy runs one collection pass — the same CollectStream pass
+// the engine runs — and materializes it as a map sized for n domains.
+func collectLegacy(c *collect.Collector, day, n int) legacySnapshot {
+	snap := make(legacySnapshot, n)
+	c.CollectStream(day, func(rec collect.Record) { snap[rec.Domain.Apex] = rec })
+	return snap
+}
+
+// classifyLegacy classifies every record in a snapshot, keyed by apex.
+func classifyLegacy(c *status.Classifier, snap legacySnapshot) map[dnsmsg.Name]status.Adoption {
+	out := make(map[dnsmsg.Name]status.Adoption, len(snap))
+	for apex, rec := range snap {
+		out[apex] = c.Classify(rec)
+	}
+	return out
+}
+
+// addLegacySnapshot records every provider-attributed CNAME target in the
+// snapshot into lib.
+func addLegacySnapshot(lib *rrscan.CNAMELibrary, snap legacySnapshot) {
+	for apex, rec := range snap {
+		lib.AddRecord(apex, rec)
+	}
+}
+
+// discoverLegacy extracts the provider's NS-hosting nameservers from a
+// snapshot and resolves each to an address.
+func discoverLegacy(snap legacySnapshot, profile dps.Profile, resolver *dnsresolver.Resolver) ([]dnsmsg.Name, []netip.Addr) {
+	d := rrscan.NewNameserverDiscovery(profile)
+	for _, rec := range snap {
+		d.AddRecord(rec)
+	}
+	return d.Resolve(resolver)
+}
 
 // legacyDynamics runs d over the map-based pipeline: each day
-// materializes a full collect.Snapshot, and the previous day's map is
+// materializes a full legacySnapshot, and the previous day's map is
 // retained for the Table V lookups.
 func legacyDynamics(d Dynamics) DynamicsResult {
 	e := d.setup()
 	res := DynamicsResult{Days: d.Days, Unchanged: make(map[dps.ProviderKey]*UnchangedRow)}
 	var tracker *behavior.Tracker // built after the first snapshot (multi-CDN detection)
-	var prevSnap collect.Snapshot
+	var prevSnap legacySnapshot
 
 	for day := 0; day < d.Days; day++ {
 		daySpan := d.Obs.Tracer().StartSpan("day", fmt.Sprintf("day %d", day))
 		daySpan.SetItems(len(e.domains))
-		snap := e.collector.Collect(day)
-		classified := e.classifier.ClassifySnapshot(snap)
+		snap := collectLegacy(e.collector, day, len(e.domains))
+		classified := classifyLegacy(e.classifier, snap)
 
 		if tracker == nil {
 			var excluded []dnsmsg.Name
@@ -54,12 +96,12 @@ func legacyDynamics(d Dynamics) DynamicsResult {
 			if det.Kind != behavior.Join && det.Kind != behavior.Resume {
 				continue
 			}
-			if prevSnap.Records == nil {
+			if prevSnap == nil {
 				continue // day 0: no previous snapshot yet
 			}
 			pr := snapstore.Pair{Apex: det.Apex}
-			pr.Prev, pr.PrevOK = prevSnap.Records[det.Apex]
-			pr.Cur, pr.CurOK = snap.Records[det.Apex]
+			pr.Prev, pr.PrevOK = prevSnap[det.Apex]
+			pr.Cur, pr.CurOK = snap[det.Apex]
 			d.verifyDetection(&res, e.verifier, pr, det)
 		}
 
@@ -74,9 +116,9 @@ func legacyDynamics(d Dynamics) DynamicsResult {
 
 // detectMultiCDN returns the apexes whose CNAME chains run through a
 // multi-CDN front-end in the given snapshot.
-func detectMultiCDN(snap collect.Snapshot) []dnsmsg.Name {
+func detectMultiCDN(snap legacySnapshot) []dnsmsg.Name {
 	var out []dnsmsg.Name
-	for apex, rec := range snap.Records {
+	for apex, rec := range snap {
 		for _, target := range rec.CNAMEs {
 			for _, sub := range _multiCDNSubstrings {
 				if target.ContainsSubstring(sub) {
@@ -92,10 +134,10 @@ func detectMultiCDN(snap collect.Snapshot) []dnsmsg.Name {
 // part — so transient failures cannot read as behaviours (a lost A answer
 // would demote ON to NONE and fabricate a LEAVE; a lost NS answer would
 // demote OFF to NONE), and skips footnote-6 shared-IP suspects.
-func validAdoptions(snap collect.Snapshot, classified map[dnsmsg.Name]status.Adoption) map[dnsmsg.Name]status.Adoption {
+func validAdoptions(snap legacySnapshot, classified map[dnsmsg.Name]status.Adoption) map[dnsmsg.Name]status.Adoption {
 	out := make(map[dnsmsg.Name]status.Adoption, len(classified))
 	for apex, adoption := range classified {
-		rec := snap.Records[apex]
+		rec := snap[apex]
 		if !rec.ResolveOK || !rec.NSOK {
 			continue
 		}
@@ -107,16 +149,16 @@ func validAdoptions(snap collect.Snapshot, classified map[dnsmsg.Name]status.Ado
 	return out
 }
 
-func breakdown(day int, snap collect.Snapshot, classified map[dnsmsg.Name]status.Adoption, topCut int) AdoptionBreakdown {
+func breakdown(day int, snap legacySnapshot, classified map[dnsmsg.Name]status.Adoption, topCut int) AdoptionBreakdown {
 	b := AdoptionBreakdown{Day: day, ByProvider: make(map[dps.ProviderKey]int)}
 	for apex, adoption := range classified {
-		b.accum(snap.Records[apex], adoption, topCut)
+		b.accum(snap[apex], adoption, topCut)
 	}
 	return b
 }
 
 // legacyResidual runs r over the map-based pipeline: each collection
-// round materializes a full collect.Snapshot for its consumers.
+// round materializes a full legacySnapshot for its consumers.
 func legacyResidual(r Residual) ResidualResult {
 	e := r.setup()
 	w := e.w
@@ -133,7 +175,7 @@ func legacyResidual(r Residual) ResidualResult {
 		warmupSpan = r.Obs.Tracer().StartSpan("warmup", fmt.Sprintf("%d days", r.WarmupDays))
 	}
 	for remaining := r.WarmupDays; remaining > 0; {
-		e.cnameLib.AddSnapshot(e.collector.Collect(w.Day()))
+		addLegacySnapshot(e.cnameLib, collectLegacy(e.collector, w.Day(), len(e.domains)))
 		warmupSpan.AddItems(len(e.domains))
 		step := 7
 		if remaining < step {
@@ -150,10 +192,10 @@ func legacyResidual(r Residual) ResidualResult {
 		r.audit(e)
 		// Collect a fresh snapshot at the start of the week; it feeds
 		// nameserver discovery and the Incapsula CNAME library.
-		snap := e.collector.Collect(w.Day())
-		e.cnameLib.AddSnapshot(snap)
+		snap := collectLegacy(e.collector, w.Day(), len(e.domains))
+		addLegacySnapshot(e.cnameLib, snap)
 
-		nsHosts, nsAddrs := rrscan.DiscoverNameservers([]collect.Snapshot{snap}, e.cfProfile, e.resolver)
+		nsHosts, nsAddrs := discoverLegacy(snap, e.cfProfile, e.resolver)
 		res.NameserverCount = max(res.NameserverCount, len(nsHosts))
 
 		r.floodWeek(e, week, nsAddrs)

@@ -56,9 +56,9 @@ func memoryCampaign(domains, days int, collectDay func(c *collect.Collector, day
 // retainLegacySnapshots is the map-based baseline: a campaign that keeps
 // its history retains one full map snapshot per day.
 func retainLegacySnapshots(domains, days int) any {
-	var snaps []collect.Snapshot
+	var snaps []legacySnapshot
 	memoryCampaign(domains, days, func(c *collect.Collector, day int) {
-		snaps = append(snaps, c.Collect(day))
+		snaps = append(snaps, collectLegacy(c, day, domains))
 	})
 	return snaps
 }
@@ -76,9 +76,9 @@ func retainSnapstore(domains, days, window int) any {
 	return store
 }
 
-// TestSnapstoreMemoryReduction is the acceptance guard for the tentpole's
+// TestSnapstoreMemoryReduction is the acceptance guard for the store's
 // memory claim: retaining a 30-day campaign in the delta store must cost
-// at most half of what the map-based []Snapshot history costs (in practice
+// at most half of what the map-based []legacySnapshot history costs (in practice
 // the ratio is far larger; 2x keeps the guard robust across GC accounting
 // noise and -race overhead).
 func TestSnapstoreMemoryReduction(t *testing.T) {

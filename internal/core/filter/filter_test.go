@@ -52,10 +52,10 @@ func newFixture(t *testing.T, n int) *fixture {
 	}
 	f.scanner = rrscan.NewScanner(vantage)
 
-	collector := collect.New(f.resolver, f.domains)
-	snap := collector.Collect(0)
 	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, f.nsAddrs = rrscan.DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	discovery := rrscan.NewNameserverDiscovery(profile)
+	collect.New(f.resolver, f.domains).CollectStream(0, discovery.AddRecord)
+	_, f.nsAddrs = discovery.Resolve(f.resolver)
 	if len(f.nsAddrs) == 0 {
 		t.Fatal("no cloudflare nameservers discovered")
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rrdps/internal/alexa"
-	"rrdps/internal/core/collect"
 	"rrdps/internal/dnsresolver"
 	"rrdps/internal/dps"
 	"rrdps/internal/netsim"
@@ -26,13 +25,11 @@ func faultyFixture(t *testing.T) (*fixture, []netip.Addr, []alexa.Domain) {
 	})
 	f.scanner.SetPolicy(dnsresolver.DefaultPolicy())
 
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	_, nsAddrs := f.discoverNameservers(0, dps.Cloudflare)
 	if len(nsAddrs) == 0 {
 		t.Fatal("no nameservers discovered under faults")
 	}
-	return f, nsAddrs, f.collector.Domains()
+	return f, nsAddrs, f.domains
 }
 
 // TestScanDirectFaultsDeterministicSerialVsParallel is the retry-layer

@@ -4,7 +4,6 @@ import (
 	"net/netip"
 	"testing"
 
-	"rrdps/internal/core/collect"
 	"rrdps/internal/dnsmsg"
 	"rrdps/internal/dps"
 )
@@ -35,13 +34,11 @@ func sameScanResults(t *testing.T, serial, parallel map[dnsmsg.Name][]netip.Addr
 // (run under -race in CI, this also proves the path race-free).
 func TestScanDirectParallelMatchesSerial(t *testing.T) {
 	f := newFixture(t, 400)
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	_, nsAddrs := f.discoverNameservers(0, dps.Cloudflare)
 	if len(nsAddrs) == 0 {
 		t.Fatal("no nameservers discovered")
 	}
-	domains := f.collector.Domains()
+	domains := f.domains
 
 	serial := f.scanner.ScanDirect(nsAddrs, domains)
 	if len(serial) == 0 {
@@ -57,14 +54,12 @@ func TestScanDirectParallelMatchesSerial(t *testing.T) {
 // TestScanDirectHostsParallelMatchesSerial covers the generalized host scan.
 func TestScanDirectHostsParallelMatchesSerial(t *testing.T) {
 	f := newFixture(t, 300)
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	_, nsAddrs := f.discoverNameservers(0, dps.Cloudflare)
 	if len(nsAddrs) == 0 {
 		t.Fatal("no nameservers discovered")
 	}
 	var hosts []dnsmsg.Name
-	for _, d := range f.collector.Domains() {
+	for _, d := range f.domains {
 		hosts = append(hosts, d.WWW(), d.Apex)
 	}
 
@@ -80,13 +75,11 @@ func TestScanDirectHostsParallelMatchesSerial(t *testing.T) {
 // worker count.
 func TestScannerVantageRotationStableAcrossCalls(t *testing.T) {
 	f := newFixture(t, 200)
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	_, nsAddrs := f.discoverNameservers(0, dps.Cloudflare)
 	if len(nsAddrs) == 0 {
 		t.Fatal("no nameservers discovered")
 	}
-	domains := f.collector.Domains()
+	domains := f.domains
 
 	first := f.scanner.ScanDirect(nsAddrs, domains[:50])
 	second := f.scanner.ScanDirect(nsAddrs, domains[50:100])
@@ -101,9 +94,7 @@ func TestScannerVantageRotationStableAcrossCalls(t *testing.T) {
 // re-resolution path with a worker pool.
 func TestCNAMELibraryResolveAllParallelMatchesSerial(t *testing.T) {
 	f := newFixture(t, 1200)
-	snap := f.collector.Collect(0)
-	lib := NewCNAMELibrary(dps.Incapsula, f.matcher)
-	lib.AddSnapshot(snap)
+	lib := f.cnameLibrary(0, dps.Incapsula)
 	if lib.Size() == 0 {
 		t.Skip("no incapsula sites in sample")
 	}

@@ -24,9 +24,8 @@ import (
 // NameserverDiscovery accumulates a provider's NS-hosting nameserver
 // hostnames (for Cloudflare: the *.ns.cloudflare.com pool, which the
 // paper finds is exclusive to NS-rerouting customers) from streamed
-// records, then resolves them. It is the streaming form of
-// DiscoverNameservers: feed it each record as a snapstore cursor yields
-// one, no snapshot map required.
+// records, then resolves them: feed it each record as a snapstore cursor
+// yields one.
 type NameserverDiscovery struct {
 	profile dps.Profile
 	seen    map[dnsmsg.Name]bool
@@ -70,19 +69,6 @@ func (d *NameserverDiscovery) Resolve(resolver *dnsresolver.Resolver) (hosts []d
 		}
 	}
 	return hosts, addrs
-}
-
-// DiscoverNameservers extracts, from collected snapshots, the hostnames of
-// the provider's NS-hosting nameservers and resolves each to an address —
-// the legacy map-based entry over NameserverDiscovery.
-func DiscoverNameservers(snaps []collect.Snapshot, profile dps.Profile, resolver *dnsresolver.Resolver) (hosts []dnsmsg.Name, addrs []netip.Addr) {
-	d := NewNameserverDiscovery(profile)
-	for _, snap := range snaps {
-		for _, rec := range snap.Records {
-			d.AddRecord(rec)
-		}
-	}
-	return d.Resolve(resolver)
 }
 
 // Scanner issues the direct scans from a set of vantage-point clients.
@@ -332,17 +318,8 @@ func (l *CNAMELibrary) SetWorkers(n int) {
 // counters and re-resolution spans; nil uninstalls.
 func (l *CNAMELibrary) SetObserver(r *obs.Registry) { l.obs = r }
 
-// AddSnapshot records every CNAME target in the snapshot attributed to the
-// library's provider — the legacy map-based entry over AddRecord.
-func (l *CNAMELibrary) AddSnapshot(snap collect.Snapshot) {
-	for apex, rec := range snap.Records {
-		l.AddRecord(apex, rec)
-	}
-}
-
-// AddRecord records one domain's provider-attributed CNAME targets — the
-// streaming form of AddSnapshot, fed record by record from a snapstore
-// cursor.
+// AddRecord records one domain's provider-attributed CNAME targets, fed
+// record by record from a snapstore cursor.
 func (l *CNAMELibrary) AddRecord(apex dnsmsg.Name, rec collect.Record) {
 	for _, target := range rec.CNAMEs {
 		key, ok := l.matcher.MatchCNAME(target)

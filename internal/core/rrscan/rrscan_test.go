@@ -1,6 +1,7 @@
 package rrscan
 
 import (
+	"net/netip"
 	"testing"
 
 	"rrdps/internal/alexa"
@@ -17,6 +18,7 @@ import (
 type fixture struct {
 	w         *world.World
 	resolver  *dnsresolver.Resolver
+	domains   []alexa.Domain
 	collector *collect.Collector
 	matcher   *match.Matcher
 	scanner   *Scanner
@@ -46,11 +48,28 @@ func newFixture(t *testing.T, n int) *fixture {
 	return &fixture{
 		w:         w,
 		resolver:  resolver,
+		domains:   domains,
 		collector: collect.New(resolver, domains),
 		matcher:   match.New(w.Registry, dps.Profiles()),
 		scanner:   NewScanner(vantage),
 		vantage:   vantage,
 	}
+}
+
+// discoverNameservers collects day and runs the provider's nameserver
+// discovery over the streamed records.
+func (f *fixture) discoverNameservers(day int, key dps.ProviderKey) ([]dnsmsg.Name, []netip.Addr) {
+	profile, _ := dps.ProfileFor(key)
+	d := NewNameserverDiscovery(profile)
+	f.collector.CollectStream(day, d.AddRecord)
+	return d.Resolve(f.resolver)
+}
+
+// cnameLibrary collects day into a new library of the provider's CNAMEs.
+func (f *fixture) cnameLibrary(day int, key dps.ProviderKey) *CNAMELibrary {
+	lib := NewCNAMELibrary(key, f.matcher)
+	f.collector.CollectStream(day, func(rec collect.Record) { lib.AddRecord(rec.Domain.Apex, rec) })
+	return lib
 }
 
 func (f *fixture) sitesWith(key dps.ProviderKey, method dps.Rerouting) []*website.Site {
@@ -66,9 +85,7 @@ func (f *fixture) sitesWith(key dps.ProviderKey, method dps.Rerouting) []*websit
 
 func TestDiscoverNameservers(t *testing.T) {
 	f := newFixture(t, 300)
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	hosts, addrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	hosts, addrs := f.discoverNameservers(0, dps.Cloudflare)
 	if len(hosts) == 0 || len(addrs) != len(hosts) {
 		t.Fatalf("hosts = %d, addrs = %d", len(hosts), len(addrs))
 	}
@@ -86,11 +103,9 @@ func TestDiscoverNameservers(t *testing.T) {
 
 func TestScanDirectActiveCustomersReturnEdges(t *testing.T) {
 	f := newFixture(t, 300)
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	_, nsAddrs := f.discoverNameservers(0, dps.Cloudflare)
 
-	results := f.scanner.ScanDirect(nsAddrs, f.collector.Domains())
+	results := f.scanner.ScanDirect(nsAddrs, f.domains)
 	cfSites := f.sitesWith(dps.Cloudflare, dps.ReroutingNS)
 	if len(cfSites) == 0 {
 		t.Fatal("no cloudflare NS sites")
@@ -118,9 +133,7 @@ func TestScanDirectActiveCustomersReturnEdges(t *testing.T) {
 // customer switches away, the old provider's nameservers leak the origin.
 func TestScanDirectResidualAfterSwitch(t *testing.T) {
 	f := newFixture(t, 300)
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	_, nsAddrs := f.discoverNameservers(0, dps.Cloudflare)
 
 	cfSites := f.sitesWith(dps.Cloudflare, dps.ReroutingNS)
 	if len(cfSites) < 3 {
@@ -138,7 +151,7 @@ func TestScanDirectResidualAfterSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results := f.scanner.ScanDirect(nsAddrs, f.collector.Domains())
+	results := f.scanner.ScanDirect(nsAddrs, f.domains)
 
 	if got := results[switched.Domain().Apex]; len(got) != 1 || got[0] != switchedOrigin {
 		t.Fatalf("switched site scan = %v, want origin %v", got, switchedOrigin)
@@ -156,13 +169,11 @@ func TestScanDirectResidualAfterSwitch(t *testing.T) {
 
 func TestScanSpreadsAcrossVantagePoints(t *testing.T) {
 	f := newFixture(t, 200)
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	_, nsAddrs := f.discoverNameservers(0, dps.Cloudflare)
 	if len(nsAddrs) == 0 {
 		t.Fatal("no nameservers discovered")
 	}
-	f.scanner.ScanDirect(nsAddrs, f.collector.Domains())
+	f.scanner.ScanDirect(nsAddrs, f.domains)
 
 	// At least three distinct PoPs of the first NS endpoint saw traffic
 	// (Fig. 7's load spreading).
@@ -174,10 +185,7 @@ func TestScanSpreadsAcrossVantagePoints(t *testing.T) {
 
 func TestCNAMELibrary(t *testing.T) {
 	f := newFixture(t, 1200)
-	snap := f.collector.Collect(0)
-
-	lib := NewCNAMELibrary(dps.Incapsula, f.matcher)
-	lib.AddSnapshot(snap)
+	lib := f.cnameLibrary(0, dps.Incapsula)
 	incSites := f.sitesWith(dps.Incapsula, dps.ReroutingCNAME)
 	if len(incSites) == 0 {
 		t.Skip("no incapsula sites in sample")
@@ -209,9 +217,7 @@ func TestCNAMELibrary(t *testing.T) {
 
 func TestCNAMELibraryIgnoresOtherProviders(t *testing.T) {
 	f := newFixture(t, 400)
-	snap := f.collector.Collect(0)
-	lib := NewCNAMELibrary(dps.Incapsula, f.matcher)
-	lib.AddSnapshot(snap)
+	lib := f.cnameLibrary(0, dps.Incapsula)
 	for _, apex := range lib.Apexes() {
 		site, _ := f.w.Site(apex)
 		key, _, _ := site.Provider()
@@ -225,9 +231,7 @@ func TestCNAMELibraryIgnoresOtherProviders(t *testing.T) {
 // a DPS-hosted subdomain's residual record leaks just like www's.
 func TestScanDirectHostsSubdomains(t *testing.T) {
 	f := newFixture(t, 300)
-	snap := f.collector.Collect(0)
-	profile, _ := dps.ProfileFor(dps.Cloudflare)
-	_, nsAddrs := DiscoverNameservers([]collect.Snapshot{snap}, profile, f.resolver)
+	_, nsAddrs := f.discoverNameservers(0, dps.Cloudflare)
 
 	victim := f.sitesWith(dps.Cloudflare, dps.ReroutingNS)[0]
 	apex := victim.Domain().Apex

@@ -134,15 +134,6 @@ func sharedIPProvider(key dps.ProviderKey) bool {
 	return key == dps.Akamai || key == dps.CDNetworks
 }
 
-// ClassifySnapshot classifies every record in a snapshot, keyed by apex.
-func (c *Classifier) ClassifySnapshot(snap collect.Snapshot) map[dnsmsg.Name]Adoption {
-	out := make(map[dnsmsg.Name]Adoption, len(snap.Records))
-	for apex, rec := range snap.Records {
-		out[apex] = c.Classify(rec)
-	}
-	return out
-}
-
 // RecordSource is a stream of (apex, record) pairs — the shape of a
 // snapstore cursor. Next advances and reports whether a record is
 // current; Apex and Record read the current position.
@@ -152,8 +143,8 @@ type RecordSource interface {
 	Record() collect.Record
 }
 
-// ClassifyStream is ClassifySnapshot without the maps: records are
-// classified one at a time as the source yields them, and fn receives
+// ClassifyStream classifies a day's records one at a time as the source
+// yields them, and fn receives
 // each verdict in stream order. It returns the number of records
 // classified. Nothing is retained, so a day's classification costs one
 // record of memory at a time regardless of population size.

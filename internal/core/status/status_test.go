@@ -155,12 +155,18 @@ func TestNonNSHostingProviderNSMatchIsNone(t *testing.T) {
 
 func TestClassifySnapshot(t *testing.T) {
 	c := newClassifier(t)
-	snap := collect.Snapshot{Day: 3, Records: map[dnsmsg.Name]collect.Record{
-		"a.com": rec("104.16.0.1", nil, []string{"kate.ns.cloudflare.com"}),
-		"b.com": rec("81.0.0.1", nil, []string{"ns1.webhost.net"}),
-	}}
-	got := c.ClassifySnapshot(snap)
-	if got["a.com"].Status != StatusOn || got["b.com"].Status != StatusNone {
+	a, b := rec("104.16.0.1", nil, []string{"kate.ns.cloudflare.com"}), rec("81.0.0.1", nil, []string{"ns1.webhost.net"})
+	a.Domain = alexa.Domain{Rank: 1, Apex: "a.com"}
+	b.Domain = alexa.Domain{Rank: 2, Apex: "b.com"}
+	store := snapstore.New()
+	dw := store.BeginDay(3)
+	dw.Put(a)
+	dw.Put(b)
+	dw.Seal()
+
+	got := make(map[dnsmsg.Name]Adoption)
+	c.ClassifyStream(store.Cursor(3), func(apex dnsmsg.Name, _ collect.Record, v Adoption) { got[apex] = v })
+	if len(got) != 2 || got["a.com"].Status != StatusOn || got["b.com"].Status != StatusNone {
 		t.Fatalf("snapshot classification = %+v", got)
 	}
 }
@@ -222,9 +228,9 @@ func TestSharedEdgeCustomersAreEliminated(t *testing.T) {
 }
 
 // TestClassifyStreamMatchesSnapshot feeds ClassifyStream from a real
-// snapstore cursor and checks it yields exactly the verdicts
-// ClassifySnapshot computes for the materialized day — the contract the
-// streaming campaign pipeline rides on.
+// snapstore cursor and checks it yields exactly the verdicts Classify
+// computes for each record the day stored — the contract the streaming
+// campaign pipeline rides on.
 func TestClassifyStreamMatchesSnapshot(t *testing.T) {
 	c := newClassifier(t)
 
@@ -233,15 +239,20 @@ func TestClassifyStreamMatchesSnapshot(t *testing.T) {
 		r.Domain = alexa.Domain{Rank: rank, Apex: apex}
 		return r
 	}
+	day := []collect.Record{
+		mk(3, "plain.com", "81.0.0.1", nil, []string{"ns1.webhost.net"}),
+		mk(1, "cf.com", "104.16.0.1", nil, []string{"kate.ns.cloudflare.com"}),
+		mk(2, "inc.com", "199.83.128.4", []string{"tok.x.incapdns.net"}, nil),
+		mk(4, "paused.com", "81.5.5.5", nil, []string{"rob.ns.cloudflare.com"}),
+	}
 	store := snapstore.New()
 	dw := store.BeginDay(0)
-	dw.Put(mk(3, "plain.com", "81.0.0.1", nil, []string{"ns1.webhost.net"}))
-	dw.Put(mk(1, "cf.com", "104.16.0.1", nil, []string{"kate.ns.cloudflare.com"}))
-	dw.Put(mk(2, "inc.com", "199.83.128.4", []string{"tok.x.incapdns.net"}, nil))
-	dw.Put(mk(4, "paused.com", "81.5.5.5", nil, []string{"rob.ns.cloudflare.com"}))
+	want := make(map[dnsmsg.Name]Adoption, len(day))
+	for _, r := range day {
+		dw.Put(r)
+		want[r.Domain.Apex] = c.Classify(r)
+	}
 	dw.Seal()
-
-	want := c.ClassifySnapshot(store.SnapshotAt(0))
 
 	got := make(map[dnsmsg.Name]Adoption, len(want))
 	var order []dnsmsg.Name

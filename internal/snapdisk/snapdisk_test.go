@@ -93,10 +93,19 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("stats: %+v != %+v", s2.Stats(), s.Stats())
 	}
 	for _, day := range s.Days() {
-		if !reflect.DeepEqual(s2.SnapshotAt(day), s.SnapshotAt(day)) {
-			t.Fatalf("day %d snapshots differ", day)
+		if !reflect.DeepEqual(dayRecords(s2, day), dayRecords(s, day)) {
+			t.Fatalf("day %d records differ", day)
 		}
 	}
+}
+
+// dayRecords drains day's cursor, in rank order.
+func dayRecords(s *snapstore.Store, day int) []collect.Record {
+	var out []collect.Record
+	for cur := s.Cursor(day); cur.Next(); {
+		out = append(out, cur.Record())
+	}
+	return out
 }
 
 func TestCheckpointNilCampaign(t *testing.T) {

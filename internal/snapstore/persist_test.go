@@ -39,8 +39,8 @@ func TestStateRoundTripExact(t *testing.T) {
 		t.Fatalf("days: %v != %v", s.Days(), s2.Days())
 	}
 	for _, day := range s.Days() {
-		if !reflect.DeepEqual(s.SnapshotAt(day), s2.SnapshotAt(day)) {
-			t.Fatalf("day %d snapshots differ", day)
+		if !reflect.DeepEqual(dayRecords(s, day), dayRecords(s2, day)) {
+			t.Fatalf("day %d records differ", day)
 		}
 	}
 	// The restored store keeps appending: diff against the pre-restore
@@ -101,7 +101,7 @@ func TestRestoreThenGrowWindow(t *testing.T) {
 	if got := s2.Days(); !reflect.DeepEqual(got, []int{5, 6, 7, 8}) {
 		t.Fatalf("grown-window days = %v, want [5 6 7 8]", got)
 	}
-	if r, ok := s2.RecordAt(name("alpha.com"), 5); !ok || r.Addrs[0] != addr("10.0.0.6") {
+	if r, ok := s2.SealedView().RecordAt(name("alpha.com"), 5); !ok || r.Addrs[0] != addr("10.0.0.6") {
 		t.Fatalf("pre-restore day 5 after grow: %v %v", r, ok)
 	}
 }

@@ -43,6 +43,22 @@ func putDay(t *testing.T, s *Store, day int, recs ...collect.Record) {
 	w.Seal()
 }
 
+// dayRecords drains day's cursor, in rank order.
+func dayRecords(s *Store, day int) []collect.Record {
+	var out []collect.Record
+	for cur := s.Cursor(day); cur.Next(); {
+		out = append(out, cur.Record())
+	}
+	return out
+}
+
+// recordAt is a point read through a sealed view; a miss returns the
+// zero record.
+func recordAt(s *Store, apex string, day int) collect.Record {
+	r, _ := s.SealedView().RecordAt(name(apex), day)
+	return r
+}
+
 func TestInternerRoundTrip(t *testing.T) {
 	in := NewInterner()
 	a := in.Intern(name("a.example.com"))
@@ -64,21 +80,14 @@ func TestInternerRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotAtMatchesInput(t *testing.T) {
+func TestCursorMatchesInput(t *testing.T) {
 	s := New()
 	r1 := rec(1, "alpha.com", []string{"10.0.0.1"}, []string{"alpha.cdn.net"}, []string{"ns1.alpha.com"}, true, true)
 	r2 := rec(2, "beta.com", []string{"10.0.0.2", "10.0.0.3"}, nil, []string{"ns1.beta.com"}, true, true)
-	putDay(t, s, 0, r1, r2)
+	putDay(t, s, 0, r2, r1)
 
-	snap := s.SnapshotAt(0)
-	if snap.Day != 0 || len(snap.Records) != 2 {
-		t.Fatalf("snapshot shape: day %d, %d records", snap.Day, len(snap.Records))
-	}
-	if !reflect.DeepEqual(snap.Records[name("alpha.com")], r1) {
-		t.Fatalf("alpha round trip: got %+v want %+v", snap.Records[name("alpha.com")], r1)
-	}
-	if !reflect.DeepEqual(snap.Records[name("beta.com")], r2) {
-		t.Fatalf("beta round trip: got %+v want %+v", snap.Records[name("beta.com")], r2)
+	if got, want := dayRecords(s, 0), []collect.Record{r1, r2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("day 0 round trip:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
@@ -96,13 +105,13 @@ func TestDeltaEncodingStoresOnlyChanges(t *testing.T) {
 	if st.Versions != 3 {
 		t.Fatalf("versions = %d, want 3 (two day-0 bases + one beta delta)", st.Versions)
 	}
-	if got := s.SnapshotAt(1).Records[name("beta.com")]; !reflect.DeepEqual(got, r2b) {
+	if got := recordAt(s, "beta.com", 1); !reflect.DeepEqual(got, r2b) {
 		t.Fatalf("beta at day 1: %+v", got)
 	}
-	if got := s.SnapshotAt(0).Records[name("beta.com")]; !reflect.DeepEqual(got, r2) {
+	if got := recordAt(s, "beta.com", 0); !reflect.DeepEqual(got, r2) {
 		t.Fatalf("beta at day 0: %+v", got)
 	}
-	if got := s.SnapshotAt(1).Records[name("alpha.com")]; !reflect.DeepEqual(got, r1) {
+	if got := recordAt(s, "alpha.com", 1); !reflect.DeepEqual(got, r1) {
 		t.Fatalf("alpha at day 1: %+v", got)
 	}
 }
@@ -114,13 +123,14 @@ func TestTombstones(t *testing.T) {
 	putDay(t, s, 0, r1, r2)
 	putDay(t, s, 1, r1) // beta vanishes
 
-	if _, ok := s.RecordAt(name("beta.com"), 1); ok {
+	v := s.SealedView()
+	if _, ok := v.RecordAt(name("beta.com"), 1); ok {
 		t.Fatal("tombstoned apex still live")
 	}
-	if _, ok := s.RecordAt(name("beta.com"), 0); !ok {
+	if _, ok := v.RecordAt(name("beta.com"), 0); !ok {
 		t.Fatal("tombstone rewrote history")
 	}
-	if n := len(s.SnapshotAt(1).Records); n != 1 {
+	if n := len(dayRecords(s, 1)); n != 1 {
 		t.Fatalf("day 1 has %d records, want 1", n)
 	}
 	if s.Stats().Tombstones != 1 {
@@ -129,7 +139,7 @@ func TestTombstones(t *testing.T) {
 
 	// Reappearance on day 2 is a fresh version.
 	putDay(t, s, 2, r1, r2)
-	if _, ok := s.RecordAt(name("beta.com"), 2); !ok {
+	if _, ok := s.SealedView().RecordAt(name("beta.com"), 2); !ok {
 		t.Fatal("reappeared apex not live")
 	}
 }
@@ -153,8 +163,8 @@ func TestCursorRankOrder(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("cursor order %v, want %v", got, want)
 	}
-	if !reflect.DeepEqual(s.Apexes(), want) {
-		t.Fatalf("Apexes order %v, want %v", s.Apexes(), want)
+	if got := s.SealedView().Apexes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Apexes order %v, want %v", got, want)
 	}
 }
 
@@ -244,7 +254,7 @@ func TestWindowEviction(t *testing.T) {
 		t.Fatalf("evicted = %d, want 4", s.Stats().EvictedDays)
 	}
 	// Replay inside the window works; outside panics.
-	if r, ok := s.RecordAt(name("alpha.com"), 4); !ok || r.Addrs[0] != addr("10.0.1.4") {
+	if r, ok := s.SealedView().RecordAt(name("alpha.com"), 4); !ok || r.Addrs[0] != addr("10.0.1.4") {
 		t.Fatalf("day-4 record: %v %v", r, ok)
 	}
 	func() {
@@ -270,8 +280,9 @@ func TestWindowKeepsBaseForUnchangedApex(t *testing.T) {
 		putDay(t, s, day, stable)
 	}
 	// The base version predates the window but must still serve replays.
+	v := s.SealedView()
 	for _, day := range s.Days() {
-		if r, ok := s.RecordAt(name("stable.com"), day); !ok || !reflect.DeepEqual(r, stable) {
+		if r, ok := v.RecordAt(name("stable.com"), day); !ok || !reflect.DeepEqual(r, stable) {
 			t.Fatalf("day %d: %v %v", day, r, ok)
 		}
 	}

@@ -1,8 +1,8 @@
 // Package snapstore is an append-only, delta-encoded store for daily
 // collection snapshots (§IV-B.1's day-over-day record series).
 //
-// The map-based collect.Snapshot costs a full copy of every domain's
-// records per day, so a campaign that keeps history pays
+// Holding every day as a full map of records costs a copy of every
+// domain's records per day, so a campaign that keeps history would pay
 // domains × days regardless of how little actually changed. The paper's
 // own observation (§IV-C) is that almost nothing changes day over day —
 // a few hundred behaviours per million domains — which makes the series
@@ -13,9 +13,10 @@
 //
 // Days are replayed, not materialized: Cursor(day) iterates the day's
 // virtual full snapshot in rank order, DiffPairs(day) streams (prev, cur)
-// record pairs against the previous sealed day, and RecordAt does point
-// lookups. SetWindow bounds retention for steady-state campaigns that
-// only ever look one day back.
+// record pairs against the previous sealed day, and a View (SealedView)
+// is the one place for point reads (RecordAt, Rank, History). SetWindow
+// bounds retention for steady-state campaigns that only ever look one
+// day back.
 package snapstore
 
 import (
@@ -92,8 +93,9 @@ type apexMeta struct {
 
 // Store is the append-only snapshot store. Days are appended in strictly
 // increasing order via BeginDay/Put/Seal; between Seal and the next
-// BeginDay the store is immutable and every read entry point (Cursor,
-// DiffPairs, RecordAt, SnapshotAt, Apexes) is safe for concurrent use.
+// BeginDay the store is immutable and its replay entry points (Cursor,
+// DiffPairs) are safe for concurrent use. Point reads go through a View
+// from SealedView, which stays valid while the store keeps appending.
 type Store struct {
 	interner *Interner
 	metas    []apexMeta
@@ -300,8 +302,9 @@ func liveAt(chain []version, day int32) (crec, bool) {
 // view returns a transient View sharing the store's live index
 // structures with no copying. It is only valid under the store's own
 // read contract — between Seal and the next BeginDay — and is how the
-// store's read methods delegate to the View implementations. For a view
-// that stays valid while the store keeps appending, use SealedView.
+// store's Cursor and DiffPairs delegate to the View implementations. For
+// a view that stays valid while the store keeps appending, use
+// SealedView.
 func (s *Store) view() View {
 	return View{
 		metas:      s.metas,
@@ -348,42 +351,6 @@ func (s *Store) SealedView() *View {
 		tombstones: s.tombstones,
 		interned:   s.interner.Len(),
 	}
-}
-
-// RecordAt returns apex's record at day (ok=false when the apex is not
-// live that day). It panics if day is not replayable.
-func (s *Store) RecordAt(apex dnsmsg.Name, day int) (collect.Record, bool) {
-	v := s.view()
-	return v.RecordAt(apex, day)
-}
-
-// Rank returns apex's rank from the store's metadata (the interned rank
-// index), independent of any particular day.
-func (s *Store) Rank(apex dnsmsg.Name) (int, bool) {
-	v := s.view()
-	return v.Rank(apex)
-}
-
-// Apexes returns every apex the store has ever seen, in rank order. The
-// slice is shared and must not be mutated.
-func (s *Store) Apexes() []dnsmsg.Name {
-	v := s.view()
-	return v.Apexes()
-}
-
-// History returns apex's retained version chain, oldest first; see
-// View.History.
-func (s *Store) History(apex dnsmsg.Name) []VersionInfo {
-	v := s.view()
-	return v.History(apex)
-}
-
-// SnapshotAt materializes day as a legacy map-based collect.Snapshot —
-// the adapter that keeps pre-store consumers (and their tests) working.
-// New code should prefer Cursor/DiffPairs, which replay without the map.
-func (s *Store) SnapshotAt(day int) collect.Snapshot {
-	v := s.view()
-	return v.SnapshotAt(day)
 }
 
 // Stats describes the store's retained shape.

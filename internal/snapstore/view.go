@@ -9,8 +9,9 @@ import (
 )
 
 // View is a read surface over a store's sealed days: every replay entry
-// point — Cursor, DiffPairs, RecordAt, SnapshotAt, History — operates on
-// a View, and the Store's own read methods delegate to a borrowed one.
+// point — Cursor, DiffPairs, RecordAt, Rank, History — operates on a
+// View, and the Store's own Cursor and DiffPairs delegate to a borrowed
+// one.
 //
 // A view obtained from SealedView is *immutable*: it owns copies of the
 // store's index structures (the per-version record data is append-only
@@ -54,10 +55,9 @@ func (v *View) checkDay(day int) int32 {
 }
 
 // materialize converts a stored version back to the collect.Record the
-// legacy map-based path would have held. The record's slices are the
-// version's cached backing data, shared across every materialization of
-// the same version: replay is allocation-free, and callers must treat the
-// record as read-only.
+// collector emitted. The record's slices are the version's cached backing
+// data, shared across every materialization of the same version: replay
+// is allocation-free, and callers must treat the record as read-only.
 func (v *View) materialize(idx int32, r crec) collect.Record {
 	m := v.metas[idx]
 	return collect.Record{
@@ -108,20 +108,6 @@ func (v *View) Apexes() []dnsmsg.Name {
 		out[i] = v.metas[idx].name
 	}
 	return out
-}
-
-// SnapshotAt materializes day as a legacy map-based collect.Snapshot —
-// the adapter that keeps pre-store consumers (and their tests) working.
-// New code should prefer Cursor/DiffPairs, which replay without the map.
-func (v *View) SnapshotAt(day int) collect.Snapshot {
-	d := v.checkDay(day)
-	snap := collect.Snapshot{Day: day, Records: make(map[dnsmsg.Name]collect.Record, len(v.metas))}
-	for idx := range v.chains {
-		if r, live := liveAt(v.chains[idx], d); live {
-			snap.Records[v.metas[idx].name] = v.materialize(int32(idx), r)
-		}
-	}
-	return snap
 }
 
 // Stats returns the view's retained shape.

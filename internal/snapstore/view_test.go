@@ -145,7 +145,8 @@ func TestHistoryMatchesChain(t *testing.T) {
 	putDay(t, s, 3, rec(1, "a.com", []string{"192.0.2.5"}, nil, nil, true, true))
 	putDay(t, s, 4) // absent: tombstone
 
-	hist := s.History(name("a.com"))
+	v := s.SealedView()
+	hist := v.History(name("a.com"))
 	if len(hist) != 3 {
 		t.Fatalf("History len = %d, want 3 (two versions + tombstone): %+v", len(hist), hist)
 	}
@@ -158,7 +159,7 @@ func TestHistoryMatchesChain(t *testing.T) {
 	if hist[2].Day != 4 || !hist[2].Gone {
 		t.Errorf("hist[2] = %+v, want day-4 tombstone", hist[2])
 	}
-	if got := s.History(name("missing.com")); got != nil {
+	if got := v.History(name("missing.com")); got != nil {
 		t.Errorf("History(unknown) = %+v, want nil", got)
 	}
 }

@@ -132,19 +132,13 @@ var CompileScenario = scenario.Compile
 // Collector takes daily A/CNAME/NS snapshots.
 type Collector = collect.Collector
 
-// Snapshot is one day's collected records as a full map.
-//
-// Snapshot is the map-based adapter kept for callers that need a whole
-// day as a map. New code should stream Collector.CollectStream into a
-// SnapshotStore and read days back through SnapshotCursor /
-// SnapshotPairCursor (or SnapshotStore.SnapshotAt when a map really is
-// needed); the campaign runners work only this way.
-type Snapshot = collect.Snapshot
-
 // SnapshotStore is the append-only, delta-encoded, name-interned store for
 // daily snapshots: each day costs only what changed, any retained day
 // replays as a virtual full snapshot, and SetWindow bounds retention for
-// arbitrarily long campaigns.
+// arbitrarily long campaigns. Stream Collector.CollectStream into it and
+// read days back through SnapshotCursor / SnapshotPairCursor, or take a
+// SealedView for point reads (RecordAt, Rank, History); the campaign
+// runners work only this way.
 type SnapshotStore = snapstore.Store
 
 // SnapshotWriter appends one day to a SnapshotStore
@@ -325,9 +319,10 @@ var NewExposureTracker = exposure.NewTracker
 // NewScanner builds a direct scanner over vantage clients.
 var NewScanner = rrscan.NewScanner
 
-// DiscoverNameservers extracts a provider's NS-hosting nameservers from
-// snapshots.
-var DiscoverNameservers = rrscan.DiscoverNameservers
+// NewNameserverDiscovery builds a pass that gathers a provider's
+// NS-hosting nameservers from streamed records (AddRecord) and resolves
+// them.
+var NewNameserverDiscovery = rrscan.NewNameserverDiscovery
 
 // ---------------------------------------------------------------------------
 // Providers, sites, DNS.
