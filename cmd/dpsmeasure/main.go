@@ -41,23 +41,9 @@ func runFollow(cfg experiment.Dynamics, cf *cmdutil.CampaignFlags) experiment.Dy
 }
 
 func main() {
-	sites := flag.Int("sites", 2000, "number of websites (the paper uses 1M; scale down)")
-	days := flag.Int("days", 42, "measurement days (the paper runs six weeks)")
-	seed := flag.Int64("seed", 1815, "world seed")
-	boost := flag.Float64("churn-boost", 1, "multiply all behaviour hazards (small worlds need >1 for dense figures)")
-	cf := cmdutil.RegisterCampaignFlags(flag.CommandLine,
-		"snapshot-store retention in days: 0 = streaming default (2), <0 = keep every day replayable, >=2 = that many days")
-	cf.ScenarioOwns("sites", "days", "seed", "churn-boost")
+	cf := cmdutil.RegisterCampaignFlags(flag.CommandLine, scenario.CampaignDynamics)
 	flag.Parse()
-	if *sites <= 0 || *days <= 0 || *boost <= 0 {
-		fmt.Fprintln(os.Stderr, "dpsmeasure: -sites, -days, and -churn-boost must be positive")
-		os.Exit(2)
-	}
-	if err := cf.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "dpsmeasure: %v\n", err)
-		os.Exit(2)
-	}
-	comp, err := cf.LoadScenario(scenario.CampaignDynamics)
+	comp, err := cf.Compile()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dpsmeasure: %v\n", err)
 		os.Exit(2)
@@ -66,25 +52,9 @@ func main() {
 		fmt.Printf("scenario %s ok (sha256:%s)\n", comp.Name(), comp.Hash())
 		return
 	}
-	policy := cf.Policy()
-
-	cfg := world.PaperConfig(*sites)
-	cfg.Seed = *seed
-	cfg.JoinRate *= *boost
-	cfg.LeaveRate *= *boost
-	cfg.PauseRate *= *boost
-	cfg.SwitchRate *= *boost
-
-	var scn *experiment.ScenarioInfo
-	if comp != nil {
-		// The spec owns the experiment shape; mirror it into the locals
-		// the announcement lines and campaign construction read. The
-		// provenance line goes to stderr so a scenario that reproduces the
+	if comp.Info != nil {
+		// Provenance goes to stderr so a scenario that reproduces the
 		// default run keeps stdout byte-identical to it.
-		cfg = comp.World
-		policy = comp.Policy
-		*sites, *days, *seed = cfg.NumSites, comp.Days, cfg.Seed
-		scn = comp.Info
 		fmt.Fprintf(os.Stderr, "dpsmeasure: scenario %s (sha256:%s)\n", comp.Name(), comp.Hash())
 	}
 
@@ -99,20 +69,19 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("building world: %d sites (seed %d)...\n", *sites, *seed)
+	fmt.Printf("building world: %d sites (seed %d)...\n", comp.World.NumSites, comp.World.Seed)
 	start := time.Now()
-	w := world.New(cfg)
 	campaign := experiment.Dynamics{
-		World:           w,
-		Days:            *days,
+		World:           world.New(comp.World),
+		Days:            comp.Days,
 		Workers:         cf.Workers,
-		Policy:          &policy,
+		Policy:          &comp.Policy,
 		Obs:             reg,
 		SnapWindow:      cf.SnapWindow,
 		CheckpointDir:   cf.CheckpointDir,
 		CheckpointEvery: cf.CheckpointEvery,
 		Resume:          cf.Resume,
-		Scenario:        scn,
+		Scenario:        comp.Info,
 	}
 	var res experiment.DynamicsResult
 	if cf.Follow {
@@ -122,7 +91,7 @@ func main() {
 		fmt.Printf("world ready in %v; following (SIGTERM to drain)...\n\n", time.Since(start).Round(time.Millisecond))
 		res = runFollow(campaign, cf)
 	} else {
-		fmt.Printf("world ready in %v; running %d-day campaign...\n\n", time.Since(start).Round(time.Millisecond), *days)
+		fmt.Printf("world ready in %v; running %d-day campaign...\n\n", time.Since(start).Round(time.Millisecond), comp.Days)
 		res = campaign.Run()
 	}
 
@@ -132,7 +101,7 @@ func main() {
 	}
 
 	fmt.Println(res.String())
-	fmt.Printf("retry policy: %s\n", policy)
+	fmt.Printf("retry policy: %s\n", comp.Policy)
 	fmt.Println(report.FaultSummary(res.Stats, res.Sidelined))
 	fmt.Println(report.Figure2(res))
 	fmt.Println(report.Figure3(res))

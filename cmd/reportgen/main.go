@@ -1,6 +1,9 @@
-// Command reportgen runs both measurement campaigns on one world and
-// writes the complete artifact bundle — every table and figure the paper
-// reports, in text and CSV form — to a directory.
+// Command reportgen runs both measurement campaigns and writes the
+// complete artifact bundle — every table and figure the paper reports,
+// in text and CSV form — to a directory. Each campaign gets its own
+// world of -sites sites: the §IV one at -seed, the §V one at -seed+1.
+// Both are lowered through internal/scenario, so each world's churn
+// boost follows its campaign's rule, as in dpsmeasure and rrscan.
 //
 //	go run ./cmd/reportgen -out ./artifacts
 package main
@@ -16,46 +19,50 @@ import (
 	"rrdps/internal/core/report"
 	"rrdps/internal/dps"
 	"rrdps/internal/netsim"
+	"rrdps/internal/scenario"
 	"rrdps/internal/world"
 )
 
 func main() {
-	sites := flag.Int("sites", 3000, "number of websites")
-	days := flag.Int("days", 42, "usage-dynamics campaign days")
-	weeks := flag.Int("weeks", 6, "residual-resolution scan weeks")
-	seed := flag.Int64("seed", 1815, "world seed")
-	boost := flag.Float64("churn-boost", 12, "behaviour hazard multiplier")
+	dc, r := scenario.Defaults(scenario.CampaignDynamics)
+	rc, _ := scenario.Defaults(scenario.CampaignResidual)
+	flag.IntVar(&dc.Sites, "sites", 3000, "number of websites")
+	flag.IntVar(&dc.Days, "days", dc.Days, "usage-dynamics campaign days")
+	flag.IntVar(&rc.Weeks, "weeks", rc.Weeks, "residual-resolution scan weeks")
+	flag.Int64Var(dc.Seed, "seed", *dc.Seed, "world seed")
+	flag.Float64Var(dc.ChurnBoost, "churn-boost", 12, "behaviour hazard multiplier")
 	out := flag.String("out", "artifacts", "output directory")
 	flag.Parse()
 
-	if err := run(*sites, *days, *weeks, *seed, *boost, *out); err != nil {
+	// The §V world: same population and boost, the next seed, and six
+	// weeks of history before the first scan.
+	rc.Sites, *rc.Seed, *rc.ChurnBoost, *rc.WarmupDays = dc.Sites, *dc.Seed+1, *dc.ChurnBoost, 42
+	lower := func(c scenario.Campaign) *scenario.Compiled {
+		comp, err := scenario.Lower(c, r)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "reportgen: %v\n", err)
+			os.Exit(2)
+		}
+		return comp
+	}
+	if err := run(lower(dc), lower(rc), *out); err != nil {
 		fmt.Fprintf(os.Stderr, "reportgen: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(sites, days, weeks int, seed int64, boost float64, out string) error {
+func run(dc, rc *scenario.Compiled, out string) error {
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
 
-	build := func(extraSeed int64) *world.World {
-		cfg := world.PaperConfig(sites)
-		cfg.Seed = seed + extraSeed
-		cfg.JoinRate *= boost
-		cfg.LeaveRate *= boost
-		cfg.PauseRate *= boost
-		cfg.SwitchRate *= boost
-		return world.New(cfg)
-	}
-
 	start := time.Now()
-	fmt.Printf("running %d-day dynamics campaign on %d sites...\n", days, sites)
-	dyn := experiment.Dynamics{World: build(0), Days: days}.Run()
+	fmt.Printf("running %d-day dynamics campaign on %d sites...\n", dc.Days, dc.World.NumSites)
+	dyn := experiment.Dynamics{World: world.New(dc.World), Days: dc.Days, Policy: &dc.Policy}.Run()
 
-	fmt.Printf("running %d-week residual campaign...\n", weeks)
-	w2 := build(1)
-	res := experiment.Residual{World: w2, Weeks: weeks, WarmupDays: 42}.Run()
+	fmt.Printf("running %d-week residual campaign...\n", rc.Weeks)
+	w2 := world.New(rc.World)
+	res := experiment.Residual{World: w2, Weeks: rc.Weeks, WarmupDays: rc.WarmupDays, Policy: &rc.Policy}.Run()
 
 	files := map[string]string{
 		"table2.txt":  report.TableII(),

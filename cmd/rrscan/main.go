@@ -59,25 +59,9 @@ func poolCounts(w *world.World) map[netsim.Region]uint64 {
 }
 
 func main() {
-	sites := flag.Int("sites", 2000, "number of websites")
-	weeks := flag.Int("weeks", 6, "weekly scan rounds (the paper runs six)")
-	seed := flag.Int64("seed", 1815, "world seed")
-	boost := flag.Float64("churn-boost", 8, "multiply leave/switch hazards so a small world yields residual records")
-	warmup := flag.Int("warmup", 28, "days of world history to simulate before the first scan")
-	incStart := flag.Int("incapsula-start", 0, "first week (1-based, inclusive) the Incapsula CNAME re-resolution runs; 0 or 1 = every week (the paper covers its last three)")
-	cf := cmdutil.RegisterCampaignFlags(flag.CommandLine,
-		"snapshot-store retention in collection rounds: 0 = streaming default (1), <0 = keep every round replayable, >=1 = that many rounds")
-	cf.ScenarioOwns("sites", "weeks", "seed", "churn-boost", "warmup", "incapsula-start")
+	cf := cmdutil.RegisterCampaignFlags(flag.CommandLine, scenario.CampaignResidual)
 	flag.Parse()
-	if *sites <= 0 || *weeks <= 0 || *boost <= 0 {
-		fmt.Fprintln(os.Stderr, "rrscan: -sites, -weeks, and -churn-boost must be positive")
-		os.Exit(2)
-	}
-	if err := cf.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "rrscan: %v\n", err)
-		os.Exit(2)
-	}
-	comp, err := cf.LoadScenario(scenario.CampaignResidual)
+	comp, err := cf.Compile()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rrscan: %v\n", err)
 		os.Exit(2)
@@ -86,27 +70,9 @@ func main() {
 		fmt.Printf("scenario %s ok (sha256:%s)\n", comp.Name(), comp.Hash())
 		return
 	}
-	policy := cf.Policy()
-
-	cfg := world.PaperConfig(*sites)
-	cfg.Seed = *seed
-	cfg.LeaveRate *= *boost
-	cfg.SwitchRate *= *boost
-	cfg.JoinRate *= *boost
-
-	var scn *experiment.ScenarioInfo
-	var attackLoad *experiment.AttackLoad
-	if comp != nil {
-		// The spec owns the experiment shape; mirror it into the locals
-		// the announcement lines and campaign construction read. The
-		// provenance line goes to stderr so a scenario that reproduces a
+	if comp.Info != nil {
+		// Provenance goes to stderr so a scenario that reproduces a
 		// flag-driven run keeps stdout byte-identical to it.
-		cfg = comp.World
-		policy = comp.Policy
-		*sites, *weeks, *seed = cfg.NumSites, comp.Weeks, cfg.Seed
-		*warmup, *incStart = comp.WarmupDays, comp.IncapsulaStartWeek
-		scn = comp.Info
-		attackLoad = comp.Attack
 		fmt.Fprintf(os.Stderr, "rrscan: scenario %s (sha256:%s)\n", comp.Name(), comp.Hash())
 	}
 
@@ -121,23 +87,23 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("building world: %d sites (seed %d)...\n", *sites, *seed)
+	fmt.Printf("building world: %d sites (seed %d)...\n", comp.World.NumSites, comp.World.Seed)
 	start := time.Now()
-	w := world.New(cfg)
+	w := world.New(comp.World)
 	campaign := experiment.Residual{
 		World:              w,
-		Weeks:              *weeks,
-		WarmupDays:         *warmup,
-		IncapsulaStartWeek: *incStart,
+		Weeks:              comp.Weeks,
+		WarmupDays:         comp.WarmupDays,
+		IncapsulaStartWeek: comp.IncapsulaStartWeek,
 		Workers:            cf.Workers,
-		Policy:             &policy,
+		Policy:             &comp.Policy,
 		Obs:                reg,
 		SnapWindow:         cf.SnapWindow,
 		CheckpointDir:      cf.CheckpointDir,
 		CheckpointEvery:    cf.CheckpointEvery,
 		Resume:             cf.Resume,
-		Scenario:           scn,
-		Attack:             attackLoad,
+		Scenario:           comp.Info,
+		Attack:             comp.Attack,
 	}
 	var res experiment.ResidualResult
 	if cf.Follow {
@@ -147,7 +113,7 @@ func main() {
 		fmt.Printf("world ready in %v; following (SIGTERM to drain)...\n\n", time.Since(start).Round(time.Millisecond))
 		res = runFollow(campaign, cf)
 	} else {
-		fmt.Printf("world ready in %v; running %d-week campaign...\n\n", time.Since(start).Round(time.Millisecond), *weeks)
+		fmt.Printf("world ready in %v; running %d-week campaign...\n\n", time.Since(start).Round(time.Millisecond), comp.Weeks)
 		res = campaign.Run()
 	}
 	fig7 := poolCounts(w)
@@ -159,7 +125,7 @@ func main() {
 
 	fmt.Println(res.String())
 	fmt.Printf("cloudflare NS-rerouting nameservers discovered: %d\n\n", res.NameserverCount)
-	fmt.Printf("retry policy: %s\n", policy)
+	fmt.Printf("retry policy: %s\n", comp.Policy)
 	fmt.Println(report.FaultSummary(res.Stats, res.Sidelined))
 	fmt.Println(report.TableVI(res))
 	fmt.Println(report.Figure9(res))

@@ -1,7 +1,8 @@
 // Package cmdutil holds the plumbing shared by the cmd binaries: the
-// common campaign flag block, the -follow daemon loop, emitting a
-// metrics dump as text or JSON, and capturing CPU/heap profiles around
-// a campaign body.
+// campaign flag block, whose Compile hands either a -scenario spec or
+// the shaping flags to internal/scenario's one compiler, the -follow
+// daemon loop, emitting a metrics dump as text or JSON, and capturing
+// CPU/heap profiles around a campaign body.
 package cmdutil
 
 import (
@@ -15,25 +16,26 @@ import (
 	"time"
 
 	"rrdps/internal/core/report"
-	"rrdps/internal/dnsresolver"
 	"rrdps/internal/obs"
 	"rrdps/internal/scenario"
 )
 
 // CampaignFlags is the flag block shared by cmd/dpsmeasure and
-// cmd/rrscan — parallelism, snapshot retention, the retry policy knobs,
-// observability output, and campaign durability. It used to be
-// copy-pasted into both binaries, with the two help texts drifting
-// apart; registering it here keeps the flags and their documentation
-// identical.
+// cmd/rrscan: the experiment-shaping flags of one campaign kind, which
+// a -scenario spec replaces, and the operational flags — parallelism,
+// snapshot retention, observability output, campaign durability and
+// daemon mode — which stay available with one. Registering it here
+// keeps the flags and their documentation identical across binaries.
 type CampaignFlags struct {
+	// Campaign / Resolver hold the experiment-shaping flags (-sites,
+	// -seed, -churn-boost, the kind's horizon, -retries, -hedge), bound
+	// into scenario.Defaults(kind); Compile lowers them.
+	Campaign scenario.Campaign
+	Resolver scenario.Resolver
 	// Workers is the parallelism of every measurement loop.
 	Workers int
 	// SnapWindow is the snapshot-store retention bound.
 	SnapWindow int
-	// Retries / Hedge shape the retry policy (see Policy).
-	Retries int
-	Hedge   bool
 	// Metrics / MetricsOut select the post-campaign observability dump.
 	Metrics    string
 	MetricsOut string
@@ -60,21 +62,38 @@ type CampaignFlags struct {
 	// fs is the flag set the block was registered on; conflict detection
 	// walks it to find explicitly-set flags.
 	fs *flag.FlagSet
-	// scenarioOwned names the binary-specific flags a scenario spec
-	// controls (see ScenarioOwns).
-	scenarioOwned []string
+	// owned names the experiment-shaping flags a scenario spec controls.
+	owned []string
 }
 
-// RegisterCampaignFlags registers the shared campaign flag block on fs.
-// snapWindowHelp documents the binary's retention unit (days vs
-// collection rounds); every other flag reads identically in both
-// binaries.
-func RegisterCampaignFlags(fs *flag.FlagSet, snapWindowHelp string) *CampaignFlags {
-	f := &CampaignFlags{}
+// RegisterCampaignFlags registers the flag block of a kind
+// (scenario.CampaignDynamics or scenario.CampaignResidual) on fs, with
+// scenario.Defaults(kind) as the shaping flags' defaults.
+func RegisterCampaignFlags(fs *flag.FlagSet, kind string) *CampaignFlags {
+	c, r := scenario.Defaults(kind)
+	f := &CampaignFlags{Campaign: c, Resolver: r, fs: fs}
+	own := func(name string) string {
+		f.owned = append(f.owned, name)
+		return name
+	}
+	fs.IntVar(&f.Campaign.Sites, own("sites"), c.Sites, "number of websites (the paper uses 1M; scale down)")
+	fs.Int64Var(f.Campaign.Seed, own("seed"), *c.Seed, "world seed")
+	snapWindowHelp := "snapshot-store retention in days: 0 = streaming default (2), <0 = keep every day replayable, >=2 = that many days"
+	switch kind {
+	case scenario.CampaignDynamics:
+		fs.IntVar(&f.Campaign.Days, own("days"), c.Days, "measurement days (the paper runs six weeks)")
+		fs.Float64Var(f.Campaign.ChurnBoost, own("churn-boost"), *c.ChurnBoost, "multiply all behaviour hazards (small worlds need >1 for dense figures)")
+	case scenario.CampaignResidual:
+		fs.IntVar(&f.Campaign.Weeks, own("weeks"), c.Weeks, "weekly scan rounds (the paper runs six)")
+		fs.Float64Var(f.Campaign.ChurnBoost, own("churn-boost"), *c.ChurnBoost, "multiply leave/switch hazards so a small world yields residual records")
+		fs.IntVar(f.Campaign.WarmupDays, own("warmup"), *c.WarmupDays, "days of world history to simulate before the first scan")
+		fs.IntVar(&f.Campaign.IncapsulaStartWeek, own("incapsula-start"), c.IncapsulaStartWeek, "first week (1-based, inclusive) the Incapsula CNAME re-resolution runs; 0 or 1 = every week (the paper covers its last three)")
+		snapWindowHelp = "snapshot-store retention in collection rounds: 0 = streaming default (1), <0 = keep every round replayable, >=1 = that many rounds"
+	}
+	fs.IntVar(&f.Resolver.Retries, own("retries"), r.Retries, "attempts per query (1 = no retries); backoff and health sidelining follow the default policy")
+	fs.BoolVar(f.Resolver.Hedge, own("hedge"), *r.Hedge, "hedge retried queries to an alternate nameserver when one is available")
 	fs.IntVar(&f.Workers, "workers", runtime.GOMAXPROCS(0), "parallelism of the measurement loops (1 = serial; findings are identical either way, query counts nearly so)")
 	fs.IntVar(&f.SnapWindow, "snap-window", 0, snapWindowHelp)
-	fs.IntVar(&f.Retries, "retries", 3, "attempts per query (1 = no retries); backoff and health sidelining follow the default policy")
-	fs.BoolVar(&f.Hedge, "hedge", true, "hedge retried queries to an alternate nameserver when one is available")
 	fs.StringVar(&f.Metrics, "metrics", "", "emit an observability dump after the campaign: text or json")
 	fs.StringVar(&f.MetricsOut, "metrics-out", "", "write the -metrics dump to this file instead of stdout")
 	fs.StringVar(&f.PprofPrefix, "pprof", "", "write <prefix>.cpu.pprof, .heap.pprof, .mutex.pprof and .block.pprof profiles around the campaign body")
@@ -86,27 +105,12 @@ func RegisterCampaignFlags(fs *flag.FlagSet, snapWindowHelp string) *CampaignFla
 	fs.DurationVar(&f.FollowInterval, "follow-interval", 0, "with -follow: pause between appended rounds (0 = append continuously)")
 	fs.StringVar(&f.Scenario, "scenario", "", "run the campaign a declarative scenario spec describes (see scenarios/); mutually exclusive with the experiment-shaping flags")
 	fs.BoolVar(&f.ValidateOnly, "validate-only", false, "with -scenario: parse, validate, and compile the spec, print its name and hash, and exit without running")
-	f.fs = fs
 	return f
-}
-
-// ScenarioOwns names the binary-specific experiment-shaping flags a
-// scenario spec controls (e.g. "sites", "days", "seed"). When -scenario
-// is given, Validate rejects any of these set explicitly on the command
-// line: a spec describes the whole experiment, and a half-overridden
-// spec would report a hash that doesn't match what actually ran. The
-// shared policy flags -retries and -hedge are always owned; operational
-// flags (workers, checkpointing, metrics, ...) stay available.
-func (f *CampaignFlags) ScenarioOwns(names ...string) {
-	f.scenarioOwned = append(f.scenarioOwned, names...)
 }
 
 // explicitlySet reports whether the named flag was set on the command
 // line (as opposed to holding its default).
 func (f *CampaignFlags) explicitlySet(name string) bool {
-	if f.fs == nil {
-		return false
-	}
 	set := false
 	f.fs.Visit(func(fl *flag.Flag) {
 		if fl.Name == name {
@@ -122,7 +126,7 @@ func (f *CampaignFlags) explicitlySet(name string) bool {
 // EmitMetrics after the campaign finished, which discarded a multi-hour
 // run's dump over a flag typo.
 func (f *CampaignFlags) Validate() error {
-	if f.Workers <= 0 || f.Retries <= 0 {
+	if f.Workers <= 0 || f.Resolver.Retries <= 0 {
 		return fmt.Errorf("-workers and -retries must be positive")
 	}
 	switch f.Metrics {
@@ -163,7 +167,7 @@ func (f *CampaignFlags) Validate() error {
 		// The spec owns the experiment shape; an explicitly-set owned flag
 		// would silently disagree with the spec hash recorded in the
 		// campaign's provenance. Fail naming both sides.
-		for _, name := range append([]string{"retries", "hedge"}, f.scenarioOwned...) {
+		for _, name := range f.owned {
 			if f.explicitlySet(name) {
 				return fmt.Errorf("-scenario %s conflicts with explicit -%s: the scenario spec owns that knob (edit the spec instead)", f.Scenario, name)
 			}
@@ -177,24 +181,27 @@ func (f *CampaignFlags) Validate() error {
 	return nil
 }
 
-// LoadScenario loads, compiles, and kind-checks the -scenario spec;
-// wantKind is scenario.CampaignDynamics or scenario.CampaignResidual
-// (the calling binary's campaign). It returns (nil, nil) when no
-// scenario was requested. Spec-pinned Workers/SnapWindow land in the
-// flag block unless the user explicitly set those flags — they are
-// operational knobs, so a command-line override is allowed and wins.
-func (f *CampaignFlags) LoadScenario(wantKind string) (*scenario.Compiled, error) {
+// Compile validates the flag block and returns the campaign it
+// describes: the -scenario spec, kind-checked against the registered
+// kind, or else the shaping flags lowered through scenario.Lower (whose
+// Info is nil). Spec-pinned Workers/SnapWindow land in the flag block
+// unless the user explicitly set those flags — they are operational
+// knobs, so a command-line override is allowed and wins.
+func (f *CampaignFlags) Compile() (*scenario.Compiled, error) {
+	if err := f.Validate(); err != nil {
+		return nil, err
+	}
 	if f.Scenario == "" {
-		return nil, nil
+		return scenario.Lower(f.Campaign, f.Resolver)
 	}
 	spec, err := scenario.Load(f.Scenario)
 	if err != nil {
 		return nil, err
 	}
 	comp := scenario.Compile(spec)
-	if comp.Kind != wantKind {
+	if comp.Kind != f.Campaign.Kind {
 		return nil, fmt.Errorf("%s: scenario %q is a %s campaign; this binary runs %s campaigns",
-			f.Scenario, comp.Name(), comp.Kind, wantKind)
+			f.Scenario, comp.Name(), comp.Kind, f.Campaign.Kind)
 	}
 	if comp.Workers > 0 && !f.explicitlySet("workers") {
 		f.Workers = comp.Workers
@@ -203,14 +210,6 @@ func (f *CampaignFlags) LoadScenario(wantKind string) (*scenario.Compiled, error
 		f.SnapWindow = comp.SnapWindow
 	}
 	return comp, nil
-}
-
-// Policy builds the retry policy the flag block describes.
-func (f *CampaignFlags) Policy() dnsresolver.Policy {
-	p := dnsresolver.DefaultPolicy()
-	p.MaxAttempts = f.Retries
-	p.Hedge = f.Hedge
-	return p
 }
 
 // RunFollow is the -follow daemon loop both campaign binaries share:

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rrdps/internal/obs"
+	"rrdps/internal/scenario"
 )
 
 // parse registers the shared flag block on a throwaway FlagSet, parses
@@ -24,7 +25,7 @@ func parse(t *testing.T, args ...string) (*CampaignFlags, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(&strings.Builder{}) // silence usage spam on bad flags
-	f := RegisterCampaignFlags(fs, "retention help")
+	f := RegisterCampaignFlags(fs, scenario.CampaignDynamics)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("flag parse: %v", err)
 	}
@@ -87,8 +88,8 @@ func TestCampaignFlagsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Retries != 3 || !f.Hedge {
-		t.Errorf("default policy knobs = retries %d hedge %v, want 3 true", f.Retries, f.Hedge)
+	if f.Resolver.Retries != 3 || !*f.Resolver.Hedge {
+		t.Errorf("default policy knobs = retries %d hedge %v, want 3 true", f.Resolver.Retries, *f.Resolver.Hedge)
 	}
 	if f.CheckpointEvery != 7 {
 		t.Errorf("default -checkpoint-every = %d, want 7", f.CheckpointEvery)
@@ -100,9 +101,12 @@ func TestCampaignFlagsPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := f.Policy()
-	if p.MaxAttempts != 5 || p.Hedge {
-		t.Fatalf("Policy() = attempts %d hedge %v, want 5 false", p.MaxAttempts, p.Hedge)
+	comp, err := f.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := comp.Policy; p.MaxAttempts != 5 || p.Hedge {
+		t.Fatalf("compiled policy = attempts %d hedge %v, want 5 false", p.MaxAttempts, p.Hedge)
 	}
 }
 

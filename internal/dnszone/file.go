@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"net/netip"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -13,11 +11,9 @@ import (
 	"rrdps/internal/dnsmsg"
 )
 
-// Zone-file I/O in the RFC 1035 presentation format (the common subset:
-// one record per line, `;` comments, `$ORIGIN` and `$TTL` directives,
-// names relative to the origin unless they end with a dot). Operators
-// export zones for inspection and import fixture zones in tests and
-// tools.
+// Zone-file export in the RFC 1035 presentation format (one record per
+// line, an `$ORIGIN` directive, names relative to the origin unless they
+// end with a dot), so operators can inspect a zone (worldgen -dump-zone).
 
 // WriteText renders the zone in presentation format: $ORIGIN and SOA
 // first, then every record sorted by name and type. (Not named WriteTo:
@@ -78,241 +74,4 @@ func presentRR(rr dnsmsg.RR, origin dnsmsg.Name) string {
 	default:
 		return fmt.Sprintf("; unsupported record at %s", rr.Name)
 	}
-}
-
-// splitFields tokenizes a zone-file line, keeping double-quoted strings
-// (with backslash escapes) as single tokens, quotes retained.
-func splitFields(line string) []string {
-	var out []string
-	i := 0
-	for i < len(line) {
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
-			i++
-		}
-		if i >= len(line) {
-			break
-		}
-		start := i
-		if line[i] == '"' {
-			i++
-			for i < len(line) {
-				if line[i] == '\\' && i+1 < len(line) {
-					i += 2
-					continue
-				}
-				if line[i] == '"' {
-					i++
-					break
-				}
-				i++
-			}
-		} else {
-			for i < len(line) && line[i] != ' ' && line[i] != '\t' {
-				i++
-			}
-		}
-		out = append(out, line[start:i])
-	}
-	return out
-}
-
-// ParseZone reads a presentation-format zone. origin seeds `$ORIGIN` (a
-// later directive overrides it); a SOA record in the file becomes the
-// zone's SOA, otherwise a minimal one is synthesized.
-func ParseZone(r io.Reader, origin dnsmsg.Name) (*Zone, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-
-	defaultTTL := 300 * time.Second
-	var records []dnsmsg.RR
-	var soa *dnsmsg.SOAData
-	var soaName dnsmsg.Name
-	lineNo := 0
-
-	abs := func(token string) (dnsmsg.Name, error) {
-		if token == "@" {
-			return origin, nil
-		}
-		if strings.HasSuffix(token, ".") {
-			return dnsmsg.ParseName(token)
-		}
-		n, err := dnsmsg.ParseName(token)
-		if err != nil {
-			return "", err
-		}
-		if origin == "" {
-			return n, nil
-		}
-		return dnsmsg.ParseName(string(n) + "." + string(origin))
-	}
-
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, ';'); i >= 0 {
-			line = line[:i]
-		}
-		fields := splitFields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		fail := func(format string, args ...interface{}) error {
-			return fmt.Errorf("zone line %d: %s", lineNo, fmt.Sprintf(format, args...))
-		}
-
-		switch strings.ToUpper(fields[0]) {
-		case "$ORIGIN":
-			if len(fields) != 2 {
-				return nil, fail("$ORIGIN needs one argument")
-			}
-			n, err := dnsmsg.ParseName(fields[1])
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			origin = n
-			continue
-		case "$TTL":
-			if len(fields) != 2 {
-				return nil, fail("$TTL needs one argument")
-			}
-			secs, err := strconv.Atoi(fields[1])
-			if err != nil || secs < 0 {
-				return nil, fail("bad $TTL %q", fields[1])
-			}
-			defaultTTL = time.Duration(secs) * time.Second
-			continue
-		}
-
-		// name [ttl] [IN] TYPE rdata...
-		if len(fields) < 3 {
-			return nil, fail("too few fields")
-		}
-		name, err := abs(fields[0])
-		if err != nil {
-			return nil, fail("name: %v", err)
-		}
-		rest := fields[1:]
-		ttl := defaultTTL
-		if secs, err := strconv.Atoi(rest[0]); err == nil {
-			if secs < 0 {
-				return nil, fail("negative TTL")
-			}
-			ttl = time.Duration(secs) * time.Second
-			rest = rest[1:]
-		}
-		if len(rest) > 0 && strings.EqualFold(rest[0], "IN") {
-			rest = rest[1:]
-		}
-		if len(rest) < 2 {
-			return nil, fail("missing type or rdata")
-		}
-		typ, rdata := strings.ToUpper(rest[0]), rest[1:]
-
-		switch typ {
-		case "A":
-			addr, err := netip.ParseAddr(rdata[0])
-			if err != nil || !addr.Is4() {
-				return nil, fail("bad A rdata %q", rdata[0])
-			}
-			records = append(records, dnsmsg.NewA(name, ttl, addr))
-		case "AAAA":
-			addr, err := netip.ParseAddr(rdata[0])
-			if err != nil || !addr.Is6() || addr.Is4() {
-				return nil, fail("bad AAAA rdata %q", rdata[0])
-			}
-			records = append(records, dnsmsg.RR{
-				Name: name, Class: dnsmsg.ClassIN, TTL: ttl,
-				Data: dnsmsg.AAAAData{Addr: addr},
-			})
-		case "NS":
-			host, err := abs(rdata[0])
-			if err != nil {
-				return nil, fail("bad NS rdata: %v", err)
-			}
-			records = append(records, dnsmsg.NewNS(name, ttl, host))
-		case "CNAME":
-			target, err := abs(rdata[0])
-			if err != nil {
-				return nil, fail("bad CNAME rdata: %v", err)
-			}
-			records = append(records, dnsmsg.NewCNAME(name, ttl, target))
-		case "MX":
-			if len(rdata) != 2 {
-				return nil, fail("MX needs preference and host")
-			}
-			pref, err := strconv.Atoi(rdata[0])
-			if err != nil || pref < 0 || pref > 0xFFFF {
-				return nil, fail("bad MX preference %q", rdata[0])
-			}
-			host, err := abs(rdata[1])
-			if err != nil {
-				return nil, fail("bad MX host: %v", err)
-			}
-			records = append(records, dnsmsg.NewMX(name, ttl, uint16(pref), host))
-		case "TXT":
-			var strs []string
-			for _, tok := range rdata {
-				s, err := strconv.Unquote(tok)
-				if err != nil {
-					s = tok
-				}
-				strs = append(strs, s)
-			}
-			records = append(records, dnsmsg.NewTXT(name, ttl, strs...))
-		case "SOA":
-			if len(rdata) != 7 {
-				return nil, fail("SOA needs 7 rdata fields")
-			}
-			mname, err := abs(rdata[0])
-			if err != nil {
-				return nil, fail("bad SOA mname: %v", err)
-			}
-			rname, err := abs(rdata[1])
-			if err != nil {
-				return nil, fail("bad SOA rname: %v", err)
-			}
-			nums := make([]uint32, 5)
-			for i, tok := range rdata[2:] {
-				v, err := strconv.ParseUint(tok, 10, 32)
-				if err != nil {
-					return nil, fail("bad SOA number %q", tok)
-				}
-				nums[i] = uint32(v)
-			}
-			soa = &dnsmsg.SOAData{
-				MName: mname, RName: rname,
-				Serial: nums[0], Refresh: nums[1], Retry: nums[2],
-				Expire: nums[3], Minimum: nums[4],
-			}
-			soaName = name
-		default:
-			return nil, fail("unsupported type %q", typ)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("reading zone: %w", err)
-	}
-	if origin == "" && soaName != "" {
-		origin = soaName
-	}
-	if soa == nil {
-		soa = &dnsmsg.SOAData{
-			MName: origin.Child("ns1"), RName: origin.Child("hostmaster"),
-			Serial: 1, Minimum: 300,
-		}
-	}
-	z := New(origin, *soa)
-	// Deterministic insertion order regardless of input order.
-	sort.SliceStable(records, func(i, j int) bool {
-		if records[i].Name != records[j].Name {
-			return records[i].Name < records[j].Name
-		}
-		return records[i].Type() < records[j].Type()
-	})
-	for _, rr := range records {
-		if err := z.Add(rr); err != nil {
-			return nil, fmt.Errorf("zone record %s: %w", rr, err)
-		}
-	}
-	return z, nil
 }

@@ -2,157 +2,52 @@ package dnszone
 
 import (
 	"bytes"
-	"net/netip"
-	"reflect"
-	"strings"
 	"testing"
 	"time"
 
 	"rrdps/internal/dnsmsg"
 )
 
-const sampleZoneFile = `
-$ORIGIN example.com.
-$TTL 600
-; a comment line
-@ 900 IN SOA ns1 hostmaster 7 7200 3600 1209600 300
-@ 86400 IN NS ns1
-@ 86400 IN NS ns2.elsewhere.net.
-ns1 86400 IN A 10.0.0.53
-www 300 IN A 10.0.0.80
-www 300 IN A 10.0.0.81
-blog IN CNAME www           ; relative target
-@ 3600 IN MX 10 mail
-mail IN A 10.0.0.25
-@ 60 IN TXT "v=spf1 -all" "probe"
-v6 IN AAAA 2001:db8::1
-`
+// TestWriteTextExact pins WriteText's output byte for byte: $ORIGIN and
+// SOA first (with the serial every Add bumped), then names sorted as
+// full names, so the apex sorts between its subdomains, with each
+// name's records in NS, A, AAAA, CNAME, MX, TXT order; in-zone names are
+// written relative to the origin and out-of-zone names absolute.
+func TestWriteTextExact(t *testing.T) {
+	z := New("example.com", dnsmsg.SOAData{
+		MName: "ns1.example.com", RName: "hostmaster.example.com", Serial: 6,
+		Refresh: 7200, Retry: 3600, Expire: 1209600, Minimum: 300,
+	})
+	z.MustAdd(dnsmsg.NewTXT("example.com", time.Minute, "v=spf1 -all", `say "hi"`))
+	z.MustAdd(dnsmsg.NewMX("example.com", time.Hour, 10, "mail.example.com"))
+	z.MustAdd(dnsmsg.NewNS("example.com", 24*time.Hour, "ns1.example.com"))
+	z.MustAdd(dnsmsg.NewNS("example.com", 24*time.Hour, "ns2.elsewhere.net"))
+	z.MustAdd(dnsmsg.NewA("www.example.com", 5*time.Minute, addr("10.0.0.80")))
+	z.MustAdd(dnsmsg.NewA("www.example.com", 5*time.Minute, addr("10.0.0.81")))
+	z.MustAdd(dnsmsg.NewCNAME("blog.example.com", 10*time.Minute, "www.example.com"))
+	z.MustAdd(dnsmsg.NewCNAME("cdn.example.com", 10*time.Minute, "example.edge.net"))
+	z.MustAdd(dnsmsg.RR{Name: "v6.example.com", Class: dnsmsg.ClassIN, TTL: 10 * time.Minute,
+		Data: dnsmsg.AAAAData{Addr: addr("2001:db8::1")}})
+	z.MustAdd(dnsmsg.NewA("ns1.example.com", 24*time.Hour, addr("10.0.0.53")))
 
-func TestParseZone(t *testing.T) {
-	z, err := ParseZone(strings.NewReader(sampleZoneFile), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z.Origin() != "example.com" {
-		t.Fatalf("origin = %s", z.Origin())
-	}
-	soa := z.SOA().Data.(dnsmsg.SOAData)
-	if soa.MName != "ns1.example.com" || soa.Minimum != 300 {
-		t.Fatalf("SOA = %+v", soa)
-	}
-	www := z.Get("www.example.com", dnsmsg.TypeA)
-	if len(www) != 2 || www[0].TTL != 300*time.Second {
-		t.Fatalf("www A = %v", www)
-	}
-	cname := z.Get("blog.example.com", dnsmsg.TypeCNAME)
-	if len(cname) != 1 || cname[0].Data.(dnsmsg.CNAMEData).Target != "www.example.com" {
-		t.Fatalf("blog CNAME = %v", cname)
-	}
-	if cname[0].TTL != 600*time.Second {
-		t.Fatalf("default TTL not applied: %v", cname[0].TTL)
-	}
-	ns := z.Get("example.com", dnsmsg.TypeNS)
-	if len(ns) != 2 {
-		t.Fatalf("NS = %v", ns)
-	}
-	foundExternal := false
-	for _, rr := range ns {
-		if rr.Data.(dnsmsg.NSData).Host == "ns2.elsewhere.net" {
-			foundExternal = true
-		}
-	}
-	if !foundExternal {
-		t.Fatal("absolute NS target lost")
-	}
-	mx := z.Get("example.com", dnsmsg.TypeMX)
-	if len(mx) != 1 || mx[0].Data.(dnsmsg.MXData).Host != "mail.example.com" {
-		t.Fatalf("MX = %v", mx)
-	}
-	txt := z.Get("example.com", dnsmsg.TypeTXT)
-	if len(txt) != 1 || !reflect.DeepEqual(txt[0].Data.(dnsmsg.TXTData).Strings, []string{"v=spf1 -all", "probe"}) {
-		t.Fatalf("TXT = %v", txt)
-	}
-	v6 := z.Get("v6.example.com", dnsmsg.TypeAAAA)
-	if len(v6) != 1 || v6[0].Data.(dnsmsg.AAAAData).Addr != netip.MustParseAddr("2001:db8::1") {
-		t.Fatalf("AAAA = %v", v6)
-	}
-}
-
-func TestZoneFileRoundTrip(t *testing.T) {
-	z, err := ParseZone(strings.NewReader(sampleZoneFile), "")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	if err := z.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	z2, err := ParseZone(bytes.NewReader(buf.Bytes()), "")
-	if err != nil {
-		t.Fatalf("re-parse: %v\n%s", err, buf.String())
-	}
-	if z2.Origin() != z.Origin() {
-		t.Fatalf("origin changed: %s vs %s", z2.Origin(), z.Origin())
-	}
-	names := z.Names()
-	if !reflect.DeepEqual(z2.Names(), names) {
-		t.Fatalf("names changed: %v vs %v", z2.Names(), names)
-	}
-	for _, name := range names {
-		for _, typ := range []dnsmsg.Type{
-			dnsmsg.TypeA, dnsmsg.TypeAAAA, dnsmsg.TypeNS,
-			dnsmsg.TypeCNAME, dnsmsg.TypeMX, dnsmsg.TypeTXT,
-		} {
-			if !reflect.DeepEqual(z2.Get(name, typ), z.Get(name, typ)) {
-				t.Fatalf("%s %s changed:\n%v\nvs\n%v", name, typ, z2.Get(name, typ), z.Get(name, typ))
-			}
-		}
-	}
-}
-
-func TestParseZoneSynthesizesSOA(t *testing.T) {
-	z, err := ParseZone(strings.NewReader("www 300 IN A 10.0.0.1\n"), "shop.net")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if z.Origin() != "shop.net" {
-		t.Fatalf("origin = %s", z.Origin())
-	}
-	soa := z.SOA().Data.(dnsmsg.SOAData)
-	if soa.MName != "ns1.shop.net" || soa.Minimum != 300 {
-		t.Fatalf("synthesized SOA = %+v", soa)
-	}
-}
-
-func TestParseZoneErrors(t *testing.T) {
-	cases := []string{
-		"$ORIGIN\n",
-		"$TTL abc\n",
-		"www 300 IN A not-an-ip\n",
-		"www 300 IN A 2001:db8::1\n",
-		"www 300 IN AAAA 10.0.0.1\n",
-		"www 300 IN MX 10\n",
-		"www 300 IN MX -2 mail\n",
-		"www 300 IN WKS 10.0.0.1\n",
-		"www 300 IN SOA ns1 hm 1 2 3\n",
-		"justtwo fields\n",
-		"bad..name 300 IN A 10.0.0.1\n",
-		"outside.org. 300 IN A 10.0.0.1\n", // outside the zone
-	}
-	for _, c := range cases {
-		if _, err := ParseZone(strings.NewReader(c), "example.com"); err == nil {
-			t.Errorf("ParseZone(%q) succeeded", c)
-		}
-	}
-}
-
-func TestParseZoneServedByServer(t *testing.T) {
-	z, err := ParseZone(strings.NewReader(sampleZoneFile), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := z.Lookup("blog.example.com", dnsmsg.TypeA)
-	if res.Kind != KindCNAME || len(res.Records) != 3 { // CNAME + 2 A
-		t.Fatalf("lookup of parsed zone: %+v", res)
+	const want = `$ORIGIN example.com.
+@ 900 IN SOA ns1 hostmaster 16 7200 3600 1209600 300
+blog 600 IN CNAME www
+cdn 600 IN CNAME example.edge.net.
+@ 86400 IN NS ns1
+@ 86400 IN NS ns2.elsewhere.net.
+@ 3600 IN MX 10 mail
+@ 60 IN TXT "v=spf1 -all" "say \"hi\""
+ns1 86400 IN A 10.0.0.53
+v6 600 IN AAAA 2001:db8::1
+www 300 IN A 10.0.0.80
+www 300 IN A 10.0.0.81
+`
+	if got := buf.String(); got != want {
+		t.Errorf("WriteText:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -369,11 +369,6 @@ func (p *Provider) EdgeAddrs() []netip.Addr {
 	return out
 }
 
-// Edges returns the provider's edge servers.
-func (p *Provider) Edges() []*edge.Edge {
-	return append([]*edge.Edge(nil), p.edges...)
-}
-
 // HostedQueries returns how many queries the NS-hosting fleet has served.
 func (p *Provider) HostedQueries() uint64 {
 	if p.custServer == nil {

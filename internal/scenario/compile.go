@@ -9,14 +9,13 @@ import (
 	"rrdps/internal/world"
 )
 
-// Compiled is a scenario lowered into the runtime configs the binaries
-// otherwise assemble from flags. Compilation follows the binaries'
-// construction exactly — world.PaperConfig overridden field by field,
-// churn boost applied with each campaign kind's multiplication set — so
-// an all-defaults spec reproduces a flag-driven default run
-// byte-for-byte.
+// Compiled is a campaign shape lowered into runtime configs:
+// world.PaperConfig overridden field by field, with the churn boost
+// applied to each campaign kind's hazard set. Spec files (Compile) and
+// the binaries' flags (Lower) both end here, so an all-defaults spec
+// reproduces a flag-driven default run byte-for-byte.
 type Compiled struct {
-	// Spec is the parsed source.
+	// Spec is the parsed source; nil for a lowered flag set.
 	Spec *Spec
 	// Kind is CampaignDynamics or CampaignResidual.
 	Kind string
@@ -38,7 +37,8 @@ type Compiled struct {
 	// Attack is the residual reflection flood, nil when unconfigured.
 	Attack *experiment.AttackLoad
 	// Info is the provenance record campaigns thread into checkpoints
-	// and reports.
+	// and reports; nil for a lowered flag set, whose checkpoints carry
+	// no scenario.
 	Info *experiment.ScenarioInfo
 }
 
@@ -51,16 +51,43 @@ func (c *Compiled) Hash() string { return c.Spec.Hash }
 // Compile lowers a parsed spec. It cannot fail: Parse already validated
 // everything Compile consumes.
 func Compile(s *Spec) *Compiled {
-	doc := s.Doc
+	out := compile(s.Doc)
+	out.Spec = s
+	out.Info = &experiment.ScenarioInfo{
+		Name:      s.Doc.Metadata.Name,
+		Hash:      s.Hash,
+		Canonical: s.Canonical,
+	}
+	return out
+}
+
+// Lower normalizes, validates and compiles a campaign shape built in
+// code, such as the binaries' flags bound into Defaults(kind). Nil
+// pointers take their defaults, but a zero size does not: a spec file
+// omits a field to get its default, while a flag set to 0 is a mistake.
+// The result has no Spec and no Info.
+func Lower(c Campaign, r Resolver) (*Compiled, error) {
+	if c.Sites == 0 || c.Days == 0 && c.Weeks == 0 || r.Retries == 0 {
+		return nil, &Error{File: "flags", Msg: "sites, the campaign horizon and retries must be positive"}
+	}
+	doc := V1{Kind: KindScenario, Metadata: Metadata{Name: "flags"}, Campaign: c, Resolver: r}
+	doc.normalize()
+	if err := doc.validate(func(string, string) int { return 0 }, "flags"); err != nil {
+		return nil, err
+	}
+	return compile(doc), nil
+}
+
+// compile lowers a normalized, validated document.
+func compile(doc V1) *Compiled {
 	c := doc.Campaign
 
 	cfg := world.PaperConfig(c.Sites)
 	cfg.Seed = *c.Seed
 
-	// Churn boost replicates the binaries exactly: dpsmeasure multiplies
-	// all four hazards, rrscan leaves PauseRate alone (pauses do not
-	// create residual records, so the §V campaign only accelerates the
-	// hazards that do).
+	// Dynamics multiplies all four hazards; residual leaves PauseRate
+	// alone (pauses do not create residual records, so the §V campaign
+	// only accelerates the hazards that do).
 	boost := *c.ChurnBoost
 	switch c.Kind {
 	case CampaignDynamics:
@@ -129,17 +156,11 @@ func Compile(s *Spec) *Compiled {
 	policy.Hedge = *doc.Resolver.Hedge
 
 	out := &Compiled{
-		Spec:       s,
 		Kind:       c.Kind,
 		World:      cfg,
 		Policy:     policy,
 		Workers:    c.Workers,
 		SnapWindow: c.SnapWindow,
-		Info: &experiment.ScenarioInfo{
-			Name:      doc.Metadata.Name,
-			Hash:      s.Hash,
-			Canonical: s.Canonical,
-		},
 	}
 	switch c.Kind {
 	case CampaignDynamics:

@@ -2,112 +2,15 @@ package scenario
 
 import (
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"rrdps/internal/core/experiment"
 	"rrdps/internal/core/report"
-	"rrdps/internal/dnsresolver"
 	"rrdps/internal/netsim"
 	"rrdps/internal/world"
 )
-
-// TestCompilePaperBaselineMatchesFlagDefaults pins the acceptance
-// criterion at the config level: compiling scenarios/paper-baseline.json
-// must yield exactly the configs a default flag-driven dpsmeasure run
-// constructs — world.PaperConfig(2000) at seed 1815 with a x1 boost, the
-// default retry policy, and the default 42-day horizon.
-func TestCompilePaperBaselineMatchesFlagDefaults(t *testing.T) {
-	spec, err := Load(filepath.Join("..", "..", "scenarios", "paper-baseline.json"))
-	if err != nil {
-		t.Fatalf("loading paper-baseline: %v", err)
-	}
-	comp := Compile(spec)
-
-	// The flag path: cfg := world.PaperConfig(*sites); cfg.Seed = *seed;
-	// hazards *= *boost (boost 1 leaves them bit-identical).
-	want := world.PaperConfig(2000)
-	want.Seed = 1815
-	want.JoinRate *= 1
-	want.LeaveRate *= 1
-	want.PauseRate *= 1
-	want.SwitchRate *= 1
-
-	if !reflect.DeepEqual(comp.World, want) {
-		t.Errorf("compiled world config differs from flag-driven default:\ngot  %+v\nwant %+v", comp.World, want)
-	}
-	wantPolicy := dnsresolver.DefaultPolicy()
-	wantPolicy.MaxAttempts = 3
-	wantPolicy.Hedge = true
-	if comp.Policy != wantPolicy {
-		t.Errorf("compiled policy %+v, want %+v", comp.Policy, wantPolicy)
-	}
-	if comp.Kind != CampaignDynamics || comp.Days != 42 {
-		t.Errorf("kind/days = %q/%d, want dynamics/42", comp.Kind, comp.Days)
-	}
-	if comp.Workers != 0 || comp.SnapWindow != 0 {
-		t.Errorf("paper-baseline must leave workers/snapWindow to the binary (got %d/%d)", comp.Workers, comp.SnapWindow)
-	}
-	if comp.Attack != nil {
-		t.Error("paper-baseline must not configure an attack")
-	}
-	if comp.Info == nil || comp.Info.Name != "paper-baseline" || comp.Info.Hash != spec.Hash {
-		t.Errorf("provenance info %+v not wired", comp.Info)
-	}
-}
-
-// TestScenarioRunByteIdenticalToFlagRun is the report-level half of the
-// acceptance criterion, scaled down so it can run under -race: a
-// campaign configured from a spec document with default knobs renders
-// the exact same report, byte for byte, as one configured the way
-// cmd/dpsmeasure's flag path does it.
-func TestScenarioRunByteIdenticalToFlagRun(t *testing.T) {
-	const sites, days, seed = 150, 8, 1815
-
-	render := func(cfg world.Config, policy dnsresolver.Policy, scn *experiment.ScenarioInfo) string {
-		res := experiment.Dynamics{
-			World:    world.New(cfg),
-			Days:     days,
-			Workers:  4,
-			Policy:   &policy,
-			Scenario: scn,
-		}.Run()
-		var b strings.Builder
-		b.WriteString(res.String())
-		b.WriteString(report.Figure2(res))
-		b.WriteString(report.Figure3(res))
-		b.WriteString(report.Figure5(res))
-		b.WriteString(report.Figure6(res))
-		b.WriteString(report.TableV(res))
-		return b.String()
-	}
-
-	// Flag path, exactly as cmd/dpsmeasure builds it.
-	flagCfg := world.PaperConfig(sites)
-	flagCfg.Seed = seed
-	boost := 1.0
-	flagCfg.JoinRate *= boost
-	flagCfg.LeaveRate *= boost
-	flagCfg.PauseRate *= boost
-	flagCfg.SwitchRate *= boost
-	flagReport := render(flagCfg, dnsresolver.DefaultPolicy(), nil)
-
-	// Scenario path: the same campaign as a spec document.
-	spec := mustParse(t, `{
-  "apiVersion": "rrdps/v1",
-  "kind": "Scenario",
-  "metadata": { "name": "baseline-mini" },
-  "campaign": { "kind": "dynamics", "sites": 150, "seed": 1815, "days": 8, "churnBoost": 1 }
-}`)
-	comp := Compile(spec)
-	scenarioReport := render(comp.World, comp.Policy, comp.Info)
-
-	if scenarioReport != flagReport {
-		t.Errorf("scenario-driven report differs from flag-driven report:\n--- flags\n%s\n--- scenario\n%s", flagReport, scenarioReport)
-	}
-}
 
 // TestPaperBaselineWorkersIdentical runs the paper-baseline world the way
 // the dyn-daily benchmark workload does — seed replaced, one AppendDay per

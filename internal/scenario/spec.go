@@ -1,8 +1,9 @@
-// Package scenario implements versioned declarative scenario specs: a
-// JSON document describes a complete campaign — world shape, fault plan,
-// churn waves, retry policy, campaign horizon, and optional attack
-// load — and compiles into the runtime configs the binaries otherwise
-// assemble from flags.
+// Package scenario turns a campaign shape into runtime configs. A shape
+// comes either from a versioned declarative spec — a JSON document
+// describing a complete campaign: world shape, fault plan, churn waves,
+// retry policy, campaign horizon, and optional attack load — or from
+// the campaign binaries' flags, which Lower compiles through the same
+// defaults, validation and compiler.
 //
 // Specs are versioned by apiVersion; rrdps/v1 is the only supported
 // version. Parsing decodes a v1 document, applies defaults, validates,
@@ -75,10 +76,9 @@ type Campaign struct {
 	// IncapsulaStartWeek delays the Incapsula case study (residual only);
 	// 0 or 1 means every week.
 	IncapsulaStartWeek int `json:"incapsulaStartWeek,omitempty"`
-	// ChurnBoost multiplies the behaviour hazards, exactly like the
-	// binaries' -churn-boost: all four for dynamics, leave/switch/join for
-	// residual. Defaults to 1 for dynamics and 8 for residual (the
-	// binaries' flag defaults).
+	// ChurnBoost multiplies the behaviour hazards (the binaries'
+	// -churn-boost): all four for dynamics, leave/switch/join for
+	// residual. Defaults to 1 for dynamics and 8 for residual.
 	ChurnBoost *float64 `json:"churnBoost,omitempty"`
 	// Workers pins the measurement-loop parallelism. Zero leaves the
 	// choice to the binary (its -workers default); scenarios whose
@@ -193,59 +193,53 @@ func canonicalize(doc V1) ([]byte, string) {
 	return b, hex.EncodeToString(sum[:])
 }
 
-// Default horizons (the binaries' flag defaults, so an all-defaults
-// dynamics spec reproduces a flag-driven default run exactly).
-const (
-	defaultSites         = 2000
-	defaultSeed          = int64(1815)
-	defaultDays          = 42
-	defaultWeeks         = 6
-	defaultWarmupDays    = 28
-	defaultRetries       = 3
-	defaultDynamicsBoost = 1.0
-	defaultResidualBoost = 8.0
-)
+// Defaults returns a campaign kind's default shape and retry policy:
+// the value an absent spec field takes, and the default the campaign
+// binaries register for the matching flag. The result is fully
+// populated (no nil pointers) and its pointers are fresh, so a caller
+// may bind flags to them.
+func Defaults(kind string) (Campaign, Resolver) {
+	seed, boost, hedge := int64(1815), 1.0, true
+	c := Campaign{Kind: kind, Sites: 2000, Seed: &seed, ChurnBoost: &boost}
+	switch kind {
+	case CampaignDynamics:
+		c.Days = 42
+	case CampaignResidual:
+		warmup := 28
+		c.Weeks, c.WarmupDays, *c.ChurnBoost = 6, &warmup, 8
+	}
+	return c, Resolver{Retries: 3, Hedge: &hedge}
+}
 
-// normalize applies defaults in place. Runs before validate, so
-// validation sees the resolved document.
+// normalize applies Defaults in place: zero sizes and nil pointers take
+// the kind's default, and the other kind's horizon stays unset. Runs
+// before validate, so validation sees the resolved document.
 func (doc *V1) normalize() {
-	c := &doc.Campaign
+	d, dr := Defaults(doc.Campaign.Kind)
+	c, r := &doc.Campaign, &doc.Resolver
 	if c.Sites == 0 {
-		c.Sites = defaultSites
+		c.Sites = d.Sites
 	}
 	if c.Seed == nil {
-		seed := defaultSeed
-		c.Seed = &seed
+		c.Seed = d.Seed
 	}
-	switch c.Kind {
-	case CampaignDynamics:
-		if c.Days == 0 {
-			c.Days = defaultDays
-		}
-		if c.ChurnBoost == nil {
-			boost := defaultDynamicsBoost
-			c.ChurnBoost = &boost
-		}
-	case CampaignResidual:
-		if c.Weeks == 0 {
-			c.Weeks = defaultWeeks
-		}
-		if c.WarmupDays == nil {
-			warmup := defaultWarmupDays
-			c.WarmupDays = &warmup
-		}
-		if c.ChurnBoost == nil {
-			boost := defaultResidualBoost
-			c.ChurnBoost = &boost
-		}
+	if c.Days == 0 {
+		c.Days = d.Days
 	}
-	r := &doc.Resolver
+	if c.Weeks == 0 {
+		c.Weeks = d.Weeks
+	}
+	if c.WarmupDays == nil {
+		c.WarmupDays = d.WarmupDays
+	}
+	if c.ChurnBoost == nil {
+		c.ChurnBoost = d.ChurnBoost
+	}
 	if r.Retries == 0 {
-		r.Retries = defaultRetries
+		r.Retries = dr.Retries
 	}
 	if r.Hedge == nil {
-		hedge := true
-		r.Hedge = &hedge
+		r.Hedge = dr.Hedge
 	}
 	if doc.World != nil && doc.World.NSRateLimit != nil {
 		rl := doc.World.NSRateLimit

@@ -45,13 +45,13 @@ func TestStateRoundTripExact(t *testing.T) {
 	}
 	// The restored store keeps appending: diff against the pre-restore
 	// tail works and interning resumes without duplicating names.
-	before := s2.Interner().Len()
+	before := s2.Stats().InternedNames
 	putDay(t, s2, 4,
 		rec(1, "alpha.com", []string{"10.0.0.9"}, []string{"edge.cdn.net"}, []string{"ns1.alpha.com"}, true, true),
 		rec(2, "beta.com", []string{"10.0.0.3"}, nil, nil, true, false),
 	)
-	if s2.Interner().Len() != before {
-		t.Fatalf("restore re-interned: %d -> %d", before, s2.Interner().Len())
+	if got := s2.Stats().InternedNames; got != before {
+		t.Fatalf("restore re-interned: %d -> %d", before, got)
 	}
 	changed := 0
 	for pc := s2.DiffPairs(4); pc.Next(); {

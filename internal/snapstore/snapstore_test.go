@@ -329,7 +329,7 @@ func TestInterningShares(t *testing.T) {
 	w.Seal()
 	// 1 shared CNAME + 1 shared NS host; apexes live once in the apex
 	// index, not in the name table.
-	if got := s.Interner().Len(); got != 2 {
+	if got := s.Stats().InternedNames; got != 2 {
 		t.Fatalf("interned names = %d, want 2", got)
 	}
 }

@@ -136,10 +136,6 @@ func (s *Store) SetWindow(n int) {
 	s.window = n
 }
 
-// Interner exposes the store's name table (shared rank index serving,
-// diagnostics).
-func (s *Store) Interner() *Interner { return s.interner }
-
 // Days returns the replayable day labels in append order.
 func (s *Store) Days() []int { return append([]int(nil), s.days...) }
 

@@ -3,11 +3,13 @@
 # level. Four stages:
 #
 #   1. Every spec in scenarios/ must validate (-validate-only) under the
-#      binary matching its campaign kind, and the kind mismatch and
-#      owned-flag conflicts must fail fast with exit 2.
+#      binary matching its campaign kind, and the kind mismatch,
+#      owned-flag conflicts and invalid shaping flags must fail fast
+#      with exit 2.
 #   2. paper-baseline must reproduce the flag-driven default dpsmeasure
-#      run byte-for-byte (timing lines aside) — the spec format adds
-#      provenance, never drift.
+#      run byte-for-byte (timing lines aside), and a residual spec the
+#      matching rrscan flag run — the spec format adds provenance, never
+#      drift.
 #   3. The non-paper scenarios must run green, printing their provenance
 #      line to stderr.
 #   4. The defended-fleet scenarios must actually bite: both the
@@ -49,6 +51,8 @@ expect_exit2 "-scenario with owned -sites" \
   "$work/dpsmeasure" -scenario scenarios/paper-baseline.json -sites 500
 expect_exit2 "missing spec file" \
   "$work/dpsmeasure" -scenario "$work/nope.json"
+expect_exit2 "rrscan -warmup -1" \
+  "$work/rrscan" -warmup -1
 
 # --- 2. paper-baseline == flag-driven default run ----------------------
 echo ">> paper-baseline byte-identity"
@@ -64,6 +68,25 @@ diff -u "$work/flags.cmp" "$work/spec.cmp" > /dev/null || \
   { echo "FAIL: paper-baseline report differs from the flag-driven default run"; \
     diff -u "$work/flags.cmp" "$work/spec.cmp" | head -40; exit 1; }
 echo "ok: paper-baseline report byte-identical to the default run"
+
+# The residual twin, serial on both sides: rrscan's query accounting may
+# differ by a few queries across parallel runs.
+cat > "$work/residual-mini.json" <<'EOF'
+{
+  "apiVersion": "rrdps/v1",
+  "kind": "Scenario",
+  "metadata": { "name": "residual-mini" },
+  "campaign": { "kind": "residual", "sites": 300, "weeks": 2, "warmupDays": 7 }
+}
+EOF
+"$work/rrscan" -workers 1 -sites 300 -weeks 2 -warmup 7 2>/dev/null \
+  | grep -v 'world ready in' > "$work/rflags.cmp"
+"$work/rrscan" -workers 1 -scenario "$work/residual-mini.json" 2>/dev/null \
+  | grep -v 'world ready in' > "$work/rspec.cmp"
+diff -u "$work/rflags.cmp" "$work/rspec.cmp" > /dev/null || \
+  { echo "FAIL: residual spec report differs from the matching rrscan flag run"; \
+    diff -u "$work/rflags.cmp" "$work/rspec.cmp" | head -40; exit 1; }
+echo "ok: residual spec report byte-identical to the matching rrscan flag run"
 
 # --- 3. the non-paper scenarios run green ------------------------------
 hidden_count() { # hidden_count <report-file> -> cloudflare hidden total
