@@ -17,8 +17,6 @@ import (
 
 	"rrdps/internal/core/experiment"
 	"rrdps/internal/core/report"
-	"rrdps/internal/dps"
-	"rrdps/internal/netsim"
 	"rrdps/internal/scenario"
 	"rrdps/internal/world"
 )
@@ -82,13 +80,8 @@ func run(dc, rc *scenario.Compiled, out string) error {
 		"figure9.txt": report.Figure9(res),
 		"figure9.csv": report.Figure9CSV(res),
 	}
-	if cf, ok := w2.Provider(dps.Cloudflare); ok {
-		if pool := cf.NSPool(); len(pool) > 0 {
-			if addr, ok := cf.NSPoolAddr(pool[0]); ok {
-				counts := w2.Net.QueryCounts(netsim.Endpoint{Addr: addr, Port: netsim.PortDNS})
-				files["figure7.txt"] = report.Figure7(counts)
-			}
-		}
+	if counts, ok := w2.Figure7Counts(); ok {
+		files["figure7.txt"] = report.Figure7(counts)
 	}
 
 	for name, content := range files {

@@ -16,8 +16,6 @@ import (
 	"rrdps/internal/cmdutil"
 	"rrdps/internal/core/experiment"
 	"rrdps/internal/core/report"
-	"rrdps/internal/dps"
-	"rrdps/internal/netsim"
 	"rrdps/internal/obs"
 	"rrdps/internal/scenario"
 	"rrdps/internal/world"
@@ -38,24 +36,6 @@ func runFollow(cfg experiment.Residual, cf *cmdutil.CampaignFlags) experiment.Re
 		fmt.Println(report.ResidualProgress(en.WorldDay(), en.Result()))
 	}, en.Checkpoint)
 	return en.Result()
-}
-
-// poolCounts reads the Fig. 7 per-PoP query counts of one Cloudflare pool
-// nameserver out of a world.
-func poolCounts(w *world.World) map[netsim.Region]uint64 {
-	prov, ok := w.Provider(dps.Cloudflare)
-	if !ok {
-		return nil
-	}
-	pool := prov.NSPool()
-	if len(pool) == 0 {
-		return nil
-	}
-	addr, ok := prov.NSPoolAddr(pool[0])
-	if !ok {
-		return nil
-	}
-	return w.Net.QueryCounts(netsim.Endpoint{Addr: addr, Port: netsim.PortDNS})
 }
 
 func main() {
@@ -116,7 +96,7 @@ func main() {
 		fmt.Printf("world ready in %v; running %d-week campaign...\n\n", time.Since(start).Round(time.Millisecond), comp.Weeks)
 		res = campaign.Run()
 	}
-	fig7 := poolCounts(w)
+	fig7, _ := w.Figure7Counts()
 
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintf(os.Stderr, "rrscan: %v\n", err)

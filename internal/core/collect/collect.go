@@ -8,12 +8,12 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sync"
 
 	"rrdps/internal/alexa"
 	"rrdps/internal/dnsmsg"
 	"rrdps/internal/dnsresolver"
 	"rrdps/internal/obs"
+	"rrdps/internal/workpool"
 )
 
 // Record is one domain's records in a snapshot.
@@ -136,29 +136,9 @@ func (c *Collector) collectAll(day int) []Record {
 	c.cur ^= 1
 	records := c.days[c.cur]
 	defer clear(prev)
-	if c.workers <= 1 || len(c.domains) <= 1 {
-		for i := range c.domains {
-			records[i] = c.collectOne(i, &prev[i])
-		}
-		c.countRecords(span, records)
-		return records
-	}
-
-	workers := c.workers
-	if workers > len(c.domains) {
-		workers = len(c.domains)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(c.domains); i += workers {
-				records[i] = c.collectOne(i, &prev[i])
-			}
-		}(w)
-	}
-	wg.Wait()
+	workpool.Run(c.workers, len(c.domains), func(i int) {
+		records[i] = c.collectOne(i, &prev[i])
+	})
 	c.countRecords(span, records)
 	return records
 }

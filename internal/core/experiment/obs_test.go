@@ -21,16 +21,33 @@ func faultyResidualWorld(n int, seed int64) *world.World {
 	return world.New(cfg)
 }
 
+// runResidualObs runs a faulty residual campaign with a registry and
+// returns its snapshot. Every run checks the one-tally invariant on the
+// way: the registry's dns.* counters are published by the same folds that
+// build Result.Stats, so they must equal it field by field at any worker
+// count.
 func runResidualObs(t *testing.T, workers int) obs.Snapshot {
 	t.Helper()
 	reg := obs.NewRegistry()
-	Residual{
+	st := Residual{
 		World:   faultyResidualWorld(500, 79),
 		Weeks:   2,
 		Workers: workers,
 		Obs:     reg,
-	}.Run()
-	return reg.Snapshot()
+	}.Run().Stats
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"dns.queries": st.Queries, "dns.attempts": st.Attempts,
+		"dns.retries": st.Retries, "dns.hedges": st.Hedges,
+		"dns.timeouts": st.Timeouts, "dns.corrupt_replies": st.CorruptReplies,
+		"dns.bad_responses": st.BadResponses, "dns.recovered": st.Recovered,
+		"dns.failed": st.Failed, "dns.backoff_ns": uint64(st.Backoff),
+	} {
+		if got := snap.Counters[name]; got != want {
+			t.Errorf("workers %d: registry %s = %d, Result.Stats has %d", workers, name, got, want)
+		}
+	}
+	return snap
 }
 
 // TestObsSerialParallelEquality is the ISSUE 3 acceptance check: after
@@ -59,8 +76,8 @@ func TestObsSerialParallelEquality(t *testing.T) {
 
 // TestObsSerialRerunFullyEqual pins full determinism of the serial path:
 // two serial runs over identically-seeded worlds agree on EVERY metric,
-// volatile ones included — cache hit patterns, attempt counts, backoff
-// histograms. Only scheduling may perturb the volatile set.
+// volatile ones included — cache hits and misses, attempt and backoff
+// counts. Only scheduling may perturb the volatile set.
 func TestObsSerialRerunFullyEqual(t *testing.T) {
 	a := runResidualObs(t, 1)
 	b := runResidualObs(t, 1)

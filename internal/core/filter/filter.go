@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync"
 
 	"rrdps/internal/core/htmlverify"
 	"rrdps/internal/core/match"
@@ -18,6 +17,7 @@ import (
 	"rrdps/internal/dnsresolver"
 	"rrdps/internal/dps"
 	"rrdps/internal/obs"
+	"rrdps/internal/workpool"
 )
 
 // Hidden is one hidden record: an address only retrievable from the DPS
@@ -152,30 +152,9 @@ func (p *Pipeline) Run(provider dps.ProviderKey, scanned map[dnsmsg.Name][]netip
 	sort.Slice(apexes, func(i, j int) bool { return apexes[i] < apexes[j] })
 
 	results := make([]apexResult, len(apexes))
-	one := func(i int) {
+	workpool.Run(p.workers, len(apexes), func(i int) {
 		results[i] = p.runApex(provider, apexes[i], scanned[apexes[i]])
-	}
-	if p.workers <= 1 || len(apexes) <= 1 {
-		for i := range apexes {
-			one(i)
-		}
-	} else {
-		workers := p.workers
-		if workers > len(apexes) {
-			workers = len(apexes)
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(apexes); i += workers {
-					one(i)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	})
 
 	// Fan-in: stable sorted-apex order, exactly like the serial loop.
 	for _, r := range results {

@@ -13,9 +13,6 @@ import (
 // Observability renders a registry dump as the cmd binaries' -metrics
 // text output: the per-phase throughput table from the tracer, the stage
 // counters grouped by dot-prefix, gauges, and histogram summaries.
-// Per-stripe cache counters are summarized (stripe count, busiest stripe)
-// rather than listed — 64 rows of stripe detail belong in the JSON dump,
-// not a terminal table.
 func Observability(d obs.Dump) string {
 	var b strings.Builder
 	b.WriteString("Observability summary\n")
@@ -30,43 +27,28 @@ func Observability(d obs.Dump) string {
 		}))
 	}
 
-	counters, stripes := splitStripeCounters(d.Snapshot)
-	if len(counters) > 0 {
+	if len(d.Snapshot.Counters) > 0 {
 		b.WriteString(table(func(w *tabwriter.Writer) {
 			fmt.Fprintln(w, "Counter\tValue")
-			for _, name := range counters {
+			for _, name := range sortedKeys(d.Snapshot.Counters) {
 				fmt.Fprintf(w, "%s\t%d\n", name, d.Snapshot.Counters[name])
 			}
 		}))
 	}
-	if stripes.lookups > 0 {
-		fmt.Fprintf(&b, "cache stripes: %d active of %d, busiest %s (%d lookups)\n",
-			stripes.active, stripes.total, stripes.busiest, stripes.busiestN)
-	}
 
 	if len(d.Snapshot.Gauges) > 0 {
-		names := make([]string, 0, len(d.Snapshot.Gauges))
-		for name := range d.Snapshot.Gauges {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		b.WriteString(table(func(w *tabwriter.Writer) {
 			fmt.Fprintln(w, "Gauge\tValue")
-			for _, name := range names {
+			for _, name := range sortedKeys(d.Snapshot.Gauges) {
 				fmt.Fprintf(w, "%s\t%d\n", name, d.Snapshot.Gauges[name])
 			}
 		}))
 	}
 
 	if len(d.Snapshot.Histograms) > 0 {
-		names := make([]string, 0, len(d.Snapshot.Histograms))
-		for name := range d.Snapshot.Histograms {
-			names = append(names, name)
-		}
-		sort.Strings(names)
 		b.WriteString(table(func(w *tabwriter.Writer) {
 			fmt.Fprintln(w, "Histogram\tCount\tSum\tMean\tMode bucket")
-			for _, name := range names {
+			for _, name := range sortedKeys(d.Snapshot.Histograms) {
 				h := d.Snapshot.Histograms[name]
 				mean := 0.0
 				if h.Count > 0 {
@@ -88,20 +70,10 @@ func ObservabilityCSV(d obs.Dump) string {
 	for _, name := range sortedKeys(d.Snapshot.Counters) {
 		fmt.Fprintf(&b, "counter,%s,%d\n", name, d.Snapshot.Counters[name])
 	}
-	gnames := make([]string, 0, len(d.Snapshot.Gauges))
-	for name := range d.Snapshot.Gauges {
-		gnames = append(gnames, name)
-	}
-	sort.Strings(gnames)
-	for _, name := range gnames {
+	for _, name := range sortedKeys(d.Snapshot.Gauges) {
 		fmt.Fprintf(&b, "gauge,%s,%d\n", name, d.Snapshot.Gauges[name])
 	}
-	hnames := make([]string, 0, len(d.Snapshot.Histograms))
-	for name := range d.Snapshot.Histograms {
-		hnames = append(hnames, name)
-	}
-	sort.Strings(hnames)
-	for _, name := range hnames {
+	for _, name := range sortedKeys(d.Snapshot.Histograms) {
 		h := d.Snapshot.Histograms[name]
 		fmt.Fprintf(&b, "histogram_count,%s,%d\n", name, h.Count)
 		fmt.Fprintf(&b, "histogram_sum,%s,%d\n", name, h.Sum)
@@ -115,58 +87,8 @@ func ObservabilityCSV(d obs.Dump) string {
 // timeResolution keeps wall-time cells readable.
 const timeResolution = 10 * time.Microsecond
 
-// stripeSummary condenses the per-stripe cache counters.
-type stripeSummary struct {
-	total    int
-	active   int
-	lookups  uint64
-	busiest  string
-	busiestN uint64
-}
-
-// splitStripeCounters separates the per-stripe dns.cache.stripeNN.*
-// counters from the rest and condenses them. Returned names are sorted.
-func splitStripeCounters(s obs.Snapshot) ([]string, stripeSummary) {
-	var names []string
-	perStripe := map[string]uint64{}
-	for name, v := range s.Counters {
-		if stripe, ok := stripeOf(name); ok {
-			perStripe[stripe] += v
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var sum stripeSummary
-	sum.total = len(perStripe)
-	for stripe, n := range perStripe {
-		sum.lookups += n
-		if n > 0 {
-			sum.active++
-		}
-		if n > sum.busiestN || (n == sum.busiestN && stripe < sum.busiest) {
-			sum.busiest, sum.busiestN = stripe, n
-		}
-	}
-	return names, sum
-}
-
-// stripeOf extracts the stripe label from a dns.cache.stripeNN.hit/miss
-// counter name.
-func stripeOf(name string) (string, bool) {
-	const prefix = "dns.cache.stripe"
-	if !strings.HasPrefix(name, prefix) {
-		return "", false
-	}
-	rest := name[len(prefix):]
-	i := strings.IndexByte(rest, '.')
-	if i < 0 {
-		return "", false
-	}
-	return "stripe" + rest[:i], true
-}
-
-func sortedKeys(m map[string]uint64) []string {
+// sortedKeys returns m's names in order.
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

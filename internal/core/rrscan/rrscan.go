@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync"
 
 	"rrdps/internal/alexa"
 	"rrdps/internal/core/collect"
@@ -19,6 +18,7 @@ import (
 	"rrdps/internal/dnsresolver"
 	"rrdps/internal/dps"
 	"rrdps/internal/obs"
+	"rrdps/internal/workpool"
 )
 
 // NameserverDiscovery accumulates a provider's NS-hosting nameserver
@@ -232,13 +232,7 @@ func (s *Scanner) scan(nsAddrs []netip.Addr, n int, item func(i int) (key, qname
 		results[i] = addrs
 	}
 
-	if s.workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			one(i)
-		}
-	} else {
-		runIndexed(s.workers, n, one)
-	}
+	workpool.Run(s.workers, n, one)
 
 	out := make(map[dnsmsg.Name][]netip.Addr)
 	for i := 0; i < n; i++ {
@@ -256,25 +250,6 @@ func (s *Scanner) scan(nsAddrs []netip.Addr, n int, item func(i int) (key, qname
 		s.obs.Counter("scan.answered").Add(uint64(len(out)))
 	}
 	return out
-}
-
-// runIndexed runs fn(0..n-1) over a bounded pool of workers goroutines,
-// dealing indices round-robin so no channel hand-off is needed.
-func runIndexed(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				fn(i)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // CNAMELibrary accumulates the provider CNAME targets ever observed per
@@ -380,13 +355,7 @@ func (l *CNAMELibrary) ResolveAll(resolver *dnsresolver.Resolver) map[dnsmsg.Nam
 			}
 		}
 	}
-	if l.workers <= 1 || len(apexes) <= 1 {
-		for i := range apexes {
-			one(i)
-		}
-	} else {
-		runIndexed(l.workers, len(apexes), one)
-	}
+	workpool.Run(l.workers, len(apexes), one)
 	out := make(map[dnsmsg.Name][]netip.Addr)
 	for i, apex := range apexes {
 		if len(results[i]) > 0 {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rrdps/internal/dnsmsg"
-	"rrdps/internal/obs"
 )
 
 // cacheKey identifies a cached answer RRset. The flight table also keys
@@ -75,17 +74,14 @@ func (s *cacheShard) init() {
 // past their expiry. Nothing is evicted: the cache grows with the world
 // until Purge empties it (the paper's collector purges its resolver cache
 // before every daily run so snapshots stay independent, §IV-B.1). A hit
-// writes nothing, so hot entries that every worker reads stay read-only.
+// writes nothing shared, so hot entries that every worker reads stay
+// read-only: a resolution counts its lookups in its own scratch.
 //
 // Every entry kind (answers, delegations, host addresses) routes to a
 // shard by an FNV-1a hash of the owner name, so all records for one name
 // share a stripe while distinct names spread across all of them.
 type cache struct {
 	shards [cacheShards]cacheShard
-
-	// obs is atomic so lookups never contend on a process-wide mutex —
-	// that would undo the sharding.
-	obs atomic.Pointer[cacheObs]
 
 	// fills counts delegation fills, stamping each (flight.go).
 	fills atomic.Uint64
@@ -103,25 +99,13 @@ func newCache() *cache {
 	return c
 }
 
-// shardIndex routes a name to its stripe index by FNV-1a over the name's
-// bytes.
-func shardIndex(name dnsmsg.Name) int {
+// shardFor routes a name to its stripe by FNV-1a over the name's bytes.
+func (c *cache) shardFor(name dnsmsg.Name) *cacheShard {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(name); i++ {
 		h = fnvByte(h, name[i])
 	}
-	return int(h % cacheShards)
-}
-
-// shardFor routes a name to its stripe.
-func (c *cache) shardFor(name dnsmsg.Name) *cacheShard {
-	return &c.shards[shardIndex(name)]
-}
-
-// setObserver installs a metrics registry for per-stripe hit/miss
-// accounting; nil uninstalls.
-func (c *cache) setObserver(r *obs.Registry) {
-	c.obs.Store(newCacheObs(r))
+	return &c.shards[h%cacheShards]
 }
 
 // Purge empties every table (the maps keep their buckets for the next
@@ -169,26 +153,28 @@ func (c *cache) Len(now time.Time) int {
 
 // lookupAnswer looks key up for resolution sc. On a miss, sc joins the
 // key's fill (flight.go): it leads it, fills it solo, or waits for the
-// leader and re-reads, which is a hit when the leader cached the entry.
-// A nil sc joins nothing and reports a miss as claimSolo.
+// leader and re-reads, which is a hit when the leader cached the entry;
+// sc counts the lookup as the miss it was. A nil sc counts nothing, joins
+// nothing and reports a miss as claimSolo.
 func (c *cache) lookupAnswer(sc *resolveScratch, now time.Time, key cacheKey) (answerEntry, claim) {
-	idx := shardIndex(key.name)
-	s := &c.shards[idx]
+	s := c.shardFor(key.name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.answers[key]
-	if !ok || !e.expires.After(now) {
-		c.obs.Load().observe(idx, false)
-		if sc == nil {
-			return answerEntry{}, claimSolo
-		}
-		if cl := c.join(s, sc, now, key, 0); cl != claimHit {
-			return answerEntry{}, cl
-		}
-		return s.answers[key], claimHit
+	hit := ok && e.expires.After(now)
+	if sc != nil {
+		sc.lookups.count(hit)
 	}
-	c.obs.Load().observe(idx, true)
-	return e, claimHit
+	switch {
+	case hit:
+		return e, claimHit
+	case sc == nil:
+		return answerEntry{}, claimSolo
+	}
+	if cl := c.join(s, sc, now, key, 0); cl != claimHit {
+		return answerEntry{}, cl
+	}
+	return s.answers[key], claimHit
 }
 
 // putAnswer caches e under key for ttl and lands the fill of key that
@@ -209,22 +195,6 @@ func (c *cache) putAnswer(now time.Time, key cacheKey, e answerEntry, ttl time.D
 		s.landLocked(leader, key)
 	}
 	s.answers[key] = e
-}
-
-// getDelegation returns the cached nameserver hosts for zone. The slice
-// is shared with the cache; callers must not mutate it.
-func (c *cache) getDelegation(now time.Time, zone dnsmsg.Name) ([]dnsmsg.Name, bool) {
-	idx := shardIndex(zone)
-	s := &c.shards[idx]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	slot, ok := s.delegations[zone]
-	if !ok || !slot.entry.expires.After(now) {
-		c.obs.Load().observe(idx, false)
-		return nil, false
-	}
-	c.obs.Load().observe(idx, true)
-	return slot.entry.hosts, true
 }
 
 // putDelegation caches the zone cut at zone, filled by resolution by,
@@ -268,33 +238,25 @@ func (c *cache) joinCut(sc *resolveScratch, now time.Time, zone dnsmsg.Name, sin
 // shared with the cache; callers must not mutate it.
 func (c *cache) closestDelegation(now time.Time, name dnsmsg.Name) (dnsmsg.Name, []dnsmsg.Name, bool) {
 	for zone := name; !zone.IsRoot(); zone = zone.Parent() {
-		idx := shardIndex(zone)
-		s := &c.shards[idx]
+		s := c.shardFor(zone)
 		s.mu.Lock()
 		slot, ok := s.delegations[zone]
 		s.mu.Unlock()
 		if ok && slot.entry.expires.After(now) {
-			// The whole walk counts as one lookup, attributed to the
-			// stripe that satisfied it.
-			c.obs.Load().observe(idx, true)
 			return zone, slot.entry.hosts, true
 		}
 	}
-	c.obs.Load().observe(shardIndex(name), false)
 	return "", nil, false
 }
 
 func (c *cache) getHostAddr(now time.Time, host dnsmsg.Name) (netip.Addr, bool) {
-	idx := shardIndex(host)
-	s := &c.shards[idx]
+	s := c.shardFor(host)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.hostAddrs[host]
 	if !ok || !e.expires.After(now) {
-		c.obs.Load().observe(idx, false)
 		return netip.Addr{}, false
 	}
-	c.obs.Load().observe(idx, true)
 	return e.addr, true
 }
 

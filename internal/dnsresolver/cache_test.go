@@ -152,3 +152,15 @@ func (c *cache) getAnswer(now time.Time, key cacheKey) (answerEntry, bool) {
 	e, cl := c.lookupAnswer(nil, now, key)
 	return e, cl == claimHit
 }
+
+// getDelegation returns the cached nameserver hosts for zone itself.
+func (c *cache) getDelegation(now time.Time, zone dnsmsg.Name) ([]dnsmsg.Name, bool) {
+	s := c.shardFor(zone)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	slot, ok := s.delegations[zone]
+	if !ok || !slot.entry.expires.After(now) {
+		return nil, false
+	}
+	return slot.entry.hosts, true
+}

@@ -31,10 +31,9 @@ type Client struct {
 	region netsim.Region
 	idSeed int64
 
-	// policy and obs are atomic pointers so the per-query hot path loads
-	// them without a mutex round-trip (they change only between passes).
+	// policy is an atomic pointer so the per-query hot path loads it
+	// without a mutex round-trip (it changes only between passes).
 	policy atomic.Pointer[Policy]
-	obs    atomic.Pointer[clientObs]
 
 	health *Health
 	stats  statsCounters
@@ -141,7 +140,7 @@ func (c *Client) ExchangeAny(servers []netip.Addr, name dnsmsg.Name, qtype dnsms
 	sc := exchangeScratchPool.Get().(*exchangeScratch)
 	var st QueryStats
 	resp, err := c.exchangeAny(sc, &st, servers, name, qtype)
-	c.stats.fold(&st)
+	c.stats.fold(&st, nil)
 	if resp != nil {
 		// The scratch-backed message goes back into the pool; callers get a
 		// private copy.
@@ -161,7 +160,6 @@ func (c *Client) exchangeAny(sc *exchangeScratch, st *QueryStats, servers []neti
 		return nil, fmt.Errorf("exchange %s %s: %w", name, qtype, ErrNoServers)
 	}
 	p := c.policy.Load()
-	o := c.obs.Load()
 	cands, start := c.health.planExchange(p.Selection, c.idSeed, servers, name, qtype)
 	budget := p.MaxAttempts
 	if len(cands) > budget {
@@ -170,7 +168,6 @@ func (c *Client) exchangeAny(sc *exchangeScratch, st *QueryStats, servers []neti
 	primary := cands[start]
 
 	st.Queries++
-	o.observeQuery()
 	var lastErr error
 	for attempt := 1; attempt <= budget; attempt++ {
 		server := cands[(start+attempt-1)%len(cands)]
@@ -178,49 +175,39 @@ func (c *Client) exchangeAny(sc *exchangeScratch, st *QueryStats, servers []neti
 			backoff := p.Backoff(c.idSeed, server, name, qtype, attempt)
 			st.Retries++
 			st.Backoff += backoff
-			o.observeRetry(backoff)
 		}
 		if server != primary {
 			st.Hedges++
-			o.observeHedge()
 		}
 
-		resp, rtt, err := c.attempt(sc, st, o, server, name, qtype, attempt)
+		resp, rtt, err := c.attempt(sc, st, server, name, qtype, attempt)
 		if err == nil {
 			c.health.ObserveSuccess(server)
 			c.health.ObserveRTT(server, rtt)
 			if attempt > 1 {
 				st.Recovered++
 			}
-			o.observeOutcome(attempt, attempt > 1)
 			return resp, nil
 		}
 		lastErr = err
 		switch {
 		case errors.Is(err, netsim.ErrTimeout):
 			st.Timeouts++
-			o.observeTimeout()
 			c.health.ObserveTimeout(server)
 		case errors.Is(err, ErrCorruptReply):
 			st.CorruptReplies++
-			o.observeCorrupt()
 		default:
 			// Fatal: validation failure (possible spoofing), unreachable
 			// endpoint, or a handler error. Retrying blindly is either
 			// unsafe or pointless.
-			bad := errors.Is(err, ErrBadResponse)
-			if bad {
+			if errors.Is(err, ErrBadResponse) {
 				st.BadResponses++
 			}
 			st.Failed++
-			o.observeFailed(bad)
-			o.observeOutcome(attempt, false)
 			return nil, err
 		}
 	}
 	st.Failed++
-	o.observeFailed(false)
-	o.observeOutcome(budget, false)
 	return nil, lastErr
 }
 
@@ -229,9 +216,8 @@ func (c *Client) exchangeAny(sc *exchangeScratch, st *QueryStats, servers []neti
 // deterministic across runs, distinct across a query's attempts (each
 // retry re-rolls the fabric's fault decisions). The returned message
 // aliases sc.
-func (c *Client) attempt(sc *exchangeScratch, st *QueryStats, o *clientObs, server netip.Addr, name dnsmsg.Name, qtype dnsmsg.Type, attempt int) (*dnsmsg.Message, time.Duration, error) {
+func (c *Client) attempt(sc *exchangeScratch, st *QueryStats, server netip.Addr, name dnsmsg.Name, qtype dnsmsg.Type, attempt int) (*dnsmsg.Message, time.Duration, error) {
 	st.Attempts++
-	o.observeAttempt()
 	id := uint16(queryHash(c.idSeed, server, name, qtype, attempt))
 	wire := sc.enc.EncodeQuery(id, name, qtype)
 	ep := netsim.Endpoint{Addr: server, Port: netsim.PortDNS}

@@ -156,14 +156,16 @@ type resolveFrame struct {
 }
 
 // resolveScratch is the full per-resolution scratch: a frame for every
-// recursion depth, and the resolution's query accounting, folded into the
-// client's counters once when it completes. Pooled, so steady-state
-// resolutions allocate nothing for plumbing. Its address is also the
-// resolution's identity in the flight table, which is why one scratch
-// never serves two resolutions at once.
+// recursion depth, and the resolution's query accounting and cache
+// lookups, folded into the client's counters (and an installed registry)
+// once when it completes. Pooled, so steady-state resolutions allocate
+// nothing for plumbing. Its address is also the resolution's identity in
+// the flight table, which is why one scratch never serves two resolutions
+// at once.
 type resolveScratch struct {
-	frames [maxDepth + 1]resolveFrame
-	stats  QueryStats
+	frames  [maxDepth + 1]resolveFrame
+	stats   QueryStats
+	lookups lookups
 
 	// waitFor is the resolution whose fill of waitKey this one is waiting
 	// for, if any. Guarded by the flight table's waitMu.
@@ -219,7 +221,7 @@ func (r *Resolver) CacheLen() int { return r.cache.Len(r.clock.Now()) }
 func (r *Resolver) Resolve(name dnsmsg.Name, qtype dnsmsg.Type) (Result, error) {
 	sc := resolveScratchPool.Get().(*resolveScratch)
 	res, err := r.resolve(sc, name, qtype, 0)
-	r.client.stats.fold(&sc.stats)
+	r.client.stats.fold(&sc.stats, &sc.lookups)
 	resolveScratchPool.Put(sc)
 	return res, err
 }
@@ -313,7 +315,10 @@ func (r *Resolver) iterate(sc *resolveScratch, name dnsmsg.Name, qtype dnsmsg.Ty
 	f.servers = append(f.servers[:0], r.roots...)
 	servers := f.servers
 	zone := dnsmsg.Name("") // the root
-	if cut, hosts, ok := r.cache.closestDelegation(now, name); ok {
+	// The whole walk up name's ancestry counts as one lookup.
+	cut, hosts, ok := r.cache.closestDelegation(now, name)
+	sc.lookups.count(ok)
+	if ok {
 		// hosts is cache-shared; hostAddrs only reads it.
 		if addrs := r.hostAddrs(sc, hosts, nil, depth); len(addrs) > 0 {
 			zone, servers = cut, addrs
@@ -505,7 +510,9 @@ func (r *Resolver) hostAddrs(sc *resolveScratch, hosts []dnsmsg.Name, glue []dns
 			out = append(out, addr)
 			continue
 		}
-		if addr, ok := r.cache.getHostAddr(now, h); ok {
+		addr, ok := r.cache.getHostAddr(now, h)
+		sc.lookups.count(ok)
+		if ok {
 			out = append(out, addr)
 			continue
 		}
@@ -522,7 +529,9 @@ func (r *Resolver) hostAddrs(sc *resolveScratch, hosts []dnsmsg.Name, glue []dns
 			// it while every later one finds the glue the failed walk left
 			// behind — and which resolution runs first is a scheduling
 			// accident, the one thing candidate sets must not depend on.
-			if addr, ok := r.cache.getHostAddr(now, h); ok {
+			addr, ok := r.cache.getHostAddr(now, h)
+			sc.lookups.count(ok)
+			if ok {
 				out = append(out, addr)
 			}
 			continue

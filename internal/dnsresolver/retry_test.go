@@ -9,6 +9,7 @@ import (
 
 	"rrdps/internal/dnsmsg"
 	"rrdps/internal/netsim"
+	"rrdps/internal/obs"
 )
 
 // addHosts adds n extra A records under example.com so loss tests have a
@@ -26,15 +27,18 @@ func addHosts(t *testing.T, f *fixture, n int) []dnsmsg.Name {
 
 // TestRetriesRecoverFromInjectedLoss: under 25% deterministic loss the
 // no-retry client loses a visible fraction of queries while the retrying
-// client recovers nearly all of them, and the accounting reflects it.
+// client recovers nearly all of them, and the accounting reflects it. The
+// retrying pass runs with a registry installed, whose dns.* counters must
+// equal its QueryStats field by field: both come from the same fold.
 func TestRetriesRecoverFromInjectedLoss(t *testing.T) {
 	f := newFixture(t)
 	names := addHosts(t, f, 150)
 	f.net.SetFaults(netsim.FaultConfig{Seed: 42, LossRate: 0.25})
 
-	run := func(p Policy) (failed int, stats QueryStats) {
+	run := func(p Policy, reg *obs.Registry) (failed int, stats QueryStats) {
 		c := f.resolver.Client()
 		c.SetPolicy(p)
+		c.SetObserver(reg)
 		c.ResetStats()
 		for _, name := range names {
 			if _, err := c.Exchange(f.authAddr, name, dnsmsg.TypeA); err != nil {
@@ -47,7 +51,7 @@ func TestRetriesRecoverFromInjectedLoss(t *testing.T) {
 		return failed, c.Stats()
 	}
 
-	noRetryFailed, noRetryStats := run(NoRetryPolicy())
+	noRetryFailed, noRetryStats := run(NoRetryPolicy(), nil)
 	if noRetryFailed == 0 {
 		t.Fatal("no-retry baseline lost nothing at 25% loss — fault plan inactive?")
 	}
@@ -55,7 +59,8 @@ func TestRetriesRecoverFromInjectedLoss(t *testing.T) {
 		t.Fatalf("no-retry attempts %d != queries %d", noRetryStats.Attempts, noRetryStats.Queries)
 	}
 
-	retryFailed, retryStats := run(DefaultPolicy())
+	reg := obs.NewRegistry()
+	retryFailed, retryStats := run(DefaultPolicy(), reg)
 	if retryFailed >= noRetryFailed {
 		t.Fatalf("retries did not help: %d failed with retries vs %d without", retryFailed, noRetryFailed)
 	}
@@ -73,6 +78,18 @@ func TestRetriesRecoverFromInjectedLoss(t *testing.T) {
 	if retryStats.Attempts != retryStats.Queries+retryStats.Retries {
 		t.Fatalf("attempts %d != queries %d + retries %d",
 			retryStats.Attempts, retryStats.Queries, retryStats.Retries)
+	}
+	counters := reg.Snapshot().Counters
+	for name, want := range map[string]uint64{
+		"dns.queries": retryStats.Queries, "dns.attempts": retryStats.Attempts,
+		"dns.retries": retryStats.Retries, "dns.hedges": retryStats.Hedges,
+		"dns.timeouts": retryStats.Timeouts, "dns.corrupt_replies": retryStats.CorruptReplies,
+		"dns.bad_responses": retryStats.BadResponses, "dns.recovered": retryStats.Recovered,
+		"dns.failed": retryStats.Failed, "dns.backoff_ns": uint64(retryStats.Backoff),
+	} {
+		if got := counters[name]; got != want {
+			t.Errorf("registry %s = %d, QueryStats has %d", name, got, want)
+		}
 	}
 }
 

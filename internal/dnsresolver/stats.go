@@ -77,68 +77,86 @@ func (s QueryStats) String() string {
 		s.BadResponses, s.Recovered, s.Failed, s.SidelineEvents, s.Backoff)
 }
 
+// tallyNames names the registry counter of each tallied QueryStats field,
+// in tally order.
+var tallyNames = [...]string{
+	"dns.queries", "dns.attempts", "dns.retries", "dns.hedges", "dns.timeouts",
+	"dns.corrupt_replies", "dns.bad_responses", "dns.recovered", "dns.failed",
+	"dns.backoff_ns",
+}
+
+// tally is QueryStats's per-call fields as one vector, Backoff in
+// nanoseconds. SidelineEvents is not among them: the health tracker counts
+// those transitions itself.
+type tally [len(tallyNames)]uint64
+
+func (s *QueryStats) tally() tally {
+	return tally{s.Queries, s.Attempts, s.Retries, s.Hedges, s.Timeouts,
+		s.CorruptReplies, s.BadResponses, s.Recovered, s.Failed, uint64(s.Backoff)}
+}
+
+func (t *tally) stats() QueryStats {
+	return QueryStats{Queries: t[0], Attempts: t[1], Retries: t[2], Hedges: t[3],
+		Timeouts: t[4], CorruptReplies: t[5], BadResponses: t[6], Recovered: t[7],
+		Failed: t[8], Backoff: time.Duration(t[9])}
+}
+
+// lookups counts one resolution's cache lookups. Only a registry's
+// dns.cache.* counters read them, so they are folded nowhere else.
+type lookups struct{ hits, misses uint64 }
+
+// count records one lookup.
+func (l *lookups) count(hit bool) {
+	if hit {
+		l.hits++
+	} else {
+		l.misses++
+	}
+}
+
 // statsCounters is the live, concurrency-safe accumulator behind
-// QueryStats.
+// QueryStats, and the one place a call's tally reaches shared state.
 type statsCounters struct {
-	queries, attempts, retries, hedges atomic.Uint64
-	timeouts, corrupt, bad             atomic.Uint64
-	recovered, failed                  atomic.Uint64
-	backoffNanos                       atomic.Int64
+	v [len(tallyNames)]atomic.Uint64
+	// metrics, when a registry is installed, gets every fold too.
+	metrics atomic.Pointer[dnsMetrics]
 }
 
 // snapshot reads the counters; health supplies the sideline totals.
 func (c *statsCounters) snapshot(h *Health) QueryStats {
-	s := QueryStats{
-		Queries:        c.queries.Load(),
-		Attempts:       c.attempts.Load(),
-		Retries:        c.retries.Load(),
-		Hedges:         c.hedges.Load(),
-		Timeouts:       c.timeouts.Load(),
-		CorruptReplies: c.corrupt.Load(),
-		BadResponses:   c.bad.Load(),
-		Recovered:      c.recovered.Load(),
-		Failed:         c.failed.Load(),
-		Backoff:        time.Duration(c.backoffNanos.Load()),
+	var t tally
+	for i := range t {
+		t[i] = c.v[i].Load()
 	}
+	s := t.stats()
 	if h != nil {
 		s.SidelineEvents = h.Events()
 	}
 	return s
 }
 
-// fold adds one call's accumulated accounting to the counters and zeroes
-// d. Fields that did not move cost no write.
-func (c *statsCounters) fold(d *QueryStats) {
-	add := func(a *atomic.Uint64, v uint64) {
+// fold adds one call's tally to the counters, and with its cache lookups
+// l (nil outside a resolution) to the registry's dns.* metrics when one
+// is installed, then zeroes both. Fields that did not move cost no write.
+func (c *statsCounters) fold(d *QueryStats, l *lookups) {
+	t := d.tally()
+	for i, v := range t {
 		if v != 0 {
-			a.Add(v)
+			c.v[i].Add(v)
 		}
 	}
-	add(&c.queries, d.Queries)
-	add(&c.attempts, d.Attempts)
-	add(&c.retries, d.Retries)
-	add(&c.hedges, d.Hedges)
-	add(&c.timeouts, d.Timeouts)
-	add(&c.corrupt, d.CorruptReplies)
-	add(&c.bad, d.BadResponses)
-	add(&c.recovered, d.Recovered)
-	add(&c.failed, d.Failed)
-	if d.Backoff != 0 {
-		c.backoffNanos.Add(int64(d.Backoff))
+	if m := c.metrics.Load(); m != nil {
+		m.publish(&t, l)
 	}
 	*d = QueryStats{}
+	if l != nil {
+		*l = lookups{}
+	}
 }
 
 // reset zeroes the accumulator.
 func (c *statsCounters) reset() {
-	c.queries.Store(0)
-	c.attempts.Store(0)
-	c.retries.Store(0)
-	c.hedges.Store(0)
-	c.timeouts.Store(0)
-	c.corrupt.Store(0)
-	c.bad.Store(0)
-	c.recovered.Store(0)
-	c.failed.Store(0)
-	c.backoffNanos.Store(0)
+	for i := range c.v {
+		c.v[i].Store(0)
+	}
 }

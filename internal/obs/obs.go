@@ -4,8 +4,11 @@
 // lightweight phase tracer with a ring-buffered event log.
 //
 // The design mirrors dnsresolver.QueryStats: every metric is a sum of
-// per-event increments, so aggregating across components and comparing
-// across serial/parallel runs is well-defined. Metrics whose values
+// increments, so aggregating across components and comparing across
+// serial/parallel runs is well-defined. A component with its own tally
+// publishes it where it folds it, rather than counting each event twice:
+// the resolver adds each call's QueryStats and cache lookups to its
+// dns.* counters in the fold that updates Stats(). Metrics whose values
 // legitimately depend on goroutine scheduling — which worker fills a
 // shared cache entry first, and so who counts a hit or a miss — are
 // registered as *volatile* and can be stripped from a snapshot before an

@@ -520,6 +520,25 @@ func (w *World) Providers() map[dps.ProviderKey]*dps.Provider {
 	return out
 }
 
+// Figure7Counts returns the Fig. 7 per-PoP query counts of the first
+// Cloudflare NS-pool nameserver. ok is false when the world has no such
+// nameserver; counts is empty while it has answered nothing.
+func (w *World) Figure7Counts() (counts map[netsim.Region]uint64, ok bool) {
+	prov, ok := w.providers[dps.Cloudflare]
+	if !ok {
+		return nil, false
+	}
+	pool := prov.NSPool()
+	if len(pool) == 0 {
+		return nil, false
+	}
+	addr, ok := prov.NSPoolAddr(pool[0])
+	if !ok {
+		return nil, false
+	}
+	return w.Net.QueryCounts(netsim.Endpoint{Addr: addr, Port: netsim.PortDNS}), true
+}
+
 // NewResolver creates a recursive resolver at the given vantage region,
 // attached to a fresh address.
 func (w *World) NewResolver(region netsim.Region) *dnsresolver.Resolver {
