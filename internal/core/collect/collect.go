@@ -92,6 +92,7 @@ func (c *Collector) SetWorkers(n int) {
 func (c *Collector) SetObserver(r *obs.Registry) {
 	c.obs = r
 	c.resolver.SetObserver(r)
+	r.DeclareCounters("collect.snapshots", "collect.domains", "collect.resolve_ok", "collect.ns_ok")
 }
 
 // CollectStream takes one snapshot labelled with day and emits each

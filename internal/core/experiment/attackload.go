@@ -77,6 +77,7 @@ func (r Residual) setupAttack(e *residualEnv) {
 	}
 	env.bots = attack.NewBotnet(a.Bots, w.Alloc.NextAddr, rng)
 	e.attack = env
+	r.Obs.DeclareCounters("attack.spoofed_queries")
 }
 
 // floodWeek runs one scan week's reflection flood against the victims

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rrdps/internal/netsim"
+	"rrdps/internal/obs"
 	"rrdps/internal/world"
 )
 
@@ -372,4 +373,86 @@ func TestResidualCursorSkipsRetiredField(t *testing.T) {
 	if cur.NextWeek != 3 || cur.NameserverCount != 8 {
 		t.Fatalf("decoded next_week %d nameserver_count %d, want 3 and 8", cur.NextWeek, cur.NameserverCount)
 	}
+}
+
+// retiredMetrics plants, in the registry of a run that is then killed,
+// metrics this binary no longer publishes: the per-stripe cache counters
+// and the histograms an older resolver kept, one under the name of
+// today's dns.backoff_ns counter. Its checkpoints then carry them in
+// their obs snapshot, as an older binary's do.
+func retiredMetrics(reg *obs.Registry) {
+	reg.VolatileCounter("dns.cache.stripe00.hit").Add(7)
+	reg.VolatileCounter("dns.cache.stripe63.miss").Add(3)
+	reg.VolatileHistogram("dns.backoff_ns").Observe(1 << 20)
+	reg.VolatileHistogram("dns.attempts_per_query").Observe(2)
+}
+
+// checkResumedObs requires a resumed run's registry to hold no retired
+// metric and, outside the volatile dns.* set, exactly what an
+// uninterrupted run's registry holds: every metric a component counts
+// before the kill carries over.
+func checkResumedObs(t *testing.T, resumed, uninterrupted *obs.Registry) {
+	t.Helper()
+	snap := resumed.Snapshot()
+	for _, name := range []string{"dns.cache.stripe00.hit", "dns.cache.stripe63.miss"} {
+		if _, ok := snap.Counters[name]; ok {
+			t.Errorf("resumed registry restored retired counter %s", name)
+		}
+	}
+	for _, name := range []string{"dns.backoff_ns", "dns.attempts_per_query"} {
+		if _, ok := snap.Histograms[name]; ok {
+			t.Errorf("resumed registry restored retired histogram %s", name)
+		}
+	}
+	if _, ok := snap.Counters["dns.backoff_ns"]; !ok {
+		t.Error("resumed registry lacks the dns.backoff_ns counter")
+	}
+	if got, want := snap.Deterministic(), uninterrupted.Snapshot().Deterministic(); !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed deterministic metrics differ:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestResumeRestoresOnlyPublishedMetrics resumes each campaign from
+// checkpoints whose obs snapshot carries retired metrics: the resumed
+// dump must lack them, keep every live metric cumulative, and the result
+// must not change.
+func TestResumeRestoresOnlyPublishedMetrics(t *testing.T) {
+	t.Run("residual", func(t *testing.T) {
+		cfg := resCfg{sites: 400, seed: 9001, weeks: 3, warmup: 14, incStart: 2, every: 7}
+		want := obs.NewRegistry()
+		r := cfg.build("", false, 0)
+		r.Obs = want
+		baseline := r.Run()
+
+		dir := t.TempDir()
+		killed := obs.NewRegistry()
+		retiredMetrics(killed)
+		r = cfg.build(dir, false, 3)
+		r.Obs = killed
+		r.Run()
+		got := obs.NewRegistry()
+		r = cfg.build(dir, true, 0)
+		r.Obs = got
+		diffResults(t, r.Run(), baseline)
+		checkResumedObs(t, got, want)
+	})
+	t.Run("dynamics", func(t *testing.T) {
+		cfg := dynCfg{sites: 300, seed: 83, days: 4, every: 1}
+		want := obs.NewRegistry()
+		d := cfg.build("", false, 0)
+		d.Obs = want
+		baseline := d.Run()
+
+		dir := t.TempDir()
+		killed := obs.NewRegistry()
+		retiredMetrics(killed)
+		d = cfg.build(dir, false, 2)
+		d.Obs = killed
+		d.Run()
+		got := obs.NewRegistry()
+		d = cfg.build(dir, true, 0)
+		d.Obs = got
+		diffResults(t, d.Run(), baseline)
+		checkResumedObs(t, got, want)
+	})
 }

@@ -124,6 +124,8 @@ func (p *Pipeline) SetWorkers(n int) {
 func (p *Pipeline) SetObserver(r *obs.Registry) {
 	p.obs = r
 	p.verifier.SetObserver(r)
+	r.DeclareCounters("filter.runs", "filter.scanned", "filter.dropped_ip", "filter.hidden", "filter.verified")
+	r.DeclareHistograms("filter.hidden_per_apex")
 }
 
 // apexResult is one apex's contribution to the report.

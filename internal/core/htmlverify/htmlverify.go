@@ -51,7 +51,10 @@ func New(client *httpsim.Client) *Verifier {
 // independent of interleaving (pages are static within a pass), so the
 // verify.* counters are deterministic. Call between passes; nil
 // uninstalls.
-func (v *Verifier) SetObserver(r *obs.Registry) { v.obs = r }
+func (v *Verifier) SetObserver(r *obs.Registry) {
+	v.obs = r
+	r.DeclareCounters("verify.comparisons", "verify.matches", "verify.ref_fail", "verify.cand_fail")
+}
 
 // Verify fetches host's landing page from refAddr and candAddr and
 // compares them.

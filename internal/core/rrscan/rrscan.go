@@ -115,6 +115,7 @@ func (s *Scanner) SetPolicy(p dnsresolver.Policy) {
 // between scans; nil uninstalls.
 func (s *Scanner) SetObserver(r *obs.Registry) {
 	s.obs = r
+	r.DeclareCounters("scan.queries", "scan.answered")
 	for _, v := range s.vantage {
 		v.SetObserver(r)
 	}
@@ -291,7 +292,10 @@ func (l *CNAMELibrary) SetWorkers(n int) {
 
 // SetObserver installs a metrics registry for the library's cname.*
 // counters and re-resolution spans; nil uninstalls.
-func (l *CNAMELibrary) SetObserver(r *obs.Registry) { l.obs = r }
+func (l *CNAMELibrary) SetObserver(r *obs.Registry) {
+	l.obs = r
+	r.DeclareCounters("cname.apexes", "cname.resolved")
+}
 
 // AddRecord records one domain's provider-attributed CNAME targets, fed
 // record by record from a snapstore cursor.

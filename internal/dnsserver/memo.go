@@ -15,15 +15,21 @@ import (
 // answered, keyed by the query's bytes after the 2-byte ID.
 //
 // A response is a pure function of those bytes, of which hosted zone
-// answers the question, and of that zone's contents: respondInto reads
-// nothing else from the request, and the ID is only echoed. So an entry
-// stays valid while both inputs stand still, and it records what it needs
-// to check that:
+// answers the question, and of the zone records the lookup read:
+// respondInto reads nothing else from the request, and the ID is only
+// echoed. So an entry stays valid while both inputs stand still, and it
+// records what it needs to check that:
 //
-//   - zone and serial: the answering zone (nil for REFUSED and ignored
-//     queries) and its serial when the answer was computed. Every zone
-//     mutator bumps the serial, so an unchanged serial means unchanged
-//     contents.
+//   - zone, serial and deps: the answering zone (nil for REFUSED and
+//     ignored queries), its serial from WatchSerial before the answer was
+//     computed, and the owner names the lookup read (dnszone.Deps). Every
+//     zone mutator bumps the serial and stamps the owner it changed with
+//     the new serial. An unchanged serial means unchanged contents; after
+//     a serial change the entry holds if no owner in deps has a later
+//     stamp (Zone.Unchanged). That is what keeps a TLD referral across
+//     the week's churn in other delegations. NODATA, NXDOMAIN and NOTIMP
+//     answers depend on the whole zone: the first two carry the SOA and
+//     its serial.
 //   - gen and the qname: the server's zone-set generation, which AddZone
 //     and RemoveZone bump. On a mismatch, findZone(qname) must still pick
 //     the same zone. Providers add and remove customer zones every day,
@@ -38,8 +44,9 @@ import (
 // the answers served under the lock add up to the table's size, the table
 // is republished: pending entries are merged, entries that no longer
 // validate are dropped, and the survivors are stamped with the current
-// generation. The copy costs O(1) amortized per answer, and an entry for
-// a removed zone does not keep the zone alive past the next republish.
+// serial and generation. The copy costs O(1) amortized per answer, and an
+// entry for a removed zone does not keep the zone alive past the next
+// republish.
 type answerMemo struct {
 	table atomic.Pointer[memoTable]
 
@@ -73,7 +80,8 @@ func (t *memoTable) get(h uint64) (memoEntry, []byte, bool) {
 // set, the response's bytes from offset 10, its question section, repeat
 // the query's and are left out, and the query's first name, written
 // uncompressed, spells the qname. Otherwise the qname follows the
-// response (qnameLen bytes).
+// response (qnameLen bytes). Last come the answer's dependencies in the
+// zone, as dnszone.Deps.AppendTo wrote them (depsLen bytes).
 type memoEntry struct {
 	zone        *dnszone.Zone
 	off         uint32
@@ -82,10 +90,13 @@ type memoEntry struct {
 	respLen     uint16
 	buf         uint16
 	qnameLen    uint8
+	depsLen     uint8
 	echo        bool
 }
 
-func (e *memoEntry) size() int { return int(e.keyLen) + int(e.respLen) + int(e.qnameLen) }
+func (e *memoEntry) size() int {
+	return int(e.keyLen) + int(e.respLen) + int(e.qnameLen) + int(e.depsLen)
+}
 
 func (e *memoEntry) bytes(buf []byte) []byte {
 	return buf[e.off : int(e.off)+e.size()]
@@ -106,7 +117,8 @@ func (e *memoEntry) matches(w, key []byte) bool {
 // appendQname appends the name the answer was looked up for to dst.
 func (e *memoEntry) appendQname(dst, w []byte) []byte {
 	if !e.echo {
-		return append(dst, w[int(e.keyLen)+int(e.respLen):]...)
+		start := int(e.keyLen) + int(e.respLen)
+		return append(dst, w[start:start+int(e.qnameLen)]...)
 	}
 	start := len(dst)
 	for w := w[headerTail:]; w[0] != 0; w = w[1+int(w[0]):] {
@@ -136,10 +148,15 @@ func (e *memoEntry) appendResponse(dst, w, query []byte) []byte {
 }
 
 // valid reports whether e, with bytes w, still answers its query, given
-// the zone-set generation gen loaded before the call.
+// the zone-set generation gen loaded before the call. An entry that
+// outlived a serial change is restamped with the serial it holds at.
 func (s *Server) valid(e *memoEntry, w []byte, gen uint32) bool {
 	if e.zone != nil && e.zone.Serial() != e.serial {
-		return false
+		serial, ok := e.zone.Unchanged(e.serial, w[e.size()-int(e.depsLen):e.size()])
+		if !ok {
+			return false
+		}
+		e.serial = serial
 	}
 	if e.gen == gen {
 		return true
@@ -195,9 +212,10 @@ func (s *Server) memoLookup(h uint64, key []byte) (memoEntry, []byte, bool) {
 
 // memoize stores the answer just computed for the query whose bytes
 // after the ID are key and whose hash is h. resp is the encoded response
-// after its ID, nil when the query is ignored; zone, serial and gen are
-// the validity fields, read before the answer was computed.
-func (s *Server) memoize(h uint64, key, resp []byte, qname dnsmsg.Name, zone *dnszone.Zone, serial, gen uint32) {
+// after its ID, nil when the query is ignored; zone, serial, deps and gen
+// are the validity fields, read before the answer was computed (deps
+// during the lookup).
+func (s *Server) memoize(h uint64, key, resp []byte, qname dnsmsg.Name, zone *dnszone.Zone, serial uint32, deps *dnszone.Deps, gen uint32) {
 	e := memoEntry{
 		zone:   zone,
 		serial: serial,
@@ -210,10 +228,12 @@ func (s *Server) memoize(h uint64, key, resp []byte, qname dnsmsg.Name, zone *dn
 	} else {
 		e.qnameLen = uint8(len(qname))
 	}
-	if len(key) > math.MaxUint16 || stored > math.MaxUint16 || len(qname) > math.MaxUint8 {
+	var depsBuf [32]byte
+	depsBytes := deps.AppendTo(depsBuf[:0])
+	if len(key) > math.MaxUint16 || stored > math.MaxUint16 || len(qname) > math.MaxUint8 || len(depsBytes) > math.MaxUint8 {
 		return
 	}
-	e.keyLen, e.respLen = uint16(len(key)), uint16(stored)
+	e.keyLen, e.respLen, e.depsLen = uint16(len(key)), uint16(stored), uint8(len(depsBytes))
 
 	m := &s.memo
 	m.mu.Lock()
@@ -222,11 +242,12 @@ func (s *Server) memoize(h uint64, key, resp []byte, qname dnsmsg.Name, zone *dn
 	n := copy(w, key)
 	if e.echo {
 		n += copy(w[n:], resp[:headerTail])
-		copy(w[n:], resp[len(key):])
+		n += copy(w[n:], resp[len(key):])
 	} else {
 		n += copy(w[n:], resp)
-		copy(w[n:], qname)
+		n += copy(w[n:], qname)
 	}
+	copy(w[n:], depsBytes)
 	if m.pending == nil {
 		// Sized to fill without regrowing while the table doubles, and
 		// like the last set once the table has settled.

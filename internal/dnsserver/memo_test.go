@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -51,16 +52,22 @@ func newMemoWorld(seed int64, policy UnknownZonePolicy) *memoWorld {
 		zones:   make(map[dnsmsg.Name]*dnszone.Zone),
 	}
 	for _, o := range w.origins {
-		for _, label := range []string{"www", "api", "ns1", "x"} {
-			w.names = append(w.names, o.Child(label))
-		}
-		w.names = append(w.names, o)
+		w.names = append(w.names, owners(o)...)
+		w.names = append(w.names, o.Child("x").Child("b").Child("c"))
 	}
 	w.names = append(w.names, "", "org", "unknown.net", "www.unknown.net")
 	for _, o := range w.origins[:3] {
 		w.addZone(o)
 	}
 	return w
+}
+
+// owners are the names mutate edits in the zone at o: the apex, its
+// children, a name below www (an NS host in www's bailiwick when www is
+// delegated) and one two labels below x (whose ancestors mutate edits).
+func owners(o dnsmsg.Name) []dnsmsg.Name {
+	return []dnsmsg.Name{o, o.Child("www"), o.Child("api"), o.Child("ns1"), o.Child("x"),
+		o.Child("www").Child("ns"), o.Child("x").Child("b")}
 }
 
 func (w *memoWorld) addZone(origin dnsmsg.Name) {
@@ -72,30 +79,49 @@ func (w *memoWorld) addZone(origin dnsmsg.Name) {
 	w.s.AddZone(z)
 }
 
-// mutate applies one random change to z with one of its mutators.
+// mutate applies one random change to z with one of its mutators. Its
+// delegations name NS hosts in their own bailiwick, in a sibling subtree
+// of the zone (glue like ns1.cloudflare.com in com) or outside it, and
+// its CNAMEs point mostly elsewhere in the zone.
 func (w *memoWorld) mutate(z *dnszone.Zone) {
 	o := z.Origin()
-	name := []dnsmsg.Name{o, o.Child("www"), o.Child("api"), o.Child("ns1"), o.Child("x")}[w.rng.Intn(5)]
+	names := owners(o)
+	name := names[w.rng.Intn(len(names))]
 	addr := netip.AddrFrom4([4]byte{10, 0, byte(w.rng.Intn(4)), byte(w.rng.Intn(4))})
-	switch w.rng.Intn(7) {
+	switch w.rng.Intn(11) {
 	case 0, 1:
 		z.MustAdd(dnsmsg.NewA(name, time.Minute, addr))
 	case 2:
 		_ = z.Set(name, dnsmsg.TypeA, dnsmsg.NewA(name, time.Minute, addr))
-	case 3:
+	case 3, 10:
+		target := names[w.rng.Intn(len(names))]
+		if w.rng.Intn(4) == 0 {
+			target = w.names[w.rng.Intn(len(w.names))]
+		}
 		if name != o {
-			z.MustAdd(dnsmsg.NewCNAME(name, time.Minute, o.Child("www")))
+			z.MustAdd(dnsmsg.NewCNAME(name, time.Minute, target))
 		}
 	case 4:
-		// A delegation below the apex, with glue.
-		if name != o {
-			z.MustAdd(dnsmsg.NewNS(name, time.Hour, name.Child("ns")))
-			z.MustAdd(dnsmsg.NewA(name.Child("ns"), time.Hour, addr))
+		// A delegation (or, at the apex, the zone's own NS RRset), with
+		// glue when the host is in the zone.
+		host := []dnsmsg.Name{name.Child("ns"), o.Child("ns1"), o.Child("www").Child("ns"), "ns.unknown.net"}[w.rng.Intn(4)]
+		z.MustAdd(dnsmsg.NewNS(name, time.Hour, host))
+		if host.IsSubdomainOf(o) {
+			z.MustAdd(dnsmsg.NewA(host, time.Hour, addr))
 		}
 	case 5:
-		z.Remove(name, dnsmsg.Type([]dnsmsg.Type{dnsmsg.TypeA, dnsmsg.TypeNS, dnsmsg.TypeCNAME}[w.rng.Intn(3)]))
+		// A glue-only edit.
+		host := []dnsmsg.Name{o.Child("ns1"), o.Child("www").Child("ns")}[w.rng.Intn(2)]
+		_ = z.Set(host, dnsmsg.TypeA, dnsmsg.NewA(host, time.Hour, addr))
 	case 6:
+		// An apex edit.
+		z.MustAdd(dnsmsg.NewMX(o, time.Hour, uint16(w.rng.Intn(20)), o.Child("www")))
+	case 7:
+		z.Remove(name, dnsmsg.Type([]dnsmsg.Type{dnsmsg.TypeA, dnsmsg.TypeNS, dnsmsg.TypeCNAME}[w.rng.Intn(3)]))
+	case 8:
 		z.RemoveName(name)
+	case 9:
+		z.RemoveName(o.Child("www").Child("ns"))
 	}
 }
 
@@ -250,6 +276,92 @@ func TestAnswerMemoConcurrent(t *testing.T) {
 	}
 }
 
+// TestAnswerMemoRecomputes counts the answers a server computes afresh
+// after one zone edit: only queries whose answers read the edited owner,
+// and negative answers from the edited zone, are recomputed. The rest are
+// served from the memo, and every reply is still the uncached answer.
+func TestAnswerMemoRecomputes(t *testing.T) {
+	newServer := func() *Server {
+		s := New(Config{Name: "tld"})
+		com := dnszone.New("com", dnsmsg.SOAData{MName: "a.gtld", RName: "hostmaster.com", Serial: 1})
+		com.MustAdd(dnsmsg.NewNS("example.com", time.Hour, "ns1.cloudflare.com"))
+		com.MustAdd(dnsmsg.NewA("ns1.cloudflare.com", time.Hour, netip.MustParseAddr("10.1.1.1")))
+		com.MustAdd(dnsmsg.NewNS("other.com", time.Hour, "ns.other.com"))
+		com.MustAdd(dnsmsg.NewA("ns.other.com", time.Hour, netip.MustParseAddr("10.2.2.2")))
+		org := dnszone.New("example.org", dnsmsg.SOAData{MName: "ns1.example.org", RName: "admin.example.org", Serial: 1})
+		org.MustAdd(dnsmsg.NewCNAME("www.example.org", time.Minute, "edge.example.org"))
+		org.MustAdd(dnsmsg.NewA("edge.example.org", time.Minute, netip.MustParseAddr("10.3.3.3")))
+		org.MustAdd(dnsmsg.NewA("a.b.example.org", time.Minute, netip.MustParseAddr("10.4.4.4")))
+		s.AddZone(com)
+		s.AddZone(org)
+		return s
+	}
+	a := func(zone, name dnsmsg.Name) func(s *Server) {
+		return func(s *Server) {
+			z, _ := s.Zone(zone)
+			z.MustAdd(dnsmsg.NewA(name, time.Minute, netip.MustParseAddr("10.9.9.9")))
+		}
+	}
+	queries := []dnsmsg.Name{"www.example.com", "www.other.com", "www.example.org", "a.b.example.org", "missing.example.org"}
+	edits := []struct {
+		name  string
+		edit  func(s *Server)
+		stale []dnsmsg.Name
+	}{
+		{"unrelated delegation", func(s *Server) {
+			z, _ := s.Zone("com")
+			z.MustAdd(dnsmsg.NewNS("new.com", time.Hour, "ns.new.com"))
+		}, nil},
+		{"the cut", func(s *Server) {
+			z, _ := s.Zone("com")
+			z.MustAdd(dnsmsg.NewNS("example.com", time.Hour, "ns2.cloudflare.com"))
+		}, []dnsmsg.Name{"www.example.com"}},
+		{"its glue host", a("com", "ns1.cloudflare.com"), []dnsmsg.Name{"www.example.com"}},
+		{"an ancestor", func(s *Server) {
+			z, _ := s.Zone("example.org")
+			z.MustAdd(dnsmsg.NewNS("b.example.org", time.Hour, "ns.elsewhere.net"))
+		}, []dnsmsg.Name{"a.b.example.org", "missing.example.org"}},
+		{"a CNAME target", a("example.org", "edge.example.org"), []dnsmsg.Name{"www.example.org", "missing.example.org"}},
+		{"the SOA-bearing answer's zone", a("example.org", "unrelated.example.org"), []dnsmsg.Name{"missing.example.org"}},
+	}
+	for _, e := range edits {
+		t.Run(e.name, func(t *testing.T) {
+			s := newServer()
+			wires := make([][]byte, len(queries))
+			for i, q := range queries {
+				wires[i] = dnsmsg.MustEncode(query(q, dnsmsg.TypeA))
+			}
+			// serve asks every query once and returns the ones the server
+			// computed afresh.
+			serve := func() []dnsmsg.Name {
+				var computed []dnsmsg.Name
+				for i, p := range wires {
+					want := uncached(t, s, p)
+					before := s.Computed()
+					got, err := s.ServeNetBuf(netsim.Request{Payload: p}, nil)
+					if err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("%s: got %x (%v), want %x", queries[i], got, err, want)
+					}
+					if s.Computed() != before {
+						computed = append(computed, queries[i])
+					}
+				}
+				return computed
+			}
+			if got := serve(); !reflect.DeepEqual(got, queries) {
+				t.Fatalf("first round computed %v, want every query", got)
+			}
+			if got := serve(); got != nil {
+				t.Fatalf("second round computed %v, want none", got)
+			}
+			e.edit(s)
+			if got := serve(); !reflect.DeepEqual(got, e.stale) {
+				t.Fatalf("after the edit the server computed %v, want %v", got, e.stale)
+			}
+		})
+	}
+}
+
 // FuzzServeNetBuf: any datagram, served twice (the second time usually
 // from the memo), gets the uncached answer both times.
 func FuzzServeNetBuf(f *testing.F) {
@@ -329,7 +441,8 @@ func BenchmarkServeNetBuf(b *testing.B) {
 }
 
 // TestServeNetBufHitAllocs pins the memo's contract: a repeated query is
-// answered into the caller's buffer without allocating.
+// answered into the caller's buffer without allocating, also when an
+// edit to another owner in its zone makes the hit check the stamps.
 func TestServeNetBufHitAllocs(t *testing.T) {
 	s := newServerWithZone(t, PolicyRefuse)
 	wire := dnsmsg.MustEncode(query("www.example.com", dnsmsg.TypeA))
@@ -338,6 +451,17 @@ func TestServeNetBufHitAllocs(t *testing.T) {
 		dst, _ = s.ServeNetBuf(netsim.Request{Payload: wire}, dst[:0])
 	}); n != 0 {
 		t.Fatalf("memo hit: %v allocs, want 0", n)
+	}
+	z, _ := s.Zone("example.com")
+	z.MustAdd(dnsmsg.NewA("other.example.com", time.Minute, netip.MustParseAddr("10.0.0.2")))
+	computed := s.Computed()
+	if n := testing.AllocsPerRun(100, func() {
+		dst, _ = s.ServeNetBuf(netsim.Request{Payload: wire}, dst[:0])
+	}); n != 0 {
+		t.Fatalf("memo hit after an unrelated edit: %v allocs, want 0", n)
+	}
+	if s.Computed() != computed {
+		t.Fatal("an unrelated edit made the server recompute the answer")
 	}
 }
 

@@ -43,13 +43,14 @@ type Config struct {
 // Server is an authoritative nameserver. It is safe for concurrent use.
 //
 // A server memoizes its answers (see answerMemo): a query whose bytes
-// after the ID repeat an earlier one, against an unchanged zone, is
-// answered from the stored response bytes without decoding, lookup or
-// encoding.
+// after the ID repeat an earlier one, while the zone records its answer
+// read stand unchanged, is answered from the stored response bytes
+// without decoding, lookup or encoding.
 type Server struct {
-	name    string
-	unknown UnknownZonePolicy
-	queries atomic.Uint64
+	name     string
+	unknown  UnknownZonePolicy
+	queries  atomic.Uint64
+	computed atomic.Uint64
 
 	mu    sync.RWMutex
 	zones map[dnsmsg.Name]*dnszone.Zone
@@ -110,6 +111,12 @@ func (s *Server) ZoneCount() int {
 // Queries returns how many queries the server has processed.
 func (s *Server) Queries() uint64 {
 	return s.queries.Load()
+}
+
+// Computed returns how many of those queries the server answered by
+// looking the answer up afresh rather than from its memo.
+func (s *Server) Computed() uint64 {
+	return s.computed.Load()
 }
 
 // findZone returns the hosted zone with the longest origin that is a
@@ -177,12 +184,13 @@ func (s *Server) ServeNetBuf(req netsim.Request, dst []byte) ([]byte, error) {
 		return nil, nil
 	}
 	s.queries.Add(1)
+	s.computed.Add(1)
 
 	gen := s.gen.Load()
 	zone, serial, answered := s.respondInto(&sc.query, &sc.resp, &sc.res)
 	qname := sc.query.Question().Name
 	if !answered {
-		s.memoize(h, key, nil, qname, zone, serial, gen)
+		s.memoize(h, key, nil, qname, zone, serial, &sc.res.Deps, gen)
 		return nil, nil
 	}
 	start := len(dst)
@@ -190,7 +198,7 @@ func (s *Server) ServeNetBuf(req netsim.Request, dst []byte) ([]byte, error) {
 	if err != nil {
 		return out, err
 	}
-	s.memoize(h, key, out[start+2:], qname, zone, serial, gen)
+	s.memoize(h, key, out[start+2:], qname, zone, serial, &sc.res.Deps, gen)
 	return out, nil
 }
 
@@ -210,7 +218,8 @@ func (s *Server) Respond(query *dnsmsg.Message) *dnsmsg.Message {
 // using res as lookup scratch. It reports false when the query is ignored
 // per policy. resp's sections may alias res; both belong to the caller.
 // It also returns the zone that answered (nil when none does) and that
-// zone's serial, read before the lookup.
+// zone's serial, read with WatchSerial before the lookup; res.Deps is
+// what the answer depends on in that zone.
 func (s *Server) respondInto(query, resp *dnsmsg.Message, res *dnszone.Result) (zone *dnszone.Zone, serial uint32, answered bool) {
 	q := query.Question()
 	resp.Header = dnsmsg.Header{
@@ -223,6 +232,7 @@ func (s *Server) respondInto(query, resp *dnsmsg.Message, res *dnszone.Result) (
 	resp.Answers = nil
 	resp.Authority = nil
 	resp.Additional = nil
+	res.Deps = dnszone.Deps{}
 
 	zone = s.findZone(q.Name)
 	if zone == nil {
@@ -232,7 +242,7 @@ func (s *Server) respondInto(query, resp *dnsmsg.Message, res *dnszone.Result) (
 		resp.Header.RCode = dnsmsg.RCodeRefused
 		return nil, 0, true
 	}
-	serial = zone.Serial()
+	serial = zone.WatchSerial()
 	if q.Class != dnsmsg.ClassIN {
 		resp.Header.RCode = dnsmsg.RCodeNotImp
 		return zone, serial, true

@@ -14,8 +14,8 @@ import (
 
 // TestRandomOpsQuick drives a zone through random add/set/remove sequences
 // and checks invariants after every operation: lookups never panic, Answer
-// results agree with Get, and the serial strictly increases across
-// mutations.
+// results agree with Get, the serial strictly increases across mutations,
+// and the incrementally kept node counts equal a from-scratch rebuild.
 func TestRandomOpsQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	labels := []string{"www", "mail", "dev", "a.b", "deep.er.sub"}
@@ -45,6 +45,10 @@ func TestRandomOpsQuick(t *testing.T) {
 				return false
 			} else {
 				lastSerial = s
+			}
+			if !reflect.DeepEqual(z.below, rebuiltCounts(z)) {
+				t.Logf("after op %d: counts %v, rebuilt %v", i, z.below, rebuiltCounts(z))
+				return false
 			}
 			// Lookup/Get consistency for every known name.
 			for j := range labels {
@@ -77,6 +81,20 @@ func TestRandomOpsQuick(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// rebuiltCounts recomputes z.below from the owner names alone.
+func rebuiltCounts(z *Zone) map[dnsmsg.Name]int32 {
+	want := make(map[dnsmsg.Name]int32)
+	for owner := range z.rrsets {
+		for n := owner; ; n = n.Parent() {
+			want[n]++
+			if n == z.origin {
+				break
+			}
+		}
+	}
+	return want
 }
 
 // TestDelegationNeverShadowsApex: adding arbitrary delegations below the

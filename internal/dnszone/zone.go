@@ -9,7 +9,9 @@
 package dnszone
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,36 +70,108 @@ type Result struct {
 	// SOA is the zone's SOA record, populated for NoData and NXDomain so
 	// servers can fill the authority section.
 	SOA dnsmsg.RR
+	// Deps is what the result depends on, for Zone.Unchanged.
+	Deps Deps
+}
+
+// maxDeps bounds the owner names a Deps holds; an answer that read more
+// depends on the whole zone.
+const maxDeps = 4
+
+// Deps records which owner names a lookup's result depends on, by hash,
+// so a server can keep a stored answer across edits to other names (see
+// Zone.Unchanged). It holds no pointer. The zero value, like any result
+// that read more than maxDeps names, depends on the whole zone.
+type Deps struct {
+	hash  [maxDeps]uint32
+	n     uint8
+	exact bool // hash[:n] are all the result depends on
+}
+
+// add records that the result read name's records.
+func (d *Deps) add(name dnsmsg.Name) {
+	if !d.exact {
+		return
+	}
+	h := nameHash(name)
+	for _, x := range d.hash[:d.n] {
+		if x == h {
+			return
+		}
+	}
+	if int(d.n) == maxDeps {
+		*d = Deps{}
+		return
+	}
+	d.hash[d.n] = h
+	d.n++
+}
+
+// AppendTo appends d's encoding, the form Zone.Unchanged takes, to dst:
+// four bytes per owner-name hash, none for a result that depends on the
+// whole zone. A server keeps it with its stored answer.
+func (d Deps) AppendTo(dst []byte) []byte {
+	if !d.exact {
+		return dst
+	}
+	for _, h := range d.hash[:d.n] {
+		dst = binary.LittleEndian.AppendUint32(dst, h)
+	}
+	return dst
+}
+
+// depSeed keys owner-name hashes; nothing outside the process sees them.
+var depSeed = maphash.MakeSeed()
+
+// nameHash is the key of name's change stamp. Two names with one hash
+// share a stamp, which can only make a stored answer look stale.
+func nameHash(name dnsmsg.Name) uint32 {
+	h := maphash.String(depSeed, string(name))
+	return uint32(h ^ h>>32)
 }
 
 // Zone holds the records of one DNS zone. It is safe for concurrent use.
 //
 // Every mutator bumps the serial after changing the records, under the
 // write lock: an unchanged serial means unchanged contents, and servers
-// reuse encoded answers on that premise. A new mutator must bump it too.
+// reuse encoded answers on that premise. Once a server has asked for the
+// serial through WatchSerial, each mutator also stamps the owner name it
+// changed with the new serial, so an answer that read only other names
+// stays valid (Unchanged). A new mutator must do both, through
+// changedLocked.
 type Zone struct {
 	origin dnsmsg.Name
 
 	// serial is read without the lock (Serial is an atomic load) and
 	// written only under mu.
 	serial atomic.Uint32
+	// watched turns on the change stamps; it is set before the serial
+	// an answer is checked against is read.
+	watched atomic.Bool
 
-	mu      sync.RWMutex
-	rrsets  map[dnsmsg.Name]map[dnsmsg.Type][]dnsmsg.RR
-	soa     dnsmsg.RR
-	hasNode map[dnsmsg.Name]bool // every name with records or with records below it
+	mu     sync.RWMutex
+	rrsets map[dnsmsg.Name]map[dnsmsg.Type][]dnsmsg.RR
+	soa    dnsmsg.RR
+	// below counts, for each name, the owner names at or below it that
+	// have records. A name is a node (it exists, if only as an empty
+	// non-terminal) when it is the origin or its count is positive.
+	below map[dnsmsg.Name]int32
+	// stamps maps an owner-name hash to the serial of the name's last
+	// change since watched was set, deleted names included. Answers
+	// older than floor are stale: forgetting stamps raises it.
+	stamps map[uint32]uint32
+	floor  uint32
 }
 
 // New creates a zone rooted at origin with the given SOA parameters.
 func New(origin dnsmsg.Name, soa dnsmsg.SOAData) *Zone {
 	z := &Zone{
-		origin:  origin,
-		rrsets:  make(map[dnsmsg.Name]map[dnsmsg.Type][]dnsmsg.RR),
-		hasNode: make(map[dnsmsg.Name]bool),
+		origin: origin,
+		rrsets: make(map[dnsmsg.Name]map[dnsmsg.Type][]dnsmsg.RR),
+		below:  make(map[dnsmsg.Name]int32),
 	}
 	z.serial.Store(soa.Serial)
 	z.soa = dnsmsg.RR{Name: origin, Class: dnsmsg.ClassIN, TTL: soaTTL, Data: soa}
-	z.markNodesLocked(origin)
 	return z
 }
 
@@ -107,6 +181,43 @@ func (z *Zone) Origin() dnsmsg.Name { return z.origin }
 // Serial returns the zone's current SOA serial. It takes no lock.
 func (z *Zone) Serial() uint32 {
 	return z.serial.Load()
+}
+
+// WatchSerial is Serial for a caller that will check an answer computed
+// from now on with Unchanged: it turns on the per-owner change stamps
+// first, so every edit after the serial it returns is stamped.
+func (z *Zone) WatchSerial() uint32 {
+	if !z.watched.Load() {
+		z.watched.Store(true)
+	}
+	return z.serial.Load()
+}
+
+// Unchanged reports whether a result looked up after WatchSerial
+// returned serial, with dependencies deps (its Deps as AppendTo encodes
+// them), is still the zone's answer: the serial has not moved, or none
+// of the owners the result depends on has changed since. A deleted name
+// counts as changed. It also returns the current serial, read in the
+// same critical section, at which the result is known to hold.
+//
+// Negative results (NODATA, NXDOMAIN) carry the SOA, and with it the
+// serial, so they depend on the whole zone: their deps are empty.
+func (z *Zone) Unchanged(serial uint32, deps []byte) (uint32, bool) {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	cur := z.serial.Load()
+	if cur == serial {
+		return cur, true
+	}
+	if len(deps) == 0 || !z.watched.Load() || serial < z.floor {
+		return cur, false
+	}
+	for ; len(deps) >= 4; deps = deps[4:] {
+		if z.stamps[binary.LittleEndian.Uint32(deps)] > serial {
+			return cur, false
+		}
+	}
+	return cur, true
 }
 
 // SOA returns the zone's SOA record with the current serial.
@@ -137,14 +248,9 @@ func (z *Zone) Add(rr dnsmsg.RR) error {
 	}
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	sets, ok := z.rrsets[rr.Name]
-	if !ok {
-		sets = make(map[dnsmsg.Type][]dnsmsg.RR)
-		z.rrsets[rr.Name] = sets
-	}
+	sets := z.ownerLocked(rr.Name)
 	sets[rr.Type()] = append(sets[rr.Type()], rr)
-	z.markNodesLocked(rr.Name)
-	z.serial.Add(1)
+	z.changedLocked(rr.Name)
 	return nil
 }
 
@@ -171,15 +277,9 @@ func (z *Zone) Set(name dnsmsg.Name, t dnsmsg.Type, rrs ...dnsmsg.RR) error {
 	if len(rrs) == 0 {
 		z.removeLocked(name, t)
 	} else {
-		sets, ok := z.rrsets[name]
-		if !ok {
-			sets = make(map[dnsmsg.Type][]dnsmsg.RR)
-			z.rrsets[name] = sets
-		}
-		sets[t] = append([]dnsmsg.RR(nil), rrs...)
-		z.markNodesLocked(name)
+		z.ownerLocked(name)[t] = append([]dnsmsg.RR(nil), rrs...)
 	}
-	z.serial.Add(1)
+	z.changedLocked(name)
 	return nil
 }
 
@@ -188,16 +288,18 @@ func (z *Zone) Remove(name dnsmsg.Name, t dnsmsg.Type) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	z.removeLocked(name, t)
-	z.serial.Add(1)
+	z.changedLocked(name)
 }
 
 // RemoveName deletes every RRset at name and bumps the serial.
 func (z *Zone) RemoveName(name dnsmsg.Name) {
 	z.mu.Lock()
 	defer z.mu.Unlock()
-	delete(z.rrsets, name)
-	z.rebuildNodesLocked()
-	z.serial.Add(1)
+	if _, ok := z.rrsets[name]; ok {
+		delete(z.rrsets, name)
+		z.countLocked(name, -1)
+	}
+	z.changedLocked(name)
 }
 
 func (z *Zone) removeLocked(name dnsmsg.Name, t dnsmsg.Type) {
@@ -208,16 +310,32 @@ func (z *Zone) removeLocked(name dnsmsg.Name, t dnsmsg.Type) {
 	delete(sets, t)
 	if len(sets) == 0 {
 		delete(z.rrsets, name)
+		z.countLocked(name, -1)
 	}
-	z.rebuildNodesLocked()
 }
 
-// markNodesLocked records name and every ancestor up to the origin as
-// existing nodes (empty non-terminals), so NXDOMAIN vs NODATA is decided
-// correctly.
-func (z *Zone) markNodesLocked(name dnsmsg.Name) {
+// ownerLocked returns name's RRsets, creating them (and counting the new
+// owner) if name has none.
+func (z *Zone) ownerLocked(name dnsmsg.Name) map[dnsmsg.Type][]dnsmsg.RR {
+	sets, ok := z.rrsets[name]
+	if !ok {
+		sets = make(map[dnsmsg.Type][]dnsmsg.RR)
+		z.rrsets[name] = sets
+		z.countLocked(name, 1)
+	}
+	return sets
+}
+
+// countLocked adds delta to the owner count of name and of every ancestor
+// up to the origin, so NXDOMAIN vs NODATA (empty non-terminals) is decided
+// correctly without a walk over the zone.
+func (z *Zone) countLocked(name dnsmsg.Name, delta int32) {
 	for {
-		z.hasNode[name] = true
+		if c := z.below[name] + delta; c > 0 {
+			z.below[name] = c
+		} else {
+			delete(z.below, name)
+		}
 		if name == z.origin || name.IsRoot() {
 			return
 		}
@@ -225,13 +343,27 @@ func (z *Zone) markNodesLocked(name dnsmsg.Name) {
 	}
 }
 
-func (z *Zone) rebuildNodesLocked() {
-	z.hasNode = make(map[dnsmsg.Name]bool)
-	z.markNodesLocked(z.origin)
-	for name := range z.rrsets {
-		z.markNodesLocked(name)
+// changedLocked bumps the serial after a change to name's records and,
+// once the zone is watched, stamps name with the new serial. When the
+// stamps outnumber twice the zone's owners, most belong to deleted names:
+// they are forgotten, and answers older than this change go stale.
+func (z *Zone) changedLocked(name dnsmsg.Name) {
+	serial := z.serial.Add(1)
+	if !z.watched.Load() {
+		return
 	}
+	if len(z.stamps) >= 2*len(z.rrsets)+minStamps {
+		clear(z.stamps)
+		z.floor = serial
+	}
+	if z.stamps == nil {
+		z.stamps = make(map[uint32]uint32)
+	}
+	z.stamps[nameHash(name)] = serial
 }
+
+// minStamps is how many stamps a zone keeps regardless of its size.
+const minStamps = 1024
 
 // Get returns a copy of the RRset at (name, type).
 func (z *Zone) Get(name dnsmsg.Name, t dnsmsg.Type) []dnsmsg.RR {
@@ -275,6 +407,15 @@ func (z *Zone) Lookup(qname dnsmsg.Name, qtype dnsmsg.Type) Result {
 // res.Glue are truncated and re-filled, so a reused Result stops
 // allocating once its slices have grown to the zone's answer sizes. The
 // record values are copies; they remain valid across later zone mutation.
+//
+// res.Deps names every owner whose records the lookup read, which is all
+// a positive result depends on:
+//   - the names the cut search visits: qname and its ancestors below the
+//     origin, top-down to the cut if there is one;
+//   - for a referral, the cut's in-zone NS hosts (the glue);
+//   - for an in-zone CNAME chain, qname and every chased target.
+//
+// NODATA and NXDOMAIN carry the SOA serial and depend on the whole zone.
 func (z *Zone) LookupInto(qname dnsmsg.Name, qtype dnsmsg.Type, res *Result) {
 	if !z.contains(qname) {
 		panic(fmt.Sprintf("dnszone: lookup of %s outside zone %s", qname, z.origin))
@@ -282,25 +423,29 @@ func (z *Zone) LookupInto(qname dnsmsg.Name, qtype dnsmsg.Type, res *Result) {
 	res.Records = res.Records[:0]
 	res.Glue = res.Glue[:0]
 	res.SOA = dnsmsg.RR{}
+	deps := &res.Deps
+	*deps = Deps{exact: true}
 
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 
 	// Delegation check: walk from the closest ancestor below the apex
 	// toward qname; an NS RRset not at the apex is a zone cut.
-	if cut, ok := z.findCutLocked(qname); ok {
+	if cut, ok := z.findCutLocked(qname, deps); ok {
 		ns := z.rrsets[cut][dnsmsg.TypeNS]
 		res.Kind = KindReferral
 		res.Records = append(res.Records, ns...)
 		for _, rr := range ns {
 			host := rr.Data.(dnsmsg.NSData).Host
 			if z.contains(host) {
+				deps.add(host)
 				res.Glue = append(res.Glue, z.rrsets[host][dnsmsg.TypeA]...)
 			}
 		}
 		return
 	}
 
+	deps.add(qname)
 	sets := z.rrsets[qname]
 
 	// CNAME handling: an alias answers every type except its own.
@@ -314,6 +459,7 @@ func (z *Zone) LookupInto(qname dnsmsg.Name, qtype dnsmsg.Type, res *Result) {
 		cur := cname[0].Data.(dnsmsg.CNAMEData).Target
 		for z.contains(cur) && !nameIn(seen, cur) && len(seen) < maxCNAMEChase {
 			seen = append(seen, cur)
+			deps.add(cur)
 			curSets := z.rrsets[cur]
 			if next, ok := curSets[dnsmsg.TypeCNAME]; ok {
 				res.Records = append(res.Records, next...)
@@ -331,7 +477,8 @@ func (z *Zone) LookupInto(qname dnsmsg.Name, qtype dnsmsg.Type, res *Result) {
 		res.Records = append(res.Records, rrs...)
 		return
 	}
-	if z.hasNode[qname] {
+	*deps = Deps{}
+	if qname == z.origin || z.below[qname] > 0 {
 		res.Kind = KindNoData
 		res.SOA = z.soaLocked()
 		return
@@ -354,8 +501,9 @@ func nameIn(names []dnsmsg.Name, n dnsmsg.Name) bool {
 // findCutLocked looks for a delegation NS RRset strictly between the apex
 // (exclusive) and qname (inclusive only when qtype would be below it; per
 // RFC 1034 a query exactly at the cut for NS is still a referral from the
-// parent side, which is the behaviour we want for TLD servers).
-func (z *Zone) findCutLocked(qname dnsmsg.Name) (dnsmsg.Name, bool) {
+// parent side, which is the behaviour we want for TLD servers). It adds
+// each name it visits to deps.
+func (z *Zone) findCutLocked(qname dnsmsg.Name, deps *Deps) (dnsmsg.Name, bool) {
 	// Chain of names from apex child down to qname; the array backs a
 	// stack-allocated slice for any realistic label depth.
 	var chainArr [24]dnsmsg.Name
@@ -366,6 +514,7 @@ func (z *Zone) findCutLocked(qname dnsmsg.Name) (dnsmsg.Name, bool) {
 	// Walk top-down (apex child first).
 	for i := len(chain) - 1; i >= 0; i-- {
 		n := chain[i]
+		deps.add(n)
 		if sets, ok := z.rrsets[n]; ok {
 			if _, hasNS := sets[dnsmsg.TypeNS]; hasNS {
 				return n, true

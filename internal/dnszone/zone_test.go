@@ -1,7 +1,10 @@
 package dnszone
 
 import (
+	"fmt"
 	"net/netip"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,31 +236,37 @@ func TestSerialBumpsOnMutation(t *testing.T) {
 }
 
 // TestEveryMutatorBumpsSerial pins the premise servers memoize answers
-// on: a zone whose serial has not moved has not changed. Each mutator,
-// including the no-op forms, must move it.
+// on: a zone whose serial has not moved has not changed, and once the
+// zone is watched, an owner whose stamp has not moved has not changed.
+// Each mutator, including the no-op forms, must move both.
 func TestEveryMutatorBumpsSerial(t *testing.T) {
 	www := dnsmsg.Name("www.example.com")
+	nope := dnsmsg.Name("nope.example.com")
 	a1 := dnsmsg.NewA(www, time.Minute, addr("10.0.0.1"))
 	a2 := dnsmsg.NewA(www, time.Minute, addr("10.0.0.2"))
 	mutators := []struct {
-		name string
-		do   func(z *Zone) error
+		name  string
+		owner dnsmsg.Name
+		do    func(z *Zone) error
 	}{
-		{"Add", func(z *Zone) error { return z.Add(a2) }},
-		{"MustAdd", func(z *Zone) error { z.MustAdd(a2); return nil }},
-		{"Set", func(z *Zone) error { return z.Set(www, dnsmsg.TypeA, a2) }},
-		{"Set/empty", func(z *Zone) error { return z.Set(www, dnsmsg.TypeA) }},
-		{"Set/empty-absent", func(z *Zone) error { return z.Set("nope.example.com", dnsmsg.TypeA) }},
-		{"Remove", func(z *Zone) error { z.Remove(www, dnsmsg.TypeA); return nil }},
-		{"Remove/absent", func(z *Zone) error { z.Remove(www, dnsmsg.TypeMX); return nil }},
-		{"RemoveName", func(z *Zone) error { z.RemoveName(www); return nil }},
-		{"RemoveName/absent", func(z *Zone) error { z.RemoveName("nope.example.com"); return nil }},
+		{"Add", www, func(z *Zone) error { return z.Add(a2) }},
+		{"MustAdd", www, func(z *Zone) error { z.MustAdd(a2); return nil }},
+		{"Set", www, func(z *Zone) error { return z.Set(www, dnsmsg.TypeA, a2) }},
+		{"Set/empty", www, func(z *Zone) error { return z.Set(www, dnsmsg.TypeA) }},
+		{"Set/empty-absent", nope, func(z *Zone) error { return z.Set(nope, dnsmsg.TypeA) }},
+		{"Remove", www, func(z *Zone) error { z.Remove(www, dnsmsg.TypeA); return nil }},
+		{"Remove/absent", www, func(z *Zone) error { z.Remove(www, dnsmsg.TypeMX); return nil }},
+		{"RemoveName", www, func(z *Zone) error { z.RemoveName(www); return nil }},
+		{"RemoveName/absent", nope, func(z *Zone) error { z.RemoveName(nope); return nil }},
 	}
 	for _, m := range mutators {
 		t.Run(m.name, func(t *testing.T) {
 			z := newTestZone(t)
 			z.MustAdd(a1)
-			before := z.Serial()
+			before := z.WatchSerial()
+			owner, other := Deps{exact: true}, Deps{exact: true}
+			owner.add(m.owner)
+			other.add("other.example.com")
 			if err := m.do(z); err != nil {
 				t.Fatal(err)
 			}
@@ -267,7 +276,103 @@ func TestEveryMutatorBumpsSerial(t *testing.T) {
 			if got := z.SOA().Data.(dnsmsg.SOAData).Serial; got != z.Serial() {
 				t.Fatalf("SOA serial %d != zone serial %d", got, z.Serial())
 			}
+			if got := z.stamps[nameHash(m.owner)]; got != z.Serial() {
+				t.Fatalf("%s stamped %s with %d, want serial %d", m.name, m.owner, got, z.Serial())
+			}
+			if len(z.stamps) != 1 {
+				t.Fatalf("%s left %d stamps, want 1", m.name, len(z.stamps))
+			}
+			if _, ok := z.Unchanged(before, owner.AppendTo(nil)); ok {
+				t.Fatalf("%s: a result that read %s still counts as unchanged", m.name, m.owner)
+			}
+			if _, ok := z.Unchanged(before, other.AppendTo(nil)); !ok {
+				t.Fatalf("%s: a result that read only other.example.com went stale", m.name)
+			}
 		})
+	}
+}
+
+// TestLookupDeps pins the dependency rule next to LookupInto: which
+// edits leave a result Unchanged and which make it stale.
+func TestLookupDeps(t *testing.T) {
+	newCom := func() *Zone {
+		z := New("com", dnsmsg.SOAData{MName: "a.gtld", RName: "hostmaster.com", Serial: 1})
+		z.MustAdd(dnsmsg.NewNS("example.com", time.Hour, "ns1.cloudflare.com"))
+		z.MustAdd(dnsmsg.NewNS("example.com", time.Hour, "ns.elsewhere.net"))
+		z.MustAdd(dnsmsg.NewA("ns1.cloudflare.com", time.Hour, addr("10.1.1.1")))
+		z.MustAdd(dnsmsg.NewNS("other.com", time.Hour, "ns.other.com"))
+		z.MustAdd(dnsmsg.NewA("ns.other.com", time.Hour, addr("10.2.2.2")))
+		z.MustAdd(dnsmsg.NewCNAME("www.alias.com", time.Minute, "edge.alias.com"))
+		z.MustAdd(dnsmsg.NewCNAME("edge.alias.com", time.Minute, "host.alias.com"))
+		z.MustAdd(dnsmsg.NewA("host.alias.com", time.Minute, addr("10.3.3.3")))
+		z.MustAdd(dnsmsg.NewA("a.b.plain.com", time.Minute, addr("10.4.4.4")))
+		return z
+	}
+	a := func(name dnsmsg.Name) func(z *Zone) {
+		return func(z *Zone) { z.MustAdd(dnsmsg.NewA(name, time.Minute, addr("10.9.9.9"))) }
+	}
+	queries := []dnsmsg.Name{"www.example.com", "www.alias.com", "a.b.plain.com", "missing.com"}
+	edits := []struct {
+		name  string
+		edit  func(z *Zone)
+		stale []dnsmsg.Name // the queries whose results the edit changes
+	}{
+		{"unrelated owner", a("unrelated.com"), []dnsmsg.Name{"missing.com"}},
+		{"other cut's glue", a("ns.other.com"), []dnsmsg.Name{"missing.com"}},
+		{"the cut", func(z *Zone) { z.Remove("example.com", dnsmsg.TypeNS) }, []dnsmsg.Name{"www.example.com", "missing.com"}},
+		{"sibling glue", a("ns1.cloudflare.com"), []dnsmsg.Name{"www.example.com", "missing.com"}},
+		{"deleted glue", func(z *Zone) { z.RemoveName("ns1.cloudflare.com") }, []dnsmsg.Name{"www.example.com", "missing.com"}},
+		{"below the cut", a("www.example.com"), []dnsmsg.Name{"missing.com"}},
+		{"ancestor", func(z *Zone) { z.MustAdd(dnsmsg.NewNS("b.plain.com", time.Hour, "ns.x.net")) }, []dnsmsg.Name{"a.b.plain.com", "missing.com"}},
+		{"CNAME target", a("host.alias.com"), []dnsmsg.Name{"www.alias.com", "missing.com"}},
+		{"apex", a("com"), []dnsmsg.Name{"missing.com"}},
+	}
+	for _, e := range edits {
+		t.Run(e.name, func(t *testing.T) {
+			z := newCom()
+			serial := z.WatchSerial()
+			before := make([]Result, len(queries))
+			for i, q := range queries {
+				before[i] = z.Lookup(q, dnsmsg.TypeA)
+			}
+			e.edit(z)
+			for i, q := range queries {
+				_, unchanged := z.Unchanged(serial, before[i].Deps.AppendTo(nil))
+				if want := !nameIn(e.stale, q); unchanged != want {
+					t.Errorf("%s: Unchanged = %v, want %v", q, unchanged, want)
+				}
+				if unchanged && !reflect.DeepEqual(z.Lookup(q, dnsmsg.TypeA), before[i]) {
+					t.Errorf("%s: counted unchanged, but its result changed", q)
+				}
+			}
+		})
+	}
+}
+
+// TestStampsBounded: stamps of deleted names are kept until they outnumber
+// twice the zone's owners, then forgotten, which makes every older result
+// stale.
+func TestStampsBounded(t *testing.T) {
+	z := newTestZone(t)
+	z.MustAdd(dnsmsg.NewA("www.example.com", time.Minute, addr("10.0.0.1")))
+	serial := z.WatchSerial()
+	www := z.Lookup("www.example.com", dnsmsg.TypeA)
+	for i := 0; i < 3*minStamps; i++ {
+		name := dnsmsg.MustParseName(fmt.Sprintf("h%d.example.com", i))
+		z.MustAdd(dnsmsg.NewA(name, time.Minute, addr("10.0.0.2")))
+		z.RemoveName(name)
+		if len(z.stamps) > 2*len(z.rrsets)+minStamps {
+			t.Fatalf("after %d names: %d stamps for %d owners", i+1, len(z.stamps), len(z.rrsets))
+		}
+	}
+	if _, ok := z.Unchanged(serial, www.Deps.AppendTo(nil)); ok {
+		t.Fatal("a result older than forgotten stamps still counts as unchanged")
+	}
+	serial = z.Serial()
+	www = z.Lookup("www.example.com", dnsmsg.TypeA)
+	z.MustAdd(dnsmsg.NewA("mail.example.com", time.Minute, addr("10.0.0.3")))
+	if _, ok := z.Unchanged(serial, www.Deps.AppendTo(nil)); !ok {
+		t.Fatal("a result newer than the forgotten stamps went stale on an unrelated edit")
 	}
 }
 
@@ -299,4 +404,45 @@ func TestResultKindString(t *testing.T) {
 			t.Errorf("kind %d has empty String()", int(k))
 		}
 	}
+}
+
+// TestUnchangedConcurrent checks results against edits made while they
+// are checked; run it under -race. Edits to other owners never make a
+// referral stale, and lookups racing the edits see consistent zones.
+func TestUnchangedConcurrent(t *testing.T) {
+	z := New("com", dnsmsg.SOAData{MName: "a.gtld", RName: "hostmaster.com", Serial: 1})
+	z.MustAdd(dnsmsg.NewNS("example.com", time.Hour, "ns1.cloudflare.com"))
+	z.MustAdd(dnsmsg.NewA("ns1.cloudflare.com", time.Hour, addr("10.1.1.1")))
+	serial := z.WatchSerial()
+	deps := z.Lookup("www.example.com", dnsmsg.TypeA).Deps.AppendTo(nil)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var scratch Result
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, ok := z.Unchanged(serial, deps); !ok {
+					t.Error("an edit to another delegation made the referral stale")
+					return
+				}
+				z.LookupInto("www.d7.com", dnsmsg.TypeA, &scratch)
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		name := dnsmsg.MustParseName(fmt.Sprintf("d%d.com", i%50))
+		z.MustAdd(dnsmsg.NewNS(name, time.Hour, "ns.elsewhere.net"))
+		if i%3 == 0 {
+			z.RemoveName(name)
+		}
+	}
+	close(done)
+	wg.Wait()
 }

@@ -30,6 +30,7 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	declared map[metricKey]bool // metrics a component registers on first use
 	tracer   *Tracer
 }
 
@@ -39,8 +40,59 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
+		declared: make(map[metricKey]bool),
 		tracer:   NewTracer(0),
 	}
+}
+
+// metricKind tells counters, gauges and histograms of one name apart.
+type metricKind uint8
+
+const (
+	counterKind metricKind = iota
+	gaugeKind
+	histogramKind
+)
+
+type metricKey struct {
+	kind metricKind
+	name string
+}
+
+// DeclareCounters records that the caller publishes the named counters,
+// although it registers each only when it first counts something, so
+// Restore brings their checkpointed values back. Nil-safe.
+func (r *Registry) DeclareCounters(names ...string) { r.declare(counterKind, names) }
+
+// DeclareHistograms is DeclareCounters for histograms.
+func (r *Registry) DeclareHistograms(names ...string) { r.declare(histogramKind, names) }
+
+func (r *Registry) declare(kind metricKind, names []string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, name := range names {
+		r.declared[metricKey{kind, name}] = true
+	}
+}
+
+// publishes reports whether the program publishes the named metric of
+// the given kind: it is registered, or declared, as that kind.
+func (r *Registry) publishes(kind metricKind, name string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var ok bool
+	switch kind {
+	case counterKind:
+		_, ok = r.counters[name]
+	case gaugeKind:
+		_, ok = r.gauges[name]
+	case histogramKind:
+		_, ok = r.hists[name]
+	}
+	return ok || r.declared[metricKey{kind, name}]
 }
 
 // Counter returns the named counter, creating it deterministic (the
@@ -151,19 +203,29 @@ func (r *Registry) Snapshot() Snapshot {
 // interrupted run's accounting stopped. Metrics already registered keep
 // their identity (handles held by components stay live); metrics absent
 // from the snapshot are left untouched. Nil-safe.
+//
+// Only metrics the running program publishes come back: those registered
+// or declared under the same name and kind. A snapshot written by an
+// older binary can carry metrics since retired or re-kinded; they are
+// dropped rather than reported beside their successors.
 func (r *Registry) Restore(s Snapshot) {
 	if r == nil {
 		return
 	}
 	for name, v := range s.Counters {
-		c := r.counter(name, s.Volatile[name])
-		c.v.Store(v)
+		if r.publishes(counterKind, name) {
+			r.counter(name, s.Volatile[name]).v.Store(v)
+		}
 	}
 	for name, v := range s.Gauges {
-		r.Gauge(name).Set(v)
+		if r.publishes(gaugeKind, name) {
+			r.Gauge(name).Set(v)
+		}
 	}
 	for name, hs := range s.Histograms {
-		r.histogram(name, s.Volatile[name]).restore(hs)
+		if r.publishes(histogramKind, name) {
+			r.histogram(name, s.Volatile[name]).restore(hs)
+		}
 	}
 }
 
