@@ -1,6 +1,8 @@
 // Command rrserve is the residual-resolution lookup service: it loads a
 // campaign checkpoint directory (written by dpsmeasure or rrscan with
-// -checkpoint-dir) and answers exposure queries over HTTP.
+// -checkpoint-dir) — its newest sealed round, checkpoint plus WAL — and
+// answers exposure queries over HTTP. With -follow it keeps polling the
+// directory and swaps in each round the writing campaign seals.
 //
 //	GET /v1/domain/{apex}          current verdict + hidden records
 //	GET /v1/domain/{apex}/history  record chain, detections, pause windows
@@ -10,8 +12,9 @@
 //	GET /healthz                   liveness (never authenticated)
 //
 // Authentication is by API key (-api-keys), rate limiting by per-key
-// token bucket (-rate/-burst). SIGINT/SIGTERM shut down gracefully,
-// draining in-flight requests up to -drain.
+// token bucket (-rate/-burst; one shared bucket without -api-keys).
+// SIGINT/SIGTERM shut down gracefully, draining in-flight requests up
+// to -drain.
 package main
 
 import (
@@ -30,10 +33,10 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8173", "listen address (host:port; :0 picks a free port)")
 	dir := flag.String("checkpoint-dir", "", "campaign checkpoint directory to serve (read-only); required")
 	keys := flag.String("api-keys", "", "comma-separated accepted API keys; empty disables authentication")
-	rate := flag.Float64("rate", 50, "per-key request budget in requests/second (0 disables rate limiting)")
+	rate := flag.Float64("rate", 50, "per-key request budget in requests/second, shared by all clients without -api-keys (0 disables rate limiting)")
 	burst := flag.Int("burst", 100, "per-key burst allowance on top of -rate")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight requests")
-	follow := flag.Bool("follow", false, "tail -checkpoint-dir for new sealed rounds and swap epochs as they land (serve a live campaign)")
+	follow := flag.Bool("follow", false, "keep polling -checkpoint-dir and swap in each round the writing campaign seals")
 	poll := flag.Duration("poll", time.Second, "with -follow: how often to poll the checkpoint directory")
 	flag.Parse()
 
@@ -56,34 +59,28 @@ func main() {
 		}
 	}
 
-	var src serve.Source
+	src, err := serve.OpenCheckpoint(*dir)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rrserve: %v\n", err)
+		os.Exit(1)
+	}
+	epoch, ok := src.Epoch()
+	if !ok && !*follow {
+		fmt.Fprintf(os.Stderr, "rrserve: no sealed campaign state in %s\n", *dir)
+		os.Exit(1)
+	}
+	mode := "loaded"
 	if *follow {
-		fs, err := serve.OpenFollow(*dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rrserve: %v\n", err)
-			os.Exit(1)
-		}
-		fs.Start(*poll)
-		defer fs.Close()
-		if epoch, ok := fs.Epoch(); ok {
-			day, _ := epoch.View.LatestDay()
-			fmt.Printf("rrserve: following %s (%s campaign, day %d, %d apexes; poll %v)\n",
-				*dir, epoch.State.Kind, day, epoch.View.Stats().Apexes, *poll)
-		} else {
-			fmt.Printf("rrserve: following %s (no sealed rounds yet; poll %v)\n", *dir, *poll)
-		}
-		src = fs
-	} else {
-		cs, err := serve.OpenCheckpoint(*dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rrserve: %v\n", err)
-			os.Exit(1)
-		}
-		epoch, _ := cs.Epoch()
+		src.Start(*poll)
+		defer src.Close()
+		mode = fmt.Sprintf("following (poll %v)", *poll)
+	}
+	if ok {
 		day, _ := epoch.View.LatestDay()
-		fmt.Printf("rrserve: loaded checkpoint %d from %s (%s campaign, day %d, %d apexes)\n",
-			cs.Label(), *dir, epoch.State.Kind, day, epoch.View.Stats().Apexes)
-		src = cs
+		fmt.Printf("rrserve: %s %s: %s campaign, day %d, %d apexes\n",
+			mode, *dir, epoch.State.Kind, day, epoch.View.Stats().Apexes)
+	} else {
+		fmt.Printf("rrserve: %s %s: no sealed rounds yet\n", mode, *dir)
 	}
 	if len(apiKeys) == 0 {
 		fmt.Println("rrserve: warning: no -api-keys, serving unauthenticated")
@@ -105,7 +102,7 @@ func main() {
 		close(stop)
 	}()
 
-	err := srv.ListenAndServe(*addr, stop, *drain, func(bound string) {
+	err = srv.ListenAndServe(*addr, stop, *drain, func(bound string) {
 		fmt.Printf("rrserve: serving on http://%s\n", bound)
 	})
 	if err != nil {

@@ -35,6 +35,12 @@
 // pipeline survives only in the tests, as the reference the streaming
 // pipeline is checked against.
 //
+// The lookup service (internal/serve, cmd/rrserve) answers exposure
+// queries over HTTP from a campaign's checkpoint directory. Every epoch
+// it serves is rebuilt with the campaigns' own recovery rule (newest
+// checkpoint plus the sealed WAL rounds after it), loaded once or
+// refreshed while another process keeps writing the directory.
+//
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
 // The benchmark harness in bench_test.go regenerates every table and

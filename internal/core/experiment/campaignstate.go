@@ -81,7 +81,7 @@ func (c CampaignState) WorldDay() int {
 }
 
 // DecodeCampaignState decodes the campaign blob a snapdisk checkpoint
-// (or an OnSeal hook) carries. It accepts both cursor kinds; anything
+// or WAL footer carries. It accepts both cursor kinds; anything
 // else — including a blob from a newer format — is an error, never a
 // silently empty state.
 func DecodeCampaignState(blob []byte) (CampaignState, error) {

@@ -3,74 +3,38 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"slices"
 	"testing"
 
-	"rrdps/internal/core/collect"
 	"rrdps/internal/snapdisk"
-	"rrdps/internal/snapstore"
 )
 
-// TestDynamicsOnSealMatchesCheckpoint pins the live/checkpoint
-// equivalence the lookup service builds on: the blob and view the last
-// OnSeal hook hands a live consumer are exactly what the final on-disk
-// checkpoint carries — byte-identical cursor, value-identical store.
-func TestDynamicsOnSealMatchesCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	var views []*snapstore.View
-	var blobs [][]byte
-	Dynamics{
-		World:         dynamicsWorld(200, 8201),
-		Days:          5,
-		CheckpointDir: dir,
-		OnSeal: func(v *snapstore.View, blob []byte) {
-			views = append(views, v)
-			blobs = append(blobs, blob)
-		},
-	}.Run()
-
-	if len(views) != 5 {
-		t.Fatalf("OnSeal fired %d times, want once per day (5)", len(views))
-	}
+// latestCampaignBlob returns the campaign blob of dir's newest
+// checkpoint.
+func latestCampaignBlob(t *testing.T, dir string) []byte {
+	t.Helper()
 	d, err := snapdisk.OpenDirReadOnly(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, campaign, _, ok, err := d.LatestCheckpoint()
+	_, campaign, _, ok, err := d.LatestCheckpoint()
 	if err != nil || !ok {
 		t.Fatalf("LatestCheckpoint: ok=%v err=%v", ok, err)
 	}
-	last := len(views) - 1
-	if !bytes.Equal(blobs[last], campaign) {
-		t.Fatalf("last OnSeal blob differs from final checkpoint campaign blob:\n%s\nvs\n%s", blobs[last], campaign)
-	}
-	loaded, err := snapstore.FromState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	day, ok := views[last].LatestDay()
-	if !ok {
-		t.Fatal("last view has no days")
-	}
-	if lday, _ := loaded.LatestDay(); lday != day {
-		t.Fatalf("checkpoint latest day %d != view latest day %d", lday, day)
-	}
-	var want, got []collect.Record
-	for cur := loaded.Cursor(day); cur.Next(); {
-		want = append(want, cur.Record())
-	}
-	for cur := views[last].Cursor(day); cur.Next(); {
-		got = append(got, cur.Record())
-	}
-	if len(got) == 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("view day %d (%d records) differs from checkpoint (%d records)", day, len(got), len(want))
-	}
+	return campaign
+}
 
-	// Every hook's blob must decode as a dynamics campaign state whose
-	// day index advances with the rounds.
-	for i, blob := range blobs {
-		cs, err := DecodeCampaignState(blob)
+// TestDynamicsCheckpointStateDecodes pins what the lookup service reads
+// from a dynamics campaign: every sealed round's cursor decodes as a
+// dynamics state whose day index advances with the rounds, and a forced
+// checkpoint carries the last round's cursor byte for byte.
+func TestDynamicsCheckpointStateDecodes(t *testing.T) {
+	dir := t.TempDir()
+	en := Dynamics{World: dynamicsWorld(200, 8201), CheckpointDir: dir}.NewEngine()
+	defer en.Close()
+	for i := 0; i < 5; i++ {
+		en.AppendDay()
+		cs, err := DecodeCampaignState(en.log.footer)
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
@@ -81,9 +45,14 @@ func TestDynamicsOnSealMatchesCheckpoint(t *testing.T) {
 			t.Fatalf("round %d: NextDay=%d, want %d", i, cs.Dynamics.NextDay, i+1)
 		}
 	}
-	assertCursorKeys(t, blobs[last], "adoptions", "base_stats", "breakdowns", "have_tracker", "health",
+	en.Checkpoint()
+	blob := latestCampaignBlob(t, dir)
+	if !bytes.Equal(blob, en.log.footer) {
+		t.Fatalf("final checkpoint blob differs from the last round's cursor:\n%s\nvs\n%s", blob, en.log.footer)
+	}
+	assertCursorKeys(t, blob, "adoptions", "base_stats", "breakdowns", "have_tracker", "health",
 		"kind", "net", "next_day", "obs", "rand_draws", "tracker", "unchanged", "world_day")
-	final, _ := DecodeCampaignState(blobs[last])
+	final, _ := DecodeCampaignState(blob)
 	if len(final.Dynamics.Adoptions) == 0 {
 		t.Fatal("final state carries no adoptions")
 	}
@@ -92,32 +61,23 @@ func TestDynamicsOnSealMatchesCheckpoint(t *testing.T) {
 	}
 }
 
-// TestResidualOnSealDecodes checks the residual cursor round-trips
-// through DecodeCampaignState with its weekly products intact, without
-// requiring a checkpoint directory (a live-only consumer).
-func TestResidualOnSealDecodes(t *testing.T) {
-	var lastBlob []byte
-	rounds := 0
+// TestResidualCheckpointStateDecodes checks the residual cursor
+// round-trips through DecodeCampaignState with its weekly products
+// intact.
+func TestResidualCheckpointStateDecodes(t *testing.T) {
+	dir := t.TempDir()
 	res := Residual{
-		World:      residualWorld(200, 8301),
-		Weeks:      2,
-		WarmupDays: 7,
-		OnSeal: func(v *snapstore.View, blob []byte) {
-			rounds++
-			lastBlob = blob
-			if _, ok := v.LatestDay(); !ok {
-				t.Error("OnSeal view has no sealed days")
-			}
-		},
+		World:         residualWorld(200, 8301),
+		Weeks:         2,
+		WarmupDays:    7,
+		CheckpointDir: dir,
 	}.Run()
 
-	if rounds != 3 { // one warm-up round + two weeks
-		t.Fatalf("OnSeal fired %d times, want 3", rounds)
-	}
-	assertCursorKeys(t, lastBlob, "base_stats", "cf_exposure", "cloudflare", "cname_lib", "health",
+	blob := latestCampaignBlob(t, dir)
+	assertCursorKeys(t, blob, "base_stats", "cf_exposure", "cloudflare", "cname_lib", "health",
 		"inc_exposure", "incapsula", "kind", "nameserver_count", "net", "next_week", "obs", "scanner",
 		"warmup_remaining", "world_day")
-	cs, err := DecodeCampaignState(lastBlob)
+	cs, err := DecodeCampaignState(blob)
 	if err != nil {
 		t.Fatal(err)
 	}

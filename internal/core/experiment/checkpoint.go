@@ -61,7 +61,6 @@ type roundLog struct {
 	// lastCkpt is the world day of the newest full checkpoint this
 	// process wrote, -1 before the first.
 	lastCkpt int
-	onSeal   func(*snapstore.View, []byte)
 	// day and recs are the round collect streamed last, kept for seal
 	// to log when no checkpoint is due. Records are immutable values.
 	day  int
@@ -81,8 +80,8 @@ type roundLog struct {
 // stale state from an earlier run must not leak into this one's
 // recovery — or, when resuming, recovers it. It returns the recovered
 // cursor blob, nil when there was nothing to resume.
-func (l *roundLog) open(dirPath string, every int, resume bool, window int, onSeal func(*snapstore.View, []byte)) []byte {
-	l.store, l.lastCkpt, l.onSeal = snapstore.New(), -1, onSeal
+func (l *roundLog) open(dirPath string, every int, resume bool, window int) []byte {
+	l.store, l.lastCkpt = snapstore.New(), -1
 	l.store.SetWindow(window)
 	if dirPath == "" {
 		return nil
@@ -152,24 +151,18 @@ func (l *roundLog) collect(day int, c *collect.Collector) {
 
 // seal closes a round with one durable write: a full checkpoint when the
 // cadence is due, otherwise a WAL day group of the round's records
-// sealed with its cursor footer. It then publishes the round to the
-// OnSeal hook. The cursor is only built when a WAL or the hook consumes
-// it. The decision waits for seal because a round's seal day (a Dynamics
+// sealed with its cursor footer. The cursor is only built with a WAL.
+// The decision waits for seal because a round's seal day (a Dynamics
 // round's jitter) is only known once it has advanced the world.
 func (l *roundLog) seal(worldDay int, cursor func() []byte) {
-	if l.wal == nil && l.onSeal == nil {
+	if l.wal == nil {
 		return
 	}
 	l.footer = cursor()
-	if l.wal != nil {
-		if l.lastCkpt < 0 || worldDay-l.lastCkpt >= l.every {
-			l.checkpoint(worldDay)
-		} else {
-			l.logRound()
-		}
-	}
-	if l.onSeal != nil {
-		l.onSeal(l.store.SealedView(), l.footer)
+	if l.lastCkpt < 0 || worldDay-l.lastCkpt >= l.every {
+		l.checkpoint(worldDay)
+	} else {
+		l.logRound()
 	}
 }
 

@@ -159,10 +159,6 @@ func (r DynamicsResult) TotalUnchangedRate() (joinResume, unchanged int, rate fl
 type Dynamics struct {
 	World *world.World
 	Days  int
-	// KeepMultiCDN disables the automatic exclusion of detected multi-CDN
-	// front-end customers (see DetectMultiCDN). The paper excludes them
-	// (§IV-B.3); keep them only to demonstrate the SWITCH noise they add.
-	KeepMultiCDN bool
 	// LongIntervalProb makes some snapshot gaps two days instead of one,
 	// modelling the paper's uneven 20-30h experiment intervals. Longer
 	// gaps aggregate more behaviours into one diff — the spike
@@ -217,15 +213,6 @@ type Dynamics struct {
 	// collected days and returns the partial result — the test hook that
 	// simulates a kill at a day boundary.
 	stopAfterDays int
-
-	// OnSeal, when non-nil, runs after every sealed collection round with
-	// an immutable view of the store's sealed days and the round's
-	// campaign-cursor blob — the same blob a checkpoint would carry, so a
-	// live consumer (the lookup service) sees exactly what a
-	// checkpoint-loaded one would. The hook runs on the campaign
-	// goroutine between Seal and the next BeginDay; the view and blob
-	// stay valid after it returns.
-	OnSeal func(*snapstore.View, []byte)
 }
 
 // _multiCDNSubstrings identify multi-CDN front-end aliases in CNAME

@@ -70,7 +70,7 @@ func (d Dynamics) NewEngine() *DynamicsEngine {
 		adoptions: make(map[dnsmsg.Name]status.Adoption, len(e.domains)),
 		res:       DynamicsResult{Days: d.Days, Unchanged: make(map[dps.ProviderKey]*UnchangedRow)},
 	}
-	blob := en.log.open(d.CheckpointDir, d.CheckpointEvery, d.Resume, d.window(), d.OnSeal)
+	blob := en.log.open(d.CheckpointDir, d.CheckpointEvery, d.Resume, d.window())
 	if blob != nil {
 		en.restore(blob)
 	}
@@ -167,11 +167,9 @@ func (en *DynamicsEngine) AppendDay() []behavior.Detection {
 	en.log.collect(day, e.collector)
 
 	if en.tracker == nil {
-		var excluded []dnsmsg.Name
-		if !d.KeepMultiCDN {
-			excluded = DetectMultiCDNStream(en.log.store.Cursor(day))
-		}
-		en.tracker = behavior.NewTracker(excluded)
+		// Multi-CDN front-end customers flap between providers daily; the
+		// paper excludes them (§IV-B.3), so the FSM never sees them.
+		en.tracker = behavior.NewTracker(DetectMultiCDNStream(en.log.store.Cursor(day)))
 	}
 
 	b := AdoptionBreakdown{Day: day, ByProvider: make(map[dps.ProviderKey]int)}
@@ -308,7 +306,7 @@ func (r Residual) NewEngine() *ResidualEngine {
 		warmupRemaining: r.WarmupDays,
 		nextWeek:        1,
 	}
-	blob := en.log.open(r.CheckpointDir, r.CheckpointEvery, r.Resume, r.window(), r.OnSeal)
+	blob := en.log.open(r.CheckpointDir, r.CheckpointEvery, r.Resume, r.window())
 	if blob != nil {
 		en.restore(blob)
 	}

@@ -81,11 +81,7 @@ func legacyDynamics(d Dynamics) DynamicsResult {
 		classified := classifyLegacy(e.classifier, snap)
 
 		if tracker == nil {
-			var excluded []dnsmsg.Name
-			if !d.KeepMultiCDN {
-				excluded = detectMultiCDN(snap)
-			}
-			tracker = behavior.NewTracker(excluded)
+			tracker = behavior.NewTracker(detectMultiCDN(snap))
 		}
 		res.Breakdowns = append(res.Breakdowns, breakdown(day, snap, classified, e.topCut))
 

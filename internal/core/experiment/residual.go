@@ -17,7 +17,6 @@ import (
 	"rrdps/internal/dps"
 	"rrdps/internal/netsim"
 	"rrdps/internal/obs"
-	"rrdps/internal/snapstore"
 	"rrdps/internal/world"
 )
 
@@ -130,15 +129,6 @@ type Residual struct {
 	// collection rounds (warm-up rounds count) and returns the partial
 	// result — the test hook that simulates a kill at a round boundary.
 	stopAfterRounds int
-
-	// OnSeal, when non-nil, runs after every sealed collection round with
-	// an immutable view of the store's sealed rounds and the round's
-	// campaign-cursor blob — the same blob a checkpoint would carry, so a
-	// live consumer (the lookup service) sees exactly what a
-	// checkpoint-loaded one would. The hook runs on the campaign
-	// goroutine between Seal and the next BeginDay; the view and blob
-	// stay valid after it returns.
-	OnSeal func(*snapstore.View, []byte)
 }
 
 // Run executes the campaign. The world's clock advances Weeks*7 days.

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"rrdps/internal/snapdisk"
-	"rrdps/internal/snapstore"
 )
 
 // fullResidualCursor is the residual cursor as one json.Marshal of the
@@ -41,24 +40,24 @@ func TestResidualCursorMatchesFullEncoding(t *testing.T) {
 				tc.cfg.build(dir, false, tc.killFrom).Run()
 			}
 			r := tc.cfg.build(dir, tc.killFrom > 0, 0)
-			var en *ResidualEngine
+			en := r.NewEngine()
+			defer en.Close()
+			if got, want := en.cursor(), fullResidualCursor(en); !bytes.Equal(got, want) {
+				t.Fatalf("cursor before the first round differs from the full encoding:\n%s\nvs\n%s", got, want)
+			}
 			seals, nullInc := 0, 0
-			r.OnSeal = func(_ *snapstore.View, blob []byte) {
+			for en.InWarmup() || en.NextWeek() <= r.Weeks {
+				en.AppendRound()
 				seals++
+				// The footer is the cursor the round sealed into the
+				// checkpoint or WAL.
+				blob := en.log.footer
 				if want := fullResidualCursor(en); !bytes.Equal(blob, want) {
 					t.Fatalf("seal %d: spliced cursor differs from the full encoding:\n%s\nvs\n%s", seals, blob, want)
 				}
 				if bytes.Contains(blob, []byte(`"incapsula":null`)) {
 					nullInc++
 				}
-			}
-			en = r.NewEngine()
-			defer en.Close()
-			if got, want := en.cursor(), fullResidualCursor(en); !bytes.Equal(got, want) {
-				t.Fatalf("cursor before the first round differs from the full encoding:\n%s\nvs\n%s", got, want)
-			}
-			for en.InWarmup() || en.NextWeek() <= r.Weeks {
-				en.AppendRound()
 			}
 			if want := tc.cfg.rounds() - tc.killFrom; seals != want {
 				t.Fatalf("%d seals, want %d", seals, want)

@@ -1,12 +1,13 @@
 package multicdn_test
 
 import (
+	"slices"
 	"testing"
 
-	"rrdps/internal/core/behavior"
 	"rrdps/internal/core/experiment"
 	"rrdps/internal/dnsmsg"
 	"rrdps/internal/netsim"
+	"rrdps/internal/snapdisk"
 	"rrdps/internal/world"
 )
 
@@ -90,23 +91,39 @@ func record(m map[dnsmsg.Name]map[string]bool, apex dnsmsg.Name, prov string) {
 	m[apex][prov] = true
 }
 
-// TestDynamicsExcludesMultiCDN: without exclusion the flapping reads as a
-// storm of SWITCH detections; with the default auto-exclusion it is quiet.
+// TestDynamicsExcludesMultiCDN: the front-end customers, whose daily
+// flapping would read as a storm of SWITCH detections, are detected on
+// the first day and excluded from the behaviour FSM — exactly the
+// world's multi-CDN set — so with other churn frozen the campaign is
+// quiet.
 func TestDynamicsExcludesMultiCDN(t *testing.T) {
-	noisy := experiment.Dynamics{World: multiCDNWorld(t, 250), Days: 8, KeepMultiCDN: true}.Run()
-	noisySwitches := 0
-	for _, d := range noisy.Detections {
-		if d.Kind == behavior.Switch {
-			noisySwitches++
-		}
-	}
-	if noisySwitches == 0 {
-		t.Fatal("multi-CDN flapping produced no SWITCH noise; test cannot discriminate")
+	w := multiCDNWorld(t, 250)
+	want := slices.Clone(w.MultiCDNDomains())
+	slices.Sort(want)
+	dir := t.TempDir()
+	res := experiment.Dynamics{World: w, Days: 8, CheckpointDir: dir}.Run()
+	if len(res.Detections) != 0 {
+		t.Fatalf("auto-exclusion left %d detections: %+v", len(res.Detections), res.Detections)
 	}
 
-	quiet := experiment.Dynamics{World: multiCDNWorld(t, 250), Days: 8}.Run()
-	if len(quiet.Detections) != 0 {
-		t.Fatalf("auto-exclusion left %d detections: %+v", len(quiet.Detections), quiet.Detections)
+	d, err := snapdisk.OpenDirReadOnly(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, blob, ok, err := d.Recover(0)
+	if err != nil || !ok {
+		t.Fatalf("Recover: ok=%v err=%v", ok, err)
+	}
+	cs, err := experiment.DecodeCampaignState(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	excluded := cs.Dynamics.Tracker.Excluded
+	if len(excluded) == 0 {
+		t.Fatal("no multi-CDN customer was excluded; test cannot discriminate")
+	}
+	if !slices.Equal(excluded, want) {
+		t.Fatalf("excluded %v, want the world's multi-CDN set %v", excluded, want)
 	}
 }
 

@@ -1,39 +1,29 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rrdps/internal/core/experiment"
+	"rrdps/internal/snapdisk"
 	"rrdps/internal/world"
 )
 
-// TestFollowEqualsCheckpoint pins the follow mode's endgame: once the
-// campaign has finished and force-checkpointed, a FollowSource over the
-// directory must answer every endpoint byte-identically to a
-// CheckpointSource over the same directory — following a campaign to its
-// end and loading its final checkpoint are the same service.
-func TestFollowEqualsCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	runDynamicsCampaign(t, dir, 5)
-	fs, err := OpenFollow(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	ckpt, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e, ok := fs.Epoch()
+// sameAnswers asserts that two servers answer every endpoint — stats,
+// the population, and a sample of domains and histories across the rank
+// range — with 200 and byte-identical bodies.
+func sameAnswers(t *testing.T, a, b *CheckpointSource) {
+	t.Helper()
+	e, ok := a.Epoch()
 	if !ok {
-		t.Fatal("follow source has no epoch over a finished campaign")
+		t.Fatal("source has no epoch")
 	}
-	followSrv, ckptSrv := New(Config{Source: fs}), New(Config{Source: ckpt})
-	paths := []string{"/v1/stats", "/v1/domains"}
+	ha, hb := New(Config{Source: a}).Handler(), New(Config{Source: b}).Handler()
+	paths := []string{"/v1/stats", "/v1/domains", "/v1/domains?limit=7"}
 	apexes := e.View.Apexes()
 	for i := 0; i < len(apexes); i += 20 {
 		paths = append(paths,
@@ -41,36 +31,97 @@ func TestFollowEqualsCheckpoint(t *testing.T) {
 			"/v1/domain/"+string(apexes[i])+"/history")
 	}
 	for _, path := range paths {
-		fw := get(t, followSrv.Handler(), path, nil)
-		cw := get(t, ckptSrv.Handler(), path, nil)
-		if fw.Code != http.StatusOK || cw.Code != http.StatusOK {
-			t.Fatalf("%s: follow=%d checkpoint=%d, want 200/200", path, fw.Code, cw.Code)
+		wa, wb := get(t, ha, path, nil), get(t, hb, path, nil)
+		if wa.Code != http.StatusOK || wb.Code != http.StatusOK {
+			t.Fatalf("%s: status %d and %d, want 200/200", path, wa.Code, wb.Code)
 		}
-		if fw.Body.String() != cw.Body.String() {
-			t.Errorf("%s: follow and checkpoint responses differ:\nfollow:\n%s\ncheckpoint:\n%s",
-				path, fw.Body.String(), cw.Body.String())
+		if wa.Body.String() != wb.Body.String() {
+			t.Errorf("%s: responses differ:\n%s\nvs\n%s", path, wa.Body.String(), wb.Body.String())
 		}
 	}
 }
 
-// TestFollowEmptyDir: attaching to a campaign that has not sealed its
-// first round yet is not an error — the source reports no epoch (the
-// server answers 503) until one lands.
-func TestFollowEmptyDir(t *testing.T) {
-	fs, err := OpenFollow(t.TempDir())
+// TestFollowEqualsCheckpoint pins the follow mode's endgame: a source
+// opened over an empty directory and refreshed after the campaign
+// finished answers every endpoint byte-identically to a source opened
+// over the finished directory — following a campaign to its end and
+// loading it are the same service.
+func TestFollowEqualsCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	followed := openCheckpoint(t, dir)
+	loaded := runDynamicsCampaign(t, dir, 5)
+	if swapped, err := followed.Refresh(); err != nil || !swapped {
+		t.Fatalf("Refresh after the campaign: swapped=%v err=%v, want a new epoch", swapped, err)
+	}
+	if swapped, err := followed.Refresh(); err != nil || swapped {
+		t.Fatalf("Refresh over an unchanged directory: swapped=%v err=%v, want no swap", swapped, err)
+	}
+	if got, want := followed.Label(), loaded.Label(); got != want || got != 5 {
+		t.Fatalf("labels %d and %d, want the final world day 5", got, want)
+	}
+	sameAnswers(t, followed, loaded)
+}
+
+// TestOpenCheckpointServesWALRounds: a campaign killed between
+// checkpoints leaves its newest rounds only as sealed WAL groups, and a
+// source opened over that directory must serve the newest of them —
+// the recovery rule a resume applies — not the older checkpoint's
+// round. Its answers equal those of a source that followed the writer.
+func TestOpenCheckpointServesWALRounds(t *testing.T) {
+	dir := t.TempDir()
+	followed := openCheckpoint(t, dir)
+	en := experiment.Dynamics{
+		World:           world.New(dynamicsConfig()),
+		CheckpointDir:   dir,
+		CheckpointEvery: 7,
+	}.NewEngine()
+	for i := 0; i < 10; i++ {
+		en.AppendDay()
+	}
+	en.Close() // no Checkpoint: a crash after the tenth sealed day
+
+	d, err := snapdisk.OpenDirReadOnly(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fs.Close()
-	if _, ok := fs.Epoch(); ok {
+	if _, _, label, ok, err := d.LatestCheckpoint(); err != nil || !ok || label >= en.WorldDay() {
+		t.Fatalf("newest checkpoint at day %d (ok=%v err=%v), want one older than day %d", label, ok, err, en.WorldDay())
+	}
+
+	loaded := openCheckpoint(t, dir)
+	var stats struct {
+		WorldDay int `json:"world_day"`
+	}
+	if err := json.Unmarshal(get(t, New(Config{Source: loaded}).Handler(), "/v1/stats", nil).Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.WorldDay != en.WorldDay() || loaded.Label() != en.WorldDay() {
+		t.Fatalf("serving world day %d (label %d), want the newest sealed day %d", stats.WorldDay, loaded.Label(), en.WorldDay())
+	}
+	if _, err := followed.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	sameAnswers(t, loaded, followed)
+}
+
+// TestFollowEmptyDir: attaching to a campaign that has not sealed its
+// first round yet is not an error — the source reports no epoch until
+// one lands, and its poller starts and stops cleanly.
+func TestFollowEmptyDir(t *testing.T) {
+	src := openCheckpoint(t, t.TempDir())
+	if _, ok := src.Epoch(); ok {
 		t.Fatal("epoch reported over an empty directory")
 	}
-	if w := get(t, New(Config{Source: fs}).Handler(), "/v1/stats", nil); w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("empty follow dir: status %d, want 503", w.Code)
+	if got := src.Label(); got != -1 {
+		t.Fatalf("Label() = %d without an epoch, want -1", got)
 	}
-	if _, err := OpenFollow("/does/not/exist"); err == nil {
-		t.Fatal("OpenFollow on a missing directory must error")
+	if swapped, err := src.Refresh(); err != nil || swapped {
+		t.Fatalf("Refresh over an empty directory: swapped=%v err=%v", swapped, err)
 	}
+	src.Start(time.Millisecond)
+	src.Start(time.Millisecond)
+	src.Close()
+	src.Close()
 }
 
 // TestFollowTailsLiveWriter is the -race keystone for follow mode: a
@@ -81,22 +132,68 @@ func TestFollowEmptyDir(t *testing.T) {
 // sealed day's epoch within one seal cycle by the time the writer is
 // done. The checkpoint cadence of 2 makes the writer alternate between
 // WAL-append and checkpoint-then-truncate rotations under the reader.
+//
+// Meanwhile parallel HTTP clients hammer every data endpoint across the
+// epoch swaps: each answer must succeed and come from one epoch — the
+// stats endpoint reports the store and the campaign cursor side by side,
+// so a response that mixed two rounds shows as a retained-day count that
+// does not match the days collected.
 func TestFollowTailsLiveWriter(t *testing.T) {
 	const days = 8
 	dir := t.TempDir()
-	cfg := world.PaperConfig(200)
-	cfg.Seed = 9001
-	cfg.JoinRate = 0.01
-	cfg.LeaveRate = 0.02
-	cfg.PauseRate = 0.04
-	cfg.SwitchRate = 0.01
-
-	fs, err := OpenFollow(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := openCheckpoint(t, dir)
 	fs.Start(100 * time.Microsecond)
 	defer fs.Close()
+	srv := New(Config{Source: fs})
+
+	clientsDone := make(chan struct{})
+	var clients sync.WaitGroup
+	var answered atomic.Int64
+	for i := 0; i < 4; i++ {
+		clients.Add(1)
+		go func(i int) {
+			defer clients.Done()
+			for {
+				select {
+				case <-clientsDone:
+					return
+				default:
+				}
+				e, ok := fs.Epoch()
+				if !ok {
+					continue
+				}
+				apexes := e.View.Apexes()
+				apex := string(apexes[i%len(apexes)])
+				for _, path := range []string{"/v1/domain/" + apex, "/v1/domain/" + apex + "/history", "/v1/domains?limit=5"} {
+					if w := get(t, srv.Handler(), path, nil); w.Code != http.StatusOK {
+						t.Errorf("%s: status %d", path, w.Code)
+						return
+					}
+				}
+				var stats struct {
+					Store struct {
+						Days int `json:"days"`
+					} `json:"store"`
+					Dynamics struct {
+						DaysCollected int `json:"days_collected"`
+					} `json:"dynamics"`
+				}
+				if err := json.Unmarshal(get(t, srv.Handler(), "/v1/stats", nil).Body.Bytes(), &stats); err != nil {
+					t.Error(err)
+					return
+				}
+				// The writer keeps the default 2-day window, and every epoch
+				// (checkpoint or WAL replay) carries it.
+				if want := min(stats.Dynamics.DaysCollected, 2); stats.Store.Days != want {
+					t.Errorf("store.days=%d with days_collected=%d: response mixed two epochs",
+						stats.Store.Days, stats.Dynamics.DaysCollected)
+					return
+				}
+				answered.Add(1)
+			}
+		}(i)
+	}
 
 	// Writer and reader run in lockstep: the writer seals a day, then
 	// waits for the reader to observe that day's epoch before sealing
@@ -173,7 +270,7 @@ func TestFollowTailsLiveWriter(t *testing.T) {
 	}()
 
 	en := experiment.Dynamics{
-		World:           world.New(cfg),
+		World:           world.New(dynamicsConfig()),
 		CheckpointDir:   dir,
 		CheckpointEvery: 2,
 	}.NewEngine()
@@ -190,6 +287,11 @@ func TestFollowTailsLiveWriter(t *testing.T) {
 	en.Close()
 	close(writerDay)
 	wg.Wait()
+	close(clientsDone)
+	clients.Wait()
+	if answered.Load() == 0 {
+		t.Fatal("no client request was answered while the writer ran")
+	}
 	if readerErr != nil {
 		t.Fatal("reader timed out waiting for a sealed day to become visible")
 	}

@@ -23,9 +23,9 @@ import (
 // handler as one segment: "." and ".." segments would otherwise be
 // cleaned and redirected by the mux before any parsing happens.
 func FuzzServeRequest(f *testing.F) {
-	live := runDynamicsCampaign(f, f.TempDir(), 3)
-	h := New(Config{Source: live}).Handler()
-	e, _ := live.Epoch()
+	src := runDynamicsCampaign(f, f.TempDir(), 3)
+	h := New(Config{Source: src}).Handler()
+	e, _ := src.Epoch()
 	known := string(e.View.Apexes()[0])
 
 	for _, seed := range []struct{ apex, limit string }{

@@ -87,13 +87,20 @@ func (b *buckets) take(key string) (ok bool, retryAfter time.Duration) {
 
 // rateLimit applies the per-key token bucket, answering 429 with a
 // Retry-After header (whole seconds, rounded up — a client that waits
-// that long is guaranteed a token) when the key's bucket is dry.
+// that long is guaranteed a token) when the key's bucket is dry. It runs
+// behind auth, so with auth on a bucket's key is an accepted API key.
+// With auth off every request shares one bucket: a key the client
+// invents must neither buy a fresh burst nor grow the bucket table.
 func (s *Server) rateLimit(next http.Handler) http.Handler {
 	if s.limiter == nil {
 		return next
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ok, retryAfter := s.limiter.take(apiKey(r))
+		key := ""
+		if len(s.cfg.APIKeys) > 0 {
+			key = apiKey(r)
+		}
+		ok, retryAfter := s.limiter.take(key)
 		if !ok {
 			s.reg.VolatileCounter("serve.ratelimited").Inc()
 			secs := int(math.Ceil(retryAfter.Seconds()))

@@ -5,34 +5,49 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"rrdps/internal/core/experiment"
+	"rrdps/internal/snapdisk"
+	"rrdps/internal/snapstore"
 	"rrdps/internal/world"
 )
 
-// runDynamicsCampaign runs a small dynamics campaign that both writes a
-// checkpoint directory and publishes every sealed round to a LiveSource —
-// the two attachment modes the service supports, off one ground truth.
-func runDynamicsCampaign(t testing.TB, dir string, days int) *LiveSource {
+// runDynamicsCampaign runs a small dynamics campaign into a checkpoint
+// directory and opens it as the service's source.
+func runDynamicsCampaign(t testing.TB, dir string, days int) *CheckpointSource {
 	t.Helper()
+	experiment.Dynamics{
+		World:         world.New(dynamicsConfig()),
+		Days:          days,
+		CheckpointDir: dir,
+	}.Run()
+	return openCheckpoint(t, dir)
+}
+
+// dynamicsConfig is the churny 200-site world the serve tests share.
+func dynamicsConfig() world.Config {
 	cfg := world.PaperConfig(200)
 	cfg.Seed = 9001
 	cfg.JoinRate = 0.01
 	cfg.LeaveRate = 0.02
 	cfg.PauseRate = 0.04
 	cfg.SwitchRate = 0.01
-	live := &LiveSource{}
-	experiment.Dynamics{
-		World:         world.New(cfg),
-		Days:          days,
-		CheckpointDir: dir,
-		OnSeal:        live.OnSeal,
-	}.Run()
-	return live
+	return cfg
+}
+
+func openCheckpoint(t testing.TB, dir string) *CheckpointSource {
+	t.Helper()
+	src, err := OpenCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
 }
 
 func get(t *testing.T, h http.Handler, path string, header map[string]string) *httptest.ResponseRecorder {
@@ -46,115 +61,40 @@ func get(t *testing.T, h http.Handler, path string, header map[string]string) *h
 	return w
 }
 
-// TestCheckpointEqualsLive is the service-level half of the
-// live/checkpoint equivalence guarantee: every endpoint's body is
-// byte-identical whether the server loaded the campaign's final
-// checkpoint from disk or received the final round through OnSeal.
-func TestCheckpointEqualsLive(t *testing.T) {
-	dir := t.TempDir()
-	live := runDynamicsCampaign(t, dir, 5)
-	ckpt, err := OpenCheckpoint(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveSrv := New(Config{Source: live})
-	ckptSrv := New(Config{Source: ckpt})
-
-	e, ok := live.Epoch()
-	if !ok {
-		t.Fatal("live source has no epoch after the campaign")
-	}
-	apexes := e.View.Apexes()
-	if len(apexes) == 0 {
-		t.Fatal("campaign produced no apexes")
-	}
-
-	paths := []string{
-		"/v1/stats",
-		"/v1/domains",
-		"/v1/domains?limit=7",
-	}
-	// Sample across the rank range so at least some sampled domains have
-	// verdicts, histories with churn, and pause windows.
-	for i := 0; i < len(apexes); i += 20 {
-		paths = append(paths,
-			"/v1/domain/"+string(apexes[i]),
-			"/v1/domain/"+string(apexes[i])+"/history")
-	}
-	for _, path := range paths {
-		lw := get(t, liveSrv.Handler(), path, nil)
-		cw := get(t, ckptSrv.Handler(), path, nil)
-		if lw.Code != http.StatusOK || cw.Code != http.StatusOK {
-			t.Fatalf("%s: live=%d checkpoint=%d, want 200/200", path, lw.Code, cw.Code)
-		}
-		if lw.Body.String() != cw.Body.String() {
-			t.Errorf("%s: live and checkpoint responses differ:\nlive:\n%s\ncheckpoint:\n%s",
-				path, lw.Body.String(), cw.Body.String())
-		}
-	}
-
-	// The stats answer must carry the campaign, not just the store.
-	var stats struct {
-		Kind     string `json:"kind"`
-		WorldDay int    `json:"world_day"`
-		Dynamics *struct {
-			DaysCollected int `json:"days_collected"`
-			Population    int `json:"population"`
-		} `json:"dynamics"`
-	}
-	if err := json.Unmarshal(get(t, ckptSrv.Handler(), "/v1/stats", nil).Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Kind != experiment.CampaignKindDynamics || stats.Dynamics == nil {
-		t.Fatalf("stats = %+v, want a dynamics campaign", stats)
-	}
-	if stats.Dynamics.DaysCollected != 5 || stats.Dynamics.Population == 0 {
-		t.Fatalf("stats.dynamics = %+v, want 5 days over a nonzero population", stats.Dynamics)
-	}
-}
-
 // TestStatsExposesScenarioProvenance pins the "what scenario produced
 // this epoch" answer: a campaign configured from a scenario spec carries
-// the spec's name and hash through its checkpoints into /v1/stats, both
-// live and from disk; a flag-driven campaign reports no scenario at all.
+// the spec's name and hash through its checkpoints into /v1/stats; a
+// flag-driven campaign reports no scenario at all.
 func TestStatsExposesScenarioProvenance(t *testing.T) {
 	dir := t.TempDir()
 	cfg := world.PaperConfig(200)
 	cfg.Seed = 9001
-	live := &LiveSource{}
 	experiment.Dynamics{
 		World:         world.New(cfg),
 		Days:          3,
 		CheckpointDir: dir,
-		OnSeal:        live.OnSeal,
 		Scenario: &experiment.ScenarioInfo{
 			Name:      "serve-provenance",
 			Hash:      "deadbeef",
 			Canonical: []byte("{}\n"),
 		},
 	}.Run()
-	ckpt, err := OpenCheckpoint(dir)
-	if err != nil {
+
+	var scn struct {
+		Scenario *struct {
+			Name string `json:"name"`
+			Hash string `json:"hash"`
+		} `json:"scenario"`
+	}
+	srv := New(Config{Source: openCheckpoint(t, dir)})
+	if err := json.Unmarshal(get(t, srv.Handler(), "/v1/stats", nil).Body.Bytes(), &scn); err != nil {
 		t.Fatal(err)
 	}
-
-	for name, src := range map[string]Source{"live": live, "checkpoint": ckpt} {
-		srv := New(Config{Source: src})
-		var stats struct {
-			Scenario *struct {
-				Name string `json:"name"`
-				Hash string `json:"hash"`
-			} `json:"scenario"`
-		}
-		if err := json.Unmarshal(get(t, srv.Handler(), "/v1/stats", nil).Body.Bytes(), &stats); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if stats.Scenario == nil {
-			t.Fatalf("%s: stats has no scenario section", name)
-		}
-		if stats.Scenario.Name != "serve-provenance" || stats.Scenario.Hash != "deadbeef" {
-			t.Errorf("%s: scenario = %+v, want serve-provenance/deadbeef", name, stats.Scenario)
-		}
+	if scn.Scenario == nil {
+		t.Fatal("stats has no scenario section")
+	}
+	if scn.Scenario.Name != "serve-provenance" || scn.Scenario.Hash != "deadbeef" {
+		t.Errorf("scenario = %+v, want serve-provenance/deadbeef", scn.Scenario)
 	}
 
 	// A flag-driven campaign must not invent provenance.
@@ -162,7 +102,7 @@ func TestStatsExposesScenarioProvenance(t *testing.T) {
 	var stats struct {
 		Scenario *struct{} `json:"scenario"`
 	}
-	srv := New(Config{Source: plain})
+	srv = New(Config{Source: plain})
 	if err := json.Unmarshal(get(t, srv.Handler(), "/v1/stats", nil).Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +113,27 @@ func TestStatsExposesScenarioProvenance(t *testing.T) {
 
 func TestDomainAnswers(t *testing.T) {
 	dir := t.TempDir()
-	live := runDynamicsCampaign(t, dir, 5)
-	srv := New(Config{Source: live})
-	e, _ := live.Epoch()
+	src := runDynamicsCampaign(t, dir, 5)
+	srv := New(Config{Source: src})
+	e, _ := src.Epoch()
+
+	// The stats answer must carry the campaign, not just the store.
+	var stats struct {
+		Kind     string `json:"kind"`
+		Dynamics *struct {
+			DaysCollected int `json:"days_collected"`
+			Population    int `json:"population"`
+		} `json:"dynamics"`
+	}
+	if err := json.Unmarshal(get(t, srv.Handler(), "/v1/stats", nil).Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Kind != experiment.CampaignKindDynamics || stats.Dynamics == nil {
+		t.Fatalf("stats = %+v, want a dynamics campaign", stats)
+	}
+	if stats.Dynamics.DaysCollected != 5 || stats.Dynamics.Population == 0 {
+		t.Fatalf("stats.dynamics = %+v, want 5 days over a nonzero population", stats.Dynamics)
+	}
 
 	// Every domain the campaign classified must answer with a verdict.
 	verdicts := 0
@@ -226,14 +184,14 @@ func TestResidualAnswers(t *testing.T) {
 	cfg.LeaveRate = 0.01
 	cfg.SwitchRate = 0.008
 	cfg.JoinRate = 0.002
-	live := &LiveSource{}
+	dir := t.TempDir()
 	experiment.Residual{
-		World:      world.New(cfg),
-		Weeks:      2,
-		WarmupDays: 7,
-		OnSeal:     live.OnSeal,
+		World:         world.New(cfg),
+		Weeks:         2,
+		WarmupDays:    7,
+		CheckpointDir: dir,
 	}.Run()
-	srv := New(Config{Source: live})
+	srv := New(Config{Source: openCheckpoint(t, dir)})
 
 	var stats struct {
 		Kind     string `json:"kind"`
@@ -256,8 +214,11 @@ func TestResidualAnswers(t *testing.T) {
 	}
 }
 
+// TestNoEpochYet: a directory with nothing sealed yet opens with no
+// epoch; the data endpoints answer 503 while liveness reports that the
+// process is up but not serving.
 func TestNoEpochYet(t *testing.T) {
-	srv := New(Config{Source: &LiveSource{}})
+	srv := New(Config{Source: openCheckpoint(t, t.TempDir())})
 	if w := get(t, srv.Handler(), "/v1/stats", nil); w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("stats before first seal: status %d, want 503", w.Code)
 	}
@@ -280,8 +241,7 @@ func TestNoEpochYet(t *testing.T) {
 
 func TestAuth(t *testing.T) {
 	dir := t.TempDir()
-	live := runDynamicsCampaign(t, dir, 2)
-	srv := New(Config{Source: live, APIKeys: []string{"k1", "k2"}})
+	srv := New(Config{Source: runDynamicsCampaign(t, dir, 2), APIKeys: []string{"k1", "k2"}})
 
 	w := get(t, srv.Handler(), "/v1/stats", nil)
 	if w.Code != http.StatusUnauthorized {
@@ -331,10 +291,9 @@ func (c *fakeClock) advance(d time.Duration) {
 
 func TestRateLimit(t *testing.T) {
 	dir := t.TempDir()
-	live := runDynamicsCampaign(t, dir, 2)
 	clock := &fakeClock{t: time.Unix(1700000000, 0)}
 	srv := New(Config{
-		Source:     live,
+		Source:     runDynamicsCampaign(t, dir, 2),
 		APIKeys:    []string{"k1", "k2"},
 		RatePerSec: 1,
 		Burst:      2,
@@ -382,133 +341,51 @@ func TestRateLimit(t *testing.T) {
 	}
 }
 
-// TestLiveConcurrentReads attaches the service to a campaign in flight
-// and hammers it from parallel readers while rounds seal — the
-// reads-never-lock-the-writer guarantee, checked under -race.
-func TestLiveConcurrentReads(t *testing.T) {
-	cfg := world.PaperConfig(150)
-	cfg.Seed = 9201
-	cfg.PauseRate = 0.04
-	live := &LiveSource{}
-	srv := New(Config{Source: live})
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				e, ok := live.Epoch()
-				if !ok {
-					continue
-				}
-				apexes := e.View.Apexes()
-				apex := string(apexes[i%len(apexes)])
-				for _, path := range []string{
-					"/v1/domain/" + apex,
-					"/v1/domain/" + apex + "/history",
-					"/v1/stats",
-					"/v1/domains?limit=5",
-				} {
-					if w := get(t, srv.Handler(), path, nil); w.Code != http.StatusOK {
-						t.Errorf("%s: status %d", path, w.Code)
-						return
-					}
-				}
-			}
-		}(i)
+// TestRateLimitWithoutAuth: with auth off the key a client sends is its
+// own invention, so it must not pick the bucket — every request shares
+// one budget, and the limiter's table stays at one entry.
+func TestRateLimitWithoutAuth(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(1700000000, 0)}
+	srv := New(Config{
+		Source:     runDynamicsCampaign(t, t.TempDir(), 2),
+		RatePerSec: 1,
+		Burst:      1,
+		Now:        clock.now,
+	})
+	if w := get(t, srv.Handler(), "/v1/stats", map[string]string{"Authorization": "Bearer invented-1"}); w.Code != http.StatusOK {
+		t.Fatalf("first request: status %d, want 200", w.Code)
 	}
-
-	experiment.Dynamics{
-		World:  world.New(cfg),
-		Days:   12,
-		OnSeal: live.OnSeal,
-	}.Run()
-	close(done)
-	wg.Wait()
-
-	e, ok := live.Epoch()
-	if !ok {
-		t.Fatal("no epoch after campaign")
+	if w := get(t, srv.Handler(), "/v1/stats", map[string]string{"X-API-Key": "invented-2"}); w.Code != http.StatusTooManyRequests {
+		t.Fatalf("second request under a new invented key: status %d, want 429", w.Code)
 	}
-	if day, _ := e.View.LatestDay(); day == 0 {
-		t.Fatal("final epoch is still day 0")
+	if n := len(srv.limiter.byKey); n != 1 {
+		t.Fatalf("limiter holds %d buckets, want 1", n)
 	}
 }
 
-// TestEpochConsistency: a handler must never mix two rounds in one
-// answer. The stats endpoint reports the store and the campaign from the
-// same Epoch, so days_collected always equals the view's day count even
-// while rounds seal mid-request.
-func TestEpochConsistency(t *testing.T) {
-	cfg := world.PaperConfig(100)
-	cfg.Seed = 9301
-	live := &LiveSource{}
-	srv := New(Config{Source: live})
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			if _, ok := live.Epoch(); !ok {
-				continue
-			}
-			w := get(t, srv.Handler(), "/v1/stats", nil)
-			var stats struct {
-				WorldDay int `json:"world_day"`
-				Store    struct {
-					Days int `json:"days"`
-				} `json:"store"`
-				Dynamics struct {
-					DaysCollected int `json:"days_collected"`
-				} `json:"dynamics"`
-			}
-			if err := json.Unmarshal(w.Body.Bytes(), &stats); err != nil {
-				t.Error(err)
-				return
-			}
-			// SnapWindow 0 streams with a 2-day window; the retained day
-			// count must match the campaign's progress, capped by it.
-			want := stats.Dynamics.DaysCollected
-			if want > 2 {
-				want = 2
-			}
-			if stats.Store.Days != want {
-				t.Errorf("store.days=%d with days_collected=%d: response mixed two epochs",
-					stats.Store.Days, stats.Dynamics.DaysCollected)
-				return
-			}
-		}
-	}()
-
-	experiment.Dynamics{
-		World:  world.New(cfg),
-		Days:   10,
-		OnSeal: live.OnSeal,
-	}.Run()
-	close(done)
-	wg.Wait()
-}
-
+// TestOpenCheckpointErrors: a missing path, a file, and a checkpoint
+// without campaign state are errors; none of them is an empty world.
 func TestOpenCheckpointErrors(t *testing.T) {
-	if _, err := OpenCheckpoint(t.TempDir()); err == nil {
-		t.Fatal("empty dir opened as a checkpoint source")
-	}
 	if _, err := OpenCheckpoint("/does/not/exist"); err == nil {
 		t.Fatal("missing dir opened as a checkpoint source")
+	}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenCheckpoint(file); err == nil {
+		t.Fatal("a file opened as a checkpoint source")
+	}
+	dir := t.TempDir()
+	d, err := snapdisk.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WriteCheckpoint(3, snapstore.New().ExportState(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenCheckpoint(dir); err == nil {
+		t.Fatal("a checkpoint without campaign state opened as a source")
 	}
 }
 
@@ -516,8 +393,7 @@ func TestOpenCheckpointErrors(t *testing.T) {
 // TCP, then stop and verify the graceful shutdown completes.
 func TestListenAndServe(t *testing.T) {
 	dir := t.TempDir()
-	live := runDynamicsCampaign(t, dir, 2)
-	srv := New(Config{Source: live, APIKeys: []string{"k"}})
+	srv := New(Config{Source: runDynamicsCampaign(t, dir, 2), APIKeys: []string{"k"}})
 
 	stop := make(chan struct{})
 	addrc := make(chan string, 1)

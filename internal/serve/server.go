@@ -22,7 +22,7 @@ import (
 // Config wires a Server.
 type Config struct {
 	// Source supplies the epochs served. Required.
-	Source Source
+	Source *CheckpointSource
 	// APIKeys are the accepted client keys; empty disables auth.
 	APIKeys []string
 	// RatePerSec / Burst shape the per-key token bucket; RatePerSec <= 0
@@ -125,8 +125,8 @@ func (s *Server) ListenAndServe(addr string, stop <-chan struct{}, drain time.Du
 //
 // Every slice is sorted and every map is string-keyed (encoding/json
 // emits those in key order), so a response is a pure function of the
-// epoch: byte-identical whether the epoch came from a checkpoint file or
-// a live campaign's OnSeal hook.
+// epoch: byte-identical whether the epoch was loaded once or reached by
+// refreshing a followed directory.
 
 type errorResponse struct {
 	Error string `json:"error"`
@@ -284,7 +284,7 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 // epoch fetches the current epoch, answering 503 when the source has
-// nothing yet (a live campaign before its first sealed round).
+// nothing yet (a campaign before its first sealed round).
 func (s *Server) epoch(w http.ResponseWriter) (*Epoch, bool) {
 	e, ok := s.cfg.Source.Epoch()
 	if !ok {

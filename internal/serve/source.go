@@ -4,18 +4,23 @@
 // product turned from batch campaign reports into a long-lived query
 // surface.
 //
-// The package is layered the way a production proxy is layered: a
-// storage Source abstraction over the store's sealed-day views (a
-// checkpoint directory or a live campaign), HTTP handlers that only ever
-// read immutable Epochs, and middleware for API-key auth, per-key
-// token-bucket rate limiting, and request metrics. A live campaign
-// publishes each sealed round through its OnSeal hook; readers swap to
-// the new epoch atomically and never lock the writer.
+// The package is layered the way a production proxy is layered: one
+// storage source over a campaign's checkpoint directory, HTTP handlers
+// that only ever read immutable Epochs, and middleware for API-key auth,
+// token-bucket rate limiting, and request metrics. Every epoch is built
+// with the campaigns' own recovery rule (snapdisk.Dir.Recover), loaded
+// once or refreshed as the writing campaign seals rounds; readers swap
+// to a new epoch atomically and never touch the writer.
 package serve
 
 import (
 	"fmt"
+	"os"
+	"sort"
+	"strings"
+	"sync"
 	"sync/atomic"
+	"time"
 
 	"rrdps/internal/core/experiment"
 	"rrdps/internal/snapdisk"
@@ -31,87 +36,145 @@ type Epoch struct {
 	State experiment.CampaignState
 }
 
-// Source supplies the current epoch. Implementations must return
-// immutable epochs and may swap them at any time; ok is false only
-// before the first epoch exists (a live campaign that has not sealed a
-// round yet).
-type Source interface {
-	Epoch() (*Epoch, bool)
-}
-
-// CheckpointSource serves a single epoch loaded from a snapdisk
-// checkpoint directory, read-only: nothing in the directory is created,
-// truncated, or replayed. The campaign that wrote the directory seals
-// its final state into the last checkpoint, so the WAL is not consulted —
-// a mid-campaign directory serves the newest full checkpoint's round.
+// CheckpointSource serves a campaign checkpoint directory, read-only:
+// nothing in it is created or truncated, and the WAL is read through
+// the filesystem, never opened for appending, so a writing campaign is
+// undisturbed. Each epoch is built with snapdisk.Dir.Recover — the
+// campaigns' own recovery rule, newest checkpoint plus the sealed WAL
+// groups after it — so the source serves the newest sealed round, mid-
+// campaign directories included.
+//
+// Refresh re-derives the epoch when the directory changed and swaps it
+// in atomically; Start runs Refresh on a poller (`rrserve -follow`), so
+// answers are at most one poll interval staler than the writer's last
+// sealed round. The checkpoint is an atomic rename, WAL replay drops
+// any torn tail, and Recover reads the WAL before it picks the
+// checkpoint, so a reader racing the writer sees complete, contiguous
+// rounds only.
 type CheckpointSource struct {
-	epoch *Epoch
-	label int
+	dir *snapdisk.Dir
+	cur atomic.Pointer[Epoch]
+
+	mu      sync.Mutex // serializes Refresh: the poller and manual calls
+	lastSig string
+
+	pollOnce  sync.Once
+	closeOnce sync.Once
+	stop      chan struct{}
+	done      chan struct{} // closed when the poller has exited
 }
 
-// OpenCheckpoint loads the newest valid checkpoint in dir. A directory
-// without a decodable checkpoint is an error: a lookup service pointed
-// at the wrong path must fail loudly, not serve an empty world.
+// OpenCheckpoint opens dir and loads its newest sealed round. A missing
+// directory, or one whose state does not decode, is an error: a lookup
+// service pointed at the wrong path must fail loudly, not serve an
+// empty world. An existing directory with nothing sealed yet (a
+// campaign before its first round) opens with no epoch; Epoch reports
+// ok=false until a Refresh finds one.
 func OpenCheckpoint(dir string) (*CheckpointSource, error) {
 	d, err := snapdisk.OpenDirReadOnly(dir)
 	if err != nil {
 		return nil, err
 	}
-	st, blob, label, ok, err := d.LatestCheckpoint()
-	if err != nil {
+	s := &CheckpointSource{dir: d, stop: make(chan struct{}), done: make(chan struct{})}
+	if _, err := s.Refresh(); err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// signature fingerprints the directory state that determines the epoch:
+// the set of checkpoint files (atomic renames — names change, contents
+// never do) and the WAL's size (append-only between truncations).
+func (s *CheckpointSource) signature() string {
+	var parts []string
+	if entries, err := os.ReadDir(s.dir.Path()); err == nil {
+		for _, e := range entries {
+			if info, err := e.Info(); err == nil {
+				parts = append(parts, fmt.Sprintf("%s:%d", e.Name(), info.Size()))
+			}
+		}
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, ",")
+}
+
+// Refresh re-derives the epoch from disk and swaps it in if the
+// directory changed since the last call. It returns whether a new epoch
+// was published. Errors leave the previous epoch serving: a reader must
+// degrade to stale answers, not to no answers, while the writer is
+// mid-rotation.
+func (s *CheckpointSource) Refresh() (swapped bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+
+	sig := s.signature()
+	if sig == s.lastSig {
+		return false, nil
+	}
+	store, blob, ok, err := s.dir.Recover(0)
+	if err != nil {
+		return false, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("serve: no checkpoint found in %s", dir)
-	}
-	if blob == nil {
-		return nil, fmt.Errorf("serve: checkpoint %d in %s carries no campaign state", label, dir)
-	}
-	store, err := snapstore.FromState(st)
-	if err != nil {
-		return nil, err
+		// Nothing sealed yet; keep reporting "no epoch".
+		s.lastSig = sig
+		return false, nil
 	}
 	state, err := experiment.DecodeCampaignState(blob)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	// The loaded store is quiescent, so its sealed view is simply its
-	// whole retained state.
-	return &CheckpointSource{
-		epoch: &Epoch{View: store.SealedView(), State: state},
-		label: label,
-	}, nil
+	s.cur.Store(&Epoch{View: store.SealedView(), State: state})
+	s.lastSig = sig
+	return true, nil
 }
 
-// Epoch implements Source.
-func (s *CheckpointSource) Epoch() (*Epoch, bool) { return s.epoch, true }
-
-// Label returns the label (world day) of the loaded checkpoint.
-func (s *CheckpointSource) Label() int { return s.label }
-
-// LiveSource attaches the service to a running campaign: wire OnSeal as
-// the campaign's OnSeal hook and every sealed round becomes the current
-// epoch via one atomic pointer swap. Readers holding the previous epoch
-// keep a fully consistent (just stale) world; the writer never blocks.
-type LiveSource struct {
-	cur atomic.Pointer[Epoch]
+// Start polls the directory every interval on a background goroutine,
+// refreshing the epoch as rounds land. Transient refresh errors (the
+// writer mid-rotation) are skipped; the next tick retries. Call Close to
+// stop. Start is idempotent — only the first call launches the poller.
+func (s *CheckpointSource) Start(interval time.Duration) {
+	s.pollOnce.Do(func() {
+		go func() {
+			defer close(s.done)
+			t := time.NewTicker(interval)
+			defer t.Stop()
+			for {
+				select {
+				case <-s.stop:
+					return
+				case <-t.C:
+					s.Refresh() //nolint:errcheck // transient; retried next tick
+				}
+			}
+		}()
+	})
 }
 
-// OnSeal publishes one sealed round. It has the exact signature of the
-// campaign hooks (experiment.Dynamics.OnSeal / Residual.OnSeal), so a
-// caller writes `OnSeal: src.OnSeal`. A blob that does not decode
-// panics: the campaign just produced it, so damage here is a programming
-// error, not an operational condition.
-func (s *LiveSource) OnSeal(v *snapstore.View, blob []byte) {
-	state, err := experiment.DecodeCampaignState(blob)
-	if err != nil {
-		panic(fmt.Sprintf("serve: live campaign published an undecodable cursor: %v", err))
-	}
-	s.cur.Store(&Epoch{View: v, State: state})
+// Close stops the poller started by Start and waits for it to exit. It
+// is safe to call without a poller and more than once; Start after
+// Close does nothing.
+func (s *CheckpointSource) Close() {
+	s.closeOnce.Do(func() {
+		close(s.stop)
+		s.pollOnce.Do(func() { close(s.done) }) // no poller ever started
+		<-s.done
+	})
 }
 
-// Epoch implements Source; ok is false until the first round seals.
-func (s *LiveSource) Epoch() (*Epoch, bool) {
+// Epoch returns the current epoch; ok is false until a sealed round is
+// visible on disk.
+func (s *CheckpointSource) Epoch() (*Epoch, bool) {
 	e := s.cur.Load()
 	return e, e != nil
+}
+
+// Label returns the served epoch's world day, -1 without an epoch. On a
+// finished campaign directory it is the final checkpoint's label.
+func (s *CheckpointSource) Label() int {
+	e, ok := s.Epoch()
+	if !ok {
+		return -1
+	}
+	return e.State.WorldDay()
 }

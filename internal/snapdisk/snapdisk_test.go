@@ -696,11 +696,12 @@ func FuzzWALReplay(f *testing.F) {
 
 // TestWALReplayWhileWriting is the snapdisk half of the follow-mode
 // guarantee: a reader that snapshots the WAL file (os.ReadFile, exactly
-// what serve.FollowSource does) while the owning campaign is actively
-// appending must only ever decode complete sealed groups, with each
-// successive read extending the previous one — never a partial group,
-// never a rewritten history. Run with -race: reader and writer share no
-// Go state, and this test is what checks that claim.
+// what Dir.Recover does for serve.CheckpointSource) while the owning
+// campaign is actively appending must only ever decode complete sealed
+// groups, with each successive read extending the previous one — never
+// a partial group, never a rewritten history. Run with -race: reader
+// and writer share no Go state, and this test is what checks that
+// claim.
 func TestWALReplayWhileWriting(t *testing.T) {
 	const days = 40
 	path := filepath.Join(t.TempDir(), "wal.log")

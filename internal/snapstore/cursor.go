@@ -31,14 +31,10 @@ type Cursor struct {
 
 // Cursor returns a cursor over day's records in rank order. It panics if
 // day is not replayable (never sealed, or evicted by the window).
-func (s *Store) Cursor(day int) *Cursor {
-	v := s.view()
-	return v.Cursor(day)
-}
+func (s *Store) Cursor(day int) *Cursor { return s.SealedView().Cursor(day) }
 
 // Cursor returns a cursor over day's records in rank order; see
-// Store.Cursor. A cursor from a SealedView stays valid while the owning
-// store keeps appending.
+// Store.Cursor.
 func (v *View) Cursor(day int) *Cursor {
 	return &Cursor{v: v, day: v.checkDay(day)}
 }
@@ -103,10 +99,7 @@ type PairCursor struct {
 // day-over-day diff as a stream, with neither side materialized as a map.
 // On the store's first day every pair has PrevOK=false. It panics if day
 // (or its predecessor, when one exists in the window) is not replayable.
-func (s *Store) DiffPairs(day int) *PairCursor {
-	v := s.view()
-	return v.DiffPairs(day)
-}
+func (s *Store) DiffPairs(day int) *PairCursor { return s.SealedView().DiffPairs(day) }
 
 // DiffPairs returns a (prev, cur) pair cursor over day; see
 // Store.DiffPairs.

@@ -95,7 +95,7 @@ type apexMeta struct {
 // increasing order via BeginDay/Put/Seal; between Seal and the next
 // BeginDay the store is immutable and its replay entry points (Cursor,
 // DiffPairs) are safe for concurrent use. Point reads go through a View
-// from SealedView, which stays valid while the store keeps appending.
+// from SealedView, under the same contract.
 type Store struct {
 	interner *Interner
 	metas    []apexMeta
@@ -295,54 +295,20 @@ func liveAt(chain []version, day int32) (crec, bool) {
 	return crec{}, false
 }
 
-// view returns a transient View sharing the store's live index
-// structures with no copying. It is only valid under the store's own
-// read contract — between Seal and the next BeginDay — and is how the
-// store's Cursor and DiffPairs delegate to the View implementations. For
-// a view that stays valid while the store keeps appending, use
-// SealedView.
-func (s *Store) view() View {
-	return View{
+// SealedView returns a read surface over the store's sealed days,
+// shared by any number of concurrent readers; the store's own Cursor and
+// DiffPairs delegate to it. It shares the store's index structures, so
+// it is valid only while the store is quiescent: a store loaded from
+// disk (the lookup service's epochs), or a live one between Seal and
+// the next BeginDay.
+func (s *Store) SealedView() *View {
+	return &View{
 		metas:      s.metas,
 		byApex:     s.byApex,
 		chains:     s.chains,
 		days:       s.days,
 		evicted:    s.evicted,
 		rankOrder:  s.rankOrder,
-		versions:   s.versions,
-		tombstones: s.tombstones,
-		interned:   s.interner.Len(),
-	}
-}
-
-// SealedView returns an immutable snapshot of the store's sealed days,
-// safe for concurrent reads while the store keeps appending. Call it
-// between Seal and the next BeginDay (the campaign OnSeal hook runs
-// there).
-//
-// The copy is structural, not deep: the index layers that the writer
-// mutates in place — the outer chains slice (whose elements are
-// reassigned on append and eviction), the byApex map, and the day list —
-// are copied; the version chains and their cached record data are shared.
-// Sharing them is safe because appends only ever write beyond the view's
-// frozen lengths, eviction copies surviving suffixes into fresh arrays
-// (leaving the old ones to the view), and stored versions are never
-// mutated in place. The cost is O(apexes) slice headers per view, not
-// O(versions) record data.
-func (s *Store) SealedView() *View {
-	chains := make([][]version, len(s.chains))
-	copy(chains, s.chains)
-	byApex := make(map[dnsmsg.Name]int32, len(s.byApex))
-	for apex, idx := range s.byApex {
-		byApex[apex] = idx
-	}
-	return &View{
-		metas:      s.metas[:len(s.metas):len(s.metas)],
-		byApex:     byApex,
-		chains:     chains,
-		days:       append([]int(nil), s.days...),
-		evicted:    s.evicted,
-		rankOrder:  s.rankOrder[:len(s.rankOrder):len(s.rankOrder)],
 		versions:   s.versions,
 		tombstones: s.tombstones,
 		interned:   s.interner.Len(),

@@ -13,12 +13,10 @@ import (
 // View, and the Store's own Cursor and DiffPairs delegate to a borrowed
 // one.
 //
-// A view obtained from SealedView is *immutable*: it owns copies of the
-// store's index structures (the per-version record data is append-only
-// and shared), so any number of goroutines can read it while the owning
-// store keeps appending new days. That is the contract the lookup
-// service's read path is built on — serving never locks the writer,
-// because the two never touch the same mutable state.
+// A view shares its store's index structures and is read-only: any
+// number of goroutines can read it while the store is quiescent. The
+// lookup service reads views of stores loaded from disk, which nothing
+// appends to; a new sealed round reaches it as a new store.
 type View struct {
 	metas      []apexMeta
 	byApex     map[dnsmsg.Name]int32

@@ -239,31 +239,19 @@ type LookupConfig = serve.Config
 // LookupEpoch is one sealed round's queryable state.
 type LookupEpoch = serve.Epoch
 
-// LookupSource supplies epochs to a LookupServer.
-type LookupSource = serve.Source
-
-// CheckpointLookupSource serves a checkpoint directory's newest state.
+// CheckpointLookupSource serves a checkpoint directory's newest sealed
+// round — checkpoint plus WAL, the campaigns' recovery rule — loaded once
+// or, after Start, refreshed as another process seals rounds into it
+// (the `rrserve -follow` mode).
 type CheckpointLookupSource = serve.CheckpointSource
-
-// LiveLookupSource attaches a LookupServer to a running campaign via the
-// campaign's OnSeal hook.
-type LiveLookupSource = serve.LiveSource
 
 // NewLookupServer builds a lookup server.
 var NewLookupServer = serve.New
 
-// OpenLookupCheckpoint loads the newest checkpoint in dir as a source.
+// OpenLookupCheckpoint opens dir as a lookup source. The directory may
+// hold nothing sealed yet: the source then reports no epoch until a
+// Refresh finds one.
 var OpenLookupCheckpoint = serve.OpenCheckpoint
-
-// FollowLookupSource tails a checkpoint directory another process is
-// writing, swapping in a new epoch whenever a round seals — the
-// `rrserve -follow` mode. Answers are never more than one poll interval
-// behind the newest durable round.
-type FollowLookupSource = serve.FollowSource
-
-// OpenLookupFollow opens dir for following; the directory may be empty
-// (the source reports no epoch until the first round seals).
-var OpenLookupFollow = serve.OpenFollow
 
 // Matcher attributes DNS records to providers (A/CNAME/NS matching).
 type Matcher = match.Matcher

@@ -3,8 +3,10 @@
 # run a short checkpointing campaign, point rrserve at the directory,
 # and drive the HTTP API the way a client would — authorized and not,
 # known apex and not, inside and outside the rate budget — asserting
-# status codes and JSON shape. Finishes with a graceful TERM and checks
-# the server drained cleanly.
+# status codes and JSON shape. Also checks that static mode refuses a
+# directory with nothing sealed, and that static and -follow servers
+# over the finished directory agree. Finishes with a graceful TERM and
+# checks the server drained cleanly.
 #
 # Environment:
 #   SMOKE_SITES  campaign population (default 2000)
@@ -17,8 +19,11 @@ days="${SMOKE_DAYS:-5}"
 work="$(mktemp -d)"
 key="smoke-key-1"
 server_pid=""
+follow_pid=""
 cleanup() {
-  [ -n "$server_pid" ] && kill "$server_pid" 2>/dev/null || true
+  for pid in "$server_pid" "$follow_pid"; do
+    [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
+  done
   rm -rf "$work"
 }
 trap cleanup EXIT
@@ -30,6 +35,17 @@ echo ">> campaign: $sites sites, $days days, checkpointing"
 "$work/dpsmeasure" -sites "$sites" -days "$days" \
   -checkpoint-dir "$work/ckpt" -checkpoint-every 2 > /dev/null
 ls -l "$work/ckpt" >&2
+
+# Static mode needs a sealed round: an existing directory with nothing
+# sealed yet must fail at startup, naming the directory.
+mkdir "$work/empty"
+status=0
+"$work/rrserve" -addr 127.0.0.1:0 -checkpoint-dir "$work/empty" \
+  > /dev/null 2> "$work/empty.err" || status=$?
+[ "$status" = 1 ] || { echo "FAIL: rrserve over an empty directory exited $status, want 1"; exit 1; }
+grep -qF "$work/empty" "$work/empty.err" || \
+  { echo "FAIL: empty-directory error does not name the directory"; cat "$work/empty.err"; exit 1; }
+echo "ok: rrserve over an empty directory exits 1 naming it"
 
 # -rate 5 -burst 8: small enough that a tight request loop trips 429,
 # big enough that the scripted checks below never do.
@@ -101,6 +117,32 @@ assert stats["dynamics"]["population"] > 0, stats["dynamics"]
 print(f'ok: domain/history/stats shape (day {domain["day"]}, '
       f'{stats["store"]["apexes"]} apexes)')
 PYEOF
+
+# Static and -follow rrserve attach to the directory the same way, so
+# over a finished campaign they must report the same campaign day and
+# serve the same stats.
+"$work/rrserve" -addr 127.0.0.1:0 -checkpoint-dir "$work/ckpt" -follow -poll 100ms \
+  -api-keys "$key" -drain 5s > "$work/follow.log" 2>&1 &
+follow_pid=$!
+faddr=""
+for i in $(seq 1 100); do
+  faddr="$(sed -n 's#.*serving on http://##p' "$work/follow.log" | head -1)"
+  [ -n "$faddr" ] && break
+  kill -0 "$follow_pid" 2>/dev/null || { cat "$work/follow.log"; exit 1; }
+  sleep 0.1
+done
+[ -n "$faddr" ] || { echo "follow server never came up"; cat "$work/follow.log"; exit 1; }
+campaign_day() { sed -n 's/.* campaign, day \([0-9]*\),.*/\1/p' "$1" | head -1; }
+sday="$(campaign_day "$work/serve.log")" fday="$(campaign_day "$work/follow.log")"
+[ -n "$sday" ] && [ "$sday" = "$fday" ] || \
+  { echo "FAIL: static day '$sday', follow day '$fday'"; cat "$work/serve.log" "$work/follow.log"; exit 1; }
+curl -s "${auth[@]}" "http://$faddr/v1/stats" > "$work/follow-stats.json"
+cmp -s "$work/stats.json" "$work/follow-stats.json" || \
+  { echo "FAIL: /v1/stats differs between static and -follow"; diff "$work/stats.json" "$work/follow-stats.json" | head -20; exit 1; }
+kill -TERM "$follow_pid"
+wait "$follow_pid" || { echo "FAIL: follow server exited nonzero"; cat "$work/follow.log"; exit 1; }
+follow_pid=""
+echo "ok: static and -follow serve day $sday with identical /v1/stats"
 
 # Hammer one key past its bucket: 30 back-to-back requests against
 # budget 8+ must trip 429 at least once, and the 429 must carry
