@@ -90,7 +90,7 @@ func RegisterCampaignFlags(fs *flag.FlagSet, kind string) *CampaignFlags {
 		fs.IntVar(&f.Campaign.IncapsulaStartWeek, own("incapsula-start"), c.IncapsulaStartWeek, "first week (1-based, inclusive) the Incapsula CNAME re-resolution runs; 0 or 1 = every week (the paper covers its last three)")
 		snapWindowHelp = "snapshot-store retention in collection rounds: 0 = streaming default (1), <0 = keep every round replayable, >=1 = that many rounds"
 	}
-	fs.IntVar(&f.Resolver.Retries, own("retries"), r.Retries, "attempts per query (1 = no retries); backoff and health sidelining follow the default policy")
+	fs.IntVar(&f.Resolver.Retries, own("retries"), r.Retries, "attempts per query, never fewer than its candidate nameservers (1 = one attempt per candidate); backoff and health sidelining follow the default policy")
 	fs.BoolVar(f.Resolver.Hedge, own("hedge"), *r.Hedge, "hedge retried queries to an alternate nameserver when one is available")
 	fs.IntVar(&f.Workers, "workers", runtime.GOMAXPROCS(0), "parallelism of the measurement loops (1 = serial; findings are identical either way, query counts nearly so)")
 	fs.IntVar(&f.SnapWindow, "snap-window", 0, snapWindowHelp)
@@ -249,8 +249,7 @@ func (f *CampaignFlags) follow(sig <-chan os.Signal, step func()) string {
 }
 
 // RenderMetrics renders a registry dump in the given mode ("text" or
-// "json"). The lookup service's /metrics endpoint and EmitMetrics share
-// this path so the two outputs cannot drift.
+// "json").
 func RenderMetrics(r *obs.Registry, mode string) (string, error) {
 	switch mode {
 	case "text":

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/netip"
 	"sort"
 	"strconv"
 	"time"
 
-	"rrdps/internal/cmdutil"
 	"rrdps/internal/core/behavior"
 	"rrdps/internal/core/collect"
 	"rrdps/internal/core/experiment"
@@ -41,10 +41,11 @@ type Config struct {
 // Server is the lookup service: the route handlers plus their middleware
 // state. Build one with New, mount Handler (or call ListenAndServe).
 type Server struct {
-	cfg     Config
-	reg     *obs.Registry
-	limiter *buckets
-	handler http.Handler
+	cfg       Config
+	reg       *obs.Registry
+	hit, miss *obs.Counter // serve.domain.hit/miss, resolved once
+	limiter   *buckets
+	handler   http.Handler
 }
 
 // New builds a Server from cfg.
@@ -60,7 +61,8 @@ func New(cfg Config) *Server {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s := &Server{cfg: cfg, reg: reg}
+	s := &Server{cfg: cfg, reg: reg,
+		hit: reg.VolatileCounter("serve.domain.hit"), miss: reg.VolatileCounter("serve.domain.miss")}
 	if cfg.RatePerSec > 0 {
 		burst := cfg.Burst
 		if burst < 1 {
@@ -132,12 +134,14 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// recordJSON shares the stored record's slices: addresses marshal as
+// their text form and names as plain strings.
 type recordJSON struct {
-	Addrs     []string `json:"addrs,omitempty"`
-	CNAMEs    []string `json:"cnames,omitempty"`
-	NSHosts   []string `json:"ns_hosts,omitempty"`
-	ResolveOK bool     `json:"resolve_ok"`
-	NSOK      bool     `json:"ns_ok"`
+	Addrs     []netip.Addr  `json:"addrs,omitempty"`
+	CNAMEs    []dnsmsg.Name `json:"cnames,omitempty"`
+	NSHosts   []dnsmsg.Name `json:"ns_hosts,omitempty"`
+	ResolveOK bool          `json:"resolve_ok"`
+	NSOK      bool          `json:"ns_ok"`
 }
 
 type verdictJSON struct {
@@ -271,12 +275,11 @@ type statsResponse struct {
 	Residual *residualStatsJSON `json:"residual,omitempty"`
 }
 
+// writeJSON encodes v as one line of compact JSON in a single pass.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
@@ -300,13 +303,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	body, err := cmdutil.RenderMetrics(s.reg, "json")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write([]byte(body))
+	writeJSON(w, http.StatusOK, s.reg.Dump())
 }
 
 // lookupApex parses the path's apex and resolves it against the epoch,
@@ -319,26 +316,16 @@ func (s *Server) lookupApex(w http.ResponseWriter, r *http.Request, e *Epoch) (d
 		return "", false
 	}
 	if !e.View.Contains(apex) {
-		s.reg.VolatileCounter("serve.domain.miss").Inc()
+		s.miss.Inc()
 		writeError(w, http.StatusNotFound, "unknown domain")
 		return "", false
 	}
-	s.reg.VolatileCounter("serve.domain.hit").Inc()
+	s.hit.Inc()
 	return apex, true
 }
 
 func recordJSONOf(rec collect.Record) *recordJSON {
-	out := &recordJSON{ResolveOK: rec.ResolveOK, NSOK: rec.NSOK}
-	for _, a := range rec.Addrs {
-		out.Addrs = append(out.Addrs, a.String())
-	}
-	for _, c := range rec.CNAMEs {
-		out.CNAMEs = append(out.CNAMEs, string(c))
-	}
-	for _, h := range rec.NSHosts {
-		out.NSHosts = append(out.NSHosts, string(h))
-	}
-	return out
+	return &recordJSON{Addrs: rec.Addrs, CNAMEs: rec.CNAMEs, NSHosts: rec.NSHosts, ResolveOK: rec.ResolveOK, NSOK: rec.NSOK}
 }
 
 func pauseJSONOf(pw behavior.PauseWindow, open bool) *pauseJSON {
@@ -540,14 +527,10 @@ func (s *Server) handleDomains(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	apexes := e.View.Apexes() // rank order
-	resp := domainsResponse{Total: len(apexes), Domains: []domainItem{}}
-	for _, apex := range apexes {
-		if len(resp.Domains) >= limit {
-			break
-		}
-		rank, _ := e.View.Rank(apex)
-		resp.Domains = append(resp.Domains, domainItem{Apex: string(apex), Rank: rank})
+	top := e.View.Top(limit)
+	resp := domainsResponse{Total: e.View.Stats().Apexes, Domains: make([]domainItem, len(top))}
+	for i, d := range top {
+		resp.Domains[i] = domainItem{Apex: string(d.Apex), Rank: d.Rank}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

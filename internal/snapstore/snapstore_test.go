@@ -166,6 +166,13 @@ func TestCursorRankOrder(t *testing.T) {
 	if got := s.SealedView().Apexes(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Apexes order %v, want %v", got, want)
 	}
+	// Top(n) is the head of that order with the ranks, clamped at both ends.
+	top := []alexa.Domain{{Rank: 1, Apex: want[0]}, {Rank: 2, Apex: want[1]}, {Rank: 3, Apex: want[2]}}
+	for n, want := range map[int][]alexa.Domain{-1: {}, 0: {}, 2: top[:2], 3: top, 9: top} {
+		if got := s.SealedView().Top(n); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Top(%d) = %v, want %v", n, got, want)
+		}
+	}
 }
 
 func TestDiffPairsStreamsChanges(t *testing.T) {

@@ -108,6 +108,17 @@ func (v *View) Apexes() []dnsmsg.Name {
 	return out
 }
 
+// Top returns the first n apexes of Apexes with their ranks, all of them
+// when n exceeds the count, without copying the rest.
+func (v *View) Top(n int) []alexa.Domain {
+	out := make([]alexa.Domain, max(0, min(n, len(v.rankOrder))))
+	for i := range out {
+		m := v.metas[v.rankOrder[i]]
+		out[i] = alexa.Domain{Rank: int(m.rank), Apex: m.name}
+	}
+	return out
+}
+
 // Stats returns the view's retained shape.
 func (v *View) Stats() Stats {
 	return Stats{

@@ -3,10 +3,12 @@
 # run a short checkpointing campaign, point rrserve at the directory,
 # and drive the HTTP API the way a client would — authorized and not,
 # known apex and not, inside and outside the rate budget — asserting
-# status codes and JSON shape. Also checks that static mode refuses a
-# directory with nothing sealed, and that static and -follow servers
-# over the finished directory agree. Finishes with a graceful TERM and
-# checks the server drained cleanly.
+# status codes and JSON shape: single-line bodies, and a list page that
+# heads the full list with a total equal to the store's apex count.
+# Also checks that static mode refuses a directory with nothing sealed,
+# and that static and -follow servers over the finished directory
+# agree. Finishes with a graceful TERM and checks the server drained
+# cleanly.
 #
 # Environment:
 #   SMOKE_SITES  campaign population (default 2000)
@@ -101,6 +103,24 @@ PYEOF
 echo ">> probing apex $apex"
 curl -s "${auth[@]}" "http://$addr/v1/domain/$apex" > "$work/domain.json"
 curl -s "${auth[@]}" "http://$addr/v1/domain/$apex/history" > "$work/history.json"
+total="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["total"])' "$work/domains.json")"
+curl -s "${auth[@]}" "http://$addr/v1/domains?limit=$total" > "$work/all.json"
+
+# A list page is the head of the full rank-ordered list, its total is
+# the store's apex count, and every body is a single line.
+python3 - "$work" <<'PYEOF'
+import json, os, sys
+work = sys.argv[1]
+page, full, stats = (json.load(open(os.path.join(work, f))) for f in ("domains.json", "all.json", "stats.json"))
+assert page["total"] == full["total"] == stats["store"]["apexes"], \
+    f'total {page["total"]}/{full["total"]}, store.apexes {stats["store"]["apexes"]}'
+assert len(full["domains"]) == full["total"], f'limit=total lists {len(full["domains"])} of {full["total"]}'
+assert page["domains"] == full["domains"][:3], "limit=3 is not the head of limit=total"
+for f in ("domains.json", "all.json", "stats.json", "domain.json", "history.json"):
+    raw = open(os.path.join(work, f), "rb").read()
+    assert raw.endswith(b"\n") and raw.count(b"\n") == 1, f"{f} is not a single line"
+print(f'ok: limit=3 heads limit={full["total"]}, total matches store.apexes, bodies are single lines')
+PYEOF
 python3 - "$work/domain.json" "$work/history.json" "$work/stats.json" "$apex" <<'PYEOF'
 import json, sys
 domain, history, stats = (json.load(open(p)) for p in sys.argv[1:4])
