@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,6 +61,75 @@ func TestFollowEqualsCheckpoint(t *testing.T) {
 		t.Fatalf("labels %d and %d, want the final world day 5", got, want)
 	}
 	sameAnswers(t, followed, loaded)
+}
+
+// TestEpochSwapDropsMemo: bodies rendered and stored at one epoch must
+// not outlive it. A followed source serves every apex's domain and
+// history and the stats at epoch N, filling all of its slots; after a
+// refresh to a later round each answer must equal that of a source
+// freshly opened over the same directory, and stats, domain and history
+// bodies must each have changed somewhere, so stale bytes would show.
+func TestEpochSwapDropsMemo(t *testing.T) {
+	dir := t.TempDir()
+	followed := openCheckpoint(t, dir)
+	h := New(Config{Source: followed}).Handler()
+	en := experiment.Dynamics{
+		World:           world.New(dynamicsConfig()),
+		CheckpointDir:   dir,
+		CheckpointEvery: 2,
+	}.NewEngine()
+	defer en.Close()
+	var paths []string
+	bodies := func(h http.Handler) map[string]string {
+		out := make(map[string]string, len(paths))
+		for _, path := range paths {
+			w := get(t, h, path, nil)
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s: status %d", path, w.Code)
+			}
+			out[path] = w.Body.String()
+		}
+		return out
+	}
+
+	for i := 0; i < 3; i++ {
+		en.AppendDay()
+	}
+	if swapped, err := followed.Refresh(); err != nil || !swapped {
+		t.Fatalf("Refresh at epoch N: swapped=%v err=%v", swapped, err)
+	}
+	e, _ := followed.Epoch()
+	paths = []string{"/v1/stats"}
+	for _, apex := range e.View.Apexes() {
+		paths = append(paths, "/v1/domain/"+string(apex), "/v1/domain/"+string(apex)+"/history")
+	}
+	before := bodies(h)
+
+	for i := 0; i < 4; i++ {
+		en.AppendDay()
+	}
+	if swapped, err := followed.Refresh(); err != nil || !swapped {
+		t.Fatalf("Refresh to a later round: swapped=%v err=%v", swapped, err)
+	}
+	after, want := bodies(h), bodies(New(Config{Source: openCheckpoint(t, dir)}).Handler())
+	changed := map[string]int{}
+	for _, path := range paths {
+		if after[path] != want[path] {
+			t.Fatalf("%s after the swap:\n%s\nwant\n%s", path, after[path], want[path])
+		}
+		if after[path] != before[path] {
+			route := "domain"
+			if path == "/v1/stats" {
+				route = "stats"
+			} else if strings.HasSuffix(path, "/history") {
+				route = "history"
+			}
+			changed[route]++
+		}
+	}
+	if changed["stats"] == 0 || changed["domain"] == 0 || changed["history"] == 0 {
+		t.Fatalf("bodies changed per route %v: the later round must change every route", changed)
+	}
 }
 
 // TestOpenCheckpointServesWALRounds: a campaign killed between

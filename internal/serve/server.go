@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"rrdps/internal/core/behavior"
@@ -282,6 +283,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// writeRendered answers 200 with slot's body, rendering it on first use
+// as writeJSON would encode render(). Concurrent first renders store
+// identical bytes, so whichever store lands last is as good as the rest.
+func writeRendered(w http.ResponseWriter, slot *atomic.Pointer[[]byte], render func() any) {
+	body := slot.Load()
+	if body == nil {
+		b, _ := json.Marshal(render()) // the response shapes hold no unmarshalable value
+		b = append(b, '\n')
+		body = &b
+		slot.Store(body)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(*body)
+}
+
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorResponse{Error: msg})
 }
@@ -306,22 +323,23 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.reg.Dump())
 }
 
-// lookupApex parses the path's apex and resolves it against the epoch,
-// answering 400 on a malformed name and 404 (plus a miss count) on an
-// unknown one.
-func (s *Server) lookupApex(w http.ResponseWriter, r *http.Request, e *Epoch) (dnsmsg.Name, bool) {
+// lookupApex parses the path's apex and resolves it against the epoch
+// to its View.Index, answering 400 on a malformed name and 404 (plus a
+// miss count) on an unknown one.
+func (s *Server) lookupApex(w http.ResponseWriter, r *http.Request, e *Epoch) (dnsmsg.Name, int, bool) {
 	apex, err := dnsmsg.ParseName(r.PathValue("apex"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid domain name")
-		return "", false
+		return "", 0, false
 	}
-	if !e.View.Contains(apex) {
+	i, ok := e.View.Index(apex)
+	if !ok {
 		s.miss.Inc()
 		writeError(w, http.StatusNotFound, "unknown domain")
-		return "", false
+		return "", 0, false
 	}
 	s.hit.Inc()
-	return apex, true
+	return apex, i, true
 }
 
 func recordJSONOf(rec collect.Record) *recordJSON {
@@ -382,11 +400,13 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	apex, ok := s.lookupApex(w, r, e)
-	if !ok {
-		return
+	if apex, i, ok := s.lookupApex(w, r, e); ok {
+		writeRendered(w, &e.domain[i], func() any { return domainOf(e, apex) })
 	}
+}
 
+// domainOf builds apex's /v1/domain answer from e.
+func domainOf(e *Epoch, apex dnsmsg.Name) domainResponse {
 	resp := domainResponse{Apex: string(apex)}
 	if rank, ok := e.View.Rank(apex); ok {
 		resp.Rank = rank
@@ -421,7 +441,7 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 	if res := e.State.Residual; res != nil {
 		resp.HiddenRecords = hiddenRecordsFor(res, apex)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // exposurePresence extracts apex's per-week hidden/verified flags from
@@ -457,11 +477,13 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	apex, ok := s.lookupApex(w, r, e)
-	if !ok {
-		return
+	if apex, i, ok := s.lookupApex(w, r, e); ok {
+		writeRendered(w, &e.history[i], func() any { return historyOf(e, apex) })
 	}
+}
 
+// historyOf builds apex's /v1/domain/{apex}/history answer from e.
+func historyOf(e *Epoch, apex dnsmsg.Name) historyResponse {
 	resp := historyResponse{Apex: string(apex)}
 	for _, v := range e.View.History(apex) {
 		vj := versionJSON{Day: v.Day, Gone: v.Gone}
@@ -510,7 +532,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 			return a.Week < b.Week
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 func (s *Server) handleDomains(w http.ResponseWriter, r *http.Request) {
@@ -554,10 +576,13 @@ func distinctNames(weeks []exposure.WeekState, verified bool) int {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.epoch(w)
-	if !ok {
-		return
+	if e, ok := s.epoch(w); ok {
+		writeRendered(w, &e.stats, func() any { return statsOf(e) })
 	}
+}
+
+// statsOf builds the /v1/stats answer from e.
+func statsOf(e *Epoch) statsResponse {
 	st := e.View.Stats()
 	resp := statsResponse{
 		Kind:     e.State.Kind,
@@ -610,5 +635,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			},
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }

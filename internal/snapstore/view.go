@@ -93,10 +93,11 @@ func (v *View) Rank(apex dnsmsg.Name) (int, bool) {
 	return int(v.metas[idx].rank), true
 }
 
-// Contains reports whether the view has ever seen apex.
-func (v *View) Contains(apex dnsmsg.Name) bool {
-	_, ok := v.byApex[apex]
-	return ok
+// Index returns apex's dense index in [0, Stats().Apexes), fixed for
+// the view's lifetime; ok is false when the view has never seen apex.
+func (v *View) Index(apex dnsmsg.Name) (int, bool) {
+	idx, ok := v.byApex[apex]
+	return int(idx), ok
 }
 
 // Apexes returns every apex the view has ever seen, in rank order.

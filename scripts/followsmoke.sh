@@ -7,8 +7,8 @@
 # print the report) and the follow server must converge on the final day
 # within one poll cycle. Finally a fresh batch campaign over the same
 # number of days is served side by side and the two servers' answers —
-# stats, the full population, a sampled domain and its history — must be
-# byte-identical, the process-level face of the append==batch law.
+# stats, the full population, a domain looked up live and its history —
+# must be byte-identical, the process-level face of the append==batch law.
 # Last, `rrscan -follow` runs the same daemon loop (cmdutil.RunFollow)
 # for a few rounds: it must drain on -max-days, and a plain rrserve
 # must load what it left as a residual campaign.
@@ -102,6 +102,21 @@ distinct="$(sort -un "$seen" | wc -l)"
   { echo "FAIL: only $distinct distinct epochs observed live — server is not tailing"; exit 1; }
 echo "ok: watched the epoch advance through $distinct states up to day $((d - 1))"
 
+# Look up the top apex while the writer still runs, so the follow
+# server renders and stores its bodies at an epoch older than the final
+# one; the byte comparison below then shows the stored bodies did not
+# outlive their epoch.
+apex="$(curl -s "http://$faddr/v1/domains?limit=1" | python3 -c '
+import json, sys
+d = json.load(sys.stdin)
+assert d["total"] > 0, "follow server has no domains"
+print(d["domains"][0]["apex"])')"
+for path in "/v1/domain/$apex" "/v1/domain/$apex/history"; do
+  got="$(curl -s -o /dev/null -w '%{http_code}' "http://$faddr$path")"
+  [ "$got" = 200 ] || { echo "FAIL: live GET $path -> $got, want 200"; exit 1; }
+done
+echo "ok: live lookups of $apex answered"
+
 # SIGTERM drains the writer: finish the in-flight day, checkpoint, report.
 kill -TERM "$writer_pid"
 wait "$writer_pid" || { echo "FAIL: writer exited nonzero"; cat "$work/writer.err"; exit 1; }
@@ -137,11 +152,6 @@ batch_pid=$!
 baddr="$(wait_addr "$work/batch.log" "$batch_pid")"
 echo ">> batch rrserve up at $baddr"
 
-apex="$(curl -s "http://$baddr/v1/domains?limit=1" | python3 -c '
-import json, sys
-d = json.load(sys.stdin)
-assert d["total"] > 0, "batch server has no domains"
-print(d["domains"][0]["apex"])')"
 for path in /v1/stats "/v1/domains?limit=$sites" "/v1/domain/$apex" "/v1/domain/$apex/history"; do
   curl -s "http://$faddr$path" > "$work/follow.body"
   curl -s "http://$baddr$path" > "$work/batch.body"
