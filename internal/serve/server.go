@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net"
@@ -283,14 +284,24 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// writeRendered answers 200 with slot's body, rendering it on first use
-// as writeJSON would encode render(). Concurrent first renders store
-// identical bytes, so whichever store lands last is as good as the rest.
+// seen marks a slot whose body was requested once and not stored.
+var seen = new([]byte)
+
+// writeRendered answers 200 with render()'s body as writeJSON encodes it.
+// A slot's first request only marks it seen, so answers asked for once
+// per epoch are never kept; a repeat stores the body for later requests.
+// Concurrent renders encode identical bytes, so any store is as good.
 func writeRendered(w http.ResponseWriter, slot *atomic.Pointer[[]byte], render func() any) {
 	body := slot.Load()
 	if body == nil {
-		b, _ := json.Marshal(render()) // the response shapes hold no unmarshalable value
-		b = append(b, '\n')
+		slot.CompareAndSwap(nil, seen)
+		writeJSON(w, http.StatusOK, render())
+		return
+	}
+	if body == seen {
+		var buf bytes.Buffer
+		json.NewEncoder(&buf).Encode(render())
+		b := buf.Bytes()
 		body = &b
 		slot.Store(body)
 	}

@@ -29,11 +29,9 @@ import (
 
 // Epoch is one sealed round's queryable state: an immutable store view
 // plus the campaign cursor decoded from the same round, so every answer
-// a handler builds is internally consistent. View and State are never
-// mutated after construction, so each 200 body is fixed for the epoch's
-// lifetime: its slots fill once, on the first request for a route and
-// apex (indexed by View.Index), and are dropped with the epoch at the
-// next swap.
+// a handler builds is internally consistent. Epochs are never mutated
+// after construction; only their body slots (per route and View.Index)
+// fill once, on a repeat request, and go with the epoch at the next swap.
 type Epoch struct {
 	View  *snapstore.View
 	State experiment.CampaignState
@@ -132,8 +130,7 @@ func (s *CheckpointSource) Refresh() (swapped bool, err error) {
 	}
 	v := store.SealedView()
 	n := v.Stats().Apexes
-	s.cur.Store(&Epoch{View: v, State: state,
-		domain: make([]atomic.Pointer[[]byte], n), history: make([]atomic.Pointer[[]byte], n)})
+	s.cur.Store(&Epoch{View: v, State: state, domain: make([]atomic.Pointer[[]byte], n), history: make([]atomic.Pointer[[]byte], n)})
 	s.lastSig = sig
 	return true, nil
 }

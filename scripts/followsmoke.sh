@@ -102,16 +102,16 @@ distinct="$(sort -un "$seen" | wc -l)"
   { echo "FAIL: only $distinct distinct epochs observed live — server is not tailing"; exit 1; }
 echo "ok: watched the epoch advance through $distinct states up to day $((d - 1))"
 
-# Look up the top apex while the writer still runs, so the follow
-# server renders and stores its bodies at an epoch older than the final
-# one; the byte comparison below then shows the stored bodies did not
-# outlive their epoch.
+# Look up the top apex twice while the writer still runs, so the follow
+# server stores its bodies (an epoch keeps an answer on its repeat) at
+# an epoch older than the final one; the byte comparison below then
+# shows the stored bodies did not outlive their epoch.
 apex="$(curl -s "http://$faddr/v1/domains?limit=1" | python3 -c '
 import json, sys
 d = json.load(sys.stdin)
 assert d["total"] > 0, "follow server has no domains"
 print(d["domains"][0]["apex"])')"
-for path in "/v1/domain/$apex" "/v1/domain/$apex/history"; do
+for path in "/v1/domain/$apex" "/v1/domain/$apex" "/v1/domain/$apex/history" "/v1/domain/$apex/history"; do
   got="$(curl -s -o /dev/null -w '%{http_code}' "http://$faddr$path")"
   [ "$got" = 200 ] || { echo "FAIL: live GET $path -> $got, want 200"; exit 1; }
 done
