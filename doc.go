@@ -28,7 +28,7 @@
 //     bypass simulation.
 //
 // Snapshot flow: the campaign runners stream each day's collection
-// straight into a SnapshotStore (collector → store → streaming
+// straight into a snapshot store (collector → store → streaming
 // classifier/differ → campaign aggregation) and bound retention with
 // SnapWindow, so memory stays flat over campaign length. Days are read
 // back only through the store's cursors and views; the original map

@@ -108,12 +108,3 @@ func TLDs() []string {
 	}
 	return out
 }
-
-// RankBucket classifies a rank into the coarse popularity buckets the
-// paper reports on: "top10k" or "rest".
-func RankBucket(rank int) string {
-	if rank <= 10_000 {
-		return "top10k"
-	}
-	return "rest"
-}

@@ -79,15 +79,6 @@ func TestComDominates(t *testing.T) {
 	}
 }
 
-func TestRankBucket(t *testing.T) {
-	if RankBucket(1) != "top10k" || RankBucket(10_000) != "top10k" {
-		t.Fatal("top10k misclassified")
-	}
-	if RankBucket(10_001) != "rest" {
-		t.Fatal("rest misclassified")
-	}
-}
-
 func TestTopListZero(t *testing.T) {
 	if got := TopList(0, rand.New(rand.NewSource(1))); len(got) != 0 {
 		t.Fatalf("TopList(0) = %v", got)

@@ -53,13 +53,6 @@ var _ netsim.Handler = (*OpenResolver)(nil)
 // Addr returns the resolver's address.
 func (r *OpenResolver) Addr() netip.Addr { return r.addr }
 
-// Reflected returns how many response units the resolver has emitted.
-func (r *OpenResolver) Reflected() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.reflected
-}
-
 // ServeNet implements netsim.Handler: every query is answered toward the
 // *claimed* source — the essence of reflection. The caller (the spoofing
 // bot) gets nothing back.

@@ -113,3 +113,10 @@ func TestOpenResolverReflectsToClaimedSource(t *testing.T) {
 		t.Fatalf("Reflected() = %d", resolver.Reflected())
 	}
 }
+
+// Reflected returns how many response units the resolver has emitted.
+func (r *OpenResolver) Reflected() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.reflected
+}

@@ -283,9 +283,6 @@ func (t *Tracker) PauseWindows() []PauseWindow {
 	return out
 }
 
-// OpenPauseCount returns how many pause windows are still open.
-func (t *Tracker) OpenPauseCount() int { return len(t.openPauses) }
-
 // CountsByDay aggregates detections per day per kind — the Fig. 3 series.
 func (t *Tracker) CountsByDay() map[int]map[Kind]int {
 	out := make(map[int]map[Kind]int)
@@ -314,15 +311,6 @@ func (t *Tracker) DayCounts(day int) map[Kind]int {
 			}
 			continue
 		}
-		out[d.Kind]++
-	}
-	return out
-}
-
-// Counts aggregates total detections per kind.
-func (t *Tracker) Counts() map[Kind]int {
-	out := make(map[Kind]int)
-	for _, d := range t.detections {
 		out[d.Kind]++
 	}
 	return out

@@ -194,8 +194,8 @@ func TestOffAtBaselineOpensWindow(t *testing.T) {
 	const apex = dnsmsg.Name("site.com")
 	tr := NewTracker(nil)
 	tr.Observe(0, day(apex, off(dps.Incapsula)))
-	if tr.OpenPauseCount() != 1 {
-		t.Fatalf("open pauses = %d", tr.OpenPauseCount())
+	if len(tr.openPauses) != 1 {
+		t.Fatalf("open pauses = %d", len(tr.openPauses))
 	}
 	tr.Observe(2, day(apex, on(dps.Incapsula)))
 	ws := tr.PauseWindows()
@@ -235,8 +235,8 @@ func TestLateAppearingOffDomainCensored(t *testing.T) {
 			t.Fatalf("baseline appearance produced detection %+v", d)
 		}
 	}
-	if tr.OpenPauseCount() != 2 {
-		t.Fatalf("open pauses = %d, want 2", tr.OpenPauseCount())
+	if len(tr.openPauses) != 2 {
+		t.Fatalf("open pauses = %d, want 2", len(tr.openPauses))
 	}
 
 	// Day 5: both resume.
@@ -263,4 +263,13 @@ func TestKindStrings(t *testing.T) {
 			t.Fatalf("kind %d empty string", k)
 		}
 	}
+}
+
+// Counts aggregates total detections per kind.
+func (t *Tracker) Counts() map[Kind]int {
+	out := make(map[Kind]int)
+	for _, d := range t.detections {
+		out[d.Kind]++
+	}
+	return out
 }

@@ -26,8 +26,8 @@ func TestSameDayPauseSwitchPrecedence(t *testing.T) {
 	if dets[0].From != dps.Cloudflare || dets[0].To != dps.Incapsula {
 		t.Fatalf("switch providers = %s → %s", dets[0].From, dets[0].To)
 	}
-	if tr.OpenPauseCount() != 1 {
-		t.Fatalf("open pauses = %d, want 1", tr.OpenPauseCount())
+	if len(tr.openPauses) != 1 {
+		t.Fatalf("open pauses = %d, want 1", len(tr.openPauses))
 	}
 
 	// The window closes on resume at the NEW provider, attributed there.
@@ -65,8 +65,8 @@ func TestSameDayOffToOffSwitch(t *testing.T) {
 	if w := closed[0]; w.Provider != dps.Cloudflare || w.Resumed || w.StartDay != 1 || w.EndDay != 2 {
 		t.Fatalf("closed window = %+v, want unresumed Cloudflare 1→2", w)
 	}
-	if tr.OpenPauseCount() != 1 {
-		t.Fatalf("open pauses = %d, want 1 (Edgecast window)", tr.OpenPauseCount())
+	if len(tr.openPauses) != 1 {
+		t.Fatalf("open pauses = %d, want 1 (Edgecast window)", len(tr.openPauses))
 	}
 }
 
@@ -134,7 +134,7 @@ func TestStreamingObserveMatchesMap(t *testing.T) {
 	if !reflect.DeepEqual(streamTr.CountsByDay(), mapTr.CountsByDay()) {
 		t.Fatal("daily counts differ")
 	}
-	if streamTr.OpenPauseCount() != mapTr.OpenPauseCount() {
+	if len(streamTr.openPauses) != len(mapTr.openPauses) {
 		t.Fatal("open pause counts differ")
 	}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"reflect"
+	"rrdps/internal/core/exposure"
 	"testing"
 
 	"rrdps/internal/netsim"
@@ -67,13 +68,8 @@ func TestResidualFullyDeterministic(t *testing.T) {
 	a := Residual{World: build(), Weeks: 2, WarmupDays: 14}.Run()
 	b := Residual{World: build(), Weeks: 2, WarmupDays: 14}.Run()
 
-	aw, ah, av := a.CFExposure.WeeklyCounts()
-	bw, bh, bv := b.CFExposure.WeeklyCounts()
-	if !reflect.DeepEqual(aw, bw) || !reflect.DeepEqual(ah, bh) || !reflect.DeepEqual(av, bv) {
-		t.Fatal("weekly counts differ between identical campaigns")
-	}
-	if !reflect.DeepEqual(a.CFExposure.ExposedApexes(), b.CFExposure.ExposedApexes()) {
-		t.Fatal("exposed apex sets differ")
+	if !reflect.DeepEqual(exportWeeks(a.CFExposure), exportWeeks(b.CFExposure)) {
+		t.Fatal("weekly hidden or verified sets differ between identical campaigns")
 	}
 	for i := range a.Cloudflare {
 		if !reflect.DeepEqual(a.Cloudflare[i].Report.Hidden, b.Cloudflare[i].Report.Hidden) {
@@ -112,13 +108,8 @@ func TestResidualParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("nameserver counts differ: serial %d, parallel %d",
 			serial.NameserverCount, parallel.NameserverCount)
 	}
-	sw, sh, sv := serial.CFExposure.WeeklyCounts()
-	pw, ph, pv := parallel.CFExposure.WeeklyCounts()
-	if !reflect.DeepEqual(sw, pw) || !reflect.DeepEqual(sh, ph) || !reflect.DeepEqual(sv, pv) {
-		t.Fatal("CF weekly counts differ between serial and parallel campaigns")
-	}
-	if !reflect.DeepEqual(serial.CFExposure.ExposedApexes(), parallel.CFExposure.ExposedApexes()) {
-		t.Fatal("CF exposed apex sets differ")
+	if !reflect.DeepEqual(exportWeeks(serial.CFExposure), exportWeeks(parallel.CFExposure)) {
+		t.Fatal("CF weekly hidden or verified sets differ between serial and parallel campaigns")
 	}
 	if len(serial.Incapsula) != len(parallel.Incapsula) {
 		t.Fatalf("incapsula week counts differ: serial %d, parallel %d",
@@ -166,4 +157,14 @@ func TestDynamicsParallelMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(serial.Breakdowns, parallel.Breakdowns) {
 		t.Fatal("adoption breakdowns differ")
 	}
+}
+
+// exportWeeks is every week of tr as ExportWeek exports it: the sorted
+// hidden and verified sets, in week order.
+func exportWeeks(tr *exposure.Tracker) []exposure.WeekState {
+	out := make([]exposure.WeekState, tr.Weeks())
+	for i := range out {
+		out[i] = tr.ExportWeek(i)
+	}
+	return out
 }

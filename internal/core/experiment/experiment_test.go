@@ -230,10 +230,10 @@ func TestResidualWeekNumbering(t *testing.T) {
 			t.Fatalf("incapsula report %d has week %d, want %d", i, wr.Week, want)
 		}
 	}
-	if got, _, _ := res.CFExposure.WeeklyCounts(); len(got) != 5 || got[0] != 1 || got[4] != 5 {
+	if got := exportWeeks(res.CFExposure); len(got) != 5 || got[0].Week != 1 || got[4].Week != 5 {
 		t.Fatalf("cloudflare tracker weeks = %v", got)
 	}
-	if got, _, _ := res.IncExposure.WeeklyCounts(); len(got) != 3 || got[0] != 3 || got[2] != 5 {
+	if got := exportWeeks(res.IncExposure); len(got) != 3 || got[0].Week != 3 || got[2].Week != 5 {
 		t.Fatalf("incapsula tracker weeks = %v", got)
 	}
 }

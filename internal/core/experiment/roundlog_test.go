@@ -16,7 +16,7 @@ import (
 func fullResidualCursor(en *ResidualEngine) []byte {
 	cur := en.cursorFields()
 	cur.Cloudflare, cur.Incapsula = en.res.Cloudflare, en.res.Incapsula
-	cur.CFExposure, cur.IncExposure = en.res.CFExposure.ExportState(), en.res.IncExposure.ExportState()
+	cur.CFExposure, cur.IncExposure = exportWeeks(en.res.CFExposure), exportWeeks(en.res.IncExposure)
 	return encodeCursor(cur)
 }
 
@@ -115,9 +115,13 @@ func TestWALOnlyRoundReplays(t *testing.T) {
 		t.Run(fmt.Sprintf("kill-after-round-%d", kill), func(t *testing.T) {
 			dir := t.TempDir()
 			cfg.build(dir, false, kill).Run()
-			days, tail, err := snapdisk.ReplayWAL(filepath.Join(dir, "wal.log"))
-			if err != nil || tail != nil {
-				t.Fatalf("replay: err %v tail %v", err, tail)
+			wal, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			days, tail := snapdisk.ReplayWALBytes(wal)
+			if tail != nil {
+				t.Fatalf("replay: tail %v", tail)
 			}
 			if len(days) != 1 {
 				t.Fatalf("wal holds %d sealed groups, want the one round since the checkpoint", len(days))

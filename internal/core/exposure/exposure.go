@@ -50,7 +50,7 @@ func (t *Tracker) AddWeek(week int, rep filter.Report) {
 func (t *Tracker) Weeks() int { return len(t.weeks) }
 
 // LatestCounts returns the newest week's label and hidden/verified
-// counts — the single-week increment of WeeklyCounts, for consumers
+// counts — Table VI's newest per-week row, for consumers
 // (the follow-mode daemons) that report each appended week as it lands.
 // ok is false on an empty tracker.
 func (t *Tracker) LatestCounts() (week, hidden, verified int, ok bool) {
@@ -69,19 +69,10 @@ type WeekState struct {
 	Verified []dnsmsg.Name
 }
 
-// ExportState captures every week's observation in order, each week's
-// sets sorted, so the encoding is deterministic.
-func (t *Tracker) ExportState() []WeekState {
-	out := make([]WeekState, len(t.weeks))
-	for i := range t.weeks {
-		out[i] = t.ExportWeek(i)
-	}
-	return out
-}
-
 // ExportWeek captures the i-th week's observation (0-based, in the
-// order added) as ExportState does. A week's observation never changes
-// once added, so neither does its export.
+// order added), its sets sorted so the encoding is deterministic. A
+// week's observation never changes once added, so neither does its
+// export.
 func (t *Tracker) ExportWeek(i int) WeekState {
 	obs := t.weeks[i]
 	ws := WeekState{Week: obs.Week}
@@ -115,17 +106,6 @@ func RestoreTracker(weeks []WeekState) *Tracker {
 		t.weeks = append(t.weeks, obs)
 	}
 	return t
-}
-
-// WeeklyCounts returns, per week, the hidden-record and verified-origin
-// counts — Table VI's per-week rows.
-func (t *Tracker) WeeklyCounts() (weeks []int, hidden []int, verified []int) {
-	for _, obs := range t.weeks {
-		weeks = append(weeks, obs.Week)
-		hidden = append(hidden, len(obs.Hidden))
-		verified = append(verified, len(obs.Verified))
-	}
-	return weeks, hidden, verified
 }
 
 // TotalHidden returns the union size of hidden records across weeks (the
@@ -201,20 +181,4 @@ func (t *Tracker) Timeline() Timeline {
 		}
 	}
 	return tl
-}
-
-// ExposedApexes returns the distinct verified origins across all weeks.
-func (t *Tracker) ExposedApexes() []dnsmsg.Name {
-	seen := make(map[dnsmsg.Name]bool)
-	for _, obs := range t.weeks {
-		for apex := range obs.Verified {
-			seen[apex] = true
-		}
-	}
-	out := make([]dnsmsg.Name, 0, len(seen))
-	for apex := range seen {
-		out = append(out, apex)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

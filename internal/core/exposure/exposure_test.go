@@ -2,6 +2,7 @@ package exposure
 
 import (
 	"net/netip"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -41,15 +42,17 @@ func TestWeeklyCountsAndTotals(t *testing.T) {
 	tr.AddWeek(1, report([]string{"a.com", "b.com"}, []string{"a.com"}))
 	tr.AddWeek(2, report([]string{"a.com", "c.com"}, []string{"a.com", "c.com"}))
 
-	weeks, hidden, verified := tr.WeeklyCounts()
-	if len(weeks) != 2 || weeks[0] != 1 || weeks[1] != 2 {
-		t.Fatalf("weeks = %v", weeks)
+	want := []WeekState{
+		{Week: 1, Hidden: []dnsmsg.Name{"a.com", "b.com"}, Verified: []dnsmsg.Name{"a.com"}},
+		{Week: 2, Hidden: []dnsmsg.Name{"a.com", "c.com"}, Verified: []dnsmsg.Name{"a.com", "c.com"}},
 	}
-	if hidden[0] != 2 || hidden[1] != 2 {
-		t.Fatalf("hidden = %v", hidden)
+	if tr.Weeks() != len(want) {
+		t.Fatalf("Weeks = %d, want %d", tr.Weeks(), len(want))
 	}
-	if verified[0] != 1 || verified[1] != 2 {
-		t.Fatalf("verified = %v", verified)
+	for i, w := range want {
+		if got := tr.ExportWeek(i); !reflect.DeepEqual(got, w) {
+			t.Fatalf("ExportWeek(%d) = %+v, want %+v", i, got, w)
+		}
 	}
 	// Totals are unions, like Table VI's total row.
 	if tr.TotalHidden() != 3 {
@@ -98,9 +101,9 @@ func TestTimelineEmpty(t *testing.T) {
 func TestExposedApexesSorted(t *testing.T) {
 	tr := NewTracker()
 	tr.AddWeek(1, report(nil, []string{"b.com", "a.com"}))
-	got := tr.ExposedApexes()
+	got := tr.ExportWeek(0).Verified
 	if len(got) != 2 || got[0] != "a.com" || got[1] != "b.com" {
-		t.Fatalf("ExposedApexes = %v", got)
+		t.Fatalf("ExportWeek(0).Verified = %v", got)
 	}
 }
 

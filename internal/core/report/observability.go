@@ -61,29 +61,6 @@ func Observability(d obs.Dump) string {
 	return b.String()
 }
 
-// ObservabilityCSV emits kind,name,value rows for every metric in the
-// dump, plus phase rows (kind=phase, value=items) — the raw series behind
-// the text tables.
-func ObservabilityCSV(d obs.Dump) string {
-	var b strings.Builder
-	b.WriteString("kind,name,value\n")
-	for _, name := range sortedKeys(d.Snapshot.Counters) {
-		fmt.Fprintf(&b, "counter,%s,%d\n", name, d.Snapshot.Counters[name])
-	}
-	for _, name := range sortedKeys(d.Snapshot.Gauges) {
-		fmt.Fprintf(&b, "gauge,%s,%d\n", name, d.Snapshot.Gauges[name])
-	}
-	for _, name := range sortedKeys(d.Snapshot.Histograms) {
-		h := d.Snapshot.Histograms[name]
-		fmt.Fprintf(&b, "histogram_count,%s,%d\n", name, h.Count)
-		fmt.Fprintf(&b, "histogram_sum,%s,%d\n", name, h.Sum)
-	}
-	for _, p := range d.Phases {
-		fmt.Fprintf(&b, "phase,%s,%d\n", p.Phase, p.Items)
-	}
-	return b.String()
-}
-
 // timeResolution keeps wall-time cells readable.
 const timeResolution = 10 * time.Microsecond
 

@@ -68,8 +68,3 @@ func checkGolden(t *testing.T, name, got string) {
 func TestObservabilityGolden(t *testing.T) {
 	checkGolden(t, "observability.txt", Observability(goldenDump(t)))
 }
-
-// TestObservabilityCSVGolden pins the CSV form the same way.
-func TestObservabilityCSVGolden(t *testing.T) {
-	checkGolden(t, "observability.csv", ObservabilityCSV(goldenDump(t)))
-}

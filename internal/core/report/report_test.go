@@ -161,17 +161,6 @@ func TestObservabilityRendering(t *testing.T) {
 			t.Errorf("Observability missing %q:\n%s", frag, text)
 		}
 	}
-
-	csv := ObservabilityCSV(r.Dump())
-	for _, frag := range []string{
-		"kind,name,value\n", "counter,collect.domains,600",
-		"gauge,campaign.weeks,6", "histogram_count,filter.hidden_per_apex,1",
-		"phase,collect,600",
-	} {
-		if !strings.Contains(csv, frag) {
-			t.Errorf("ObservabilityCSV missing %q:\n%s", frag, csv)
-		}
-	}
 }
 
 func TestDefinitionTables(t *testing.T) {

@@ -254,3 +254,17 @@ func TestScanDirectHostsSubdomains(t *testing.T) {
 		t.Fatal("nonexistent subdomain answered")
 	}
 }
+
+// ScanDirectHosts is ScanDirect generalized beyond the www subdomain: it
+// queries the given hostnames verbatim, keyed by hostname in the result.
+// The paper's limitations section (§V-C) notes its study covers only www
+// while residual resolution is universal across any DPS-served subdomain;
+// this is that generalization.
+func (s *Scanner) ScanDirectHosts(nsAddrs []netip.Addr, hosts []dnsmsg.Name) map[dnsmsg.Name][]netip.Addr {
+	if len(nsAddrs) == 0 {
+		return nil
+	}
+	return s.scan(nsAddrs, len(hosts), func(i int) (dnsmsg.Name, dnsmsg.Name) {
+		return hosts[i], hosts[i]
+	})
+}

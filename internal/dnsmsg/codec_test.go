@@ -282,3 +282,16 @@ func TestTTLHighBitClampedOnDecode(t *testing.T) {
 		t.Fatalf("MSB-set TTL decoded as %v, want 0", got.Answers[0].TTL)
 	}
 }
+
+// NewSOA builds an SOA record with conventional timer values.
+func NewSOA(name Name, ttl time.Duration, mname, rname Name, serial uint32) RR {
+	return RR{Name: name, Class: ClassIN, TTL: ttl, Data: SOAData{
+		MName:   mname,
+		RName:   rname,
+		Serial:  serial,
+		Refresh: 7200,
+		Retry:   3600,
+		Expire:  1209600,
+		Minimum: 300,
+	}}
+}

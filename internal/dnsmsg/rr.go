@@ -182,16 +182,3 @@ func NewMX(name Name, ttl time.Duration, pref uint16, host Name) RR {
 func NewTXT(name Name, ttl time.Duration, strs ...string) RR {
 	return RR{Name: name, Class: ClassIN, TTL: ttl, Data: TXTData{Strings: strs}}
 }
-
-// NewSOA builds an SOA record with conventional timer values.
-func NewSOA(name Name, ttl time.Duration, mname, rname Name, serial uint32) RR {
-	return RR{Name: name, Class: ClassIN, TTL: ttl, Data: SOAData{
-		MName:   mname,
-		RName:   rname,
-		Serial:  serial,
-		Refresh: 7200,
-		Retry:   3600,
-		Expire:  1209600,
-		Minimum: 300,
-	}}
-}

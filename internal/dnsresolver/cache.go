@@ -124,33 +124,6 @@ func (c *cache) Purge() {
 	}
 }
 
-// Len returns the total number of live entries at now, summed across
-// shards.
-func (c *cache) Len(now time.Time) int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for _, e := range s.answers {
-			if e.expires.After(now) {
-				n++
-			}
-		}
-		for _, e := range s.delegations {
-			if e.entry.expires.After(now) {
-				n++
-			}
-		}
-		for _, e := range s.hostAddrs {
-			if e.expires.After(now) {
-				n++
-			}
-		}
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // lookupAnswer looks key up for resolution sc. On a miss, sc joins the
 // key's fill (flight.go): it leads it, fills it solo, or waits for the
 // leader and re-reads, which is a hit when the leader cached the entry;

@@ -164,3 +164,30 @@ func (c *cache) getDelegation(now time.Time, zone dnsmsg.Name) ([]dnsmsg.Name, b
 	}
 	return slot.entry.hosts, true
 }
+
+// Len returns the total number of live entries at now, summed across
+// shards.
+func (c *cache) Len(now time.Time) int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for _, e := range s.answers {
+			if e.expires.After(now) {
+				n++
+			}
+		}
+		for _, e := range s.delegations {
+			if e.entry.expires.After(now) {
+				n++
+			}
+		}
+		for _, e := range s.hostAddrs {
+			if e.expires.After(now) {
+				n++
+			}
+		}
+		s.mu.Unlock()
+	}
+	return n
+}

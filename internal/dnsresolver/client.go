@@ -59,12 +59,6 @@ func NewClient(net *netsim.Network, addr netip.Addr, region netsim.Region, rng *
 	return c
 }
 
-// Addr returns the client's source address.
-func (c *Client) Addr() netip.Addr { return c.addr }
-
-// Region returns the client's region.
-func (c *Client) Region() netsim.Region { return c.region }
-
 // SetPolicy installs the retry policy. Call it between passes, not while
 // queries are in flight elsewhere, if deterministic accounting matters.
 func (c *Client) SetPolicy(p Policy) {
@@ -89,9 +83,6 @@ func (c *Client) Checkpoint() { c.health.Checkpoint(c.Policy()) }
 
 // Stats returns a snapshot of the client's resilience accounting.
 func (c *Client) Stats() QueryStats { return c.stats.snapshot(c.health) }
-
-// ResetStats zeroes the accounting counters (not the health state).
-func (c *Client) ResetStats() { c.stats.reset() }
 
 // Errors distinguishing why an exchange failed.
 var (

@@ -146,22 +146,6 @@ func (h *Health) ObserveRTT(addr netip.Addr, rtt time.Duration) {
 	}
 }
 
-// EwmaRTT returns the current smoothed RTT estimate for addr (0 when the
-// tracker has no estimate yet). The estimate changes only at Checkpoint.
-func (h *Health) EwmaRTT(addr netip.Addr) time.Duration {
-	if e, ok := h.known(addr); ok {
-		return time.Duration(e.ewmaRTT)
-	}
-	return 0
-}
-
-// Available reports whether addr is selectable (not sidelined). Unknown
-// servers are available.
-func (h *Health) Available(addr netip.Addr) bool {
-	e, ok := h.known(addr)
-	return !ok || e.sidelinedFor == 0
-}
-
 // entriesLocked publishes a table holding the fresh entries too, empties
 // the fresh table, and returns the new table. Caller holds h.mu and the
 // fabric is quiescent.

@@ -126,3 +126,19 @@ func TestHealthRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("after a pass, restored tracker %+v, original %+v", got, want)
 	}
 }
+
+// Available reports whether addr is selectable (not sidelined). Unknown
+// servers are available.
+func (h *Health) Available(addr netip.Addr) bool {
+	e, ok := h.known(addr)
+	return !ok || e.sidelinedFor == 0
+}
+
+// EwmaRTT returns the current smoothed RTT estimate for addr (0 when the
+// tracker has no estimate yet). The estimate changes only at Checkpoint.
+func (h *Health) EwmaRTT(addr netip.Addr) time.Duration {
+	if e, ok := h.known(addr); ok {
+		return time.Duration(e.ewmaRTT)
+	}
+	return 0
+}

@@ -130,7 +130,7 @@ func (w *providerWorld) pass(t testing.TB, workers int) (map[string]int, QuerySt
 	w.resolver.Checkpoint()
 	w.resolver.PurgeCache()
 	w.log.n = map[string]int{}
-	w.resolver.Client().ResetStats()
+	w.resolver.Client().stats.reset()
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
 		wg.Add(1)

@@ -214,9 +214,6 @@ func (r *Resolver) Checkpoint() { r.client.Checkpoint() }
 // before every daily snapshot so consecutive measurements are independent.
 func (r *Resolver) PurgeCache() { r.cache.Purge() }
 
-// CacheLen returns the number of live cache entries.
-func (r *Resolver) CacheLen() int { return r.cache.Len(r.clock.Now()) }
-
 // Resolve performs a full recursive resolution of (name, qtype).
 func (r *Resolver) Resolve(name dnsmsg.Name, qtype dnsmsg.Type) (Result, error) {
 	sc := resolveScratchPool.Get().(*resolveScratch)

@@ -411,3 +411,6 @@ func TestNegativeTTLFromSOA(t *testing.T) {
 		t.Fatal("negative entry survived past the SOA minimum")
 	}
 }
+
+// CacheLen returns the number of live cache entries.
+func (r *Resolver) CacheLen() int { return r.cache.Len(r.clock.Now()) }

@@ -153,10 +153,3 @@ func (c *statsCounters) fold(d *QueryStats, l *lookups) {
 		*l = lookups{}
 	}
 }
-
-// reset zeroes the accumulator.
-func (c *statsCounters) reset() {
-	for i := range c.v {
-		c.v[i].Store(0)
-	}
-}

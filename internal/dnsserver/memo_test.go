@@ -337,12 +337,12 @@ func TestAnswerMemoRecomputes(t *testing.T) {
 				var computed []dnsmsg.Name
 				for i, p := range wires {
 					want := uncached(t, s, p)
-					before := s.Computed()
+					before := s.computed.Load()
 					got, err := s.ServeNetBuf(netsim.Request{Payload: p}, nil)
 					if err != nil || !bytes.Equal(got, want) {
 						t.Fatalf("%s: got %x (%v), want %x", queries[i], got, err, want)
 					}
-					if s.Computed() != before {
+					if s.computed.Load() != before {
 						computed = append(computed, queries[i])
 					}
 				}
@@ -454,13 +454,13 @@ func TestServeNetBufHitAllocs(t *testing.T) {
 	}
 	z, _ := s.Zone("example.com")
 	z.MustAdd(dnsmsg.NewA("other.example.com", time.Minute, netip.MustParseAddr("10.0.0.2")))
-	computed := s.Computed()
+	computed := s.computed.Load()
 	if n := testing.AllocsPerRun(100, func() {
 		dst, _ = s.ServeNetBuf(netsim.Request{Payload: wire}, dst[:0])
 	}); n != 0 {
 		t.Fatalf("memo hit after an unrelated edit: %v allocs, want 0", n)
 	}
-	if s.Computed() != computed {
+	if s.computed.Load() != computed {
 		t.Fatal("an unrelated edit made the server recompute the answer")
 	}
 }

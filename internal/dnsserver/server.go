@@ -101,22 +101,9 @@ func (s *Server) Zone(origin dnsmsg.Name) (*dnszone.Zone, bool) {
 	return z, ok
 }
 
-// ZoneCount returns how many zones the server hosts.
-func (s *Server) ZoneCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.zones)
-}
-
 // Queries returns how many queries the server has processed.
 func (s *Server) Queries() uint64 {
 	return s.queries.Load()
-}
-
-// Computed returns how many of those queries the server answered by
-// looking the answer up afresh rather than from its memo.
-func (s *Server) Computed() uint64 {
-	return s.computed.Load()
 }
 
 // findZone returns the hosted zone with the longest origin that is a
@@ -200,18 +187,6 @@ func (s *Server) ServeNetBuf(req netsim.Request, dst []byte) ([]byte, error) {
 	}
 	s.memoize(h, key, out[start+2:], qname, zone, serial, &sc.res.Deps, gen)
 	return out, nil
-}
-
-// Respond computes the server's response to query, or nil when the query is
-// ignored per policy. It is exported so tests and in-process clients can
-// bypass the codec.
-func (s *Server) Respond(query *dnsmsg.Message) *dnsmsg.Message {
-	resp := &dnsmsg.Message{}
-	var res dnszone.Result
-	if _, _, answered := s.respondInto(query, resp, &res); !answered {
-		return nil
-	}
-	return resp
 }
 
 // respondInto fills resp (reusing its slices) with the answer to query,

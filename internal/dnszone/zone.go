@@ -394,15 +394,6 @@ func (z *Zone) Names() []dnsmsg.Name {
 // alias cycles.
 const maxCNAMEChase = 16
 
-// Lookup runs the authoritative lookup algorithm for (qname, qtype).
-// The caller must ensure qname is within the zone; Lookup panics otherwise
-// because routing a foreign name here is a server bug, not a client error.
-func (z *Zone) Lookup(qname dnsmsg.Name, qtype dnsmsg.Type) Result {
-	var res Result
-	z.LookupInto(qname, qtype, &res)
-	return res
-}
-
 // LookupInto is Lookup writing into a caller-owned Result: res.Records and
 // res.Glue are truncated and re-filled, so a reused Result stops
 // allocating once its slices have grown to the zone's answer sizes. The

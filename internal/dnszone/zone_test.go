@@ -446,3 +446,12 @@ func TestUnchangedConcurrent(t *testing.T) {
 	close(done)
 	wg.Wait()
 }
+
+// Lookup runs the authoritative lookup algorithm for (qname, qtype).
+// The caller must ensure qname is within the zone; Lookup panics otherwise
+// because routing a foreign name here is a server bug, not a client error.
+func (z *Zone) Lookup(qname dnsmsg.Name, qtype dnsmsg.Type) Result {
+	var res Result
+	z.LookupInto(qname, qtype, &res)
+	return res
+}

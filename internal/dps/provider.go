@@ -369,14 +369,6 @@ func (p *Provider) EdgeAddrs() []netip.Addr {
 	return out
 }
 
-// HostedQueries returns how many queries the NS-hosting fleet has served.
-func (p *Provider) HostedQueries() uint64 {
-	if p.custServer == nil {
-		return 0
-	}
-	return p.custServer.Queries()
-}
-
 // Customer returns a copy of the customer record for apex.
 func (p *Provider) Customer(apex dnsmsg.Name) (Customer, bool) {
 	p.mu.Lock()

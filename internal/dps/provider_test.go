@@ -548,3 +548,11 @@ func TestEveryProviderEnrollsViaEveryOfferedMethod(t *testing.T) {
 		})
 	}
 }
+
+// HostedQueries returns how many queries the NS-hosting fleet has served.
+func (p *Provider) HostedQueries() uint64 {
+	if p.custServer == nil {
+		return 0
+	}
+	return p.custServer.Queries()
+}

@@ -201,3 +201,19 @@ func TestEdgeErrorResponsesNotCached(t *testing.T) {
 		t.Fatalf("status = %d, want 200 (502 must not be cached)", resp.StatusCode)
 	}
 }
+
+// Backend returns the origin configured for host.
+func (e *Edge) Backend(host string) (netip.Addr, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	a, ok := e.backends[host]
+	return a, ok
+}
+
+// Stats reports the edge's counters: requests served (including cache
+// hits), requests dropped by scrubbing, and origin fetches (cache misses).
+func (e *Edge) Stats() (served, scrubbed, originFetches uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.served, e.scrubbed, e.misses
+}

@@ -295,7 +295,7 @@ func TestOriginPathAndMethodHandling(t *testing.T) {
 	}
 	// Non-GET refused.
 	req := Request{Method: "POST", Path: "/", Host: "x.com"}
-	raw, err := net.Send(client.Addr(), netsim.RegionOregon, netsim.Endpoint{Addr: addr, Port: netsim.PortHTTP}, EncodeRequest(req))
+	raw, err := net.Send(client.addr, netsim.RegionOregon, netsim.Endpoint{Addr: addr, Port: netsim.PortHTTP}, EncodeRequest(req))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestOriginPathAndMethodHandling(t *testing.T) {
 
 func TestOriginMalformedRequestGets400(t *testing.T) {
 	net, _, client, addr := newHTTPFixture(t, OriginConfig{Page: Page{Title: "T"}})
-	raw, err := net.Send(client.Addr(), netsim.RegionOregon, netsim.Endpoint{Addr: addr, Port: netsim.PortHTTP}, []byte("junk"))
+	raw, err := net.Send(client.addr, netsim.RegionOregon, netsim.Endpoint{Addr: addr, Port: netsim.PortHTTP}, []byte("junk"))
 	if err != nil {
 		t.Fatal(err)
 	}

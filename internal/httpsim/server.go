@@ -214,9 +214,6 @@ func NewClient(net *netsim.Network, addr netip.Addr, region netsim.Region) *Clie
 	return &Client{net: net, addr: addr, region: region}
 }
 
-// Addr returns the client's source address.
-func (c *Client) Addr() netip.Addr { return c.addr }
-
 // Get issues GET path against the server at addr with the given Host
 // header and returns the decoded response.
 func (c *Client) Get(server netip.Addr, host, path string) (Response, error) {

@@ -42,20 +42,6 @@ func NewCertServer(subjects ...string) *CertServer {
 
 var _ netsim.Handler = (*CertServer)(nil)
 
-// AddSubject installs another certificate.
-func (s *CertServer) AddSubject(subject string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.subjects[strings.ToLower(subject)] = true
-}
-
-// RemoveSubject drops a certificate.
-func (s *CertServer) RemoveSubject(subject string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.subjects, strings.ToLower(subject))
-}
-
 // ServeNet implements netsim.Handler.
 func (s *CertServer) ServeNet(req netsim.Request) ([]byte, error) {
 	if string(req.Payload) != probeHello {

@@ -3,6 +3,7 @@ package httpsim
 import (
 	"errors"
 	"net/netip"
+	"strings"
 	"testing"
 
 	"rrdps/internal/netsim"
@@ -167,4 +168,18 @@ func TestServedFiles(t *testing.T) {
 	if resp.StatusCode != 404 {
 		t.Fatalf("after SetFiles(nil): %d", resp.StatusCode)
 	}
+}
+
+// AddSubject installs another certificate.
+func (s *CertServer) AddSubject(subject string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.subjects[strings.ToLower(subject)] = true
+}
+
+// RemoveSubject drops a certificate.
+func (s *CertServer) RemoveSubject(subject string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.subjects, strings.ToLower(subject))
 }

@@ -57,14 +57,6 @@ func (r *Registry) AddAS(asn ASN, name string) {
 	r.ases[asn] = ASInfo{ASN: asn, Name: name}
 }
 
-// AS returns the info for asn.
-func (r *Registry) AS(asn ASN) (ASInfo, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	info, ok := r.ases[asn]
-	return info, ok
-}
-
 // Announce records that asn originates prefix. The AS must have been added
 // first. Announcing the same prefix twice from different ASes is an error
 // (the simulated Internet has no MOAS conflicts).
@@ -121,24 +113,4 @@ func (r *Registry) ASNFor(addr netip.Addr) (ASN, bool) {
 func (r *Registry) Contains(asn ASN, addr netip.Addr) bool {
 	got, ok := r.ASNFor(addr)
 	return ok && got == asn
-}
-
-// PrefixesOf returns a copy of the prefixes announced by asn.
-func (r *Registry) PrefixesOf(asn ASN) []netip.Prefix {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]netip.Prefix, len(r.prefixes[asn]))
-	copy(out, r.prefixes[asn])
-	return out
-}
-
-// Len returns the total number of announced prefixes.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	total := 0
-	for _, b := range r.lens {
-		total += len(r.byLen[b])
-	}
-	return total
 }

@@ -144,3 +144,23 @@ func TestASNForQuickProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// PrefixesOf returns a copy of the prefixes announced by asn.
+func (r *Registry) PrefixesOf(asn ASN) []netip.Prefix {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]netip.Prefix, len(r.prefixes[asn]))
+	copy(out, r.prefixes[asn])
+	return out
+}
+
+// Len returns the total number of announced prefixes.
+func (r *Registry) Len() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	total := 0
+	for _, b := range r.lens {
+		total += len(r.byLen[b])
+	}
+	return total
+}

@@ -169,26 +169,3 @@ func mustSet(z *dnszone.Zone, rr dnsmsg.RR) {
 		panic(fmt.Sprintf("multicdn: %v", err))
 	}
 }
-
-// Customers returns the enrolled apexes, sorted.
-func (m *Manager) Customers() []dnsmsg.Name {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]dnsmsg.Name, 0, len(m.customers))
-	for apex := range m.customers {
-		out = append(out, apex)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// CurrentTarget returns the provider CNAME target apex currently routes to.
-func (m *Manager) CurrentTarget(apex dnsmsg.Name) (dnsmsg.Name, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.customers[apex]
-	if !ok {
-		return "", false
-	}
-	return c.targets[c.current], true
-}

@@ -84,14 +84,6 @@ func (fc FaultConfig) withDefaults() FaultConfig {
 	return fc
 }
 
-// FaultStats counts injected faults by cause.
-type FaultStats struct {
-	UniformDrops uint64
-	BurstDrops   uint64
-	FlakyDrops   uint64
-	Corrupted    uint64
-}
-
 // Salts keep the per-cause hash streams independent: reusing one stream
 // for two decisions would correlate them (e.g. every burst-dropped send
 // would also be uniform-dropped at the same rate threshold).
@@ -194,29 +186,10 @@ func (fc FaultConfig) decide(now time.Time, to Endpoint, payload []byte) faultOu
 	return faultOutcome{}
 }
 
-// FlakyEndpoint reports whether the plan marks ep flaky (useful for tests
-// and health-summary displays).
-func (fc FaultConfig) FlakyEndpoint(ep Endpoint) bool {
-	return fc.FlakyRate > 0 && unit(faultHash(fc.Seed, saltFlakyEndpoint, ep, 0, nil)) < fc.FlakyRate
-}
-
 // SetFaults installs (or, with a zero config, removes) a deterministic
 // fault plan. Safe to call between measurement passes; the plan applies
 // to every subsequent Send.
 func (n *Network) SetFaults(fc FaultConfig) {
 	fc = fc.withDefaults()
 	n.faults.Store(&fc)
-}
-
-// Faults returns the active fault plan.
-func (n *Network) Faults() FaultConfig { return *n.faults.Load() }
-
-// FaultStats returns the per-cause injected-fault counters.
-func (n *Network) FaultStats() FaultStats {
-	return FaultStats{
-		UniformDrops: n.uniformDrops.Load(),
-		BurstDrops:   n.burstDrops.Load(),
-		FlakyDrops:   n.flakyDrops.Load(),
-		Corrupted:    n.corrupted.Load(),
-	}
 }

@@ -211,3 +211,26 @@ func TestRetryRerollsFaultDecision(t *testing.T) {
 	}
 	t.Fatal("no dropped first attempt had a delivered second attempt in 200 tries")
 }
+
+// FlakyEndpoint reports whether the plan marks ep flaky.
+func (fc FaultConfig) FlakyEndpoint(ep Endpoint) bool {
+	return fc.FlakyRate > 0 && unit(faultHash(fc.Seed, saltFlakyEndpoint, ep, 0, nil)) < fc.FlakyRate
+}
+
+// FaultStats returns the per-cause injected-fault counters.
+func (n *Network) FaultStats() FaultStats {
+	return FaultStats{
+		UniformDrops: n.uniformDrops.Load(),
+		BurstDrops:   n.burstDrops.Load(),
+		FlakyDrops:   n.flakyDrops.Load(),
+		Corrupted:    n.corrupted.Load(),
+	}
+}
+
+// FaultStats counts injected faults by cause.
+type FaultStats struct {
+	UniformDrops uint64
+	BurstDrops   uint64
+	FlakyDrops   uint64
+	Corrupted    uint64
+}

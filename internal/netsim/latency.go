@@ -22,7 +22,7 @@ const (
 	latencyUnknown = 250 * time.Millisecond
 )
 
-// RTT returns the round-trip time the fabric charges for an exchange
+// rttFor returns the round-trip time the fabric charges for an exchange
 // between fromRegion and the PoP in popRegion. It is a pure function of
 // the two regions — deliberately jitter-free. The resolver folds observed
 // RTTs into per-server EWMA estimates at pass boundaries; a constant
@@ -30,10 +30,6 @@ const (
 // duplicates of a logical query raced or which of a server's queries
 // happened to succeed, which is what keeps latency-adaptive selection
 // inside the serial≡parallel guarantee.
-func (n *Network) RTT(fromRegion, popRegion Region) time.Duration {
-	return rttFor(fromRegion, popRegion)
-}
-
 func rttFor(fromRegion, popRegion Region) time.Duration {
 	prop := latencyUnknown
 	if d := Distance(fromRegion, popRegion); d != math.MaxFloat64 {

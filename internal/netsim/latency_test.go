@@ -8,12 +8,11 @@ import "testing"
 // fold insensitive to duplicate queries, which keeps latency-adaptive
 // selection inside the serial≡parallel guarantee.
 func TestRTTPureFunction(t *testing.T) {
-	n := testNet(t)
 	for _, from := range AllRegions() {
 		for _, pop := range AllRegions() {
-			first := n.RTT(from, pop)
+			first := rttFor(from, pop)
 			for i := 0; i < 3; i++ {
-				if got := n.RTT(from, pop); got != first {
+				if got := rttFor(from, pop); got != first {
 					t.Fatalf("RTT(%v, %v) varied: %v then %v", from, pop, first, got)
 				}
 			}
@@ -29,12 +28,11 @@ func TestRTTPureFunction(t *testing.T) {
 // penalty. Ordinal correctness is what latency-adaptive selection actually
 // consumes; the absolute values are free parameters.
 func TestRTTOrdinal(t *testing.T) {
-	n := testNet(t)
-	if got := n.RTT(RegionOregon, RegionOregon); got != latencyBase {
+	if got := rttFor(RegionOregon, RegionOregon); got != latencyBase {
 		t.Errorf("co-located RTT = %v, want base %v", got, latencyBase)
 	}
-	near := n.RTT(RegionOregon, RegionVirginia)
-	far := n.RTT(RegionOregon, RegionLondon)
+	near := rttFor(RegionOregon, RegionVirginia)
+	far := rttFor(RegionOregon, RegionLondon)
 	if near <= latencyBase {
 		t.Errorf("Oregon->Virginia RTT = %v, want above base %v", near, latencyBase)
 	}
@@ -42,10 +40,10 @@ func TestRTTOrdinal(t *testing.T) {
 		t.Errorf("Oregon->Virginia RTT %v not below Oregon->London %v", near, far)
 	}
 	wantUnknown := latencyBase + latencyUnknown
-	if got := n.RTT(RegionUnknown, RegionOregon); got != wantUnknown {
+	if got := rttFor(RegionUnknown, RegionOregon); got != wantUnknown {
 		t.Errorf("unknown-vantage RTT = %v, want %v", got, wantUnknown)
 	}
-	if got := n.RTT(RegionOregon, RegionUnknown); got != wantUnknown {
+	if got := rttFor(RegionOregon, RegionUnknown); got != wantUnknown {
 		t.Errorf("unknown-PoP RTT = %v, want %v", got, wantUnknown)
 	}
 }
@@ -58,7 +56,7 @@ func TestExchangeReportsModelRTT(t *testing.T) {
 	n := testNet(t)
 	n.Register(testServer, RegionVirginia, echoHandler("srv"))
 
-	want := n.RTT(RegionOregon, RegionVirginia)
+	want := rttFor(RegionOregon, RegionVirginia)
 	var buf []byte
 	for i := 0; i < 3; i++ {
 		resp, rtt, err := n.Exchange(testClient, RegionOregon, testServer, []byte("q"), buf)
@@ -97,7 +95,7 @@ func TestExchangeAnycastRTT(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Exchange from %v: %v", tt.from, err)
 		}
-		if want := n.RTT(tt.from, tt.pop); rtt != want {
+		if want := rttFor(tt.from, tt.pop); rtt != want {
 			t.Errorf("from %v: RTT = %v, want %v (PoP %v)", tt.from, rtt, want, tt.pop)
 		}
 	}

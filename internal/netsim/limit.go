@@ -121,7 +121,3 @@ func (n *Network) Limit(ep Endpoint) LimitConfig {
 	}
 	return LimitConfig{}
 }
-
-// LimitDrops returns how many sends rate limiters have rejected,
-// fabric-wide.
-func (n *Network) LimitDrops() uint64 { return n.limitDrops.Load() }

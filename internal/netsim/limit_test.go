@@ -38,7 +38,7 @@ func TestLimitPerSource(t *testing.T) {
 	if _, err := n.Send(bob, RegionOregon, ep, []byte("q")); err != nil {
 		t.Fatalf("other source within budget: %v", err)
 	}
-	if got := n.LimitDrops(); got != 1 {
+	if got := n.limitDrops.Load(); got != 1 {
 		t.Fatalf("LimitDrops = %d, want 1", got)
 	}
 }

@@ -341,30 +341,6 @@ func (n *Network) Send(from netip.Addr, fromRegion Region, to Endpoint, payload 
 	return resp, err
 }
 
-// Reachable reports whether at least one handler is registered at ep and it
-// is not blackholed.
-func (n *Network) Reachable(ep Endpoint) bool {
-	st := n.lookup(ep)
-	if st == nil {
-		return false
-	}
-	rt := st.route.Load()
-	return rt != nil && len(rt.instances) > 0 && !rt.blackholed
-}
-
-// QueryCount returns how many requests the endpoint's PoP in region has
-// served. For unicast endpoints, use the registration region.
-func (n *Network) QueryCount(ep Endpoint, region Region) uint64 {
-	st := n.lookup(ep)
-	if st == nil || !region.indexable() {
-		return 0
-	}
-	if q := st.queries.Load(); q != nil {
-		return q[region].Load()
-	}
-	return 0
-}
-
 // QueryCounts returns a copy of the per-PoP query counters for ep: one
 // entry per PoP region that has served a query.
 func (n *Network) QueryCounts(ep Endpoint) map[Region]uint64 {

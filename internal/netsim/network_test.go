@@ -302,7 +302,31 @@ func TestParallelCountersMatchSerial(t *testing.T) {
 	if got, want := parallel.FaultStats(), serial.FaultStats(); got != want {
 		t.Fatalf("parallel fault stats %+v, serial %+v", got, want)
 	}
-	if serial.LimitDrops() == 0 || serial.FaultStats().Corrupted == 0 {
+	if serial.limitDrops.Load() == 0 || serial.FaultStats().Corrupted == 0 {
 		t.Fatal("the send mix no longer exercises the limiter and corruption")
 	}
+}
+
+// QueryCount returns how many requests the endpoint's PoP in region has
+// served. For unicast endpoints, use the registration region.
+func (n *Network) QueryCount(ep Endpoint, region Region) uint64 {
+	st := n.lookup(ep)
+	if st == nil || !region.indexable() {
+		return 0
+	}
+	if q := st.queries.Load(); q != nil {
+		return q[region].Load()
+	}
+	return 0
+}
+
+// Reachable reports whether at least one handler is registered at ep and it
+// is not blackholed.
+func (n *Network) Reachable(ep Endpoint) bool {
+	st := n.lookup(ep)
+	if st == nil {
+		return false
+	}
+	rt := st.route.Load()
+	return rt != nil && len(rt.instances) > 0 && !rt.blackholed
 }

@@ -106,16 +106,3 @@ func (r Region) placed() bool { return r > RegionUnknown && r.indexable() }
 // indexable reports whether r indexes the per-region tables, RegionUnknown
 // included.
 func (r Region) indexable() bool { return r >= 0 && int(r) < regionCount }
-
-// Nearest returns the region in candidates closest to from. Ties break in
-// candidate order. It returns RegionUnknown when candidates is empty.
-func Nearest(from Region, candidates []Region) Region {
-	best := RegionUnknown
-	bestDist := math.MaxFloat64
-	for _, c := range candidates {
-		if d := Distance(from, c); d < bestDist {
-			best, bestDist = c, d
-		}
-	}
-	return best
-}

@@ -45,6 +45,8 @@ func TestDistanceUnknownIsMax(t *testing.T) {
 	}
 }
 
+// TestNearest: an anycast endpoint routes each sender to its nearest
+// PoP; with no PoP registered there is no route.
 func TestNearest(t *testing.T) {
 	tests := []struct {
 		name       string
@@ -60,10 +62,66 @@ func TestNearest(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := Nearest(tt.from, tt.candidates); got != tt.want {
-				t.Fatalf("Nearest(%v) = %v, want %v", tt.from, got, tt.want)
+			got, ok := answeringPoP(t, tt.from, tt.candidates)
+			if tt.want == RegionUnknown {
+				if ok {
+					t.Fatalf("no PoP registered, yet %v answered", got)
+				}
+				return
+			}
+			if !ok || got != tt.want {
+				t.Fatalf("sender in %v reached %v, want %v", tt.from, got, tt.want)
 			}
 		})
+	}
+}
+
+// answeringPoP registers one anycast PoP per candidate region, sends
+// from region from, and reports which PoP answered.
+func answeringPoP(t *testing.T, from Region, candidates []Region) (Region, bool) {
+	t.Helper()
+	n := testNet(t)
+	for _, r := range candidates {
+		n.RegisterAnycast(testServer, r, echoHandler(r.String()))
+	}
+	resp, err := n.Send(testClient, from, testServer, nil)
+	if err != nil {
+		return RegionUnknown, false
+	}
+	for _, r := range candidates {
+		if string(resp) == r.String()+":" {
+			return r, true
+		}
+	}
+	t.Fatalf("answer %q from no registered PoP", resp)
+	return RegionUnknown, false
+}
+
+// Property: a sender always reaches a PoP minimizing Distance.
+func TestNearestMinimizesDistanceQuick(t *testing.T) {
+	all := AllRegions()
+	f := func(fromIdx uint8, mask uint16) bool {
+		from := all[int(fromIdx)%len(all)]
+		var candidates []Region
+		for i, r := range all {
+			if mask&(1<<i) != 0 {
+				candidates = append(candidates, r)
+			}
+		}
+		got, ok := answeringPoP(t, from, candidates)
+		if len(candidates) == 0 {
+			return !ok
+		}
+		best := Distance(from, got)
+		for _, c := range candidates {
+			if Distance(from, c) < best {
+				return false
+			}
+		}
+		return ok
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -78,33 +136,5 @@ func TestVantageRegionsAreFive(t *testing.T) {
 			t.Errorf("duplicate vantage region %v", r)
 		}
 		seen[r] = true
-	}
-}
-
-// Property: Nearest always returns a candidate minimizing Distance.
-func TestNearestMinimizesDistanceQuick(t *testing.T) {
-	all := AllRegions()
-	f := func(fromIdx uint8, mask uint16) bool {
-		from := all[int(fromIdx)%len(all)]
-		var candidates []Region
-		for i, r := range all {
-			if mask&(1<<i) != 0 {
-				candidates = append(candidates, r)
-			}
-		}
-		if len(candidates) == 0 {
-			return Nearest(from, candidates) == RegionUnknown
-		}
-		got := Nearest(from, candidates)
-		best := Distance(from, got)
-		for _, c := range candidates {
-			if Distance(from, c) < best {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

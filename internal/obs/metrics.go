@@ -3,7 +3,6 @@ package obs
 import (
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing event count. All methods are safe
@@ -44,14 +43,6 @@ func (g *Gauge) Set(v int64) {
 		return
 	}
 	g.v.Store(v)
-}
-
-// Add adds n to the gauge.
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
 }
 
 // Value returns the current value.
@@ -98,31 +89,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bucketOf(v)].Add(1)
-}
-
-// ObserveDuration records a duration in nanoseconds (negative clamps to
-// zero).
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	h.Observe(uint64(d))
-}
-
-// Count returns how many values were observed.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // restore overwrites the histogram's state from a snapshot. Bucket

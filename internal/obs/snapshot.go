@@ -2,14 +2,11 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"strings"
 )
 
-// Snapshot is a point-in-time copy of a registry's metrics. Snapshots are
-// plain values: Diff makes pass-scoped accounting (per-week deltas)
-// explicit, mirroring how dnsresolver.QueryStats composes with Add.
+// Snapshot is a point-in-time copy of a registry's metrics, held in
+// plain values.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
@@ -28,40 +25,6 @@ type HistogramSnapshot struct {
 	Buckets map[int]uint64 `json:"buckets,omitempty"`
 }
 
-// Quantile estimates the q-th quantile (clamped to [0, 1]) from the
-// bucket counts. It returns the upper edge of the bucket the quantile
-// rank lands in — a figure that never underestimates the true value,
-// exact up to the power-of-two bucket width. A histogram with no
-// observations answers 0.
-func (h HistogramSnapshot) Quantile(q float64) uint64 {
-	if h.Count == 0 {
-		return 0
-	}
-	q = math.Max(0, math.Min(1, q))
-	rank := uint64(math.Ceil(q * float64(h.Count)))
-	if rank == 0 {
-		rank = 1
-	}
-	idxs := make([]int, 0, len(h.Buckets))
-	for i := range h.Buckets {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	var cum uint64
-	for _, i := range idxs {
-		cum += h.Buckets[i]
-		if cum >= rank {
-			if i == 0 {
-				return 0
-			}
-			return BucketLow(i+1) - 1
-		}
-	}
-	// Count exceeded the bucket total (inconsistent snapshot); answer the
-	// largest edge rather than panic.
-	return BucketLow(idxs[len(idxs)-1]+1) - 1
-}
-
 func emptySnapshot() Snapshot {
 	return Snapshot{
 		Counters:   map[string]uint64{},
@@ -71,59 +34,12 @@ func emptySnapshot() Snapshot {
 	}
 }
 
-// Diff returns s − prev field-wise (saturating at zero), for per-phase
-// deltas between two snapshots of the same registry. Gauges subtract
-// signed. Volatility marks are unioned.
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	out := emptySnapshot()
-	for name, v := range s.Counters {
-		p := prev.Counters[name]
-		if p > v {
-			p = v
-		}
-		out.Counters[name] = v - p
-	}
-	for name, v := range s.Gauges {
-		out.Gauges[name] = v - prev.Gauges[name]
-	}
-	for name, h := range s.Histograms {
-		out.Histograms[name] = h.diff(prev.Histograms[name])
-	}
-	s.copyVolatile(out.Volatile)
-	prev.copyVolatile(out.Volatile)
-	return out
-}
-
-func (h HistogramSnapshot) diff(prev HistogramSnapshot) HistogramSnapshot {
-	out := HistogramSnapshot{Buckets: map[int]uint64{}}
-	sub := func(a, b uint64) uint64 {
-		if b > a {
-			return 0
-		}
-		return a - b
-	}
-	out.Count = sub(h.Count, prev.Count)
-	out.Sum = sub(h.Sum, prev.Sum)
-	for i, n := range h.Buckets {
-		if d := sub(n, prev.Buckets[i]); d > 0 {
-			out.Buckets[i] = d
-		}
-	}
-	return out
-}
-
 func (h HistogramSnapshot) clone() HistogramSnapshot {
 	out := HistogramSnapshot{Count: h.Count, Sum: h.Sum, Buckets: map[int]uint64{}}
 	for i, n := range h.Buckets {
 		out.Buckets[i] = n
 	}
 	return out
-}
-
-func (s Snapshot) copyVolatile(dst map[string]bool) {
-	for name := range s.Volatile {
-		dst[name] = true
-	}
 }
 
 // Deterministic returns the snapshot with every volatile metric removed —
@@ -217,19 +133,6 @@ func (s Snapshot) DiffNames(o Snapshot) []string {
 	for name, v := range s.Gauges {
 		if ov := o.Gauges[name]; ov != v {
 			out = append(out, fmt.Sprintf("gauge %s: %d vs %d", name, v, ov))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CounterNames returns the sorted counter names, optionally restricted to
-// a dot-separated prefix (e.g. "collect").
-func (s Snapshot) CounterNames(prefix string) []string {
-	var out []string
-	for name := range s.Counters {
-		if prefix == "" || name == prefix || strings.HasPrefix(name, prefix+".") {
-			out = append(out, name)
 		}
 	}
 	sort.Strings(out)

@@ -2,6 +2,8 @@ package pdns
 
 import (
 	"net/netip"
+	"rrdps/internal/dnsmsg"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -97,4 +99,27 @@ func TestSpanQuickProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Len returns the number of archived (name, addr) associations.
+func (a *Archive) Len() int {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	n := 0
+	for _, byAddr := range a.entries {
+		n += len(byAddr)
+	}
+	return n
+}
+
+// Names returns every archived hostname, sorted.
+func (a *Archive) Names() []dnsmsg.Name {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	out := make([]dnsmsg.Name, 0, len(a.entries))
+	for n := range a.entries {
+		out = append(out, n)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

@@ -214,6 +214,58 @@ func TestResidualAnswers(t *testing.T) {
 	}
 }
 
+// TestResidualStatsTotalsMatchEngine: /v1/stats reports the campaign's
+// own Table VI totals. The campaign runs long enough that some hidden
+// record is found in more than one week, so a per-week sum would
+// overcount the union the engine reports.
+func TestResidualStatsTotalsMatchEngine(t *testing.T) {
+	cfg := world.PaperConfig(600)
+	cfg.Seed = 9102
+	cfg.LeaveRate *= 12
+	cfg.SwitchRate *= 12
+	dir := t.TempDir()
+	res := experiment.Residual{
+		World:         world.New(cfg),
+		Weeks:         3,
+		WarmupDays:    28,
+		CheckpointDir: dir,
+	}.Run()
+	perWeek := 0
+	for i := 0; i < res.CFExposure.Weeks(); i++ {
+		perWeek += len(res.CFExposure.ExportWeek(i).Hidden)
+	}
+	cfHidden, incHidden := res.TotalHidden()
+	cfVerified, incVerified := res.TotalVerified()
+	if cfHidden == 0 || perWeek <= cfHidden {
+		t.Fatalf("Cloudflare hidden: %d per-week findings, %d distinct; want a record found in more than one week",
+			perWeek, cfHidden)
+	}
+
+	srv := New(Config{Source: openCheckpoint(t, dir)})
+	var stats struct {
+		Residual *struct {
+			HiddenTotal   map[string]int `json:"hidden_total"`
+			VerifiedTotal map[string]int `json:"verified_total"`
+		} `json:"residual"`
+	}
+	if err := json.Unmarshal(get(t, srv.Handler(), "/v1/stats", nil).Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Residual == nil {
+		t.Fatal("stats has no residual section")
+	}
+	want := map[string][2]int{
+		"cloudflare": {cfHidden, cfVerified},
+		"incapsula":  {incHidden, incVerified},
+	}
+	for provider, w := range want {
+		got := [2]int{stats.Residual.HiddenTotal[provider], stats.Residual.VerifiedTotal[provider]}
+		if got != w {
+			t.Errorf("%s hidden/verified totals = %v, engine has %v", provider, got, w)
+		}
+	}
+}
+
 // TestNoEpochYet: a directory with nothing sealed yet opens with no
 // epoch; the data endpoints answer 503 while liveness reports that the
 // process is up but not serving.

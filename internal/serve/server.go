@@ -92,9 +92,6 @@ func New(cfg Config) *Server {
 // Handler returns the service's root handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Registry returns the registry the request metrics land in.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // ListenAndServe serves on addr until stop yields, then shuts down
 // gracefully: in-flight requests get up to drain to finish while new
 // connections are refused. ready, when non-nil, is called with the bound
@@ -568,24 +565,6 @@ func (s *Server) handleDomains(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// distinctNames counts distinct apexes across an exposure tracker's
-// weeks — the hidden sets, or the verified sets when verified is true.
-// This mirrors exposure.Tracker.TotalHidden/TotalVerified but runs off
-// the exported WeekState slices the campaign cursor carries.
-func distinctNames(weeks []exposure.WeekState, verified bool) int {
-	seen := make(map[dnsmsg.Name]bool)
-	for _, wk := range weeks {
-		names := wk.Hidden
-		if verified {
-			names = wk.Verified
-		}
-		for _, n := range names {
-			seen[n] = true
-		}
-	}
-	return len(seen)
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if e, ok := s.epoch(w); ok {
 		writeRendered(w, &e.stats, func() any { return statsOf(e) })
@@ -633,16 +612,17 @@ func statsOf(e *Epoch) statsResponse {
 		resp.Dynamics = d
 	}
 	if res := e.State.Residual; res != nil {
+		cf, inc := exposure.RestoreTracker(res.CFExposure), exposure.RestoreTracker(res.IncExposure)
 		resp.Residual = &residualStatsJSON{
 			WeeksScanned:    res.NextWeek - 1,
 			NameserverCount: res.NameserverCount,
 			HiddenTotal: map[string]int{
-				string(dps.Cloudflare): distinctNames(res.CFExposure, false),
-				string(dps.Incapsula):  distinctNames(res.IncExposure, false),
+				string(dps.Cloudflare): cf.TotalHidden(),
+				string(dps.Incapsula):  inc.TotalHidden(),
 			},
 			VerifiedTotal: map[string]int{
-				string(dps.Cloudflare): distinctNames(res.CFExposure, true),
-				string(dps.Incapsula):  distinctNames(res.IncExposure, true),
+				string(dps.Cloudflare): cf.TotalVerified(),
+				string(dps.Incapsula):  inc.TotalVerified(),
 			},
 		}
 	}

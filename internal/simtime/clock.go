@@ -80,21 +80,3 @@ func (c *Simulated) AdvanceDays(n int) {
 	}
 	c.Advance(time.Duration(n) * 24 * time.Hour)
 }
-
-// Set jumps the clock to the given instant. It panics if t is earlier than
-// the current time.
-func (c *Simulated) Set(t time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur := *c.now.Load(); t.Before(cur) {
-		panic(fmt.Sprintf("simtime: Set to %v before current %v", t, cur))
-	}
-	c.now.Store(&t)
-}
-
-// Day returns the zero-based number of whole 24-hour days elapsed since
-// Epoch at the clock's current time. Measurement runs use this as the
-// snapshot index.
-func Day(c Clock) int {
-	return int(c.Now().Sub(Epoch) / (24 * time.Hour))
-}

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -151,4 +152,21 @@ func TestSimulatedNowDuringAdvance(t *testing.T) {
 	if got, want := c.Now(), Epoch.Add(steps*time.Second); !got.Equal(want) {
 		t.Fatalf("Now() = %v after %d advances, want %v", got, steps, want)
 	}
+}
+
+// Day returns the zero-based number of whole 24-hour days elapsed since
+// Epoch at the clock's current time.
+func Day(c Clock) int {
+	return int(c.Now().Sub(Epoch) / (24 * time.Hour))
+}
+
+// Set jumps the clock to the given instant. It panics if t is earlier than
+// the current time.
+func (c *Simulated) Set(t time.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur := *c.now.Load(); t.Before(cur) {
+		panic(fmt.Sprintf("simtime: Set to %v before current %v", t, cur))
+	}
+	c.now.Store(&t)
 }

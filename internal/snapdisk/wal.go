@@ -155,24 +155,6 @@ type WALDay struct {
 	Footer  []byte
 }
 
-// ReplayWAL reads a WAL file and returns its sealed day groups. A
-// missing file is an empty log. The returned tail error (wrapping
-// ErrCorrupt) is advisory: it reports why replay stopped before the end
-// of the file — a truncated or bit-flipped tail, which recovery expects
-// after a mid-day crash — while the sealed days before it are intact and
-// usable. err is reserved for I/O failures.
-func ReplayWAL(path string) (days []WALDay, tail error, err error) {
-	b, rerr := os.ReadFile(path)
-	if os.IsNotExist(rerr) {
-		return nil, nil, nil
-	}
-	if rerr != nil {
-		return nil, nil, fmt.Errorf("snapdisk: %w", rerr)
-	}
-	days, tail = ReplayWALBytes(b)
-	return days, tail, nil
-}
-
 // ReplayWALBytes parses a WAL image, returning every fully sealed day
 // group in order. Parsing stops at the first damaged or truncated entry
 // and at the first structural violation (a Put outside a day group, a

@@ -36,19 +36,6 @@ func (in *Interner) Intern(n dnsmsg.Name) NameID {
 	return id
 }
 
-// Lookup returns the ID for n without allocating one.
-func (in *Interner) Lookup(n dnsmsg.Name) (NameID, bool) {
-	id, ok := in.ids[n]
-	return id, ok
-}
-
-// Name returns the name behind id. It panics on an ID the interner never
-// issued: handles only come from Intern, so a miss is a store bug, not
-// input error.
-func (in *Interner) Name(id NameID) dnsmsg.Name {
-	return in.names[id]
-}
-
 // Len returns the number of distinct interned names.
 func (in *Interner) Len() int { return len(in.names) }
 

@@ -69,14 +69,14 @@ func TestInternerRoundTrip(t *testing.T) {
 	if got := in.Intern(name("a.example.com")); got != a {
 		t.Fatalf("re-intern changed ID: %d != %d", got, a)
 	}
-	if in.Name(a) != name("a.example.com") || in.Name(b) != name("b.example.com") {
-		t.Fatal("Name round trip failed")
+	if in.names[a] != name("a.example.com") || in.names[b] != name("b.example.com") {
+		t.Fatal("names round trip failed")
 	}
 	if in.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", in.Len())
 	}
-	if _, ok := in.Lookup(name("c.example.com")); ok {
-		t.Fatal("Lookup invented an ID")
+	if _, ok := in.ids[name("c.example.com")]; ok {
+		t.Fatal("an unseen name has an ID")
 	}
 }
 

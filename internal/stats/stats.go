@@ -36,25 +36,6 @@ func (c *CDF) At(x float64) float64 {
 	return float64(idx) / float64(len(c.sorted))
 }
 
-// Quantile returns the smallest sample v with At(v) >= q, clamping q to
-// (0,1]. An empty CDF returns NaN.
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q > 1 {
-		q = 1
-	}
-	idx := int(math.Ceil(q*float64(len(c.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return c.sorted[idx]
-}
-
 // Points renders the CDF as (x, p) steps suitable for plotting: one point
 // per distinct sample value.
 func (c *CDF) Points() []Point {
@@ -75,41 +56,12 @@ type Point struct {
 	P float64
 }
 
-// Mean returns the arithmetic mean of samples, or NaN when empty.
-func Mean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range samples {
-		sum += v
-	}
-	return sum / float64(len(samples))
-}
-
-// MeanInts is Mean over integers.
-func MeanInts(samples []int) float64 {
-	fs := make([]float64, len(samples))
-	for i, v := range samples {
-		fs[i] = float64(v)
-	}
-	return Mean(fs)
-}
-
 // Percent formats part/whole as "12.3%", rendering 0/0 as "0.0%".
 func Percent(part, whole int) string {
 	if whole == 0 {
 		return "0.0%"
 	}
 	return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(whole))
-}
-
-// Ratio returns part/whole, or 0 when whole is 0.
-func Ratio(part, whole int) float64 {
-	if whole == 0 {
-		return 0
-	}
-	return float64(part) / float64(whole)
 }
 
 // Histogram counts occurrences of integer-valued samples in unit buckets
@@ -140,17 +92,6 @@ func (h *Histogram) Add(v int) {
 	h.counts[v-h.Min]++
 	h.total++
 }
-
-// Count returns the number of samples in bucket v.
-func (h *Histogram) Count(v int) int {
-	if v < h.Min || v > h.Max {
-		return 0
-	}
-	return h.counts[v-h.Min]
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int { return h.total }
 
 // String renders a compact text bar chart.
 func (h *Histogram) String() string {

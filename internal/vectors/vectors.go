@@ -367,16 +367,6 @@ func (s *Scanner) ScanAll(apex dnsmsg.Name, beforeDay int) []Finding {
 	return findings
 }
 
-// Exposed reports whether any finding carries candidates.
-func Exposed(findings []Finding) bool {
-	for _, f := range findings {
-		if len(f.Candidates) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // CandidateUnion returns the distinct candidates across findings.
 func CandidateUnion(findings []Finding) []netip.Addr {
 	seen := make(map[netip.Addr]bool)

@@ -225,3 +225,13 @@ func TestVectorStrings(t *testing.T) {
 func newWorldMatcher(w *world.World) *match.Matcher {
 	return match.New(w.Registry, dps.Profiles())
 }
+
+// Exposed reports whether any finding carries candidates.
+func Exposed(findings []Finding) bool {
+	for _, f := range findings {
+		if len(f.Candidates) > 0 {
+			return true
+		}
+	}
+	return false
+}

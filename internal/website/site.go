@@ -92,7 +92,6 @@ type Site struct {
 
 	provider dps.ProviderKey // "" when unprotected
 	method   dps.Rerouting
-	plan     dps.Plan
 	paused   bool
 
 	// basePage is the landing page without address-dependent artifacts;
@@ -100,13 +99,6 @@ type Site struct {
 	basePage   httpsim.Page
 	exposure   Exposure
 	certServer *httpsim.CertServer
-}
-
-// New creates a site: it spins up the origin at a fresh address, builds
-// the site's own zone at the hosting service, and delegates the apex to
-// the hosting nameservers.
-func New(infra *Infra, domain alexa.Domain, region netsim.Region, page httpsim.Page) (*Site, error) {
-	return NewExposed(infra, domain, region, page, Exposure{})
 }
 
 // NewExposed is New with an explicit origin-exposure profile (Table I
@@ -164,9 +156,6 @@ func (s *Site) OriginAddr() netip.Addr {
 
 // Origin returns the site's origin server.
 func (s *Site) Origin() *httpsim.Origin { return s.origin }
-
-// Page returns the landing page currently served.
-func (s *Site) Page() httpsim.Page { return s.origin.Page() }
 
 // Provider returns the current DPS provider key ("" if none), the
 // rerouting method, and whether protection is paused.
@@ -235,7 +224,6 @@ func (s *Site) joinLocked(key dps.ProviderKey, method dps.Rerouting, plan dps.Pl
 	}
 	s.provider = key
 	s.method = method
-	s.plan = plan
 	s.paused = false
 	if method == dps.ReroutingNS && s.exposure.Any() {
 		if err := s.syncExposureRecordsLocked(); err != nil {
@@ -431,10 +419,3 @@ func (s *Site) RestrictToProviderEdges() error {
 
 // Zone exposes the site's own zone for inspection in tests.
 func (s *Site) Zone() *dnszone.Zone { return s.zone }
-
-// Plan returns the site's DPS plan (meaningful only while enrolled).
-func (s *Site) Plan() dps.Plan {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.plan
-}

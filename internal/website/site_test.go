@@ -390,3 +390,13 @@ func TestJoinUnknownProvider(t *testing.T) {
 		t.Fatal("join unknown provider succeeded")
 	}
 }
+
+// New creates a site: it spins up the origin at a fresh address, builds
+// the site's own zone at the hosting service, and delegates the apex to
+// the hosting nameservers.
+func New(infra *Infra, domain alexa.Domain, region netsim.Region, page httpsim.Page) (*Site, error) {
+	return NewExposed(infra, domain, region, page, Exposure{})
+}
+
+// Page returns the landing page currently served.
+func (s *Site) Page() httpsim.Page { return s.origin.Page() }

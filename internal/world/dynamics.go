@@ -61,17 +61,6 @@ func (w *World) Events() []Event {
 	return append([]Event(nil), w.events...)
 }
 
-// EventsOfKind filters the event log.
-func (w *World) EventsOfKind(kind BehaviorKind) []Event {
-	var out []Event
-	for _, e := range w.events {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 func (w *World) record(kind BehaviorKind, apex dnsmsg.Name, from, to dps.ProviderKey) {
 	w.events = append(w.events, Event{Day: w.day, Apex: apex, Kind: kind, From: from, To: to})
 }

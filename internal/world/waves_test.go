@@ -145,7 +145,7 @@ func TestNSRateLimitInstalled(t *testing.T) {
 			t.Fatalf("infra nameserver %s unlimited", infraAddr)
 		}
 	}
-	for _, root := range w.RootAddrs() {
+	for _, root := range w.rootAddrs {
 		if got := w.Net.Limit(netsim.Endpoint{Addr: root, Port: netsim.PortDNS}); got.Enabled() {
 			t.Fatalf("root server %s rate-limited", root)
 		}

@@ -489,11 +489,6 @@ func (w *World) Config() Config { return w.cfg }
 // Day returns the current simulation day (0-based).
 func (w *World) Day() int { return w.day }
 
-// RootAddrs returns the root nameserver addresses for resolvers.
-func (w *World) RootAddrs() []netip.Addr {
-	return append([]netip.Addr(nil), w.rootAddrs...)
-}
-
 // Sites returns all sites in rank order.
 func (w *World) Sites() []*website.Site {
 	return append([]*website.Site(nil), w.sites...)
@@ -509,15 +504,6 @@ func (w *World) Site(apex dnsmsg.Name) (*website.Site, bool) {
 func (w *World) Provider(key dps.ProviderKey) (*dps.Provider, bool) {
 	p, ok := w.providers[key]
 	return p, ok
-}
-
-// Providers returns all running providers keyed by provider key.
-func (w *World) Providers() map[dps.ProviderKey]*dps.Provider {
-	out := make(map[dps.ProviderKey]*dps.Provider, len(w.providers))
-	for k, v := range w.providers {
-		out[k] = v
-	}
-	return out
 }
 
 // Figure7Counts returns the Fig. 7 per-PoP query counts of the first

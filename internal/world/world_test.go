@@ -331,3 +331,14 @@ func TestIPChangeHygieneRecorded(t *testing.T) {
 		t.Fatalf("IP-change ratio = %.3f (%d/%d), want ~0.41", ratio, changes, joins)
 	}
 }
+
+// EventsOfKind filters the event log.
+func (w *World) EventsOfKind(kind BehaviorKind) []Event {
+	var out []Event
+	for _, e := range w.events {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
+}
