@@ -165,10 +165,8 @@ type Scenario struct {
 
 // Result summarizes a flood experiment.
 type Result struct {
-	Ticks int
-	// AttackSent / AttackServed / AttackDropped count flood requests.
+	// AttackSent / AttackDropped count flood requests.
 	AttackSent    int
-	AttackServed  int
 	AttackDropped int
 	// LegitOK / LegitFail count the availability probes.
 	LegitOK   int
@@ -193,7 +191,6 @@ func (s Scenario) Run() Result {
 		panic("attack: Scenario requires positive Ticks and RequestsPerBot")
 	}
 	var res Result
-	res.Ticks = s.Ticks
 	targetEP := netsim.Endpoint{Addr: s.TargetAddr, Port: netsim.PortHTTP}
 	floodReq := httpsim.EncodeRequest(httpsim.Request{Method: "GET", Path: "/", Host: s.TargetHost})
 
@@ -208,8 +205,6 @@ func (s Scenario) Run() Result {
 				_, err := s.Network.Send(bot, s.Botnet.regions[i], targetEP, floodReq)
 				if err != nil {
 					res.AttackDropped++
-				} else {
-					res.AttackServed++
 				}
 			}
 		}

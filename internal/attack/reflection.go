@@ -2,7 +2,6 @@ package attack
 
 import (
 	"net/netip"
-	"sync"
 
 	"rrdps/internal/httpsim"
 	"rrdps/internal/netsim"
@@ -27,9 +26,6 @@ type OpenResolver struct {
 	amplification int
 	// victimPort is where the junk lands on the spoofed source.
 	victimPort uint16
-
-	mu        sync.Mutex
-	reflected int
 }
 
 // NewOpenResolver registers an open resolver at addr. Amplified responses
@@ -64,9 +60,6 @@ func (r *OpenResolver) ServeNet(req netsim.Request) ([]byte, error) {
 		// traffic; the wire was filled either way.
 		_, _ = r.net.Send(r.addr, req.PoPRegion, target, payload)
 	}
-	r.mu.Lock()
-	r.reflected += r.amplification
-	r.mu.Unlock()
 	return nil, nil
 }
 
@@ -100,7 +93,6 @@ func (s ReflectionScenario) Run() Result {
 		panic("attack: ReflectionScenario requires positive Ticks and RequestsPerBot")
 	}
 	var res Result
-	res.Ticks = s.Ticks
 	query := []byte("ANY? large.zone.example")
 
 	for tick := 0; tick < s.Ticks; tick++ {
@@ -118,8 +110,6 @@ func (s ReflectionScenario) Run() Result {
 				_, err := s.Network.Send(s.VictimAddr, s.Botnet.regions[i], ep, query)
 				if err != nil {
 					res.AttackDropped++
-				} else {
-					res.AttackServed++
 				}
 			}
 		}

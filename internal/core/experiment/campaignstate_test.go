@@ -51,7 +51,7 @@ func TestDynamicsCheckpointStateDecodes(t *testing.T) {
 		t.Fatalf("final checkpoint blob differs from the last round's cursor:\n%s\nvs\n%s", blob, en.log.footer)
 	}
 	assertCursorKeys(t, blob, "adoptions", "base_stats", "breakdowns", "have_tracker", "health",
-		"kind", "net", "next_day", "obs", "rand_draws", "tracker", "unchanged", "world_day")
+		"kind", "net", "next_day", "obs", "tracker", "unchanged", "world_day")
 	final, _ := DecodeCampaignState(blob)
 	if len(final.Dynamics.Adoptions) == 0 {
 		t.Fatal("final state carries no adoptions")

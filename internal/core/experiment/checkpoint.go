@@ -277,9 +277,6 @@ func (c *cursorBase) restore(resolver *dnsresolver.Resolver, reg *obs.Registry, 
 type dynamicsCursor struct {
 	cursorBase
 	DynamicsState
-	// RandDraws counts long-interval jitter draws so far; resume burns
-	// as many from a fresh identically-seeded Rand.
-	RandDraws int                               `json:"rand_draws"`
 	Unchanged map[dps.ProviderKey]*UnchangedRow `json:"unchanged"`
 }
 

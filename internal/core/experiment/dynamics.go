@@ -7,7 +7,6 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"net/netip"
 
 	"rrdps/internal/alexa"
@@ -16,6 +15,7 @@ import (
 	"rrdps/internal/core/htmlverify"
 	"rrdps/internal/core/match"
 	"rrdps/internal/core/status"
+	"rrdps/internal/dethash"
 	"rrdps/internal/dnsmsg"
 	"rrdps/internal/dnsresolver"
 	"rrdps/internal/dps"
@@ -164,9 +164,8 @@ type Dynamics struct {
 	// gaps aggregate more behaviours into one diff — the spike
 	// synchronization the paper observes in Fig. 3 — and can compress
 	// reversed pairs (a PAUSE and RESUME inside one gap cancel out).
+	// Which gaps are long is a function of the world seed and day.
 	LongIntervalProb float64
-	// Rand drives interval jitter; required when LongIntervalProb > 0.
-	Rand *rand.Rand
 	// Workers sets the daily collection parallelism. Zero or one means
 	// serial; snapshots stay value-identical either way because the world
 	// only advances between collection passes.
@@ -320,20 +319,19 @@ func (d Dynamics) setup() *dynamicsEnv {
 	}
 }
 
-// advance moves the world to the next snapshot, with the optional long
-// (2-day) interval jitter. It returns how many jitter draws it took
-// from d.Rand, so a checkpoint can record the draw count and a resumed
-// run can burn the same number from a fresh identically-seeded Rand.
-func (d Dynamics) advance(w *world.World) int {
+// advance moves the world to the next snapshot. Under LongIntervalProb
+// the gap is sometimes two days; the draw hashes the world seed and the
+// day the gap would skip, so a resumed campaign takes the same gaps
+// without carrying any generator state.
+func (d Dynamics) advance(w *world.World) {
 	w.AdvanceDay()
 	if d.LongIntervalProb <= 0 {
-		return 0
+		return
 	}
-	if d.Rand.Float64() < d.LongIntervalProb {
-		// A long (2-day) gap before the next snapshot.
+	h := dethash.Word(dethash.Word(dethash.Offset, uint64(w.Config().Seed)), uint64(w.Day()))
+	if dethash.Unit(dethash.Mix(h)) < d.LongIntervalProb {
 		w.AdvanceDay()
 	}
-	return 1
 }
 
 // finish assembles the tracker's and resolver's campaign-end

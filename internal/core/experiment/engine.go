@@ -47,7 +47,6 @@ type DynamicsEngine struct {
 	adoptions map[dnsmsg.Name]status.Adoption
 	res       DynamicsResult
 	nextDay   int
-	randDraws int
 	baseStats dnsresolver.QueryStats
 }
 
@@ -83,7 +82,7 @@ func (d Dynamics) NewEngine() *DynamicsEngine {
 func (en *DynamicsEngine) restore(blob []byte) {
 	cur, err := decodeCursor[dynamicsCursor](blob, cursorKindDynamics)
 	must(err)
-	en.nextDay, en.randDraws, en.baseStats = cur.NextDay, cur.RandDraws, cur.BaseStats
+	en.nextDay, en.baseStats = cur.NextDay, cur.BaseStats
 	if cur.HaveTracker {
 		en.tracker = behavior.RestoreTracker(cur.Tracker)
 	}
@@ -95,9 +94,6 @@ func (en *DynamicsEngine) restore(blob []byte) {
 		en.res.Unchanged = cur.Unchanged
 	}
 	cur.restore(en.e.resolver, en.cfg.Obs, en.e.w, cur.WorldDay)
-	for i := 0; i < cur.RandDraws; i++ {
-		en.cfg.Rand.Float64()
-	}
 }
 
 // cursor encodes the campaign state after a completed day (nextDay is
@@ -112,7 +108,6 @@ func (en *DynamicsEngine) cursor() []byte {
 			Adoptions:  en.adoptions,
 			Breakdowns: en.res.Breakdowns,
 		},
-		RandDraws: en.randDraws,
 		Unchanged: en.res.Unchanged,
 	}
 	if en.tracker != nil {
@@ -223,7 +218,7 @@ func (en *DynamicsEngine) AppendDay() []behavior.Detection {
 		d.verifyDetection(&en.res, e.verifier, pr, det)
 	}
 
-	en.randDraws += d.advance(e.w)
+	d.advance(e.w)
 	en.nextDay = day + 1
 	en.log.seal(e.w.Day(), en.cursor)
 	daySpan.End()

@@ -15,7 +15,6 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"rrdps/internal/obs"
@@ -61,7 +60,6 @@ func TestAppendDayMatchesBatch(t *testing.T) {
 			return Dynamics{
 				World:            dynamicsWorld(300, 777),
 				LongIntervalProb: 0.3,
-				Rand:             rand.New(rand.NewSource(7)),
 			}
 		}
 		batchCfg := mk()

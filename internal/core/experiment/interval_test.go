@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"rrdps/internal/core/behavior"
@@ -49,7 +48,6 @@ func TestUnevenIntervalsProduceSpikes(t *testing.T) {
 	uneven := Dynamics{
 		World: build(), Days: 20,
 		LongIntervalProb: 0.5,
-		Rand:             rand.New(rand.NewSource(882)),
 	}.Run()
 
 	ve, vu := variance(even), variance(uneven)
@@ -75,7 +73,6 @@ func TestLongGapsCompressReversedPairs(t *testing.T) {
 	uneven := Dynamics{
 		World: build(), Days: 16,
 		LongIntervalProb: 0.9,
-		Rand:             rand.New(rand.NewSource(884)),
 	}.Run()
 
 	evenPauses := even.CountsByDay

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +9,7 @@ import (
 
 	"rrdps/internal/netsim"
 	"rrdps/internal/obs"
+	"rrdps/internal/snapdisk"
 	"rrdps/internal/world"
 )
 
@@ -29,27 +29,22 @@ type dynCfg struct {
 	workers  int
 	every    int
 	longProb float64
-	randSeed int64
 	faults   netsim.FaultConfig
 }
 
 func (c dynCfg) build(dir string, resume bool, stopAfter int) Dynamics {
 	wc := dynamicsConfig(c.sites, c.seed)
 	wc.Faults = c.faults
-	d := Dynamics{
-		World:           world.New(wc),
-		Days:            c.days,
-		Workers:         c.workers,
-		CheckpointDir:   dir,
-		CheckpointEvery: c.every,
-		Resume:          resume,
-		stopAfterDays:   stopAfter,
+	return Dynamics{
+		World:            world.New(wc),
+		Days:             c.days,
+		Workers:          c.workers,
+		CheckpointDir:    dir,
+		CheckpointEvery:  c.every,
+		Resume:           resume,
+		LongIntervalProb: c.longProb,
+		stopAfterDays:    stopAfter,
 	}
-	if c.longProb > 0 {
-		d.LongIntervalProb = c.longProb
-		d.Rand = rand.New(rand.NewSource(c.randSeed))
-	}
-	return d
 }
 
 // killAndResume runs the campaign to a simulated kill after stopAfter
@@ -99,15 +94,39 @@ func TestDynamicsResumeParallel(t *testing.T) {
 }
 
 func TestDynamicsResumeLongIntervals(t *testing.T) {
-	// The jitter Rand is consumed mid-campaign; resume must burn the
-	// recorded number of draws from a fresh identically-seeded Rand.
-	cfg := dynCfg{sites: 250, seed: 8107, days: 9, every: 2, longProb: 0.4, randSeed: 17}
+	// Long gaps move the world clock ahead of the loop index; a resumed
+	// campaign must take the same gaps after the restart.
+	cfg := dynCfg{sites: 250, seed: 8107, days: 9, every: 2, longProb: 0.4}
 	baseline := cfg.build("", false, 0).Run()
 	for _, kill := range []int{1, 4, 7} {
 		t.Run(fmt.Sprintf("kill-after-day-%d", kill), func(t *testing.T) {
 			diffResults(t, cfg.killAndResume(t, t.TempDir(), kill), baseline)
 		})
 	}
+}
+
+// TestDynamicsResumeParentCursor: dynamics cursors once counted
+// long-gap draws under "rand_draws", and every binary that wrote the key
+// wrote 0 (none sets LongIntervalProb). The decoder skips the key, so
+// such a directory resumes to the uninterrupted result.
+func TestDynamicsResumeParentCursor(t *testing.T) {
+	cfg := dynCfg{sites: 250, seed: 8107, days: 6, every: 1}
+	baseline := cfg.build("", false, 0).Run()
+	dir := t.TempDir()
+	cfg.build(dir, false, 3).Run()
+	d, err := snapdisk.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, blob, label, ok, err := d.LatestCheckpoint()
+	if err != nil || !ok {
+		t.Fatalf("no checkpoint after the kill: ok %v, err %v", ok, err)
+	}
+	old := append([]byte(`{"rand_draws":0,`), blob[1:]...)
+	if err := d.WriteCheckpoint(label, st, old); err != nil {
+		t.Fatal(err)
+	}
+	diffResults(t, cfg.build(dir, true, 0).Run(), baseline)
 }
 
 // TestDynamicsResumeMidDayWALCut simulates the harder crash: the process

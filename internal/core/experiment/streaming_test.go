@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -59,7 +58,6 @@ func TestStreamingMatchesLegacy(t *testing.T) {
 				Days:             20,
 				Workers:          4,
 				LongIntervalProb: 0.3,
-				Rand:             rand.New(rand.NewSource(7)),
 			}
 			if legacy {
 				return legacyDynamics(d)

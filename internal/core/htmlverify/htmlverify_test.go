@@ -22,13 +22,13 @@ func newFixture(t *testing.T) *fixture {
 	return f
 }
 
-func (f *fixture) serve(addr string, page httpsim.Page, cfg func(*httpsim.OriginConfig)) netip.Addr {
-	oc := httpsim.OriginConfig{Page: page}
-	if cfg != nil {
-		cfg(&oc)
+func (f *fixture) serve(addr string, page httpsim.Page, setup func(*httpsim.Origin)) netip.Addr {
+	o := httpsim.NewOrigin(httpsim.OriginConfig{Page: page})
+	if setup != nil {
+		setup(o)
 	}
 	a := netip.MustParseAddr(addr)
-	f.net.Register(netsim.Endpoint{Addr: a, Port: netsim.PortHTTP}, netsim.RegionVirginia, httpsim.NewOrigin(oc))
+	f.net.Register(netsim.Endpoint{Addr: a, Port: netsim.PortHTTP}, netsim.RegionVirginia, o)
 	return a
 }
 
@@ -91,11 +91,11 @@ func TestVerifyReferenceUnreachable(t *testing.T) {
 func TestVerifyDynamicMetaDefeatsComparison(t *testing.T) {
 	f := newFixture(t)
 	seq := 0
-	ref := f.serve("10.0.0.1", page, func(oc *httpsim.OriginConfig) {
-		oc.DynamicMeta = func(httpsim.RequestContext) map[string]string {
+	ref := f.serve("10.0.0.1", page, func(o *httpsim.Origin) {
+		o.SetDynamicMeta(func() map[string]string {
 			seq++
 			return map[string]string{"nonce": string(rune('a' + seq))}
-		}
+		})
 	})
 	// Same origin, queried twice through different addresses — but here we
 	// just verify the same server against itself; the nonce differs per
@@ -111,8 +111,8 @@ func TestVerifyDynamicMetaDefeatsComparison(t *testing.T) {
 func TestVerifyACLProtectedOriginFails(t *testing.T) {
 	f := newFixture(t)
 	ref := f.serve("10.0.0.1", page, nil)
-	cand := f.serve("10.0.0.2", page, func(oc *httpsim.OriginConfig) {
-		oc.AllowedClients = []netip.Addr{netip.MustParseAddr("104.16.0.1")}
+	cand := f.serve("10.0.0.2", page, func(o *httpsim.Origin) {
+		o.SetAllowedClients([]netip.Addr{netip.MustParseAddr("104.16.0.1")})
 	})
 	res := f.verifier.Verify("www.acme.com", ref, cand)
 	if res.Match || res.CandOK {

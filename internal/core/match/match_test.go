@@ -13,13 +13,13 @@ import (
 func newMatcher(t *testing.T) (*Matcher, *ipspace.Registry) {
 	t.Helper()
 	reg := ipspace.NewRegistry()
-	reg.AddAS(13335, "cloudflare")
+	reg.AddAS(13335)
 	reg.MustAnnounce(13335, netip.MustParsePrefix("104.16.0.0/12"))
-	reg.AddAS(19551, "incapsula")
+	reg.AddAS(19551)
 	reg.MustAnnounce(19551, netip.MustParsePrefix("199.83.128.0/21"))
-	reg.AddAS(54113, "fastly")
+	reg.AddAS(54113)
 	reg.MustAnnounce(54113, netip.MustParsePrefix("151.101.0.0/16"))
-	reg.AddAS(64600, "isp")
+	reg.AddAS(64600)
 	reg.MustAnnounce(64600, netip.MustParsePrefix("81.0.0.0/8"))
 	return New(reg, dps.Profiles()), reg
 }

@@ -19,15 +19,15 @@ import (
 func newClassifier(t *testing.T) *Classifier {
 	t.Helper()
 	reg := ipspace.NewRegistry()
-	reg.AddAS(13335, "cloudflare")
+	reg.AddAS(13335)
 	reg.MustAnnounce(13335, netip.MustParsePrefix("104.16.0.0/12"))
-	reg.AddAS(19551, "incapsula")
+	reg.AddAS(19551)
 	reg.MustAnnounce(19551, netip.MustParsePrefix("199.83.128.0/21"))
-	reg.AddAS(32787, "akamai")
+	reg.AddAS(32787)
 	reg.MustAnnounce(32787, netip.MustParsePrefix("23.0.0.0/12"))
-	reg.AddAS(19324, "dosarrest")
+	reg.AddAS(19324)
 	reg.MustAnnounce(19324, netip.MustParsePrefix("199.115.112.0/21"))
-	reg.AddAS(64600, "isp")
+	reg.AddAS(64600)
 	reg.MustAnnounce(64600, netip.MustParsePrefix("81.0.0.0/8"))
 	return New(match.New(reg, dps.Profiles()))
 }

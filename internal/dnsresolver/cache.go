@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rrdps/internal/dethash"
 	"rrdps/internal/dnsmsg"
 )
 
@@ -101,9 +102,9 @@ func newCache() *cache {
 
 // shardFor routes a name to its stripe by FNV-1a over the name's bytes.
 func (c *cache) shardFor(name dnsmsg.Name) *cacheShard {
-	h := uint64(fnvOffset64)
+	h := uint64(dethash.Offset)
 	for i := 0; i < len(name); i++ {
-		h = fnvByte(h, name[i])
+		h = dethash.Byte(h, name[i])
 	}
 	return &c.shards[h%cacheShards]
 }

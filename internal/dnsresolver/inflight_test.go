@@ -58,7 +58,7 @@ func newProviderWorld(t testing.TB, sites, providers int) *providerWorld {
 	rootAddr := netip.MustParseAddr("192.0.2.1")
 	tldAddr := netip.MustParseAddr("192.0.2.2")
 	register := func(name string, addr netip.Addr, zones ...*dnszone.Zone) {
-		srv := dnsserver.New(dnsserver.Config{Name: name})
+		srv := dnsserver.New(dnsserver.Config{})
 		for _, z := range zones {
 			srv.AddZone(z)
 		}

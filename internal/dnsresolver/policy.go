@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"time"
 
+	"rrdps/internal/dethash"
 	"rrdps/internal/dnsmsg"
 )
 
@@ -164,8 +165,8 @@ func (p Policy) Backoff(seed int64, server netip.Addr, name dnsmsg.Name, qtype d
 		d = ceil
 	}
 	if p.Jitter > 0 {
-		u := unitHash(seed, server, name, qtype, attempt) // [0,1)
-		factor := 1 + p.Jitter*(2*u-1)                    // [1-J, 1+J)
+		u := dethash.Unit(queryHash(seed, server, name, qtype, attempt)) // [0,1)
+		factor := 1 + p.Jitter*(2*u-1)                                   // [1-J, 1+J)
 		d = time.Duration(float64(d) * factor)
 		if d < 0 {
 			d = 0
@@ -174,57 +175,24 @@ func (p Policy) Backoff(seed int64, server netip.Addr, name dnsmsg.Name, qtype d
 	return d
 }
 
-// unitHash maps a query identity to [0,1) via FNV-1a.
-func unitHash(seed int64, server netip.Addr, name dnsmsg.Name, qtype dnsmsg.Type, attempt int) float64 {
-	return float64(queryHash(seed, server, name, qtype, attempt)>>11) / float64(1<<53)
-}
-
 // queryHash folds a query identity into 64 bits: FNV-1a over the fields,
 // finalized with the splitmix64 avalanche so the trailing fields (qtype,
-// attempt) reach the high bits unitHash keeps. It also derives the
+// attempt) reach the high bits dethash.Unit keeps. It also derives the
 // deterministic query IDs: two runs issuing the same logical query get
 // byte-identical wire payloads, which is what makes the fabric's
 // content-hashed fault plan (and therefore the whole retry schedule)
 // independent of scheduling order.
 func queryHash(seed int64, server netip.Addr, name dnsmsg.Name, qtype dnsmsg.Type, attempt int) uint64 {
-	h := fnvWord(fnvOffset64, uint64(seed))
+	h := dethash.Word(dethash.Offset, uint64(seed))
 	if server.IsValid() {
 		for _, b := range server.As4() {
-			h = fnvByte(h, b)
+			h = dethash.Byte(h, b)
 		}
 	}
 	for i := 0; i < len(name); i++ {
-		h = fnvByte(h, name[i])
+		h = dethash.Byte(h, name[i])
 	}
-	h = fnvWord(h, uint64(qtype))
-	h = fnvWord(h, uint64(attempt))
-	return mix64(h)
-}
-
-// FNV-1a, inlined: hash/fnv's Hash64 would cost an interface call per
-// written slice on the per-exchange path.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
-
-// fnvWord folds v's eight little-endian bytes into h.
-func fnvWord(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(v>>(8*i)))
-	}
-	return h
-}
-
-// mix64 is the splitmix64 finalizer: every input bit avalanches into every
-// output bit.
-func mix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
+	h = dethash.Word(h, uint64(qtype))
+	h = dethash.Word(h, uint64(attempt))
+	return dethash.Mix(h)
 }

@@ -33,8 +33,6 @@ const (
 
 // Config parametrizes a Server.
 type Config struct {
-	// Name identifies the server in logs and test failures.
-	Name string
 	// UnknownZone selects the unknown-zone behaviour. Defaults to
 	// PolicyRefuse.
 	UnknownZone UnknownZonePolicy
@@ -47,10 +45,7 @@ type Config struct {
 // read stand unchanged, is answered from the stored response bytes
 // without decoding, lookup or encoding.
 type Server struct {
-	name     string
-	unknown  UnknownZonePolicy
-	queries  atomic.Uint64
-	computed atomic.Uint64
+	unknown UnknownZonePolicy
 
 	mu    sync.RWMutex
 	zones map[dnsmsg.Name]*dnszone.Zone
@@ -66,7 +61,6 @@ func New(cfg Config) *Server {
 		policy = PolicyRefuse
 	}
 	s := &Server{
-		name:    cfg.Name,
 		unknown: policy,
 		zones:   make(map[dnsmsg.Name]*dnszone.Zone),
 	}
@@ -99,11 +93,6 @@ func (s *Server) Zone(origin dnsmsg.Name) (*dnszone.Zone, bool) {
 	defer s.mu.RUnlock()
 	z, ok := s.zones[origin]
 	return z, ok
-}
-
-// Queries returns how many queries the server has processed.
-func (s *Server) Queries() uint64 {
-	return s.queries.Load()
 }
 
 // findZone returns the hosted zone with the longest origin that is a
@@ -155,7 +144,6 @@ func (s *Server) ServeNetBuf(req netsim.Request, dst []byte) ([]byte, error) {
 	key := p[2:]
 	h := memoHash(key)
 	if e, w, ok := s.memoLookup(h, key); ok {
-		s.queries.Add(1)
 		if e.ignored() {
 			return nil, nil
 		}
@@ -170,8 +158,6 @@ func (s *Server) ServeNetBuf(req netsim.Request, dst []byte) ([]byte, error) {
 		// Malformed datagram: real servers drop these.
 		return nil, nil
 	}
-	s.queries.Add(1)
-	s.computed.Add(1)
 
 	gen := s.gen.Load()
 	zone, serial, answered := s.respondInto(&sc.query, &sc.resp, &sc.res)

@@ -85,9 +85,8 @@ type Customer struct {
 	// NSHosts are the nameservers assigned for NS rerouting.
 	NSHosts []dnsmsg.Name
 
-	// TerminatedAt and PurgeAt bound the residual-exposure window.
-	TerminatedAt time.Time
-	PurgeAt      time.Time
+	// PurgeAt ends the residual-exposure window.
+	PurgeAt time.Time
 	// Notified records whether the customer explicitly told the provider
 	// it was leaving (footnote 10); silent leavers keep their records
 	// pointing at edges (footnote 9).
@@ -232,7 +231,7 @@ func New(cfg Config) *Provider {
 	// first, the rest exist so A-matching sees multi-AS providers.
 	prefixes := make([]netip.Prefix, 0, len(cfg.Profile.ASNs))
 	for _, asn := range cfg.Profile.ASNs {
-		cfg.Registry.AddAS(asn, string(cfg.Profile.Key))
+		cfg.Registry.AddAS(asn)
 		prefix := cfg.Alloc.NextPrefix(20)
 		cfg.Registry.MustAnnounce(asn, prefix)
 		prefixes = append(prefixes, prefix)
@@ -276,10 +275,7 @@ func New(cfg Config) *Provider {
 		RName:  cfg.Profile.InfraApex.Child("hostmaster"),
 		Serial: 1, Minimum: 300,
 	})
-	p.infraServer = dnsserver.New(dnsserver.Config{
-		Name:        string(cfg.Profile.Key) + "-infra",
-		UnknownZone: dnsserver.PolicyRefuse,
-	})
+	p.infraServer = dnsserver.New(dnsserver.Config{UnknownZone: dnsserver.PolicyRefuse})
 	p.infraServer.AddZone(p.infraZone)
 	for i := 0; i < 2; i++ {
 		host := cfg.Profile.InfraApex.Child(fmt.Sprintf("ns%d", i+1))
@@ -297,10 +293,7 @@ func New(cfg Config) *Provider {
 	// for unknown zones are ignored, as the paper observes for
 	// Cloudflare.
 	if cfg.Profile.Supports(ReroutingNS) {
-		p.custServer = dnsserver.New(dnsserver.Config{
-			Name:        string(cfg.Profile.Key) + "-nshosting",
-			UnknownZone: dnsserver.PolicyIgnore,
-		})
+		p.custServer = dnsserver.New(dnsserver.Config{UnknownZone: dnsserver.PolicyIgnore})
 		for i := 0; i < cfg.NameserverCount; i++ {
 			host := p.nsHostname(i)
 			addr := takeAddr()
@@ -614,7 +607,6 @@ func (p *Provider) Terminate(apex dnsmsg.Name, notified bool) error {
 	}
 	now := p.clock.Now()
 	c.State = StateTerminated
-	c.TerminatedAt = now
 	c.Notified = notified
 
 	if !notified {

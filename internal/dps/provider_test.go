@@ -549,10 +549,14 @@ func TestEveryProviderEnrollsViaEveryOfferedMethod(t *testing.T) {
 	}
 }
 
-// HostedQueries returns how many queries the NS-hosting fleet has served.
+// HostedQueries returns how many queries the fabric has delivered to the
+// NS-hosting fleet's pool addresses.
 func (p *Provider) HostedQueries() uint64 {
-	if p.custServer == nil {
-		return 0
+	var n uint64
+	for _, addr := range p.nsAddr {
+		for _, c := range p.cfg.Network.QueryCounts(netsim.Endpoint{Addr: addr, Port: netsim.PortDNS}) {
+			n += c
+		}
 	}
-	return p.custServer.Queries()
+	return n
 }

@@ -67,9 +67,6 @@ type Edge struct {
 	mu       sync.Mutex
 	backends map[string]netip.Addr
 	cache    map[string]cacheEntry
-	served   uint64
-	scrubbed uint64
-	misses   uint64
 }
 
 // New creates an edge server.
@@ -131,9 +128,6 @@ func (e *Edge) ServeNet(req netsim.Request) ([]byte, error) {
 	}
 
 	if e.scrubber != nil && !e.scrubber.Allow(req.From, httpReq.Host) {
-		e.mu.Lock()
-		e.scrubbed++
-		e.mu.Unlock()
 		// Scrubbed traffic is dropped, not answered: the sender times out.
 		return nil, nil
 	}
@@ -150,11 +144,9 @@ func (e *Edge) ServeNet(req netsim.Request) ([]byte, error) {
 	// treated as uncacheable and always hit the origin.
 	cacheable := len(httpReq.Headers) == 0
 	if entry, hit := e.cache[key]; cacheable && hit && entry.expires.After(now) {
-		e.served++
 		e.mu.Unlock()
 		return httpsim.EncodeResponse(entry.resp), nil
 	}
-	e.misses++
 	e.mu.Unlock()
 
 	// Forward the request including its headers (pingback callbacks and
@@ -169,11 +161,10 @@ func (e *Edge) ServeNet(req netsim.Request) ([]byte, error) {
 		resp = httpsim.Response{StatusCode: 502, Body: "origin unreachable"}
 	}
 
-	e.mu.Lock()
-	e.served++
 	if cacheable && err == nil && resp.StatusCode == 200 && e.cacheTTL > 0 {
+		e.mu.Lock()
 		e.cache[key] = cacheEntry{resp: resp, expires: now.Add(e.cacheTTL)}
+		e.mu.Unlock()
 	}
-	e.mu.Unlock()
 	return httpsim.EncodeResponse(resp), nil
 }

@@ -215,30 +215,10 @@ func TestOriginServesLandingPage(t *testing.T) {
 	}
 }
 
-func TestOriginHostRestriction(t *testing.T) {
-	_, _, client, addr := newHTTPFixture(t, OriginConfig{
-		Page:  Page{Title: "Mine"},
-		Hosts: []string{"www.mine.com"},
-	})
-	resp, err := client.Get(addr, "www.other.com", "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 404 {
-		t.Fatalf("foreign host status = %d, want 404", resp.StatusCode)
-	}
-	resp, err = client.Get(addr, "www.mine.com", "/")
-	if err != nil || resp.StatusCode != 200 {
-		t.Fatalf("own host: %d, %v", resp.StatusCode, err)
-	}
-}
-
 func TestOriginClientACL(t *testing.T) {
 	edge := netip.MustParseAddr("104.16.0.9")
-	net, _, client, addr := newHTTPFixture(t, OriginConfig{
-		Page:           Page{Title: "Protected"},
-		AllowedClients: []netip.Addr{edge},
-	})
+	net, origin, client, addr := newHTTPFixture(t, OriginConfig{Page: Page{Title: "Protected"}})
+	origin.SetAllowedClients([]netip.Addr{edge})
 	resp, err := client.Get(addr, "www.p.com", "/")
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +237,7 @@ func TestOriginDynamicMeta(t *testing.T) {
 	calls := 0
 	_, _, client, addr := newHTTPFixture(t, OriginConfig{
 		Page: Page{Title: "Dyn", Meta: map[string]string{"static": "same"}},
-		DynamicMeta: func(ctx RequestContext) map[string]string {
+		DynamicMeta: func() map[string]string {
 			calls++
 			return map[string]string{"request-id": strings.Repeat("x", calls)}
 		},

@@ -8,29 +8,14 @@ import (
 	"rrdps/internal/netsim"
 )
 
-// RequestContext tells a dynamic page hook about the incoming request.
-type RequestContext struct {
-	From netip.Addr
-	Host string
-	Path string
-}
-
 // OriginConfig parametrizes an origin web server.
 type OriginConfig struct {
 	// Page is the landing page served at "/".
 	Page Page
-	// Hosts restricts which Host headers the origin answers; empty means
-	// any. Requests for other hosts get 404, mirroring virtual hosting.
-	Hosts []string
-	// AllowedClients restricts which source addresses may fetch content;
-	// empty means anyone. Other clients receive 403. The paper notes some
-	// origins are configured to answer only their DPS provider's edges,
-	// which hides them from direct HTML verification (§IV-C.3).
-	AllowedClients []netip.Addr
 	// DynamicMeta, when set, is merged into the page's meta tags on every
-	// request; use it to model tags that vary per request (time, location)
-	// and defeat naive HTML comparison.
-	DynamicMeta func(ctx RequestContext) map[string]string
+	// request; use it to model tags that vary per request (a time stamp,
+	// a nonce) and defeat naive HTML comparison.
+	DynamicMeta func() map[string]string
 	// Files maps extra paths to raw bodies served alongside the landing
 	// page — configuration remnants, backup dumps, .git leftovers. The
 	// "sensitive files" origin-exposure vector (paper Table I) reads
@@ -49,32 +34,13 @@ type Origin struct {
 	mu      sync.RWMutex
 	cfg     OriginConfig
 	allowed map[netip.Addr]bool
-	hosts   map[string]bool
 	hits    uint64
 }
 
 // NewOrigin creates an origin server.
-func NewOrigin(cfg OriginConfig) *Origin {
-	o := &Origin{}
-	o.apply(cfg)
-	return o
-}
+func NewOrigin(cfg OriginConfig) *Origin { return &Origin{cfg: cfg} }
 
 var _ netsim.Handler = (*Origin)(nil)
-
-func (o *Origin) apply(cfg OriginConfig) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.cfg = cfg
-	o.allowed = make(map[netip.Addr]bool, len(cfg.AllowedClients))
-	for _, a := range cfg.AllowedClients {
-		o.allowed[a] = true
-	}
-	o.hosts = make(map[string]bool, len(cfg.Hosts))
-	for _, h := range cfg.Hosts {
-		o.hosts[h] = true
-	}
-}
 
 // SetPage swaps the landing page (site redesign, origin reuse).
 func (o *Origin) SetPage(p Page) {
@@ -102,13 +68,16 @@ func (o *Origin) SetPingback(client *Client) {
 }
 
 // SetDynamicMeta installs (or clears) a per-request meta hook.
-func (o *Origin) SetDynamicMeta(fn func(ctx RequestContext) map[string]string) {
+func (o *Origin) SetDynamicMeta(fn func() map[string]string) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.cfg.DynamicMeta = fn
 }
 
-// SetAllowedClients replaces the client ACL.
+// SetAllowedClients restricts which source addresses may fetch content;
+// empty means anyone. Other clients receive 403. The paper notes some
+// origins are configured to answer only their DPS provider's edges,
+// which hides them from direct HTML verification (§IV-C.3).
 func (o *Origin) SetAllowedClients(clients []netip.Addr) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -147,14 +116,10 @@ func (o *Origin) respond(from netip.Addr, req Request) Response {
 	o.hits++
 	cfg := o.cfg
 	allowedSet := o.allowed
-	hostSet := o.hosts
 	o.mu.Unlock()
 
 	if len(allowedSet) > 0 && !allowedSet[from] {
 		return Response{StatusCode: 403, Body: "forbidden"}
-	}
-	if len(hostSet) > 0 && !hostSet[req.Host] {
-		return Response{StatusCode: 404, Body: "no such site"}
 	}
 	if req.Method != "GET" {
 		return Response{StatusCode: 404, Body: "unsupported"}
@@ -187,7 +152,7 @@ func (o *Origin) respond(from netip.Addr, req Request) Response {
 		for k, v := range page.Meta {
 			merged[k] = v
 		}
-		for k, v := range cfg.DynamicMeta(RequestContext{From: from, Host: req.Host, Path: req.Path}) {
+		for k, v := range cfg.DynamicMeta() {
 			merged[k] = v
 		}
 		page.Meta = merged

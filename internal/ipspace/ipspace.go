@@ -22,17 +22,11 @@ type ASN uint32
 // String implements fmt.Stringer.
 func (a ASN) String() string { return fmt.Sprintf("AS%d", uint32(a)) }
 
-// ASInfo describes a registered autonomous system.
-type ASInfo struct {
-	ASN  ASN
-	Name string
-}
-
 // Registry tracks ASes and their announced prefixes and answers
 // longest-prefix-match queries. It is safe for concurrent use.
 type Registry struct {
 	mu       sync.RWMutex
-	ases     map[ASN]ASInfo
+	ases     map[ASN]bool
 	prefixes map[ASN][]netip.Prefix
 	// byLen[b] maps the masked b-bit network address to its origin AS.
 	// Lookup probes from the longest announced length downward, so a more
@@ -45,16 +39,16 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		ases:     make(map[ASN]ASInfo),
+		ases:     make(map[ASN]bool),
 		prefixes: make(map[ASN][]netip.Prefix),
 	}
 }
 
-// AddAS registers an autonomous system. Re-adding an ASN updates its name.
-func (r *Registry) AddAS(asn ASN, name string) {
+// AddAS registers an autonomous system; re-adding one is a no-op.
+func (r *Registry) AddAS(asn ASN) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.ases[asn] = ASInfo{ASN: asn, Name: name}
+	r.ases[asn] = true
 }
 
 // Announce records that asn originates prefix. The AS must have been added

@@ -11,8 +11,8 @@ func mustPrefix(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
 func TestASNForLongestPrefixWins(t *testing.T) {
 	r := NewRegistry()
-	r.AddAS(100, "broad")
-	r.AddAS(200, "specific")
+	r.AddAS(100)
+	r.AddAS(200)
 	r.MustAnnounce(100, mustPrefix("10.0.0.0/8"))
 	r.MustAnnounce(200, mustPrefix("10.1.0.0/16"))
 
@@ -35,7 +35,7 @@ func TestASNForLongestPrefixWins(t *testing.T) {
 
 func TestASNForMiss(t *testing.T) {
 	r := NewRegistry()
-	r.AddAS(100, "x")
+	r.AddAS(100)
 	r.MustAnnounce(100, mustPrefix("10.0.0.0/8"))
 	if _, ok := r.ASNFor(netip.MustParseAddr("11.0.0.1")); ok {
 		t.Error("ASNFor outside any prefix returned ok")
@@ -54,8 +54,8 @@ func TestAnnounceUnknownAS(t *testing.T) {
 
 func TestAnnounceConflict(t *testing.T) {
 	r := NewRegistry()
-	r.AddAS(1, "a")
-	r.AddAS(2, "b")
+	r.AddAS(1)
+	r.AddAS(2)
 	r.MustAnnounce(1, mustPrefix("10.0.0.0/16"))
 	if err := r.Announce(2, mustPrefix("10.0.0.0/16")); err == nil {
 		t.Error("conflicting announcement succeeded")
@@ -68,7 +68,7 @@ func TestAnnounceConflict(t *testing.T) {
 
 func TestAnnounceIPv6Rejected(t *testing.T) {
 	r := NewRegistry()
-	r.AddAS(1, "a")
+	r.AddAS(1)
 	if err := r.Announce(1, netip.MustParsePrefix("2001:db8::/32")); err == nil {
 		t.Error("IPv6 announcement succeeded")
 	}
@@ -76,8 +76,8 @@ func TestAnnounceIPv6Rejected(t *testing.T) {
 
 func TestContains(t *testing.T) {
 	r := NewRegistry()
-	r.AddAS(13335, "cloudflare")
-	r.AddAS(19551, "incapsula")
+	r.AddAS(13335)
+	r.AddAS(19551)
 	r.MustAnnounce(13335, mustPrefix("104.16.0.0/12"))
 	r.MustAnnounce(19551, mustPrefix("199.83.128.0/21"))
 
@@ -94,7 +94,7 @@ func TestContains(t *testing.T) {
 
 func TestPrefixesOfIsCopy(t *testing.T) {
 	r := NewRegistry()
-	r.AddAS(1, "a")
+	r.AddAS(1)
 	r.MustAnnounce(1, mustPrefix("10.0.0.0/16"))
 	got := r.PrefixesOf(1)
 	got[0] = mustPrefix("192.168.0.0/16")
@@ -105,7 +105,7 @@ func TestPrefixesOfIsCopy(t *testing.T) {
 
 func TestRegistryLen(t *testing.T) {
 	r := NewRegistry()
-	r.AddAS(1, "a")
+	r.AddAS(1)
 	r.MustAnnounce(1, mustPrefix("10.0.0.0/16"))
 	r.MustAnnounce(1, mustPrefix("10.1.0.0/16"))
 	r.MustAnnounce(1, mustPrefix("10.2.0.0/24"))
@@ -127,7 +127,7 @@ func TestASNForQuickProperty(t *testing.T) {
 	alloc := NewAllocator(netip.MustParseAddr("20.0.0.0"))
 	for i := 0; i < 50; i++ {
 		asn := ASN(1000 + i)
-		r.AddAS(asn, "as")
+		r.AddAS(asn)
 		bits := 12 + rng.Intn(13) // /12 .. /24
 		p := alloc.NextPrefix(bits)
 		r.MustAnnounce(asn, p)

@@ -37,7 +37,6 @@ var (
 
 // customer tracks one enrolled site.
 type customer struct {
-	apex    dnsmsg.Name
 	token   dnsmsg.Name
 	targets []dnsmsg.Name // provider CNAME targets, one per CDN
 	current int
@@ -82,14 +81,14 @@ func New(cfg Config) *Manager {
 		nsHosts:   make(map[dnsmsg.Name]netip.Addr),
 	}
 	const asn = ipspace.ASN(64701)
-	cfg.Registry.AddAS(asn, "cedexis")
+	cfg.Registry.AddAS(asn)
 	prefix := cfg.Alloc.NextPrefix(24)
 	cfg.Registry.MustAnnounce(asn, prefix)
 
 	m.zone = dnszone.New(Apex, dnsmsg.SOAData{
 		MName: Apex.Child("ns1"), RName: Apex.Child("hostmaster"), Serial: 1, Minimum: 300,
 	})
-	m.server = dnsserver.New(dnsserver.Config{Name: "cedexis"})
+	m.server = dnsserver.New(dnsserver.Config{})
 	m.server.AddZone(m.zone)
 	for i := 0; i < 2; i++ {
 		host := Apex.Child(fmt.Sprintf("ns%d", i+1))
@@ -121,7 +120,7 @@ func (m *Manager) Enroll(apex dnsmsg.Name, origin netip.Addr) (dnsmsg.Name, erro
 	if _, ok := m.customers[apex]; ok {
 		return "", fmt.Errorf("enrolling %s: %w", apex, ErrAlreadyEnrolled)
 	}
-	c := &customer{apex: apex}
+	c := &customer{}
 	for _, p := range m.providers {
 		asg, err := p.Enroll(apex, origin, dps.ReroutingCNAME, dps.PlanPaid)
 		if err != nil {

@@ -1,6 +1,10 @@
 package netsim
 
-import "time"
+import (
+	"time"
+
+	"rrdps/internal/dethash"
+)
 
 // FaultConfig describes the deterministic fault-injection plan of a
 // Network: seeded uniform loss, fabric-wide burst-loss windows,
@@ -100,87 +104,53 @@ const (
 // faultHash folds the seed, a salt, the endpoint, an extra discriminator
 // (e.g. a window index) and the payload into a 64-bit FNV-1a hash, then
 // finalizes it with an avalanche mix. The mix matters: raw FNV-1a spreads
-// a trailing-byte difference only into the low ~40 bits, while unit()
-// keeps the high bits — without finalization, two payloads differing only
-// near the end (a DNS query's qtype, say) would get correlated fault
-// decisions.
+// a trailing-byte difference only into the low ~40 bits, while
+// dethash.Unit keeps the high bits — without finalization, two payloads
+// differing only near the end (a DNS query's qtype, say) would get
+// correlated fault decisions.
 func faultHash(seed int64, salt uint64, ep Endpoint, extra uint64, payload []byte) uint64 {
-	h := fnvWord(fnvOffset64, uint64(seed))
-	h = fnvWord(h, salt)
+	h := dethash.Word(dethash.Offset, uint64(seed))
+	h = dethash.Word(h, salt)
 	if ep.Addr.IsValid() {
 		for _, b := range ep.Addr.As4() {
-			h = fnvByte(h, b)
+			h = dethash.Byte(h, b)
 		}
 	}
-	h = fnvWord(h, uint64(ep.Port))
-	h = fnvWord(h, extra)
+	h = dethash.Word(h, uint64(ep.Port))
+	h = dethash.Word(h, extra)
 	for _, b := range payload {
-		h = fnvByte(h, b)
+		h = dethash.Byte(h, b)
 	}
-	return mix64(h)
-}
-
-// FNV-1a, inlined: hash/fnv's Hash64 would cost an interface call per
-// written slice on the per-send path.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
-
-// fnvWord folds v's eight little-endian bytes into h.
-func fnvWord(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(v>>(8*i)))
-	}
-	return h
-}
-
-// mix64 is the splitmix64 finalizer: every input bit avalanches into every
-// output bit.
-func mix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-// unit maps a hash to [0,1).
-func unit(h uint64) float64 {
-	return float64(h>>11) / float64(1<<53)
+	return dethash.Mix(h)
 }
 
 // faultOutcome is the decision for one send.
 type faultOutcome struct {
 	drop    bool
-	cause   int // salt of the cause when drop
 	corrupt bool
 }
 
 // decide evaluates the plan for one send. Pure function; callers hold no
 // lock while computing it.
 func (fc FaultConfig) decide(now time.Time, to Endpoint, payload []byte) faultOutcome {
-	if fc.LossRate > 0 && unit(faultHash(fc.Seed, saltUniform, to, 0, payload)) < fc.LossRate {
-		return faultOutcome{drop: true, cause: saltUniform}
+	if fc.LossRate > 0 && dethash.Unit(faultHash(fc.Seed, saltUniform, to, 0, payload)) < fc.LossRate {
+		return faultOutcome{drop: true}
 	}
 	if fc.BurstRate > 0 {
 		win := uint64(now.UnixNano() / int64(fc.BurstWindow))
-		if unit(faultHash(fc.Seed, saltBurstWindow, Endpoint{}, win, nil)) < fc.BurstRate &&
-			unit(faultHash(fc.Seed, saltBurstDrop, to, win, payload)) < fc.BurstLoss {
-			return faultOutcome{drop: true, cause: saltBurstDrop}
+		if dethash.Unit(faultHash(fc.Seed, saltBurstWindow, Endpoint{}, win, nil)) < fc.BurstRate &&
+			dethash.Unit(faultHash(fc.Seed, saltBurstDrop, to, win, payload)) < fc.BurstLoss {
+			return faultOutcome{drop: true}
 		}
 	}
-	if fc.FlakyRate > 0 && unit(faultHash(fc.Seed, saltFlakyEndpoint, to, 0, nil)) < fc.FlakyRate {
+	if fc.FlakyRate > 0 && dethash.Unit(faultHash(fc.Seed, saltFlakyEndpoint, to, 0, nil)) < fc.FlakyRate {
 		win := uint64(now.UnixNano() / int64(fc.FlakyWindow))
-		if unit(faultHash(fc.Seed, saltFlakyWindow, to, win, nil)) < 0.5 &&
-			unit(faultHash(fc.Seed, saltFlakyDrop, to, win, payload)) < fc.FlakyLoss {
-			return faultOutcome{drop: true, cause: saltFlakyDrop}
+		if dethash.Unit(faultHash(fc.Seed, saltFlakyWindow, to, win, nil)) < 0.5 &&
+			dethash.Unit(faultHash(fc.Seed, saltFlakyDrop, to, win, payload)) < fc.FlakyLoss {
+			return faultOutcome{drop: true}
 		}
 	}
-	if fc.CorruptRate > 0 && unit(faultHash(fc.Seed, saltCorrupt, to, 0, payload)) < fc.CorruptRate {
+	if fc.CorruptRate > 0 && dethash.Unit(faultHash(fc.Seed, saltCorrupt, to, 0, payload)) < fc.CorruptRate {
 		return faultOutcome{corrupt: true}
 	}
 	return faultOutcome{}

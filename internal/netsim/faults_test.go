@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rrdps/internal/dethash"
 	"rrdps/internal/simtime"
 )
 
@@ -135,7 +136,7 @@ func TestFlakyEndpoints(t *testing.T) {
 }
 
 // TestCorruptRepliesTruncated: corrupted deliveries arrive truncated below
-// a DNS header, and the network counts them.
+// a DNS header.
 func TestCorruptRepliesTruncated(t *testing.T) {
 	n := New(Config{Clock: simtime.NewSimulated()})
 	n.SetFaults(FaultConfig{Seed: 2, CorruptRate: 1})
@@ -151,34 +152,36 @@ func TestCorruptRepliesTruncated(t *testing.T) {
 	if len(resp) >= 12 {
 		t.Fatalf("corrupt reply is %d bytes, want < 12 (below a DNS header)", len(resp))
 	}
-	if got := n.FaultStats().Corrupted; got != 1 {
-		t.Fatalf("Corrupted = %d, want 1", got)
-	}
 }
 
-// TestFaultDropsCountedByCause: injected drops surface as ErrTimeout and
-// are attributed to their cause in FaultStats.
-func TestFaultDropsCountedByCause(t *testing.T) {
-	n := New(Config{Clock: simtime.NewSimulated()})
+// TestFaultDropsFollowPlan: injected drops surface as ErrTimeout on
+// exactly the sends the installed plan drops, and count as drops.
+func TestFaultDropsFollowPlan(t *testing.T) {
+	clock := simtime.NewSimulated()
+	n := New(Config{Clock: clock})
 	n.SetFaults(FaultConfig{Seed: 9, LossRate: 0.5})
 	ep := faultEndpoint(4)
 	n.Register(ep, RegionVirginia, echoHandler("srv"))
 
 	timeouts := 0
 	for i := 0; i < 200; i++ {
-		_, err := n.Send(testClient, RegionOregon, ep, []byte(fmt.Sprintf("q-%d", i)))
+		payload := []byte(fmt.Sprintf("q-%d", i))
+		_, err := n.Send(testClient, RegionOregon, ep, payload)
+		if err != nil && !errors.Is(err, ErrTimeout) {
+			t.Fatalf("Send: %v, want ErrTimeout", err)
+		}
+		if dropped := n.faults.Load().decide(clock.Now(), ep, payload).drop; dropped != (err != nil) {
+			t.Fatalf("send %d: err %v, plan drops it: %v", i, err, dropped)
+		}
 		if err != nil {
-			if !errors.Is(err, ErrTimeout) {
-				t.Fatalf("Send: %v, want ErrTimeout", err)
-			}
 			timeouts++
 		}
 	}
 	if timeouts == 0 {
 		t.Fatal("no injected drops at LossRate 0.5")
 	}
-	if got := n.FaultStats().UniformDrops; got != uint64(timeouts) {
-		t.Fatalf("UniformDrops = %d, want %d", got, timeouts)
+	if _, drops := n.Stats(); drops != uint64(timeouts) {
+		t.Fatalf("drops = %d, want %d", drops, timeouts)
 	}
 }
 
@@ -214,23 +217,5 @@ func TestRetryRerollsFaultDecision(t *testing.T) {
 
 // FlakyEndpoint reports whether the plan marks ep flaky.
 func (fc FaultConfig) FlakyEndpoint(ep Endpoint) bool {
-	return fc.FlakyRate > 0 && unit(faultHash(fc.Seed, saltFlakyEndpoint, ep, 0, nil)) < fc.FlakyRate
-}
-
-// FaultStats returns the per-cause injected-fault counters.
-func (n *Network) FaultStats() FaultStats {
-	return FaultStats{
-		UniformDrops: n.uniformDrops.Load(),
-		BurstDrops:   n.burstDrops.Load(),
-		FlakyDrops:   n.flakyDrops.Load(),
-		Corrupted:    n.corrupted.Load(),
-	}
-}
-
-// FaultStats counts injected faults by cause.
-type FaultStats struct {
-	UniformDrops uint64
-	BurstDrops   uint64
-	FlakyDrops   uint64
-	Corrupted    uint64
+	return fc.FlakyRate > 0 && dethash.Unit(faultHash(fc.Seed, saltFlakyEndpoint, ep, 0, nil)) < fc.FlakyRate
 }

@@ -63,18 +63,7 @@ func (n *Network) Exchange(from netip.Addr, fromRegion Region, to Endpoint, payl
 		outcome = fc.decide(n.clock.Now(), to, payload)
 		if outcome.drop {
 			n.drops.Add(1)
-			switch outcome.cause {
-			case saltUniform:
-				n.uniformDrops.Add(1)
-			case saltBurstDrop:
-				n.burstDrops.Add(1)
-			case saltFlakyDrop:
-				n.flakyDrops.Add(1)
-			}
 			return nil, 0, &sendError{op: opSend, to: to, err: ErrTimeout}
-		}
-		if outcome.corrupt {
-			n.corrupted.Add(1)
 		}
 	}
 	var rt *route
@@ -89,8 +78,7 @@ func (n *Network) Exchange(from netip.Addr, fromRegion Region, to Endpoint, payl
 		n.drops.Add(1)
 		return nil, 0, &sendError{op: opSend, to: to, err: ErrTimeout}
 	}
-	now := n.clock.Now()
-	if rt.limit != nil && !rt.limit.admit(from, now) {
+	if rt.limit != nil && !rt.limit.admit(from, n.clock.Now()) {
 		// Rate-limited: the server drops the query without answering, so
 		// the client sees the same timeout an injected loss produces.
 		n.drops.Add(1)
@@ -100,14 +88,7 @@ func (n *Network) Exchange(from netip.Addr, fromRegion Region, to Endpoint, payl
 	inst := rt.pick(fromRegion)
 	st.served(inst.region)
 
-	req := Request{
-		From:       from,
-		FromRegion: fromRegion,
-		To:         to,
-		PoPRegion:  inst.region,
-		Payload:    payload,
-		Time:       now,
-	}
+	req := Request{From: from, PoPRegion: inst.region, Payload: payload}
 	var resp []byte
 	var err error
 	if bh, ok := inst.handler.(BufferedHandler); ok {

@@ -52,19 +52,11 @@ func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.Addr, e.Port) 
 type Request struct {
 	// From is the sender's address (may be a vantage point or resolver).
 	From netip.Addr
-	// FromRegion is the sender's region, used for anycast routing and
-	// available to handlers (e.g., for geo-aware answers).
-	FromRegion Region
-	// To is the destination address the sender targeted. For anycast
-	// endpoints every PoP sees the same To.
-	To Endpoint
 	// PoPRegion is the region of the PoP that received the request. For
 	// unicast endpoints it is the handler's registration region.
 	PoPRegion Region
 	// Payload is the opaque request body (e.g., a DNS wire-format message).
 	Payload []byte
-	// Time is the fabric's simulation time when the request was delivered.
-	Time time.Time
 }
 
 // Handler processes a request and returns a response payload.
@@ -207,8 +199,6 @@ type Network struct {
 	faults atomic.Pointer[FaultConfig]
 
 	sends, drops, limitDrops atomic.Uint64
-	uniformDrops, burstDrops atomic.Uint64
-	flakyDrops, corrupted    atomic.Uint64
 }
 
 // New creates a Network. It panics if cfg.Clock is nil, a programming

@@ -158,9 +158,6 @@ func TestLossRateDropsEverything(t *testing.T) {
 	if sends != 1 || drops != 1 {
 		t.Fatalf("stats = (%d, %d), want (1, 1)", sends, drops)
 	}
-	if fs := n.FaultStats(); fs.UniformDrops != 1 {
-		t.Fatalf("uniform drops = %d, want 1", fs.UniformDrops)
-	}
 }
 
 func TestReachable(t *testing.T) {
@@ -244,8 +241,7 @@ func TestExchangeErrorText(t *testing.T) {
 // two identically wired fabrics, one serially and one from many
 // goroutines, over anycast and unicast endpoints, a deterministic fault
 // plan and a per-source rate limit. The lock-free counters must export
-// identically: sends, drops, limiter drops, fault causes and every
-// per-PoP count.
+// identically: sends, drops, limiter drops and every per-PoP count.
 func TestParallelCountersMatchSerial(t *testing.T) {
 	anycast := Endpoint{Addr: netip.MustParseAddr("203.0.113.20"), Port: PortDNS}
 	limited := Endpoint{Addr: netip.MustParseAddr("203.0.113.21"), Port: PortDNS}
@@ -299,10 +295,11 @@ func TestParallelCountersMatchSerial(t *testing.T) {
 	if got, want := parallel.ExportCounters(), serial.ExportCounters(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("parallel counters %+v\nserial counters   %+v", got, want)
 	}
-	if got, want := parallel.FaultStats(), serial.FaultStats(); got != want {
-		t.Fatalf("parallel fault stats %+v, serial %+v", got, want)
+	corrupt := false
+	for _, s := range sends {
+		corrupt = corrupt || serial.faults.Load().decide(serial.clock.Now(), s.to, s.body).corrupt
 	}
-	if serial.limitDrops.Load() == 0 || serial.FaultStats().Corrupted == 0 {
+	if serial.limitDrops.Load() == 0 || !corrupt {
 		t.Fatal("the send mix no longer exercises the limiter and corruption")
 	}
 }

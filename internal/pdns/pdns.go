@@ -15,9 +15,8 @@ import (
 	"rrdps/internal/dnsmsg"
 )
 
-// Observation is one (name, address) association with its observed span.
+// Observation is one address a name resolved to, with its observed span.
 type Observation struct {
-	Name dnsmsg.Name
 	Addr netip.Addr
 	// FirstDay / LastDay bound the days the association was observed
 	// (inclusive).
@@ -58,7 +57,7 @@ func (a *Archive) Record(day int, name dnsmsg.Name, addrs ...netip.Addr) {
 			}
 			continue
 		}
-		byAddr[addr] = &Observation{Name: name, Addr: addr, FirstDay: day, LastDay: day}
+		byAddr[addr] = &Observation{Addr: addr, FirstDay: day, LastDay: day}
 	}
 }
 

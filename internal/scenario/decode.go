@@ -73,7 +73,7 @@ func Parse(file string, data []byte) (*Spec, error) {
 		return nil, err
 	}
 	canonical, hash := canonicalize(doc)
-	return &Spec{Doc: doc, Canonical: canonical, Hash: hash, File: file}, nil
+	return &Spec{Doc: doc, Canonical: canonical, Hash: hash}, nil
 }
 
 // strictDecode unmarshals data into v rejecting unknown fields and

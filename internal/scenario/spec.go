@@ -173,9 +173,6 @@ type Spec struct {
 	Canonical []byte
 	// Hash is the SHA-256 hex digest of Canonical.
 	Hash string
-	// File is where the spec came from ("" for in-memory parses); error
-	// messages and provenance reporting use it.
-	File string
 }
 
 // Name returns the spec's metadata.name.

@@ -69,7 +69,6 @@ func Percent(part, whole int) string {
 type Histogram struct {
 	Min, Max int
 	counts   []int
-	total    int
 }
 
 // NewHistogram creates a histogram over [min, max]. It panics when
@@ -90,7 +89,6 @@ func (h *Histogram) Add(v int) {
 		v = h.Max
 	}
 	h.counts[v-h.Min]++
-	h.total++
 }
 
 // String renders a compact text bar chart.

@@ -142,8 +142,12 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []int{0, 1, 1, 3, 7, -2} {
 		h.Add(v)
 	}
-	if h.total != 6 {
-		t.Fatalf("Total = %d", h.total)
+	total := 0
+	for v := h.Min; v <= h.Max; v++ {
+		total += h.Count(v)
+	}
+	if total != 6 {
+		t.Fatalf("total = %d, want every sample counted once", total)
 	}
 	if h.Count(1) != 2 {
 		t.Fatalf("Count(1) = %d", h.Count(1))

@@ -1,21 +1,16 @@
 package vectors
 
 import (
-	"net/netip"
 	"sort"
 
-	"rrdps/internal/dnsmsg"
 	"rrdps/internal/website"
 )
 
 // AuditRow records one audited site's outcome.
 type AuditRow struct {
-	Apex dnsmsg.Name
 	// ExposedVia lists the vectors whose candidates include the site's
 	// true origin address.
 	ExposedVia []Vector
-	// Candidates is the union of candidate addresses across vectors.
-	Candidates []netip.Addr
 }
 
 // Exposed reports whether any vector found the true origin.
@@ -64,7 +59,7 @@ func (s *Scanner) Audit(sites []*website.Site, beforeDay, max int) AuditResult {
 		res.Audited++
 		truth := site.OriginAddr()
 		findings := s.ScanAll(site.Domain().Apex, beforeDay)
-		row := AuditRow{Apex: site.Domain().Apex, Candidates: CandidateUnion(findings)}
+		var row AuditRow
 		for _, f := range findings {
 			for _, cand := range f.Candidates {
 				if cand == truth {

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"strings"
 
 	"rrdps/internal/core/match"
 	"rrdps/internal/dnsmsg"
@@ -72,10 +71,7 @@ func AllVectors() []Vector {
 // Finding is one vector's candidate origin addresses for a target.
 type Finding struct {
 	Vector     Vector
-	Apex       dnsmsg.Name
 	Candidates []netip.Addr
-	// Note carries human-readable evidence ("found in /backup.cfg").
-	Note string
 }
 
 // DefaultSubdomainWordlist is the bruteforce list the subdomain scanner
@@ -168,21 +164,18 @@ func (s *Scanner) publicView(apex dnsmsg.Name) []netip.Addr {
 // ScanIPHistory queries the passive-DNS archive for addresses the target
 // resolved to in the past.
 func (s *Scanner) ScanIPHistory(apex dnsmsg.Name, beforeDay int) Finding {
-	f := Finding{Vector: IPHistory, Apex: apex}
+	f := Finding{Vector: IPHistory}
 	if s.cfg.Archive == nil {
-		f.Note = "no passive-DNS archive configured"
 		return f
 	}
 	f.Candidates = s.candidateFilter(s.cfg.Archive.AddrsBefore(apex.Child("www"), beforeDay))
-	f.Note = fmt.Sprintf("passive DNS before day %d", beforeDay)
 	return f
 }
 
 // ScanSubdomains bruteforces common labels and keeps those resolving
 // outside DPS ranges.
 func (s *Scanner) ScanSubdomains(apex dnsmsg.Name) Finding {
-	f := Finding{Vector: Subdomains, Apex: apex}
-	var hits []string
+	f := Finding{Vector: Subdomains}
 	for _, label := range s.cfg.Wordlist {
 		res, err := s.cfg.Resolver.Resolve(apex.Child(label), dnsmsg.TypeA)
 		if err != nil {
@@ -191,19 +184,17 @@ func (s *Scanner) ScanSubdomains(apex dnsmsg.Name) Finding {
 		for _, addr := range res.Addrs() {
 			if s.isCandidate(addr) {
 				f.Candidates = append(f.Candidates, addr)
-				hits = append(hits, label)
 			}
 		}
 	}
 	f.Candidates = s.candidateFilter(f.Candidates)
-	f.Note = "unprotected subdomains: " + strings.Join(hits, ",")
 	return f
 }
 
 // ScanDNSRecords inspects non-A records — here the MX host — for
 // addresses outside DPS ranges.
 func (s *Scanner) ScanDNSRecords(apex dnsmsg.Name) Finding {
-	f := Finding{Vector: DNSRecords, Apex: apex}
+	f := Finding{Vector: DNSRecords}
 	mxRes, err := s.cfg.Resolver.Resolve(apex, dnsmsg.TypeMX)
 	if err != nil {
 		return f
@@ -218,7 +209,6 @@ func (s *Scanner) ScanDNSRecords(apex dnsmsg.Name) Finding {
 			continue
 		}
 		f.Candidates = append(f.Candidates, aRes.Addrs()...)
-		f.Note = fmt.Sprintf("MX %s", mx.Host)
 	}
 	f.Candidates = s.candidateFilter(f.Candidates)
 	return f
@@ -227,7 +217,7 @@ func (s *Scanner) ScanDNSRecords(apex dnsmsg.Name) Finding {
 // ScanTemporaryExposure checks whether the target is currently in the OFF
 // state: delegated to a DPS but answering with a non-DPS address.
 func (s *Scanner) ScanTemporaryExposure(apex dnsmsg.Name) Finding {
-	f := Finding{Vector: TemporaryExposure, Apex: apex}
+	f := Finding{Vector: TemporaryExposure}
 	www := apex.Child("www")
 	res, err := s.cfg.Resolver.Resolve(www, dnsmsg.TypeA)
 	if err != nil {
@@ -245,9 +235,6 @@ func (s *Scanner) ScanTemporaryExposure(apex dnsmsg.Name) Finding {
 		return f
 	}
 	f.Candidates = s.candidateFilter(res.Addrs())
-	if len(f.Candidates) > 0 {
-		f.Note = "DPS paused: public A record bypasses the platform"
-	}
 	return f
 }
 
@@ -255,17 +242,15 @@ func (s *Scanner) ScanTemporaryExposure(apex dnsmsg.Name) Finding {
 // certificate subjects, and reports addresses presenting the target's
 // names.
 func (s *Scanner) ScanCertificates(apex dnsmsg.Name) Finding {
-	f := Finding{Vector: SSLCertificates, Apex: apex}
+	f := Finding{Vector: SSLCertificates}
 	want := map[string]bool{
 		string(apex):              true,
 		string(apex.Child("www")): true,
 	}
-	probed := 0
 	for _, prefix := range s.cfg.ScanSpaces {
 		n := ipspace.HostCapacity(prefix)
 		for i := 0; i < n; i++ {
 			addr := ipspace.NthAddr(prefix, i)
-			probed++
 			subjects, err := httpsim.ProbeCert(s.cfg.Network, s.cfg.ListenAddr, s.cfg.Region, addr)
 			if err != nil {
 				continue
@@ -279,14 +264,13 @@ func (s *Scanner) ScanCertificates(apex dnsmsg.Name) Finding {
 		}
 	}
 	f.Candidates = s.candidateFilter(f.Candidates)
-	f.Note = fmt.Sprintf("swept %d addresses", probed)
 	return f
 }
 
 // ScanSensitiveFiles fetches well-known leftover files through the public
 // view and extracts addresses from their contents.
 func (s *Scanner) ScanSensitiveFiles(apex dnsmsg.Name) Finding {
-	f := Finding{Vector: SensitiveFiles, Apex: apex}
+	f := Finding{Vector: SensitiveFiles}
 	paths := []string{website.SensitiveFilePath, "/.env", "/config.bak"}
 	for _, public := range s.publicView(apex) {
 		for _, path := range paths {
@@ -296,7 +280,6 @@ func (s *Scanner) ScanSensitiveFiles(apex dnsmsg.Name) Finding {
 			}
 			if addrs := ExtractAddrs(resp.Body); len(addrs) > 0 {
 				f.Candidates = append(f.Candidates, addrs...)
-				f.Note = "found in " + path
 			}
 		}
 	}
@@ -307,7 +290,7 @@ func (s *Scanner) ScanSensitiveFiles(apex dnsmsg.Name) Finding {
 // ScanOriginInContent fetches the landing page through the public view and
 // extracts addresses embedded in the HTML.
 func (s *Scanner) ScanOriginInContent(apex dnsmsg.Name) Finding {
-	f := Finding{Vector: OriginInContent, Apex: apex}
+	f := Finding{Vector: OriginInContent}
 	for _, public := range s.publicView(apex) {
 		resp, err := s.cfg.HTTP.Get(public, string(apex.Child("www")), "/")
 		if err != nil || resp.StatusCode != 200 {
@@ -315,7 +298,6 @@ func (s *Scanner) ScanOriginInContent(apex dnsmsg.Name) Finding {
 		}
 		if addrs := ExtractAddrs(resp.Body); len(addrs) > 0 {
 			f.Candidates = append(f.Candidates, addrs...)
-			f.Note = "address embedded in landing page"
 		}
 	}
 	f.Candidates = s.candidateFilter(f.Candidates)
@@ -325,9 +307,8 @@ func (s *Scanner) ScanOriginInContent(apex dnsmsg.Name) Finding {
 // ScanOutboundConnection triggers the target's pingback endpoint through
 // the public view and watches which address calls back.
 func (s *Scanner) ScanOutboundConnection(apex dnsmsg.Name) Finding {
-	f := Finding{Vector: OutboundConnection, Apex: apex}
+	f := Finding{Vector: OutboundConnection}
 	if s.listener == nil {
-		f.Note = "no callback listener configured"
 		return f
 	}
 	s.listener.Reset()
@@ -343,9 +324,6 @@ func (s *Scanner) ScanOutboundConnection(apex dnsmsg.Name) Finding {
 		_, _ = s.cfg.HTTP.Do(public, req)
 	}
 	f.Candidates = s.candidateFilter(s.listener.Callers())
-	if len(f.Candidates) > 0 {
-		f.Note = "origin connected back to the listener"
-	}
 	return f
 }
 
@@ -365,19 +343,4 @@ func (s *Scanner) ScanAll(apex dnsmsg.Name, beforeDay int) []Finding {
 	}
 	sort.SliceStable(findings, func(i, j int) bool { return findings[i].Vector < findings[j].Vector })
 	return findings
-}
-
-// CandidateUnion returns the distinct candidates across findings.
-func CandidateUnion(findings []Finding) []netip.Addr {
-	seen := make(map[netip.Addr]bool)
-	var out []netip.Addr
-	for _, f := range findings {
-		for _, a := range f.Candidates {
-			if !seen[a] {
-				seen[a] = true
-				out = append(out, a)
-			}
-		}
-	}
-	return out
 }

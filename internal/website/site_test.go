@@ -49,7 +49,7 @@ func newFixture(t *testing.T) *fixture {
 	f.net = netsim.New(netsim.Config{Clock: f.clock})
 
 	// ISP space for origins.
-	f.registry.AddAS(64500, "isp")
+	f.registry.AddAS(64500)
 	originPrefix := f.alloc.NextPrefix(16)
 	f.registry.MustAnnounce(64500, originPrefix)
 	originSeq := 0
@@ -72,7 +72,7 @@ func newFixture(t *testing.T) *fixture {
 		})
 	}
 
-	hosting := dnsserver.New(dnsserver.Config{Name: "basic-hosting"})
+	hosting := dnsserver.New(dnsserver.Config{})
 	f.infra = &Infra{
 		Network:       f.net,
 		Clock:         f.clock,

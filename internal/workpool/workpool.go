@@ -1,16 +1,12 @@
 // Package workpool runs indexed work over a bounded pool of goroutines.
 package workpool
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Run calls fn(i) for every i in [0, n) over at most workers goroutines.
-// Each worker takes the next unclaimed index from a shared counter, so a
-// worker that drew cheap indices keeps going while another finishes a
-// slow one; which worker runs an index is left to scheduling. With
-// workers <= 1 or n <= 1 it runs inline, in index order.
+// Indices are dealt round-robin (worker w takes i ≡ w mod workers), so no
+// channel hand-off is needed and each index's worker is fixed by (workers,
+// n). With workers <= 1 or n <= 1 it runs inline, in index order.
 func Run(workers, n int, fn func(i int)) {
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
@@ -18,13 +14,13 @@ func Run(workers, n int, fn func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
+	workers = min(workers, n)
 	var wg sync.WaitGroup
-	for range min(workers, n) {
+	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			for i := w; i < n; i += workers {
 				fn(i)
 			}
 		}()

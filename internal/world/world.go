@@ -133,9 +133,9 @@ func (w *World) buildMultiCDN() {
 // buildDNSBackbone creates the root and TLD zones and servers.
 func (w *World) buildDNSBackbone() {
 	w.rootZone = dnszone.New("", dnsmsg.SOAData{MName: "a.root-servers.net", RName: "nstld.verisign-grs.com", Serial: 1, Minimum: 300})
-	w.rootServer = dnsserver.New(dnsserver.Config{Name: "root"})
+	w.rootServer = dnsserver.New(dnsserver.Config{})
 	w.rootServer.AddZone(w.rootZone)
-	w.tldServer = dnsserver.New(dnsserver.Config{Name: "gtld"})
+	w.tldServer = dnsserver.New(dnsserver.Config{})
 
 	// TLD set: everything the alexa generator emits plus the TLDs of
 	// provider infrastructure domains.
@@ -213,7 +213,7 @@ func (w *World) buildProviders() {
 	var sharedAlloc func() netip.Addr
 	if w.cfg.SharedEdgesPerProvider > 0 {
 		const sharedASN = ipspace.ASN(64550)
-		w.Registry.AddAS(sharedASN, "shared-hosting-isp")
+		w.Registry.AddAS(sharedASN)
 		prefix := w.Alloc.NextPrefix(22)
 		w.Registry.MustAnnounce(sharedASN, prefix)
 		next := 0
@@ -270,13 +270,13 @@ func (w *World) installNSRateLimit(p *dps.Provider) {
 // buildHosting creates the basic DNS hosting provider that serves sites'
 // own zones.
 func (w *World) buildHosting() {
-	w.hostingServer = dnsserver.New(dnsserver.Config{Name: "webhost"})
+	w.hostingServer = dnsserver.New(dnsserver.Config{})
 	apex := dnsmsg.MustParseName("webhost.net")
 	zone := dnszone.New(apex, dnsmsg.SOAData{MName: "ns1.webhost.net", RName: "hostmaster.webhost.net", Serial: 1, Minimum: 300})
 	ns := make(map[dnsmsg.Name]netip.Addr)
 	// The hosting provider announces its own small AS.
 	const hostingASN = ipspace.ASN(64496)
-	w.Registry.AddAS(hostingASN, "webhost")
+	w.Registry.AddAS(hostingASN)
 	prefix := w.Alloc.NextPrefix(24)
 	w.Registry.MustAnnounce(hostingASN, prefix)
 	for i := 0; i < 2; i++ {
@@ -306,7 +306,7 @@ func (w *World) buildSites() {
 	var isps []*ispSpace
 	for i := 0; i < 4; i++ {
 		asn := ipspace.ASN(64600 + i)
-		w.Registry.AddAS(asn, fmt.Sprintf("isp%d", i+1))
+		w.Registry.AddAS(asn)
 		prefix := w.Alloc.NextPrefix(14)
 		w.Registry.MustAnnounce(asn, prefix)
 		isps = append(isps, &ispSpace{prefix: prefix})
@@ -351,7 +351,7 @@ func (w *World) buildSites() {
 			// the same origin, and the nonce only needs to differ per
 			// request, not be sequential.
 			var seq atomic.Int64
-			site.Origin().SetDynamicMeta(func(httpsim.RequestContext) map[string]string {
+			site.Origin().SetDynamicMeta(func() map[string]string {
 				return map[string]string{"served-at": fmt.Sprintf("t%08d", seq.Add(1))}
 			})
 		}

@@ -37,6 +37,20 @@ import (
 // one its code names (type constraints included), one of the standard
 // library it imports, or one of the protocols the standard library
 // asserts without naming (Unwrap, Is, As).
+//
+// The field rule covers the struct fields of the same packages'
+// package-level types, embedded fields aside, and shares the allowlist,
+// keyed like methods ("internal/dnsserver.Server.memo"). A field fails
+// when no program needs it: an exported field of a type program code
+// builds (a composite literal or new) that no program code writes, or
+// any field program code writes and never reads. Writes are keyed and positional literal elements,
+// assignments, ++/-- and &x.F; the last counts as a read too, since the
+// pointer may be read through. A sync/atomic field's Add, Store, Swap,
+// CompareAndSwap, And and Or are writes and its other methods reads; any
+// other use of a field is a read. Tagged fields, and the fields of types
+// program code hands to encoding/json or fmt or that a tagged field
+// holds, count as written and read; so do the fields of a map key or of
+// an operand of == or !=.
 
 // TestExports runs the check over this module with campaignbench as a
 // caller module.
@@ -58,7 +72,9 @@ func TestExports(t *testing.T) {
 // TestExportsFixture pins the classification on a two-module fixture:
 // of an unused export, an export only its own tests call, a method
 // reached only through an interface and an export only a second module
-// calls, exactly the first two are flagged.
+// calls, exactly the first two are flagged; of a config field only tests
+// set, an atomic counter only tests Load, a tagged field and a field set
+// through &x.F, exactly the first two are.
 func TestExportsFixture(t *testing.T) {
 	found, err := checkExports("testdata/exportsfix", "testdata/exportsfix/second")
 	if err != nil {
@@ -71,8 +87,10 @@ func TestExportsFixture(t *testing.T) {
 		}
 	}
 	want := map[string]callerClass{
-		"internal/lib.Unused":      noCaller,
-		"internal/lib.OwnTestOnly": ownTests,
+		"internal/lib.Unused":          noCaller,
+		"internal/lib.OwnTestOnly":     ownTests,
+		"internal/lib.Config.TestOnly": unsetField,
+		"internal/lib.Counter.calls":   unreadField,
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("flagged %v, want %v", got, want)
@@ -87,6 +105,8 @@ func TestExportsFixture(t *testing.T) {
 	}
 	problems := exportProblems(found, allow)
 	wantProblems := []string{
+		"internal/lib.Config.TestOnly: set by no program (internal/lib/lib.go:",
+		"internal/lib.Counter.calls: written by the program, read by no program (internal/lib/lib.go:",
 		"internal/lib.OwnTestOnly: called by its own package's tests only (internal/lib/lib.go:",
 		"stale allowlist entry internal/lib.Gone: no such export",
 		"stale allowlist entry internal/lib.SecondOnly: has a program caller",
@@ -109,11 +129,14 @@ const (
 	ownTests
 	otherTests
 	programCaller
+	unsetField  // an exported field of a type the program builds; no program writes it
+	unreadField // a field the program writes and never reads
 )
 
 func (c callerClass) String() string {
 	return [...]string{"no caller", "called by its own package's tests only",
-		"called by other packages' tests only", "called by a program"}[c]
+		"called by other packages' tests only", "called by a program",
+		"set by no program", "written by the program, read by no program"}[c]
 }
 
 // exportFinding is one classified export. key is the import path
@@ -313,6 +336,20 @@ type exportCheck struct {
 	tests   map[string]map[string]bool    // key -> packages whose tests call it
 	ifaces  map[string][]*types.Interface // program interfaces by method name
 	seen    map[*types.Interface]bool
+	fields  map[string]*fieldUse // struct fields by key
+	built   map[string]bool      // package-level types program code builds
+	handed  map[string]bool      // types handed to encoding/json or fmt
+	// serialized are the types of tagged fields: an encoder that reads
+	// the tags reads these types' fields too.
+	serialized []types.Type
+}
+
+// fieldUse is what program code does with one struct field.
+type fieldUse struct {
+	owner         string // the key of the type declaring it
+	exported      bool
+	pos           token.Position
+	written, read bool
 }
 
 // checkExports classifies the exports of the module at root; callers
@@ -338,6 +375,9 @@ func checkExports(root string, callers ...string) ([]exportFinding, error) {
 		tests:   map[string]map[string]bool{},
 		ifaces:  map[string][]*types.Interface{},
 		seen:    map[*types.Interface]bool{},
+		fields:  map[string]*fieldUse{},
+		built:   map[string]bool{},
+		handed:  map[string]bool{},
 	}
 	rootAbs, err := filepath.Abs(root)
 	if err != nil {
@@ -355,6 +395,9 @@ func checkExports(root string, callers ...string) ([]exportFinding, error) {
 	}
 	c.addProtocols()
 	c.markInterfaceMethods()
+	for _, t := range c.serialized {
+		c.handOver(t)
+	}
 
 	var found []exportFinding
 	for key := range c.decls {
@@ -366,6 +409,16 @@ func checkExports(root string, callers ...string) ([]exportFinding, error) {
 			sort.Strings(f.tests)
 		}
 		found = append(found, f)
+	}
+	for key, use := range c.fields {
+		class := programCaller
+		switch {
+		case use.exported && c.built[use.owner] && !use.written:
+			class = unsetField
+		case use.written && !use.read:
+			class = unreadField
+		}
+		found = append(found, exportFinding{key: key, class: class, pos: use.pos})
 	}
 	sort.Slice(found, func(i, j int) bool { return found[i].key < found[j].key })
 	return found, nil
@@ -415,18 +468,243 @@ func recvNamed(t types.Type) *types.Named {
 	return named
 }
 
-// declare records the exports u's non-test files define.
+// declare records the exports and the struct fields u's non-test files
+// define.
 func (c *exportCheck) declare(fset *token.FileSet, u *checkUnit, root string) {
-	for id, obj := range u.info.Defs {
-		pos := fset.Position(id.Pos())
+	position := func(p token.Pos) (token.Position, bool) {
+		pos := fset.Position(p)
 		if strings.HasSuffix(pos.Filename, "_test.go") {
+			return pos, false
+		}
+		if rel, err := filepath.Rel(root, pos.Filename); err == nil {
+			pos.Filename = filepath.ToSlash(rel)
+		}
+		return pos, true
+	}
+	for id, obj := range u.info.Defs {
+		if key, ok := c.key(obj); ok {
+			if pos, ok := position(id.Pos()); ok {
+				c.decls[key], c.pos[key] = obj, pos
+			}
+		}
+	}
+	for _, name := range u.pkg.Scope().Names() {
+		tn, ok := u.pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
 			continue
 		}
-		if key, ok := c.key(obj); ok {
-			if rel, err := filepath.Rel(root, pos.Filename); err == nil {
-				pos.Filename = filepath.ToSlash(rel)
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		owner, named := c.typeKey(tn.Type())
+		if !ok || !named {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			pos, program := position(f.Pos())
+			if !program || f.Embedded() {
+				continue
 			}
-			c.decls[key], c.pos[key] = obj, pos
+			tagged := st.Tag(i) != ""
+			c.fields[owner+"."+f.Name()] = &fieldUse{owner: owner, exported: f.Exported(), pos: pos, written: tagged, read: tagged}
+			if tagged {
+				c.serialized = append(c.serialized, f.Type())
+			}
+		}
+	}
+}
+
+// typeKey names a package-level named type of a checked package, the
+// same way key names an export.
+func (c *exportCheck) typeKey(t types.Type) (string, bool) {
+	named, ok := types.Unalias(t).(*types.Named)
+	if !ok {
+		return "", false
+	}
+	obj := named.Origin().Obj()
+	if obj.Pkg() == nil || !c.checked(obj.Pkg().Path()) || obj.Parent() != obj.Pkg().Scope() {
+		return "", false
+	}
+	return strings.TrimPrefix(obj.Pkg().Path(), c.modPath+"/") + "." + obj.Name(), true
+}
+
+// fieldKey names the field sel selects, following embedded fields from
+// the receiver to the struct that declares it.
+func (c *exportCheck) fieldKey(sel *types.Selection) (string, bool) {
+	t := sel.Recv()
+	for i, x := range sel.Index() {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok {
+			return "", false
+		}
+		if i == len(sel.Index())-1 {
+			owner, ok := c.typeKey(t)
+			return owner + "." + st.Field(x).Name(), ok
+		}
+		t = st.Field(x).Type()
+	}
+	return "", false
+}
+
+// scanFields records what the program file f does with struct fields.
+func (c *exportCheck) scanFields(u *checkUnit, f *ast.File) {
+	mark := func(key string, write, read bool) {
+		if use := c.fields[key]; use != nil {
+			use.written = use.written || write
+			use.read = use.read || read
+		}
+	}
+	// First pass: the selectors whose context makes them writes.
+	assigned := map[ast.Expr]bool{}
+	addressed := map[ast.Expr]bool{}
+	atomicOp := map[ast.Expr]string{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				assigned[ast.Unparen(e)] = true
+			}
+		case *ast.IncDecStmt:
+			assigned[ast.Unparen(n.X)] = true
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				addressed[ast.Unparen(n.X)] = true
+			}
+		case *ast.CallExpr:
+			m, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+			if !ok {
+				break
+			}
+			if sel := u.info.Selections[m]; sel != nil && sel.Kind() == types.MethodVal {
+				if pkg := sel.Obj().Pkg(); pkg != nil && pkg.Path() == "sync/atomic" {
+					atomicOp[ast.Unparen(m.X)] = m.Sel.Name
+				}
+			}
+		}
+		return true
+	})
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			sel := u.info.Selections[n]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				break
+			}
+			key, ok := c.fieldKey(sel)
+			if !ok {
+				break
+			}
+			if op, ok := atomicOp[n]; ok {
+				switch op {
+				case "Add", "Store", "Swap", "CompareAndSwap", "And", "Or":
+					mark(key, true, false)
+				default:
+					mark(key, false, true)
+				}
+				break
+			}
+			mark(key, assigned[n] || addressed[n], !assigned[n])
+		case *ast.CompositeLit:
+			t := u.info.TypeOf(n)
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			owner, named := c.typeKey(t)
+			st, ok := t.Underlying().(*types.Struct)
+			if !named || !ok {
+				break
+			}
+			c.built[owner] = true
+			for i, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					mark(owner+"."+kv.Key.(*ast.Ident).Name, true, false)
+				} else {
+					mark(owner+"."+st.Field(i).Name(), true, false)
+				}
+			}
+		case *ast.IndexExpr:
+			if m, ok := u.info.TypeOf(n.X).Underlying().(*types.Map); ok {
+				c.compared(m.Key())
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				c.compared(u.info.TypeOf(n.X))
+			}
+		case *ast.CallExpr:
+			var callee types.Object
+			switch fn := ast.Unparen(n.Fun).(type) {
+			case *ast.Ident:
+				callee = u.info.Uses[fn]
+			case *ast.SelectorExpr:
+				callee = u.info.Uses[fn.Sel]
+			}
+			if b, ok := callee.(*types.Builtin); ok && b.Name() == "new" && len(n.Args) == 1 {
+				if owner, ok := c.typeKey(u.info.TypeOf(n.Args[0])); ok {
+					c.built[owner] = true
+				}
+			}
+			if fn, ok := callee.(*types.Func); ok && fn.Pkg() != nil && (fn.Pkg().Path() == "fmt" || fn.Pkg().Path() == "encoding/json") {
+				for _, a := range n.Args {
+					c.handOver(u.info.TypeOf(a))
+				}
+			}
+		}
+		return true
+	})
+}
+
+// compared marks the fields of a struct type t read: a map key or an
+// operand of == or != is read whole.
+func (c *exportCheck) compared(t types.Type) {
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	owner, named := c.typeKey(t)
+	for i := 0; i < st.NumFields(); i++ {
+		if use := c.fields[owner+"."+st.Field(i).Name()]; named && use != nil {
+			use.read = true
+		}
+		c.compared(st.Field(i).Type())
+	}
+}
+
+// handOver marks every field reachable from t written and read: a type
+// handed to encoding/json or fmt has its fields read or set by
+// reflection.
+func (c *exportCheck) handOver(t types.Type) {
+	switch t := types.Unalias(t).(type) {
+	case *types.Named:
+		owner, ok := c.typeKey(t)
+		if !ok || c.handed[owner] {
+			return
+		}
+		c.handed[owner] = true
+		st, isStruct := t.Underlying().(*types.Struct)
+		if !isStruct {
+			c.handOver(t.Underlying())
+			return
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if use := c.fields[owner+"."+st.Field(i).Name()]; use != nil {
+				use.written, use.read = true, true
+			}
+			c.handOver(st.Field(i).Type())
+		}
+	case *types.Pointer:
+		c.handOver(t.Elem())
+	case *types.Slice:
+		c.handOver(t.Elem())
+	case *types.Array:
+		c.handOver(t.Elem())
+	case *types.Map:
+		c.handOver(t.Key())
+		c.handOver(t.Elem())
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			c.handOver(t.Field(i).Type())
 		}
 	}
 }
@@ -485,6 +763,7 @@ func (c *exportCheck) scan(fset *token.FileSet, u *checkUnit, f *ast.File) {
 		})
 	}
 	if !test {
+		c.scanFields(u, f)
 		for _, p := range u.pkg.Imports() {
 			if p.Path() == c.modPath || strings.HasPrefix(p.Path(), c.modPath+"/") {
 				continue
